@@ -14,7 +14,9 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -446,23 +448,35 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     resolved.update({"err1": args.err1, "err2": args.err2,
                      "assumed_hd": assumed, "p": p, "spread": spread})
     if args.stream:
-        stream = simulator.read_stream_csv(args.stream, args.agent)
+        stream = simulator.iter_stream_csv(args.stream, args.agent)
         resolved.update({"stream": args.stream, "agent": args.agent})
     else:
         seeds = _parse_seeds(args.seeds)
+        if len(seeds) != 1:
+            raise ValidationError(
+                f"inline monitoring takes exactly one seed (got {args.seeds!r})"
+            )
         pop = Population(trustworthy=args.ht, deceptive=args.hd)
         if pop.total != params.H:
             raise ValidationError(
                 f"population ht+hd={pop.total} does not match H={params.H}"
             )
+        if not 0 <= args.agent < pop.total:
+            raise ValidationError(
+                f"agent must lie in [0, {pop.total - 1}] (got {args.agent})"
+            )
+        if args.stages < 1:
+            raise ValidationError(f"stages must be >= 1 (got {args.stages})")
         agents = simulator.compliance_roster(pop, p, spread)
-        run = simulator.run_repeated(agents, params, args.stages, seeds[0])
-        stream = [float(u) for u in run.utilities[:, args.agent]]
+        stages = simulator.stage_stream(agents, params, np.random.default_rng(seeds[0]))
+        # the same draws as run_repeated, played only until the decision
+        stream = (float(o.utilities[args.agent]) for o in islice(stages, args.stages))
         resolved.update(
             {"ht": pop.trustworthy, "hd": pop.deceptive, "stages": args.stages,
-             "seeds": seeds[:1], "agent": args.agent}
+             "seeds": seeds, "agent": args.agent}
         )
-    result = detection.monitor_stream(stream, dist0, dist1, args.err1, args.err2)
+    with closing(stream):
+        result = detection.monitor_stream(stream, dist0, dist1, args.err1, args.err2)
     detection.write_trajectory_csv(str(out / "trajectory.csv"), result)
     _write_manifest(out, "monitor", resolved, ["trajectory.csv"])
     print(f"decision = {result.decision}")

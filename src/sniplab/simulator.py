@@ -21,6 +21,13 @@ Reproducibility contract: a run consumes randomness from a seeded
 
 Identical (agents, params, n_stages, seed) therefore yield bit-identical
 utility streams.
+
+Stream files (``write_stream_csv``) hold one row per stage and agent, in stage
+order and, within a stage, in agent-id order, with floats written by ``repr``.
+``iter_stream_csv`` reads one agent's utilities lazily, so a sequential test
+reads only up to its decision; it refuses a malformed stream (bad header,
+stage gap, duplicated or out-of-order stage, missing agent) with
+``ValidationError`` once it reaches the defect.
 """
 
 from __future__ import annotations
@@ -300,36 +307,98 @@ def analytic_mean_utility(
     ) / h
 
 
+_HEADER = "stage,agent_id,role,event,utility"
+# Rows formatted per write: memory stays flat however many stages a run has.
+_CHUNK_ROWS = 1 << 16
+
+
 def write_stream_csv(path: str, run: SimRun) -> None:
-    """Newline-delimited utility stream: stage, agent_id, role, event, utility."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["stage", "agent_id", "role", "event", "utility"])
-        codes = [ev.code for ev in utility.PAYOFF_TABLE]
-        for t in range(run.stats.n_stages):
-            mm = run.mm_ids[t]
-            code = codes[run.events[t]]
-            for a in range(len(run.agents)):
-                writer.writerow(
-                    [
-                        t,
-                        a,
-                        "mm" if a == mm else "bandit",
-                        code,
-                        repr(float(run.utilities[t, a])),
-                    ]
+    """Newline-delimited utility stream: stage, agent_id, role, event, utility.
+
+    Rows run in stage order and, within a stage, in agent-id order; floats
+    are written with repr.  Stages that share market maker, event and
+    utility bits share one text, so each distinct stage of a chunk is
+    formatted once.
+    """
+    n_stages, n_agents = run.stats.n_stages, len(run.agents)
+    codes = [ev.code for ev in utility.PAYOFF_TABLE]
+    chunk = max(1, _CHUNK_ROWS // n_agents)
+    keys = np.empty((min(chunk, n_stages), n_agents + 2), dtype=np.int64)
+    key_type = np.dtype((np.void, keys.itemsize * keys.shape[1]))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_HEADER + "\n")
+        for start in range(0, n_stages, chunk):
+            stop = min(start + chunk, n_stages)
+            block = keys[: stop - start]
+            block[:, 0] = run.mm_ids[start:stop]
+            block[:, 1] = run.events[start:stop]
+            # the bits, not the values: -0.0 and 0.0 are written differently
+            block[:, 2:] = np.ascontiguousarray(
+                run.utilities[start:stop], dtype=np.float64
+            ).view(np.int64)
+            _, first, inverse = np.unique(
+                block.view(key_type).ravel(), return_index=True, return_inverse=True
+            )
+            # each distinct stage's rows without their stage number, behind a
+            # leading "", so that str(t).join(tails) is the text of stage t
+            texts = []
+            for i in first.tolist():
+                mm, code = int(block[i, 0]), codes[block[i, 1]]
+                texts.append([""] + [
+                    f",{a},{'mm' if a == mm else 'bandit'},{code},{u!r}\n"
+                    for a, u in enumerate(run.utilities[start + i].tolist())
+                ])
+            fh.write(
+                "".join(
+                    str(t).join(texts[k])
+                    for t, k in zip(range(start, stop), inverse.tolist())
                 )
+            )
+
+
+def iter_stream_csv(path: str, agent_id: int) -> Iterator[float]:
+    """One agent's per-stage utilities from a stream CSV, in stage order.
+
+    Reads no further than the caller consumes.  Stages must run 0, 1, 2, ...
+    with the agent present once in each; a bad header, a gap, a duplicated or
+    out-of-order stage, a malformed row or a stage without the agent raises
+    ValidationError when the reader reaches it.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+
+        def bad(what: str) -> ValidationError:
+            return ValidationError(f"{path}, line {reader.line_num}: {what}")
+
+        if next(reader, None) != _HEADER.split(","):
+            raise bad(f"header is not {_HEADER!r}")
+        stage, seen = -1, True  # the current stage, and whether it had the agent
+        for row in reader:
+            if len(row) != 5:
+                raise bad(f"malformed row {row!r}")
+            try:
+                t, a = int(row[0]), int(row[1])
+                u = float(row[4]) if a == agent_id else None
+            except ValueError as exc:
+                raise bad(f"malformed row {row!r}") from exc
+            if t != stage:
+                if t != stage + 1:
+                    after = f"stage {stage}" if stage >= 0 else "the header"
+                    raise bad(f"stage {t} follows {after}")
+                if not seen:
+                    raise bad(f"no row for agent {agent_id} in stage {stage}")
+                stage, seen = t, False
+            if u is not None:
+                if seen:
+                    raise bad(f"second row for agent {agent_id} in stage {stage}")
+                seen = True
+                yield u
+        if stage < 0:
+            raise bad("no stages")
+        if not seen:
+            raise bad(f"no row for agent {agent_id} in stage {stage}")
 
 
 def read_stream_csv(path: str, agent_id: int) -> list[float]:
     """Per-stage utilities of one agent from a stream CSV, in stage order."""
-    out: list[tuple[int, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            if int(row["agent_id"]) == agent_id:
-                out.append((int(row["stage"]), float(row["utility"])))
-    if not out:
-        raise ValidationError(f"no rows for agent {agent_id} in {path}")
-    out.sort(key=lambda r: r[0])
-    return [u for _, u in out]
+    return list(iter_stream_csv(path, agent_id))

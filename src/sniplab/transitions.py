@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from . import race, utility
-from .params import GameParams, ValidationError, derive
+from .params import DerivedParams, GameParams, ValidationError, derive
 from .utility import IndifferencePoint, UtilityEndpoints
 
 log = logging.getLogger(__name__)
@@ -68,10 +68,14 @@ class SnipingRegime:
     s_star: float
 
 
+def _endpoints(h: float, d: DerivedParams, n_agents: int) -> UtilityEndpoints:
+    """Utility-line endpoints from h, the market maker's race-loss probability."""
+    win = h / (n_agents - 1)  # p * g(p)
+    return utility.endpoints_from_race_probs(win, h, d)
+
+
 def _homogeneous_endpoints(p: float, params: GameParams) -> UtilityEndpoints:
-    d = derive(params)
-    win = race.mm_loss_prob(p, params.H) / (params.H - 1)  # p * g(p)
-    return utility.endpoints_from_race_probs(win, race.mm_loss_prob(p, params.H), d)
+    return _endpoints(race.mm_loss_prob(p, params.H), derive(params), params.H)
 
 
 def indifference_at(p: float, params: GameParams) -> IndifferencePoint:
@@ -79,19 +83,13 @@ def indifference_at(p: float, params: GameParams) -> IndifferencePoint:
     return utility.indifference(_homogeneous_endpoints(p, params))
 
 
-def _n_q(p: float, params: GameParams) -> tuple[float, float]:
-    ep = _homogeneous_endpoints(p, params)
-    a, b, c, d = ep.bandit0, ep.bandit1, ep.mm0, ep.mm1
-    return a * d - b * c, (a - c) + (d - b)
-
-
-def _slope_numerator(p: float, params: GameParams) -> float:
-    """N'(p)Q(p) - N(p)Q'(p); shares the sign of du*/dp."""
+def _slope_terms(p: float, params: GameParams) -> tuple[float, float]:
+    """N'(p)Q(p) - N(p)Q'(p), which shares the sign of du*/dp, and Q(p)."""
     d = derive(params)
     h = race.mm_loss_prob(p, params.H)
     dh = race.mm_loss_prob_deriv(p, params.H)
     dwin = dh / (params.H - 1)  # (p*g(p))'
-    ep = _homogeneous_endpoints(p, params)
+    ep = _endpoints(h, d, params.H)
     a, b, c, dd = ep.bandit0, ep.bandit1, ep.mm0, ep.mm1
     da = d.m * d.beta * dwin
     db = -d.alpha_bar * d.q * d.beta * dwin
@@ -101,15 +99,20 @@ def _slope_numerator(p: float, params: GameParams) -> float:
     q_ = (a - c) + (dd - b)
     dn = da * dd + a * dD - db * c - b * dc
     dq = da - dc + dD - db
-    return dn * q_ - n * dq
+    return dn * q_ - n * dq, q_
+
+
+def _slope_numerator(p: float, params: GameParams) -> float:
+    """N'(p)Q(p) - N(p)Q'(p); shares the sign of du*/dp."""
+    return _slope_terms(p, params)[0]
 
 
 def indifference_slope(p: float, params: GameParams) -> float:
     """du*/dp, assembled analytically from the endpoint derivatives."""
-    _, q_ = _n_q(p, params)
+    k, q_ = _slope_terms(p, params)
     if abs(q_) < utility.PARALLEL_TOL:
         raise utility.ParallelLinesError("degenerate utility lines")
-    return _slope_numerator(p, params) / (q_ * q_)
+    return k / (q_ * q_)
 
 
 def _with_gamma(params: GameParams, gamma: float) -> GameParams:

@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import json
 import os
 
 import pytest
 
-from sniplab import cli
+from sniplab import cli, simulator
+from sniplab.params import ValidationError
 
 FIG7 = ["--H", "5", "--alpha", "0.45", "--mu", "0.5", "--delta", "0.5"]
 MIX = ["--H", "4", "--alpha", "0.45", "--mu", "0.3", "--delta", "0.5", "--gamma", "3"]
@@ -233,6 +235,126 @@ class TestMonitor:
             run(["monitor", *MIX])
         assert exc.value.code == 2
 
+    def test_inline_takes_one_seed(self, tmp_path, capsys):
+        code = run(
+            ["monitor", *MIX, "--ht", "4", "--hd", "0", "--stages", "100",
+             "--seeds", "6,7", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "exactly one seed" in capsys.readouterr().err
+
+    def test_inline_plays_only_until_the_decision(self, tmp_path, capsys, monkeypatch):
+        played = []
+        stage_stream = simulator.stage_stream
+
+        def counted(*args):
+            for outcome in stage_stream(*args):
+                played.append(outcome)
+                yield outcome
+
+        monkeypatch.setattr(simulator, "stage_stream", counted)
+        assert (
+            run(
+                ["monitor", *MIX, "--ht", "4", "--hd", "0", "--stages", "50000",
+                 "--seeds", "6", "--out", str(tmp_path)]
+            )
+            == 0
+        )
+        text = capsys.readouterr().out
+        assert "decision = accept_h0" in text
+        assert f"stopped_at = {len(played)}\n" in text
+
+    def test_inline_and_recorded_trajectories_agree(self, tmp_path):
+        sim_out, inline, recorded = tmp_path / "rec", tmp_path / "in", tmp_path / "st"
+        roster = ["--ht", "3", "--hd", "1", "--stages", "20000"]
+        assert run(["simulate", *MIX, *roster, "--seeds", "5", "--out", str(sim_out)]) == 0
+        assert run(["monitor", *MIX, *roster, "--seeds", "5", "--agent", "2",
+                    "--out", str(inline)]) == 0
+        assert run(["monitor", *MIX, "--stream", str(sim_out / "stream_seed5.csv"),
+                    "--agent", "2", "--out", str(recorded)]) == 0
+        trajectory = (inline / "trajectory.csv").read_bytes()
+        assert trajectory == (recorded / "trajectory.csv").read_bytes()
+        assert trajectory.count(b"\n") > 2
+
+
+def _blocks(path):
+    """Header line and the stream's rows grouped by stage."""
+    header, *rows = path.read_text().splitlines(keepends=True)
+    stages = {}
+    for row in rows:
+        stages.setdefault(int(row.split(",", 1)[0]), []).append(row)
+    return header, [stages[t] for t in sorted(stages)]
+
+
+def _corrupt(kind, header, blocks):
+    """A malformed copy of the stream; each defect sits at stage 10 or 11."""
+    blocks = [list(b) for b in blocks]
+    if kind == "gap":
+        del blocks[10]
+    elif kind == "duplicate":
+        blocks.insert(10, blocks[10])
+    elif kind == "swapped":
+        blocks[10], blocks[11] = blocks[11], blocks[10]
+    elif kind == "rewound":  # stages 9 and 10 played again after stage 10
+        blocks[11:11] = blocks[9:11]
+    elif kind == "header":
+        header = "stage,agent,role,event,utility\n"
+    elif kind == "agent-missing-in-a-stage":
+        del blocks[10][0]
+    elif kind == "malformed-utility":
+        blocks[10][0] = blocks[10][0].rsplit(",", 1)[0] + ",x\n"
+    return header + "".join(row for b in blocks for row in b)
+
+
+class TestStreamValidation:
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("rec")
+        assert cli.main(["simulate", *MIX, "--ht", "3", "--hd", "1", "--stages", "2000",
+                         "--seeds", "5", "--out", str(out)]) == 0
+        path = out / "stream_seed5.csv"
+        assert cli.main(["monitor", *MIX, "--stream", str(path), "--agent", "0",
+                         "--out", str(out / "mon")]) == 0
+        trajectory = (out / "mon" / "trajectory.csv").read_bytes()
+        stopped = len(read_rows(out / "mon" / "trajectory.csv"))
+        assert stopped > 11  # every defect below lies before the decision
+        return path, trajectory, stopped
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["gap", "duplicate", "swapped", "rewound", "header", "agent-missing-in-a-stage",
+         "malformed-utility"],
+    )
+    def test_malformed_stream_refused(self, recorded, tmp_path, capsys, kind):
+        path = tmp_path / "bad.csv"
+        path.write_text(_corrupt(kind, *_blocks(recorded[0])))
+        with pytest.raises(ValidationError):
+            list(simulator.iter_stream_csv(str(path), 0))
+        code = run(["monitor", *MIX, "--stream", str(path), "--agent", "0",
+                    "--out", str(tmp_path / "m")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_agent_refused(self, recorded, tmp_path, capsys):
+        with pytest.raises(ValidationError):
+            list(simulator.iter_stream_csv(str(recorded[0]), 9))
+        code = run(["monitor", *MIX, "--stream", str(recorded[0]), "--agent", "9",
+                    "--out", str(tmp_path)])
+        assert code == 2
+
+    def test_reading_stops_at_the_decision(self, recorded, tmp_path):
+        path, trajectory, stopped = recorded
+        header, blocks = _blocks(path)
+        garbled = tmp_path / "garbled.csv"
+        garbled.write_text(
+            header + "".join(row for b in blocks[:stopped] for row in b)
+            + "garbage\n" * 100
+        )
+        out = tmp_path / "m"
+        assert run(["monitor", *MIX, "--stream", str(garbled), "--agent", "0",
+                    "--out", str(out)]) == 0
+        assert (out / "trajectory.csv").read_bytes() == trajectory
+
 
 class TestDeterminism:
     def test_simulate_byte_identical(self, tmp_path):
@@ -267,3 +389,20 @@ class TestDeterminism:
         out2 = tmp_path / "t1"
         assert run(args + ["--seeds", "1,2,3", "--out", str(out2)]) == 0
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+    def test_simulate_streams_are_stable(self, tmp_path):
+        # digests of the streams written by the row-by-row csv.writer writer
+        expected = {
+            "stream_seed1.csv": "761fa64eed0fbce18047feee415a704844fa1cc50d846180db852367d499cf62",
+            "stream_seed2.csv": "8a3af891878af48271ca23859e7cf3dc8ea6ee870006f4593192612300720704",
+        }
+        assert (
+            run(
+                ["simulate", "--H", "5", "--alpha", "0.45", "--mu", "0.3", "--delta", "0.5",
+                 "--gamma", "3", "--ht", "4", "--hd", "1", "--stages", "20000",
+                 "--seeds", "1,2", "--out", str(tmp_path)]
+            )
+            == 0
+        )
+        for name, digest in expected.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -1,4 +1,6 @@
+import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,6 +207,39 @@ class TestAnalyticMeanUtility:
             sim.analytic_mean_utility("rogue", 0.5, 0.5, Population(4, 1), FIG7)
 
 
+def reference_write_stream_csv(path, run):
+    """Row-by-row csv.writer stream writer: the bytes write_stream_csv must match."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["stage", "agent_id", "role", "event", "utility"])
+        codes = [ev.code for ev in utility.PAYOFF_TABLE]
+        for t in range(run.stats.n_stages):
+            mm = run.mm_ids[t]
+            code = codes[run.events[t]]
+            for a in range(len(run.agents)):
+                writer.writerow(
+                    [
+                        t,
+                        a,
+                        "mm" if a == mm else "bandit",
+                        code,
+                        repr(float(run.utilities[t, a])),
+                    ]
+                )
+
+
+def _game(h):
+    return GameParams(H=h, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
+
+
+TIED_AT_ZERO = (
+    AgentConfig(0, 0.5, 0.0),
+    AgentConfig(1, 0.7, 0.0),
+    AgentConfig(2, 0.3, 0.6),
+    AgentConfig(3, 1.0, 0.0),
+)
+
+
 class TestStreamCsv:
     def test_roundtrip(self, tmp_path):
         agents = roster(Population(3, 1), 0.4, 0.6)
@@ -216,3 +251,41 @@ class TestStreamCsv:
             assert stream == [float(u) for u in run.utilities[:, agent_id]]
         with pytest.raises(ValidationError):
             sim.read_stream_csv(str(path), 9)
+
+    @pytest.mark.parametrize(
+        "agents, n_stages",
+        [
+            (roster(Population(3, 0), 0.5, 0.4), 3000),
+            (roster(Population(4, 1), 0.4, 0.6), 3000),
+            (roster(Population(200, 0), 0.02, 0.3), 2000),
+            (TIED_AT_ZERO, 3000),
+        ],
+        ids=["H3", "H5-4+1", "H200", "tied-min-spread-0"],
+    )
+    def test_matches_reference_writer(self, tmp_path, agents, n_stages):
+        run = sim.run_repeated(agents, _game(len(agents)), n_stages, seed=8)
+        if agents is TIED_AT_ZERO:  # the market maker is drawn among three
+            assert set(run.mm_ids.tolist()) == {0, 1, 3}
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        sim.write_stream_csv(str(got), run)
+        reference_write_stream_csv(str(want), run)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_any_run_matches_reference_writer(self, tmp_path, monkeypatch):
+        # values run_repeated never writes, in every cell, across many chunks
+        run = sim.run_repeated(roster(Population(4, 1), 0.4, 0.6), _game(5), 400, seed=2)
+        rng = np.random.default_rng(3)
+        odd = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1])
+        utilities = odd[rng.integers(len(odd), size=run.utilities.shape)]
+        run = replace(
+            run,
+            utilities=utilities,
+            events=rng.integers(20, size=400).astype(np.int8),
+            mm_ids=rng.integers(5, size=400).astype(np.int16),
+        )
+        monkeypatch.setattr(sim, "_CHUNK_ROWS", 12)  # two stages a chunk
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        sim.write_stream_csv(str(got), run)
+        reference_write_stream_csv(str(want), run)
+        assert got.read_bytes() == want.read_bytes()
+        assert b",-0.0\n" in got.read_bytes()
