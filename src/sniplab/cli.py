@@ -3,7 +3,8 @@
 Every command writes tidy CSV plus a JSON manifest that records the fully
 resolved inputs (flags override config-file values override defaults), enough
 to reproduce each output byte-for-byte.  The environment variable
-MZ_LAB_THREADS caps parallelism across sweep grid points and simulation seeds.
+MZ_LAB_THREADS caps the worker processes that ``simulate`` spreads its seeds
+over; the other commands run in one process.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
+from dataclasses import replace
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
@@ -50,11 +52,13 @@ def _thread_cap(n_jobs: int) -> int:
 
 
 def _parallel_map(fn, items: list):
+    """Yield fn(item) for each item in order, as each result is ready."""
     cap = _thread_cap(len(items))
-    if cap <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+    if cap <= 1:
+        yield from map(fn, items)
+        return
     with ProcessPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
 def _resolve_params(args: argparse.Namespace) -> GameParams:
@@ -119,7 +123,7 @@ def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
+            writer.writerow({k: _fmt(row[k]) for k in fieldnames})
 
 
 def _fmt(value) -> str:
@@ -224,46 +228,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_gamma_row(payload):
-    params, gamma = payload
-    return transitions.regime_sweep([gamma], params)[0]
-
-
-def _sweep_param_row(payload):
-    params, variable, value = payload
-    kwargs = {
-        "H": params.H,
-        "alpha": params.alpha,
-        "mu": params.mu,
-        "delta": params.delta,
-        "gamma": params.gamma,
-        "sigma": params.sigma,
-    }
-    kwargs[variable] = int(value) if variable == "H" else value
-    try:
-        trial = GameParams(**kwargs)
-    except ValidationError as exc:
-        return {"_skip": f"{variable}={value}: {exc}"}
-    th = transitions.thresholds(trial)
-    row = transitions.regime_sweep([trial.gamma], trial)[0]
-    return {
-        variable: kwargs[variable],
-        "gamma_probabilistic": th.to_probabilistic,
-        "gamma_no_sniping": th.to_no_sniping,
-        "regime": row["regime"],
-        "p_star": row["p_star"],
-        "s_star": row["s_star"],
-        "u_sure": row["u_sure"],
-        "u_opt": row["u_opt"],
-    }
-
-
-def _sweep_p_row(payload):
-    params, p = payload
-    point = transitions.indifference_at(p, params)
-    return {"p": p, "s_star": point.s_star, "u_star": point.u_star}
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     original_sigma = args.sigma if args.sigma is not None else 1.0
     params = _resolve_params(args)
@@ -277,26 +241,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if bad:
             print(f"note: skipping gamma values < 1: {bad}", file=sys.stderr)
         grid = [g for g in grid if g >= 1]
-        rows = _parallel_map(_sweep_gamma_row, [(params, g) for g in grid])
+        rows = transitions.regime_sweep(grid, params)
         fields = ["gamma", "regime", "p_star", "s_star", "u_sure", "u_opt"]
     elif variable == "p":
         bad = [p for p in grid if not 0 <= p <= 1]
         if bad:
             print(f"note: skipping p values outside [0, 1]: {bad}", file=sys.stderr)
-        grid = [p for p in grid if 0 <= p <= 1]
-        rows = _parallel_map(_sweep_p_row, [(params, p) for p in grid])
+        rows = []
+        for p in grid:
+            if 0 <= p <= 1:
+                point = transitions.indifference_at(p, params)
+                rows.append({"p": p, "s_star": point.s_star, "u_star": point.u_star})
         fields = ["p", "s_star", "u_star"]
     elif variable in ("alpha", "mu", "delta", "H"):
-        rows = _parallel_map(
-            _sweep_param_row, [(params, variable, v) for v in grid]
-        )
-        kept = []
-        for row in rows:
-            if "_skip" in row:
-                print(f"note: skipping {row['_skip']}", file=sys.stderr)
-            else:
-                kept.append(row)
-        rows = kept
+        rows = []
+        for value in grid:
+            setting = {variable: int(value) if variable == "H" else value}
+            try:
+                trial = replace(params, **setting)
+            except ValidationError as exc:
+                print(f"note: skipping {variable}={value}: {exc}", file=sys.stderr)
+                continue
+            rows.append(setting | transitions.regime_sweep([trial.gamma], trial)[0])
         fields = [
             variable,
             "gamma_probabilistic",
@@ -358,9 +324,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not seeds:
         raise ValidationError("need at least one seed")
     agents = simulator.compliance_roster(pop, p, spread)
-    runs = _parallel_map(
-        _simulate_one, [(agents, params, args.stages, seed) for seed in seeds]
-    )
     outputs = []
     summary_rows = []
     analytic = {
@@ -375,6 +338,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             else None
         ),
     }
+    runs = _parallel_map(
+        _simulate_one, [(agents, params, args.stages, seed) for seed in seeds]
+    )
+    # write and summarise each run as it arrives; free it before the next one
     for seed, run in zip(seeds, runs):
         name = f"stream_seed{seed}.csv"
         simulator.write_stream_csv(str(out / name), run)
@@ -399,6 +366,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     "analytic_mean": analytic[cls],
                 }
             )
+        del run
     summary_rows.sort(key=lambda r: (r["seed"], r["agent_id"]))
     _write_csv(
         out / "summary.csv",

@@ -129,9 +129,9 @@ def utility_distribution_enum(
     ht, hd = pop.trustworthy, pop.deceptive
     gamma = params.gamma
     pairs: list[tuple[float, float]] = []
-    entry_as_mm = _binom_pmf(ht - 1, p)
-    entry_mm_trusty = _binom_pmf(ht - 2, p) if ht >= 2 else []
-    entry_mm_rogue = _binom_pmf(ht - 1, p)
+    mm_start, entry_as_mm = _binom_pmf(ht - 1, p)
+    trusty_start, entry_mm_trusty = _binom_pmf(ht - 2, p) if ht >= 2 else (0, [])
+    rogue_start, entry_mm_rogue = _binom_pmf(ht - 1, p)
     for ev in utility.PAYOFF_TABLE:
         pe = utility.event_probability(ev, params)
         mm_lose = utility.evaluate(ev.mm_if_loses, s, gamma)
@@ -142,7 +142,7 @@ def utility_distribution_enum(
         snip = utility.evaluate(ev.sniper, s, gamma)
         mm_win = utility.evaluate(ev.mm_if_wins, s, gamma)
         # as market maker: field is hd sure snipers + Bin(ht-1, p)
-        for k, w in enumerate(entry_as_mm):
+        for k, w in enumerate(entry_as_mm, mm_start):
             field = 1 + hd + k
             pairs.append((mm_lose, pe / h * w * (field - 1) / field))
             pairs.append((mm_win, pe / h * w / field))
@@ -151,13 +151,13 @@ def utility_distribution_enum(
         pairs.append((0.0, pe * (h - 1) / h * (1.0 - p)))
         if ht >= 2:
             branch = pe * (h - 1) / h * p * (ht - 1) / (h - 1)
-            for k, w in enumerate(entry_mm_trusty):
+            for k, w in enumerate(entry_mm_trusty, trusty_start):
                 field = 2 + hd + k
                 pairs.append((snip, branch * w / field))
                 pairs.append((0.0, branch * w * (field - 1) / field))
         if hd >= 1:
             branch = pe * (h - 1) / h * p * hd / (h - 1)
-            for k, w in enumerate(entry_mm_rogue):
+            for k, w in enumerate(entry_mm_rogue, rogue_start):
                 field = 2 + (hd - 1) + k
                 pairs.append((snip, branch * w / field))
                 pairs.append((0.0, branch * w * (field - 1) / field))

@@ -83,37 +83,40 @@ class Population:
         return self.trustworthy + self.deceptive
 
 
-def _binom_pmf(n: int, p: float) -> list[float]:
-    """Probability mass of Bin(n, p) on 0..n.
+def _binom_pmf(n: int, p: float) -> tuple[int, list[float]]:
+    """Probability mass of Bin(n, p) where it does not underflow.
 
-    Built outward from the mode by the ratio recurrence
-    pmf[k+1] / pmf[k] = (n-k) p / ((k+1) (1-p)) and then normalised, so no
-    binomial coefficient or power is ever formed: the mass stays finite for n
-    in the thousands, where comb(n, k) overflows a float and (1-p)^n
-    underflows.  Tail terms that underflow are left at zero; p = 0 and p = 1
-    give exact point masses.
+    Returns (start, weights): weights[i] is the mass at start + i, and the
+    mass outside the window is zero in floating point.  Built outward from
+    the mode by the ratio recurrence pmf[k+1] / pmf[k] = (n-k) p / ((k+1) (1-p))
+    and then normalised, so no binomial coefficient or power is ever formed:
+    the mass stays finite for n in the thousands, where comb(n, k) overflows a
+    float and (1-p)^n underflows.  Each side stops at the first term that
+    underflows; p = 0 and p = 1 give exact point masses.
     """
     q = 1.0 - p
     mode = min(n, int((n + 1) * p))
-    w = [0.0] * (n + 1)
-    w[mode] = 1.0
+    up = [1.0]  # mass at mode, mode + 1, ...
     for k in range(mode, n):
-        nxt = w[k] * ((n - k) * p / ((k + 1) * q))
+        nxt = up[-1] * ((n - k) * p / ((k + 1) * q))
         if nxt == 0.0:
             break  # the ratio falls beyond the mode, so the rest is zero too
-        w[k + 1] = nxt
+        up.append(nxt)
+    down = [1.0]  # mass at mode, mode - 1, ...
     for k in range(mode, 0, -1):
-        nxt = w[k] * (k * q / ((n - k + 1) * p))
+        nxt = down[-1] * (k * q / ((n - k + 1) * p))
         if nxt == 0.0:
             break
-        w[k - 1] = nxt
+        down.append(nxt)
+    w = down[:0:-1] + up
     total = sum(w)
-    return [x / total for x in w]
+    return mode + 1 - len(down), [x / total for x in w]
 
 
 def _binom_expect(n: int, p: float, f) -> float:
     """E[f(N)] for N ~ Bin(n, p)."""
-    return sum(w * f(k) for k, w in enumerate(_binom_pmf(n, p)))
+    start, pmf = _binom_pmf(n, p)
+    return sum(w * f(k) for k, w in enumerate(pmf, start))
 
 
 def mm_loss_prob(p: float, n_agents: int) -> float:
@@ -199,8 +202,8 @@ def mm_loss_prob_mixed(p: float, pop: Population) -> float:
     """
     _check_p(p)
     hd = pop.deceptive
-    pmf = _binom_pmf(pop.trustworthy - 1, p)
-    return sum(w * (hd + k) / (1 + hd + k) for k, w in enumerate(pmf))
+    start, pmf = _binom_pmf(pop.trustworthy - 1, p)
+    return sum(w * (hd + k) / (1 + hd + k) for k, w in enumerate(pmf, start))
 
 
 def win_prob_given_entry_mixed(p: float, pop: Population) -> float:
@@ -217,10 +220,10 @@ def win_prob_given_entry_mixed(p: float, pop: Population) -> float:
     _check_p(p)
     hd = pop.deceptive
     ht = pop.trustworthy
-    pmf = _binom_pmf(ht - 1, p)
+    start, pmf = _binom_pmf(ht - 1, p)
     total = sum(
         w * (k / (1 + k + hd) + (ht - 1 - k) / (2 + k + hd) + hd / (1 + k + hd))
-        for k, w in enumerate(pmf)
+        for k, w in enumerate(pmf, start)
     )
     return total / (pop.total - 1)
 
@@ -239,14 +242,12 @@ def win_prob_given_entry_mixed_two_urn(p: float, pop: Population) -> float:
             f"two-urn form needs at least 2 trustworthy agents (got {ht})"
         )
     h_minus_1 = pop.total - 1
-    mm_trusty = sum(
-        w / (2 + hd + k) for k, w in enumerate(_binom_pmf(ht - 2, p))
-    )
+    start, pmf = _binom_pmf(ht - 2, p)
+    mm_trusty = sum(w / (2 + hd + k) for k, w in enumerate(pmf, start))
     result = (ht - 1) / h_minus_1 * mm_trusty
     if hd > 0:
-        mm_deceptive = sum(
-            w / (1 + hd + k) for k, w in enumerate(_binom_pmf(ht - 1, p))
-        )
+        start, pmf = _binom_pmf(ht - 1, p)
+        mm_deceptive = sum(w / (1 + hd + k) for k, w in enumerate(pmf, start))
         result += hd / h_minus_1 * mm_deceptive
     return result
 
@@ -261,8 +262,8 @@ def mm_loss_prob_mixed_deceptive(p: float, pop: Population) -> float:
     hd = pop.deceptive
     if hd < 1:
         raise ValidationError("deceptive viewpoint needs at least one deceptive agent")
-    pmf = _binom_pmf(pop.trustworthy, p)
-    return sum(w * (hd - 1 + k) / (hd + k) for k, w in enumerate(pmf))
+    start, pmf = _binom_pmf(pop.trustworthy, p)
+    return sum(w * (hd - 1 + k) / (hd + k) for k, w in enumerate(pmf, start))
 
 
 def win_prob_given_entry_mixed_deceptive(p: float, pop: Population) -> float:
@@ -278,9 +279,11 @@ def win_prob_given_entry_mixed_deceptive(p: float, pop: Population) -> float:
     if hd < 1:
         raise ValidationError("deceptive viewpoint needs at least one deceptive agent")
     h_minus_1 = pop.total - 1
-    mm_trusty = sum(w / (1 + hd + k) for k, w in enumerate(_binom_pmf(ht - 1, p)))
+    start, pmf = _binom_pmf(ht - 1, p)
+    mm_trusty = sum(w / (1 + hd + k) for k, w in enumerate(pmf, start))
     result = ht / h_minus_1 * mm_trusty
     if hd >= 2:
-        mm_deceptive = sum(w / (hd + k) for k, w in enumerate(_binom_pmf(ht, p)))
+        start, pmf = _binom_pmf(ht, p)
+        mm_deceptive = sum(w / (hd + k) for k, w in enumerate(pmf, start))
         result += (hd - 1) / h_minus_1 * mm_deceptive
     return result

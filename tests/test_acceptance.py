@@ -219,7 +219,7 @@ def test_criterion_3_derivative_checks():
     th = tr.thresholds(fig7(2.0))
     slope_at_gk = tr.indifference_slope(1.0, fig7(th.to_probabilistic))
     gl_params = fig7(th.to_no_sniping)
-    ep = tr._homogeneous_endpoints(0.0, gl_params)
+    ep = tr._endpoints(0.0, derive(gl_params), gl_params.H)
     q0 = (ep.bandit0 - ep.mm0) + (ep.mm1 - ep.bandit1)
     nprime0 = tr._slope_numerator(0.0, gl_params) / q0
     elapsed = time.perf_counter() - t0

@@ -391,7 +391,9 @@ class TestDeterminism:
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
     def test_simulate_streams_are_stable(self, tmp_path):
-        # digests of the streams written by the row-by-row csv.writer writer
+        # digests of the streams written by the row-by-row csv.writer writer;
+        # p and spread are pinned, so the streams test the writer alone and
+        # not the last digits of the optimiser
         expected = {
             "stream_seed1.csv": "761fa64eed0fbce18047feee415a704844fa1cc50d846180db852367d499cf62",
             "stream_seed2.csv": "8a3af891878af48271ca23859e7cf3dc8ea6ee870006f4593192612300720704",
@@ -400,7 +402,8 @@ class TestDeterminism:
             run(
                 ["simulate", "--H", "5", "--alpha", "0.45", "--mu", "0.3", "--delta", "0.5",
                  "--gamma", "3", "--ht", "4", "--hd", "1", "--stages", "20000",
-                 "--seeds", "1,2", "--out", str(tmp_path)]
+                 "--seeds", "1,2", "--p", "0.2035691573361233",
+                 "--spread", "0.6064860601438494", "--out", str(tmp_path)]
             )
             == 0
         )

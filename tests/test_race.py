@@ -15,6 +15,26 @@ def central_diff(f, x, step=1e-6):
     return (f(x + step) - f(x - step)) / (2 * step)
 
 
+def full_length_pmf(n, p):
+    """Mass of Bin(n, p) on all of 0..n, zeros included, by the recurrence of race._binom_pmf."""
+    q = 1.0 - p
+    mode = min(n, int((n + 1) * p))
+    w = [0.0] * (n + 1)
+    w[mode] = 1.0
+    for k in range(mode, n):
+        nxt = w[k] * ((n - k) * p / ((k + 1) * q))
+        if nxt == 0.0:
+            break
+        w[k + 1] = nxt
+    for k in range(mode, 0, -1):
+        nxt = w[k] * (k * q / ((n - k + 1) * p))
+        if nxt == 0.0:
+            break
+        w[k - 1] = nxt
+    total = sum(w)
+    return [x / total for x in w]
+
+
 class TestHomogeneous:
     def test_mm_loss_known_points(self):
         assert race.mm_loss_prob(1.0, 5) == pytest.approx(0.8, abs=1e-15)
@@ -116,6 +136,22 @@ class TestHomogeneous:
                 assert abs(Fraction(got) - value) <= Fraction(1, 10**12) * abs(value), (
                     fn.__name__, p, got, float(value)
                 )
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 100, 1000, 10_000])
+    def test_windowed_sum_matches_full_length(self, n):
+        # the sums skip only exact zeros, in the same order, so every bit is kept
+        fs = (
+            lambda k: k / (k + 1),
+            lambda k: 1 / (k + 2),
+            lambda k: 1 / ((k + 1) * (k + 2)),
+            lambda k: 1 / ((k + 2) * (k + 3)),
+        )
+        for p in (0.0, 1e-9, 1e-6, 0.1 / n, 0.5 / n, 0.9 / n, 2.0 / n, 0.3, 0.9, 1.0):
+            p = min(p, 1.0)
+            full = full_length_pmf(n, p)
+            for f in fs:
+                reference = sum(w * f(k) for k, w in enumerate(full))
+                assert race._binom_expect(n, p, f) == reference, (n, p)
 
     def test_homogeneous_solve_at_large_h(self):
         params = GameParams(H=5000, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sniplab import transitions as tr
-from sniplab.params import GameParams
+from sniplab.params import GameParams, derive
 
 FIG = dict(H=5, alpha=0.45, mu=0.5, delta=0.5)
 
@@ -34,9 +34,10 @@ class TestSlope:
             assert tr.indifference_slope(p, pr) == pytest.approx(fd, abs=1e-6)
 
     def test_p_zero_utility(self):
-        point = tr.indifference_at(0.0, params(3.0))
+        pr = params(3.0)
+        point = tr.indifference_at(0.0, pr)
         assert point.u_star == pytest.approx(0.0, abs=1e-15)
-        ep = tr._homogeneous_endpoints(0.0, params(3.0))
+        ep = tr._endpoints(0.0, derive(pr), pr.H)
         assert point.s_star == pytest.approx(-ep.mm0 / (ep.mm1 - ep.mm0), abs=1e-12)
 
 
@@ -136,6 +137,20 @@ class TestOptimalSniping:
         assert regime.kind == tr.PROBABILISTIC
         for p in np.linspace(0.0, 1.0, 11):
             assert regime.u_star >= tr.indifference_at(float(p), params(gamma)).u_star - 1e-9
+
+    @pytest.mark.parametrize(
+        "pr",
+        [params(gamma) for gamma in (2.7, 3.5, 7.0, 7.83)]
+        + [GameParams(H=h, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0) for h in (2000, 10000)],
+        ids=["H5-g2.7", "H5-g3.5", "H5-g7.0", "H5-g7.83", "H2000-g3", "H10000-g3"],
+    )
+    def test_p_star_is_the_slope_root_to_float_precision(self, pr):
+        # p* must sit within 1e-12 relative of the zero of du*/dp
+        regime = tr.optimal_sniping(pr)
+        assert regime.kind == tr.PROBABILISTIC
+        p = regime.p_star
+        assert tr._slope_numerator(p * (1 - 1e-12), pr) > 0
+        assert tr._slope_numerator(p * (1 + 1e-12), pr) <= 0
 
     def test_utility_vanishes_at_upper_threshold(self, fig_thresholds):
         gl = fig_thresholds.to_no_sniping
