@@ -2,9 +2,7 @@
 
 Every command writes tidy CSV plus a JSON manifest that records the fully
 resolved inputs (flags override config-file values override defaults), enough
-to reproduce each output byte-for-byte.  The environment variable
-MZ_LAB_THREADS caps the worker processes that ``simulate`` spreads its seeds
-over; the other commands run in one process.
+to reproduce each output byte-for-byte.  Every command runs in one process.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -40,6 +37,7 @@ EXIT_VALIDATION = 2
 _PARAM_KEYS = ("H", "alpha", "mu", "delta", "gamma", "sigma")
 
 
+# Not used by the commands; snipbench's sprt-replicates sizes its pool by it.
 def _thread_cap(n_jobs: int) -> int:
     raw = os.environ.get("MZ_LAB_THREADS", "")
     try:
@@ -49,16 +47,6 @@ def _thread_cap(n_jobs: int) -> int:
     if cap < 1:
         cap = os.cpu_count() or 1
     return max(1, min(cap, n_jobs))
-
-
-def _parallel_map(fn, items: list):
-    """Yield fn(item) for each item in order, as each result is ready."""
-    cap = _thread_cap(len(items))
-    if cap <= 1:
-        yield from map(fn, items)
-        return
-    with ProcessPoolExecutor(max_workers=cap) as pool:
-        yield from pool.map(fn, items)
 
 
 def _resolve_params(args: argparse.Namespace) -> GameParams:
@@ -95,15 +83,27 @@ def _write_manifest(
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+    if "seeds" in resolved:  # its streams depend on the engine's draw order
+        manifest["rng_contract"] = simulator.RNG_CONTRACT
     path = out_dir / f"{command}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
 def args_from_manifest(path: str | Path) -> list[str]:
-    """Reconstruct the argv that reproduces a recorded run (same --out)."""
+    """Reconstruct the argv that reproduces a recorded run (same --out).
+
+    A manifest with seeds from another RNG contract is refused: this engine
+    would draw other streams from them.
+    """
     manifest = json.loads(Path(path).read_text())
     resolved = manifest["resolved"]
+    contract = manifest.get("rng_contract")
+    if "seeds" in resolved and contract != simulator.RNG_CONTRACT:
+        raise ValidationError(
+            f"{path} records RNG contract {contract}; this version draws stages "
+            f"under contract {simulator.RNG_CONTRACT} and cannot reproduce its streams"
+        )
     argv = [manifest["command"]]
     for key, value in resolved.items():
         if key in ("sigma_scale", "outputs"):
@@ -191,18 +191,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     original_sigma = args.sigma if args.sigma is not None else 1.0
     params = _resolve_params(args)
     out = _out_dir(args)
-    th = transitions.thresholds(params)
-    regime = transitions.optimal_sniping(params)
-    sure = transitions.indifference_at(1.0, params)
+    row = transitions.regime_sweep([params.gamma], params)[0]
+    probabilistic = row["regime"] == transitions.PROBABILISTIC
     report = {
         "params": _params_dict(params, original_sigma),
-        "gamma_probabilistic": th.to_probabilistic,
-        "gamma_no_sniping": th.to_no_sniping,
-        "regime": regime.kind,
-        "p_star": regime.p_star,
-        "s_star": regime.s_star,
-        "u_sure": sure.u_star,
-        "u_opt": regime.u_star,
+        "gamma_probabilistic": row["gamma_probabilistic"],
+        "gamma_no_sniping": row["gamma_no_sniping"],
+        "regime": row["regime"],
+        "p_star": row["p_star"] if probabilistic else None,
+        "s_star": row["s_star"],
+        "u_sure": row["u_sure"],
+        "u_opt": row["u_opt"],
         "bandit_zero_spread": utility.bandit_zero_crossing(params),
     }
     (out / "analysis.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -305,11 +304,6 @@ def _auto_play(params: GameParams, p_flag, spread_flag) -> tuple[float, float]:
             spread_flag if spread_flag is not None else s)
 
 
-def _simulate_one(payload):
-    agents, params, stages, seed = payload
-    return simulator.run_repeated(agents, params, stages, seed)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     original_sigma = args.sigma if args.sigma is not None else 1.0
     params = _resolve_params(args)
@@ -338,11 +332,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             else None
         ),
     }
-    runs = _parallel_map(
-        _simulate_one, [(agents, params, args.stages, seed) for seed in seeds]
-    )
-    # write and summarise each run as it arrives; free it before the next one
-    for seed, run in zip(seeds, runs):
+    # write and summarise each run before the next one is drawn
+    for seed in seeds:
+        run = simulator.run_repeated(agents, params, args.stages, seed)
         name = f"stream_seed{seed}.csv"
         simulator.write_stream_csv(str(out / name), run)
         outputs.append(name)

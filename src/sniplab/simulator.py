@@ -5,22 +5,28 @@ position: a market maker is selected, a trigger event arrives, at most one
 further event falls inside the race window, the race (if any) is resolved and
 per-agent utilities are assigned from the payoff table.
 
-Reproducibility contract: a run consumes randomness from a seeded
-``numpy.random.Generator`` in a fixed order per stage:
+Reproducibility, RNG contract 2: every stage consumes exactly H + 4 doubles
+from ``Generator.random``, one row of an (m, H + 4) matrix, and every column is
+drawn on every stage, race or not:
 
-1. market-maker selection -- one ``integers`` draw among minimal-spread posters
-   (skipped when a single agent posts the minimum);
-2. trigger event -- one uniform, split NG/NB/LA/LB with probabilities
-   beta/2, beta/2, (1-beta)/2, (1-beta)/2;
-3. second event -- one uniform, split NG/NB/LA/LB/NO with probabilities
-   alpha_bar, alpha_bar, mu_bar, mu_bar, remainder;
-4. race-entry decisions -- only on a news trigger, one uniform per non-market-
-   maker agent, consumed in increasing agent-id order (deceptive agents with
-   probability 1 consume a draw like everyone else);
-5. winner -- only on a news trigger, one ``integers`` draw among the entrants.
+* col 0 -- market maker, ``candidates[floor(u * k)]`` among the k agents that
+  post the minimal spread, in id order;
+* col 1 -- trigger event, split NG/NB/LA/LB at the cut points beta/2, beta,
+  beta + (1-beta)/2;
+* col 2 -- second event, split NG/NB/LA/LB/NO at alpha_bar, 2 alpha_bar,
+  2 alpha_bar + mu_bar, 2 (alpha_bar + mu_bar);
+* cols 3 .. H+2 -- on a news trigger agent j enters the race if u <
+  snipe_prob_j (the market maker's own column is drawn and ignored: he always
+  races);
+* col H+3 -- winner, ``floor(u * n_entrants)``: 0 is the market maker, k the
+  k-th entering non-maker in id order.
 
-Identical (agents, params, n_stages, seed) therefore yield bit-identical
-utility streams.
+A Generator fills the matrix row by row from one stream, so the draws do not
+depend on how many stages are drawn at once: the chunk size is a speed
+constant, a lazily consumed ``stage_stream`` is a prefix of ``run_repeated``'s
+stages, and identical (agents, params, n_stages, seed) yield bit-identical
+utility streams.  Contract 1 (a variable number of draws per stage, integer
+draws for the market maker and the winner) gives different streams.
 
 Stream files (``write_stream_csv``) hold one row per stage and agent, in stage
 order and, within a stage, in agent-id order, with floats written by ``repr``.
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +50,10 @@ from .race import Population
 
 TRUSTWORTHY = "trustworthy"
 DECEPTIVE = "deceptive"
+RNG_CONTRACT = 2
+# Stages drawn at once.  Not part of the contract; kept small because a
+# sequential test usually stops after a few hundred stages of a fresh stream.
+_CHUNK_STAGES = 1024
 
 
 @dataclass(frozen=True)
@@ -63,15 +73,14 @@ class AgentConfig:
             raise ValidationError(f"spread must lie in [0, 1] (got {self.spread})")
 
 
-@dataclass(frozen=True)
-class StageOutcome:
-    """Resolution of one stage game."""
+class StageOutcome(NamedTuple):
+    """One stage of ``stage_stream``: event code, market maker, race winner
+    (-1 without a race) and the utility of each agent, indexed by id."""
 
     event: str
     mm_id: int
-    entrants: tuple[int, ...]
-    winner: int | None
-    utilities: tuple[float, ...]
+    winner: int
+    utilities: list[float]
 
 
 @dataclass(frozen=True)
@@ -98,123 +107,79 @@ class SimRun:
     stats: RunStats
 
 
-class _StageSampler:
-    """Precomputed thresholds and utility lookups for one agent roster."""
-
-    def __init__(self, agents: Sequence[AgentConfig], params: GameParams):
-        if len(agents) < 3:
-            raise ValidationError(f"need at least 3 agents (got {len(agents)})")
-        if [a.agent_id for a in agents] != list(range(len(agents))):
-            raise ValidationError("agent ids must be 0..n-1 in order")
-        self.agents = tuple(agents)
-        self.params = params
-        d = derive(params)
-        self.beta = d.beta
-        self.cut_ng = d.beta / 2
-        self.cut_nb = d.beta
-        self.cut_la = d.beta + (1.0 - d.beta) / 2
-        self.cut2 = (
-            d.alpha_bar,
-            2 * d.alpha_bar,
-            2 * d.alpha_bar + d.mu_bar,
-            2 * (d.alpha_bar + d.mu_bar),
-        )
-        min_spread = min(a.spread for a in agents)
-        self.mm_candidates = [a.agent_id for a in agents if a.spread == min_spread]
-        self.snipe_probs = np.array([a.snipe_prob for a in agents])
-        self.others = [
-            [j for j in range(len(agents)) if j != i] for i in range(len(agents))
-        ]
-        # utility of (event, outcome-column) at the market maker's spread
-        self.u_cols = {}
-        for a in agents:
-            key = a.spread
-            if key in self.u_cols:
-                continue
-            tbl = np.zeros((len(utility.PAYOFF_TABLE), 3))
-            for idx, ev in enumerate(utility.PAYOFF_TABLE):
-                tbl[idx, 0] = utility.evaluate(ev.mm_if_loses, key, params.gamma)
-                tbl[idx, 1] = utility.evaluate(ev.sniper, key, params.gamma)
-                tbl[idx, 2] = utility.evaluate(ev.mm_if_wins, key, params.gamma)
-            self.u_cols[key] = tbl
-
-    def draw(self, rng: np.random.Generator):
-        """One stage in the documented draw order.
-
-        Returns (event_index, mm_id, entrants, winner); winner is None
-        without a race, entrants is an empty tuple then.
-        """
-        if len(self.mm_candidates) == 1:
-            mm = self.mm_candidates[0]
-        else:
-            mm = self.mm_candidates[int(rng.integers(len(self.mm_candidates)))]
-        u1 = rng.random()
-        if u1 < self.cut_ng:
-            first = 0  # NG
-        elif u1 < self.cut_nb:
-            first = 1  # NB
-        elif u1 < self.cut_la:
-            first = 2  # LA
-        else:
-            first = 3  # LB
-        u2 = rng.random()
-        c = self.cut2
-        if u2 < c[0]:
-            second = 0
-        elif u2 < c[1]:
-            second = 1
-        elif u2 < c[2]:
-            second = 2
-        elif u2 < c[3]:
-            second = 3
-        else:
-            second = 4  # NO
-        event_idx = 5 * first + second
-        if first >= 2:  # liquidity trigger: no race
-            return event_idx, mm, (), None
-        others = self.others[mm]
-        draws = rng.random(len(others))
-        entrants = [mm] + [
-            j for j, u in zip(others, draws) if u < self.snipe_probs[j]
-        ]
-        winner = entrants[int(rng.integers(len(entrants)))]
-        return event_idx, mm, tuple(entrants), winner
-
-
-def play_stage(
+def _stage_chunks(
     agents: Sequence[AgentConfig], params: GameParams, rng: np.random.Generator
-) -> StageOutcome:
-    """Play a single stage game, consuming randomness from rng."""
-    sampler = _StageSampler(agents, params)
-    return _resolve(sampler, *sampler.draw(rng))
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Endless stages, ``_CHUNK_STAGES`` at a time, drawn under RNG contract 2.
 
-
-def _resolve(sampler: _StageSampler, event_idx, mm, entrants, winner) -> StageOutcome:
-    cols = sampler.u_cols[sampler.agents[mm].spread]
-    utilities = [0.0] * len(sampler.agents)
-    if winner is None:
-        utilities[mm] = cols[event_idx, 0]
-    elif winner == mm:
-        utilities[mm] = cols[event_idx, 2]
-    else:
-        utilities[mm] = cols[event_idx, 0]
-        utilities[winner] = cols[event_idx, 1]
-    return StageOutcome(
-        event=utility.PAYOFF_TABLE[event_idx].code,
-        mm_id=mm,
-        entrants=entrants,
-        winner=winner,
-        utilities=tuple(utilities),
-    )
+    Yields (events, mm_ids, winners, utilities, entered) per chunk; entered
+    marks the non-makers that enter each race.
+    """
+    h = len(agents)
+    if h < 3:
+        raise ValidationError(f"need at least 3 agents (got {h})")
+    if [a.agent_id for a in agents] != list(range(h)):
+        raise ValidationError("agent ids must be 0..n-1 in order")
+    d = derive(params)
+    cut1 = np.array([d.beta / 2, d.beta, d.beta + (1.0 - d.beta) / 2])
+    cut2 = np.array([
+        d.alpha_bar,
+        2 * d.alpha_bar,
+        2 * d.alpha_bar + d.mu_bar,
+        2 * (d.alpha_bar + d.mu_bar),
+    ])
+    spreads = np.array([a.spread for a in agents])
+    s = float(spreads.min())  # the market maker's spread
+    candidates = np.flatnonzero(spreads == s).astype(np.int16)
+    snipe_probs = np.array([a.snipe_prob for a in agents])
+    # utility of (event, outcome) at spread s; outcome 0: the maker loses or
+    # there is no race, 1: the sniper wins, 2: the maker wins
+    table = np.array([
+        [utility.evaluate(expr, s, params.gamma)
+         for expr in (ev.mm_if_loses, ev.sniper, ev.mm_if_wins)]
+        for ev in utility.PAYOFF_TABLE
+    ])
+    rows = np.arange(_CHUNK_STAGES)
+    while True:
+        u = rng.random((_CHUNK_STAGES, h + 4))
+        mm = candidates[(u[:, 0] * len(candidates)).astype(np.intp)]
+        first = np.searchsorted(cut1, u[:, 1], side="right")
+        second = np.searchsorted(cut2, u[:, 2], side="right")
+        events = (5 * first + second).astype(np.int8)
+        is_race = first < 2  # news trigger
+        entered = (u[:, 3:h + 3] < snipe_probs) & is_race[:, None]
+        entered[rows, mm] = False
+        count = entered.sum(axis=1)
+        k = (u[:, h + 3] * (count + 1)).astype(np.intp)
+        # the k-th entrant of a row sits in the row's run of flat entries
+        entries = np.flatnonzero(entered)
+        offset = np.cumsum(count) - count
+        winners = np.where(is_race, mm, -1)
+        snipes = k > 0
+        winners[snipes] = entries[offset[snipes] + k[snipes] - 1] % h
+        utilities = np.zeros((_CHUNK_STAGES, h))
+        utilities[rows, mm] = table[events, np.where(winners == mm, 2, 0)]
+        utilities[rows[snipes], winners[snipes]] = table[events[snipes], 1]
+        yield events, mm, winners, utilities, entered
 
 
 def stage_stream(
     agents: Sequence[AgentConfig], params: GameParams, rng: np.random.Generator
 ) -> Iterator[StageOutcome]:
-    """Endless stream of independent stage games (shared roster and rng)."""
-    sampler = _StageSampler(agents, params)
-    while True:
-        yield _resolve(sampler, *sampler.draw(rng))
+    """Endless stream of independent stage games (shared roster and rng).
+
+    With ``rng = default_rng(seed)`` its stages are those of
+    ``run_repeated(agents, params, n, seed)``, one at a time.
+    """
+    codes = [ev.code for ev in utility.PAYOFF_TABLE]
+    for events, mm_ids, winners, utilities, _ in _stage_chunks(agents, params, rng):
+        yield from map(
+            StageOutcome,
+            [codes[e] for e in events.tolist()],
+            mm_ids.tolist(),
+            winners.tolist(),
+            utilities.tolist(),
+        )
 
 
 def run_repeated(
@@ -223,32 +188,18 @@ def run_repeated(
     """Repeat the stage game n_stages times from a fresh seeded generator."""
     if n_stages < 1:
         raise ValidationError(f"n_stages must be >= 1 (got {n_stages})")
-    sampler = _StageSampler(agents, params)
-    rng = np.random.default_rng(seed)
-    n_agents = len(agents)
-    utilities = np.zeros((n_stages, n_agents))
-    events = np.zeros(n_stages, dtype=np.int8)
-    mm_ids = np.zeros(n_stages, dtype=np.int16)
-    winners = np.full(n_stages, -1, dtype=np.int16)
-    race_wins = np.zeros(n_agents, dtype=np.int64)
-    for t in range(n_stages):
-        event_idx, mm, entrants, winner = sampler.draw(rng)
-        events[t] = event_idx
-        mm_ids[t] = mm
-        cols = sampler.u_cols[sampler.agents[mm].spread]
-        if winner is None:
-            utilities[t, mm] = cols[event_idx, 0]
-        else:
-            winners[t] = winner
-            race_wins[winner] += 1
-            if winner == mm:
-                utilities[t, mm] = cols[event_idx, 2]
-            else:
-                utilities[t, mm] = cols[event_idx, 0]
-                utilities[t, winner] = cols[event_idx, 1]
+    events = np.empty(n_stages, dtype=np.int8)
+    mm_ids = np.empty(n_stages, dtype=np.int16)
+    winners = np.empty(n_stages, dtype=np.int16)
+    utilities = np.empty((n_stages, len(agents)))
+    chunks = _stage_chunks(agents, params, np.random.default_rng(seed))
+    for start in range(0, n_stages, _CHUNK_STAGES):
+        stop = min(start + _CHUNK_STAGES, n_stages)
+        for whole, part in zip((events, mm_ids, winners, utilities), next(chunks)):
+            whole[start:stop] = part[: stop - start]
     stats = RunStats(
         total_utility=utilities.sum(axis=0),
-        race_wins=race_wins,
+        race_wins=np.bincount(winners[winners >= 0], minlength=len(agents)),
         n_stages=n_stages,
         seed=seed,
     )

@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import json
-import os
 
 import pytest
 
@@ -380,23 +379,45 @@ class TestDeterminism:
         assert run(argv) == 0
         assert (out1 / "sweep_gamma.csv").read_bytes() == before
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MZ_LAB_THREADS", "2")
-        out1 = tmp_path / "t2"
-        args = ["simulate", *MIX, "--ht", "4", "--hd", "0", "--stages", "1000"]
-        assert run(args + ["--seeds", "1,2,3", "--out", str(out1)]) == 0
-        monkeypatch.setenv("MZ_LAB_THREADS", "1")
-        out2 = tmp_path / "t1"
-        assert run(args + ["--seeds", "1,2,3", "--out", str(out2)]) == 0
-        assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+    def test_manifest_records_rng_contract(self, tmp_path):
+        sim_out, inline, recorded = tmp_path / "s", tmp_path / "i", tmp_path / "r"
+        roster = ["--ht", "3", "--hd", "1", "--stages", "500", "--seeds", "4"]
+        assert run(["simulate", *MIX, *roster, "--out", str(sim_out)]) == 0
+        assert run(["monitor", *MIX, *roster, "--out", str(inline)]) == 0
+        assert run(["monitor", *MIX, "--stream", str(sim_out / "stream_seed4.csv"),
+                    "--out", str(recorded)]) == 0
+        for out, command, contract in [(sim_out, "simulate", 2), (inline, "monitor", 2),
+                                       (recorded, "monitor", None)]:
+            manifest = json.loads((out / f"{command}_manifest.json").read_text())
+            assert manifest.get("rng_contract") == contract
+            assert "rng_contract" not in manifest["resolved"]
+        argv = cli.args_from_manifest(sim_out / "simulate_manifest.json")
+        assert "--rng_contract" not in argv
+        before = (sim_out / "stream_seed4.csv").read_bytes()
+        assert run(argv) == 0
+        assert (sim_out / "stream_seed4.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("contract", [None, 1, 3])
+    def test_manifest_from_another_contract_refused(self, tmp_path, contract):
+        assert run(["simulate", *MIX, "--ht", "4", "--stages", "100", "--seeds", "1",
+                    "--out", str(tmp_path)]) == 0
+        path = tmp_path / "simulate_manifest.json"
+        manifest = json.loads(path.read_text())
+        if contract is None:
+            del manifest["rng_contract"]
+        else:
+            manifest["rng_contract"] = contract
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match="RNG contract"):
+            cli.args_from_manifest(path)
 
     def test_simulate_streams_are_stable(self, tmp_path):
-        # digests of the streams written by the row-by-row csv.writer writer;
-        # p and spread are pinned, so the streams test the writer alone and
-        # not the last digits of the optimiser
+        # digests of the streams written by the row-by-row csv.writer writer,
+        # under RNG contract 2; p and spread are pinned, so the streams test
+        # the engine and the writer and not the last digits of the optimiser
         expected = {
-            "stream_seed1.csv": "761fa64eed0fbce18047feee415a704844fa1cc50d846180db852367d499cf62",
-            "stream_seed2.csv": "8a3af891878af48271ca23859e7cf3dc8ea6ee870006f4593192612300720704",
+            "stream_seed1.csv": "71c363f71c466a34ae7404b6357b043d86f3d189b4293dfc67d6a43c451b766e",
+            "stream_seed2.csv": "3a7d81b4ef227d04a2ca78f24645b1ae9e5e77f0fc5eb990be23dc30a95e07df",
         }
         assert (
             run(

@@ -1,12 +1,13 @@
 import csv
 import math
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from sniplab import race, simulator as sim, transitions as tr, utility
-from sniplab.params import GameParams, ValidationError
+from sniplab.params import GameParams, ValidationError, derive
 from sniplab.race import Population
 from sniplab.simulator import AgentConfig
 
@@ -18,30 +19,70 @@ def roster(pop, p, spread):
     return sim.compliance_roster(pop, p, spread)
 
 
+def _game(h):
+    return GameParams(H=h, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
+
+
+TIED_AT_ZERO = (
+    AgentConfig(0, 0.5, 0.0),
+    AgentConfig(1, 0.7, 0.0),
+    AgentConfig(2, 0.3, 0.6),
+    AgentConfig(3, 1.0, 0.0),
+)
+
+
+def reference_stages(agents, params, n_stages, seed):
+    """RNG contract 2 stage by stage in plain Python, from one (n, H+4) draw:
+    (event index, market maker, winner or -1, utilities) per stage."""
+    h, gamma = len(agents), params.gamma
+    d = derive(params)
+    cut1 = [d.beta / 2, d.beta, d.beta + (1 - d.beta) / 2]
+    cut2 = [d.alpha_bar, 2 * d.alpha_bar, 2 * d.alpha_bar + d.mu_bar,
+            2 * (d.alpha_bar + d.mu_bar)]
+    s = min(a.spread for a in agents)
+    candidates = [a.agent_id for a in agents if a.spread == s]
+    stages = []
+    for u in np.random.default_rng(seed).random((n_stages, h + 4)).tolist():
+        mm = candidates[int(u[0] * len(candidates))]
+        first = sum(u[1] >= c for c in cut1)
+        event = 5 * first + sum(u[2] >= c for c in cut2)
+        ev = utility.PAYOFF_TABLE[event]
+        winner = -1
+        if first < 2:  # news trigger: a race
+            entrants = [mm] + [
+                j for j in range(h) if j != mm and u[3 + j] < agents[j].snipe_prob
+            ]
+            winner = entrants[int(u[h + 3] * len(entrants))]
+        utilities = [0.0] * h
+        if winner == mm:
+            utilities[mm] = utility.evaluate(ev.mm_if_wins, s, gamma)
+        else:
+            utilities[mm] = utility.evaluate(ev.mm_if_loses, s, gamma)
+        if winner not in (-1, mm):
+            utilities[winner] = utility.evaluate(ev.sniper, s, gamma)
+        stages.append((event, mm, winner, utilities))
+    return stages
+
+
 class TestPlayStage:
+    """How one stage is played, read from run_repeated's arrays."""
+
     def test_no_snipers_news_trigger(self):
         agents = roster(Population(5, 0), 0.0, 0.5)
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            out = sim.play_stage(agents, FIG7, rng)
-            if out.event.startswith("N"):
-                assert out.entrants == (out.mm_id,)
-                assert out.winner == out.mm_id
-                return
-        pytest.fail("no news trigger in 200 stages")
+        run = sim.run_repeated(agents, FIG7, 3000, seed=0)
+        news = run.events < 10  # NG or NB trigger
+        assert news.any()
+        assert (run.winners[news] == run.mm_ids[news]).all()
 
     def test_lt_trigger_no_race(self):
         agents = roster(Population(5, 0), 1.0, 0.5)
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            out = sim.play_stage(agents, FIG7, rng)
-            if out.event.startswith("L"):
-                assert out.winner is None
-                assert out.entrants == ()
-                bandits = [u for i, u in enumerate(out.utilities) if i != out.mm_id]
-                assert all(u == 0.0 for u in bandits)
-                return
-        pytest.fail("no liquidity trigger in 200 stages")
+        run = sim.run_repeated(agents, FIG7, 3000, seed=1)
+        quiet = run.events >= 10  # LA or LB trigger
+        assert quiet.any()
+        assert (run.winners[quiet] == -1).all()
+        bandits = run.utilities[quiet].copy()
+        bandits[np.arange(int(quiet.sum())), run.mm_ids[quiet]] = 0.0
+        assert (bandits == 0.0).all()
 
     def test_min_spread_poster_becomes_mm(self):
         agents = (
@@ -50,21 +91,31 @@ class TestPlayStage:
             AgentConfig(2, 0.5, 0.7),
         )
         pr = GameParams(H=3, alpha=0.45, mu=0.5, delta=0.5, gamma=2.0)
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            assert sim.play_stage(agents, pr, rng).mm_id == 1
+        run = sim.run_repeated(agents, pr, 3000, seed=2)
+        assert (run.mm_ids == 1).all()
 
     def test_agent_validation(self):
         with pytest.raises(ValidationError):
             AgentConfig(0, 1.5, 0.5)
         with pytest.raises(ValidationError):
             AgentConfig(0, 0.5, -0.1)
-        with pytest.raises(ValidationError):
-            sim.play_stage(
-                (AgentConfig(0, 1, 0.5), AgentConfig(1, 1, 0.5)),
-                FIG7,
-                np.random.default_rng(0),
-            )
+        for ids in [(0, 1), (0, 2, 1)]:  # fewer than 3 agents; ids out of order
+            with pytest.raises(ValidationError):
+                sim.run_repeated(tuple(AgentConfig(i, 1, 0.5) for i in ids), FIG7, 10, 0)
+
+    @pytest.mark.parametrize(
+        "agents",
+        [roster(Population(4, 1), 0.4, 0.6), TIED_AT_ZERO],
+        ids=["H5-4+1", "tied-min-spread-0"],
+    )
+    def test_matches_reference_stages(self, agents):
+        params = _game(len(agents))
+        run = sim.run_repeated(agents, params, 2500, seed=13)
+        for t, (event, mm, winner, utilities) in enumerate(
+            reference_stages(agents, params, 2500, seed=13)
+        ):
+            assert (run.events[t], run.mm_ids[t], run.winners[t]) == (event, mm, winner)
+            assert run.utilities[t].tolist() == utilities
 
 
 class TestRunRepeated:
@@ -87,14 +138,15 @@ class TestRunRepeated:
         c = sim.run_repeated(agents, pr, 4000, seed=124)
         assert not np.array_equal(a.utilities, c.utilities)
 
-    def test_matches_play_stage_stream(self):
+    def test_stream_is_a_prefix_of_the_run(self):
+        # 2,500 stages span three chunks of the engine
         agents = roster(Population(3, 1), 0.4, 0.6)
-        run = sim.run_repeated(agents, MIX, 300, seed=9)
-        rng = np.random.default_rng(9)
-        for t in range(300):
-            out = sim.play_stage(agents, MIX, rng)
-            assert out.utilities == tuple(run.utilities[t])
+        run = sim.run_repeated(agents, MIX, 2500, seed=9)
+        stream = sim.stage_stream(agents, MIX, np.random.default_rng(9))
+        for t, out in enumerate(islice(stream, 2500)):
+            assert out.utilities == run.utilities[t].tolist()
             assert utility.EVENT_INDEX[out.event] == run.events[t]
+            assert (out.mm_id, out.winner) == (run.mm_ids[t], run.winners[t])
 
     def test_totals_are_stagewise_sums(self):
         agents = roster(Population(5, 0), 0.3, 0.5)
@@ -142,19 +194,16 @@ class TestEmpiricalFrequencies:
             assert abs(counts[idx] / n - prob) < 4 * se, ev.code
 
     def test_race_entry_frequency(self, big_run):
-        regime, run = big_run
-        races = run.winners >= 0
-        # agent 0 enters iff he wins or is counted among entrants; entrants
-        # are not stored per stage in the arrays, so measure via play_stage
+        # agent 0's entries into the races another agent makes, from the
+        # entry mask of the engine's chunks
+        regime, _ = big_run
         agents = roster(Population(5, 0), regime.p_star, regime.s_star)
-        rng = np.random.default_rng(77)
+        chunks = sim._stage_chunks(agents, FIG7, np.random.default_rng(77))
         entered = total = 0
-        for _ in range(40_000):
-            out = sim.play_stage(agents, FIG7, rng)
-            if out.winner is None or out.mm_id == 0:
-                continue
-            total += 1
-            entered += 0 in out.entrants
+        for _, mm_ids, winners, _, entries in islice(chunks, 40):
+            others = (winners >= 0) & (mm_ids != 0)
+            total += int(others.sum())
+            entered += int(entries[others, 0].sum())
         p = regime.p_star
         se = math.sqrt(p * (1 - p) / total)
         assert abs(entered / total - p) < 4 * se
@@ -226,18 +275,6 @@ def reference_write_stream_csv(path, run):
                         repr(float(run.utilities[t, a])),
                     ]
                 )
-
-
-def _game(h):
-    return GameParams(H=h, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
-
-
-TIED_AT_ZERO = (
-    AgentConfig(0, 0.5, 0.0),
-    AgentConfig(1, 0.7, 0.0),
-    AgentConfig(2, 0.3, 0.6),
-    AgentConfig(3, 1.0, 0.0),
-)
 
 
 class TestStreamCsv:
