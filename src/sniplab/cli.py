@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__, detection, simulator, transitions, utility
 from .params import (
+    _CONFIG_KEYS,
     GameParams,
     ValidationError,
     load_config,
@@ -33,8 +34,6 @@ from .race import Population
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
-
-_PARAM_KEYS = ("H", "alpha", "mu", "delta", "gamma", "sigma")
 
 
 # Not used by the commands; snipbench's sprt-replicates sizes its pool by it.
@@ -53,7 +52,7 @@ def _resolve_params(args: argparse.Namespace) -> GameParams:
     values: dict[str, float] = {}
     if args.config:
         values.update(load_config(args.config))
-    for key in _PARAM_KEYS:
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -112,8 +111,8 @@ def args_from_manifest(path: str | Path) -> list[str]:
             continue
         if key == "seeds":
             argv += ["--seeds", ",".join(str(s) for s in value)]
-        else:
-            argv += [f"--{key}", str(value)]
+        else:  # option names are dashed: assumed_hd is --assumed-hd
+            argv += [f"--{key.replace('_', '-')}", str(value)]
     argv += ["--out", str(Path(path).parent)]
     return argv
 

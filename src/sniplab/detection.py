@@ -2,11 +2,11 @@
 
 A trustworthy agent's stage utility takes one of nine values (for generic
 spread and risk aversion): 0, -gamma*(2-s), s, -gamma*(1-s), s+1, 2s, 2-s,
-1-s and -gamma*s.  Their probabilities follow from the event table combined
-with the mixed-population race probabilities; ``utility_distribution`` uses
-the closed expressions, ``utility_distribution_enum`` recomputes them by
-direct enumeration over (event, role, race composition) with binomial entry
-counts and is the arbiter wherever the closed expressions are in doubt.
+1-s and -gamma*s.  ``utility_distribution`` builds their probabilities from
+the payoff table, weighting each cell's columns by the mixed-population race
+probabilities, and takes each value from the table exactly as the simulator
+pays it.  An independent enumeration over (event, role, race composition)
+checks it in the tests.
 
 Knowing the distribution under compliance (no deceptive agents, H0) and under
 a posited number of sure snipers (H1), an agent monitors his own utility
@@ -25,7 +25,7 @@ from typing import Iterable
 
 from . import race, utility
 from .params import GameParams, ValidationError, derive
-from .race import Population, _binom_pmf
+from .race import Population
 
 log = logging.getLogger(__name__)
 
@@ -69,12 +69,14 @@ def _merged(pairs: Iterable[tuple[float, float]]) -> UtilityDistribution:
 def utility_distribution(
     params: GameParams, p: float, pop: Population, s: float
 ) -> UtilityDistribution:
-    """Closed-form stage-utility distribution for a trustworthy agent.
+    """Stage-utility distribution of a trustworthy agent, from PAYOFF_TABLE.
 
     The agent is market maker with probability 1/H and bandit otherwise; the
     other trustworthy agents snipe with probability p, the deceptive ones for
-    sure.  Outcomes whose support values collide (degenerate s or gamma) are
-    merged.
+    sure.  In each race cell the maker's loss column carries mm_loss_prob_mixed
+    and the sniper column p * win_prob_given_entry_mixed.  Support values are
+    the utilities the engine pays; values that collide (degenerate s or
+    gamma) are merged.
     """
     if pop.total != params.H:
         raise ValidationError(f"population of {pop.total} does not match H={params.H}")
@@ -82,85 +84,20 @@ def utility_distribution(
         raise ValidationError(f"spread must lie in [0, 1] (got {s})")
     d = derive(params)
     h = pop.total
-    gamma = params.gamma
     loss = race.mm_loss_prob_mixed(p, pop)
     win = p * race.win_prob_given_entry_mixed(p, pop)
-    ab, mb, beta = d.alpha_bar, d.mu_bar, d.beta
-    quiet2 = 1.0 - 2.0 * (ab + mb)  # no second event
-    mm_w = 1.0 / h
-    b_w = (h - 1) / h
-    pairs = [
-        (
-            0.0,
-            mm_w * beta * (1.0 - 2.0 * mb) * (1.0 - loss)
-            + b_w * (1.0 - beta * win * d.m),
-        ),
-        (-gamma * (2.0 - s), mm_w * ab * beta * loss),
-        (s, mm_w * (ab * beta * loss + (1.0 - beta) * (1.0 - 2.0 * ab - mb))),
-        (
-            -gamma * (1.0 - s),
-            mm_w * (ab * (1.0 - beta) + beta * loss * quiet2 + beta * mb),
-        ),
-        (s + 1.0, mm_w * (beta * mb * (1.0 - loss) + ab * (1.0 - beta))),
-        (2.0 * s, mm_w * mb * (beta * loss + (1.0 - beta))),
-        (2.0 - s, b_w * ab * beta * win),
-        (1.0 - s, b_w * beta * win * (1.0 - 2.0 * ab - mb)),
-        # both news-reversal orderings (good-bad and bad-good) contribute
-        # alpha_bar*beta/2 each, so the sniper's loss outcome carries the
-        # full factor alpha_bar*beta
-        (-gamma * s, b_w * ab * beta * win),
-    ]
-    return _merged(pairs)
-
-
-def utility_distribution_enum(
-    params: GameParams, p: float, pop: Population, s: float
-) -> UtilityDistribution:
-    """Brute-force distribution by enumeration over (event, role, composition).
-
-    Uses only the payoff table, the event probabilities and binomial entry
-    counts; independent of the closed probability expressions and of the
-    mixed race-probability functions.
-    """
-    if pop.total != params.H:
-        raise ValidationError(f"population of {pop.total} does not match H={params.H}")
-    d = derive(params)
-    h = pop.total
-    ht, hd = pop.trustworthy, pop.deceptive
-    gamma = params.gamma
-    pairs: list[tuple[float, float]] = []
-    mm_start, entry_as_mm = _binom_pmf(ht - 1, p)
-    trusty_start, entry_mm_trusty = _binom_pmf(ht - 2, p) if ht >= 2 else (0, [])
-    rogue_start, entry_mm_rogue = _binom_pmf(ht - 1, p)
+    value = lambda expr: utility.evaluate(expr, s, params.gamma)
+    pairs = []
     for ev in utility.PAYOFF_TABLE:
-        pe = utility.event_probability(ev, params)
-        mm_lose = utility.evaluate(ev.mm_if_loses, s, gamma)
-        if not ev.has_race:
-            pairs.append((mm_lose, pe / h))
-            pairs.append((0.0, pe * (h - 1) / h))
-            continue
-        snip = utility.evaluate(ev.sniper, s, gamma)
-        mm_win = utility.evaluate(ev.mm_if_wins, s, gamma)
-        # as market maker: field is hd sure snipers + Bin(ht-1, p)
-        for k, w in enumerate(entry_as_mm, mm_start):
-            field = 1 + hd + k
-            pairs.append((mm_lose, pe / h * w * (field - 1) / field))
-            pairs.append((mm_win, pe / h * w / field))
-        # as bandit: enter with probability p, then the market maker is
-        # trustworthy or deceptive and the rest of the field is binomial
-        pairs.append((0.0, pe * (h - 1) / h * (1.0 - p)))
-        if ht >= 2:
-            branch = pe * (h - 1) / h * p * (ht - 1) / (h - 1)
-            for k, w in enumerate(entry_mm_trusty, trusty_start):
-                field = 2 + hd + k
-                pairs.append((snip, branch * w / field))
-                pairs.append((0.0, branch * w * (field - 1) / field))
-        if hd >= 1:
-            branch = pe * (h - 1) / h * p * hd / (h - 1)
-            for k, w in enumerate(entry_mm_rogue, rogue_start):
-                field = 2 + (hd - 1) + k
-                pairs.append((snip, branch * w / field))
-                pairs.append((0.0, branch * w * (field - 1) / field))
+        first = d.beta if ev.has_race else 1.0 - d.beta
+        pe = first / 2 * utility.second_event_prob(ev.second, d)
+        lose, snipe = (loss, win) if ev.has_race else (0.0, 0.0)
+        pairs += [
+            (value(ev.mm_if_loses), pe / h * lose),
+            (value(ev.mm_if_wins), pe / h * (1.0 - lose)),
+            (value(ev.sniper), pe * (h - 1) / h * snipe),
+            (0.0, pe * (h - 1) / h * (1.0 - snipe)),
+        ]
     return _merged(pairs)
 
 

@@ -3,7 +3,7 @@
 When the trigger event is news, the market maker races to cancel his stale
 quote while each of the other agents (bandits) independently joins the race
 with probability ``p``; the winner is uniform among the entrants.  This module
-computes, in closed form and by exact binomial enumeration:
+computes
 
 * ``mm_loss_prob(p, n)``       -- the market maker loses the race,
 * ``win_prob_given_entry(p, n)`` -- a racing bandit wins, given he entered,
@@ -32,7 +32,9 @@ that, all four functions are evaluated as the binomial expectations
 (each derivative is m E[f(N+1) - f(N)] of an expectation over Bin(m, p)),
 with the mass function built by a ratio recurrence (``_binom_pmf``).  All
 terms of a sum share one sign, so there is no cancellation, and the sums are
-exact at p = 0.
+exact at p = 0.  The mixed-population functions are such sums at every p.
+Independent second computations of these quantities, used only as test
+oracles, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -174,20 +176,6 @@ def win_prob_given_entry_deriv(p: float, n_agents: int) -> float:
     return (mm_loss_prob_deriv(p, n) * p - mm_loss_prob(p, n)) / ((n - 1) * p * p)
 
 
-def mm_loss_prob_enum(p: float, n_agents: int) -> float:
-    """Exact binomial-expectation form of mm_loss_prob, E[N/(1+N)], N~Bin(n-1,p)."""
-    _check_p(p)
-    _check_n(n_agents)
-    return _binom_expect(n_agents - 1, p, lambda k: k / (k + 1))
-
-
-def win_prob_given_entry_enum(p: float, n_agents: int) -> float:
-    """Exact binomial-expectation form of win_prob_given_entry, E[1/(2+N)], N~Bin(n-2,p)."""
-    _check_p(p)
-    _check_n(n_agents)
-    return _binom_expect(n_agents - 2, p, lambda k: 1 / (k + 2))
-
-
 # ---------------------------------------------------------------------------
 # Mixed populations: trustworthy agents snipe with probability p, deceptive
 # agents snipe for sure.  All expectations are exact O(H_t) binomial sums.
@@ -226,30 +214,6 @@ def win_prob_given_entry_mixed(p: float, pop: Population) -> float:
         for k, w in enumerate(pmf, start)
     )
     return total / (pop.total - 1)
-
-
-def win_prob_given_entry_mixed_two_urn(p: float, pop: Population) -> float:
-    """Two-variable form of win_prob_given_entry_mixed (cross-check).
-
-    Conditions on whether the market maker is trustworthy or deceptive and
-    draws the trustworthy entrants separately in each branch; requires
-    H_t >= 2 to be well defined.
-    """
-    _check_p(p)
-    ht, hd = pop.trustworthy, pop.deceptive
-    if ht < 2:
-        raise ValidationError(
-            f"two-urn form needs at least 2 trustworthy agents (got {ht})"
-        )
-    h_minus_1 = pop.total - 1
-    start, pmf = _binom_pmf(ht - 2, p)
-    mm_trusty = sum(w / (2 + hd + k) for k, w in enumerate(pmf, start))
-    result = (ht - 1) / h_minus_1 * mm_trusty
-    if hd > 0:
-        start, pmf = _binom_pmf(ht - 1, p)
-        mm_deceptive = sum(w / (1 + hd + k) for k, w in enumerate(pmf, start))
-        result += hd / h_minus_1 * mm_deceptive
-    return result
 
 
 def mm_loss_prob_mixed_deceptive(p: float, pop: Population) -> float:

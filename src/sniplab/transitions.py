@@ -12,14 +12,15 @@ defines two thresholds in the risk aversion gamma:
 * ``gamma_to_no_sniping``: above it, u*(p) <= 0 for every p and staying out
   of races is best; closed form 1 + sqrt((1 - mu_bar) Z / (alpha_bar *
   theta_bar)) with Z = 1 + mu_bar - beta (1 - mu_bar), equivalently the
-  gamma at which N'(0) crosses zero.
+  gamma at which N'(0) crosses zero (the tests find that root numerically
+  as a check on the closed form).
 
 Between the two thresholds ``optimal_sniping`` scans the sign of du*/dp on 21
 points of [0, 1] and takes p* as the zero of the analytic slope numerator
 N'(p)Q(p) - N(p)Q'(p) inside each descending sign change, guarding against
-non-unimodal surprises.  Every zero in this module -- p*, K(gamma) and the
-p = 0 slope over gamma -- is found by one bracketed root-finder, ``_root``:
-regula falsi with the Illinois step, run to float precision.
+non-unimodal surprises.  Both zeros in this module, p* and K(gamma), are
+found by one bracketed root-finder, ``_root``: regula falsi with the
+Illinois step, run to float precision.
 """
 
 from __future__ import annotations
@@ -152,21 +153,6 @@ def gamma_to_no_sniping(params: GameParams) -> float:
     d = derive(params)
     z = 1.0 + d.mu_bar - d.beta * (1.0 - d.mu_bar)
     return 1.0 + math.sqrt((1.0 - d.mu_bar) * z / (d.alpha_bar * d.theta_bar))
-
-
-def gamma_to_no_sniping_by_slope(params: GameParams) -> float:
-    """Numeric cross-check on gamma_to_no_sniping: root of the p=0 slope.
-
-    The zero over gamma of the slope numerator at p = 0 (which is
-    N'(0) * Q(0), Q(0) > 0); must agree with the closed form to ~1e-8.
-    """
-    f = lambda g: _slope_numerator(0.0, replace(params, gamma=g))
-    hi = 2.0
-    while f(hi) > 0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ValidationError("no-sniping threshold not bracketed")
-    return _root(f, 1.0, hi)
 
 
 def gamma_to_probabilistic(params: GameParams) -> float:

@@ -118,44 +118,6 @@ def event_by_code(code: str) -> EventSpec:
         raise ValidationError(f"unknown event code {code!r}") from None
 
 
-def event_utility(
-    event: EventSpec | str,
-    role: str,
-    race_outcome: str,
-    s: float,
-    params: GameParams,
-) -> float:
-    """Utility of one agent for one resolved stage event.
-
-    role: "mm", "winning_bandit" or "losing_bandit"
-    race_outcome: "mm_wins", "mm_loses" or "no_race"
-    """
-    ev = event_by_code(event) if isinstance(event, str) else event
-    if not 0.0 <= s <= 1.0:
-        raise ValidationError(f"spread must lie in [0, 1] (got {s})")
-    if role not in ("mm", "winning_bandit", "losing_bandit"):
-        raise ValidationError(f"unknown role {role!r}")
-    if (race_outcome == "no_race") != (not ev.has_race):
-        raise ValidationError(
-            f"race outcome {race_outcome!r} inconsistent with event {ev.code}"
-        )
-    if race_outcome == "no_race":
-        if role == "winning_bandit":
-            raise ValidationError("no winning bandit without a race")
-        return evaluate(ev.mm_if_loses, s, params.gamma) if role == "mm" else 0.0
-    if race_outcome == "mm_wins":
-        if role == "winning_bandit":
-            raise ValidationError("no winning bandit when the market maker wins")
-        return evaluate(ev.mm_if_wins, s, params.gamma) if role == "mm" else 0.0
-    if race_outcome != "mm_loses":
-        raise ValidationError(f"unknown race outcome {race_outcome!r}")
-    if role == "mm":
-        return evaluate(ev.mm_if_loses, s, params.gamma)
-    if role == "winning_bandit":
-        return evaluate(ev.sniper, s, params.gamma)
-    return 0.0
-
-
 def second_event_prob(second: str, d: DerivedParams) -> float:
     if second in ("NG", "NB"):
         return d.alpha_bar

@@ -1,0 +1,129 @@
+"""Cross-check oracles: second computations of quantities sniplab computes.
+
+Each function recomputes, by a different route, something the package has one
+implementation of, and the tests compare the two:
+
+* ``mm_loss_prob_enum`` and ``win_prob_given_entry_enum`` -- the homogeneous
+  race probabilities as plain binomial expectations, without the closed forms;
+* ``win_prob_given_entry_mixed_two_urn`` -- the mixed-population win
+  probability, conditioning on the market maker's type;
+* ``utility_distribution_enum`` -- a trustworthy agent's stage-utility law by
+  enumeration over (event, role, race composition), without the mixed race
+  probabilities;
+* ``gamma_to_no_sniping_by_slope`` -- the no-sniping threshold as the root of
+  the p = 0 slope, against its closed form.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from sniplab import utility
+from sniplab.detection import UtilityDistribution, _merged
+from sniplab.params import GameParams, ValidationError, derive
+from sniplab.race import Population, _binom_expect, _binom_pmf, _check_n, _check_p
+from sniplab.transitions import _root, _slope_numerator
+
+
+def mm_loss_prob_enum(p: float, n_agents: int) -> float:
+    """Exact binomial-expectation form of mm_loss_prob, E[N/(1+N)], N~Bin(n-1,p)."""
+    _check_p(p)
+    _check_n(n_agents)
+    return _binom_expect(n_agents - 1, p, lambda k: k / (k + 1))
+
+
+def win_prob_given_entry_enum(p: float, n_agents: int) -> float:
+    """Exact binomial-expectation form of win_prob_given_entry, E[1/(2+N)], N~Bin(n-2,p)."""
+    _check_p(p)
+    _check_n(n_agents)
+    return _binom_expect(n_agents - 2, p, lambda k: 1 / (k + 2))
+
+
+def win_prob_given_entry_mixed_two_urn(p: float, pop: Population) -> float:
+    """Two-variable form of win_prob_given_entry_mixed (cross-check).
+
+    Conditions on whether the market maker is trustworthy or deceptive and
+    draws the trustworthy entrants separately in each branch; requires
+    H_t >= 2 to be well defined.
+    """
+    _check_p(p)
+    ht, hd = pop.trustworthy, pop.deceptive
+    if ht < 2:
+        raise ValidationError(
+            f"two-urn form needs at least 2 trustworthy agents (got {ht})"
+        )
+    h_minus_1 = pop.total - 1
+    start, pmf = _binom_pmf(ht - 2, p)
+    mm_trusty = sum(w / (2 + hd + k) for k, w in enumerate(pmf, start))
+    result = (ht - 1) / h_minus_1 * mm_trusty
+    if hd > 0:
+        start, pmf = _binom_pmf(ht - 1, p)
+        mm_deceptive = sum(w / (1 + hd + k) for k, w in enumerate(pmf, start))
+        result += hd / h_minus_1 * mm_deceptive
+    return result
+
+
+def utility_distribution_enum(
+    params: GameParams, p: float, pop: Population, s: float
+) -> UtilityDistribution:
+    """Brute-force distribution by enumeration over (event, role, composition).
+
+    Uses only the payoff table, the event probabilities and binomial entry
+    counts; independent of the closed probability expressions and of the
+    mixed race-probability functions.
+    """
+    if pop.total != params.H:
+        raise ValidationError(f"population of {pop.total} does not match H={params.H}")
+    d = derive(params)
+    h = pop.total
+    ht, hd = pop.trustworthy, pop.deceptive
+    gamma = params.gamma
+    pairs: list[tuple[float, float]] = []
+    mm_start, entry_as_mm = _binom_pmf(ht - 1, p)
+    trusty_start, entry_mm_trusty = _binom_pmf(ht - 2, p) if ht >= 2 else (0, [])
+    rogue_start, entry_mm_rogue = _binom_pmf(ht - 1, p)
+    for ev in utility.PAYOFF_TABLE:
+        pe = utility.event_probability(ev, params)
+        mm_lose = utility.evaluate(ev.mm_if_loses, s, gamma)
+        if not ev.has_race:
+            pairs.append((mm_lose, pe / h))
+            pairs.append((0.0, pe * (h - 1) / h))
+            continue
+        snip = utility.evaluate(ev.sniper, s, gamma)
+        mm_win = utility.evaluate(ev.mm_if_wins, s, gamma)
+        # as market maker: field is hd sure snipers + Bin(ht-1, p)
+        for k, w in enumerate(entry_as_mm, mm_start):
+            field = 1 + hd + k
+            pairs.append((mm_lose, pe / h * w * (field - 1) / field))
+            pairs.append((mm_win, pe / h * w / field))
+        # as bandit: enter with probability p, then the market maker is
+        # trustworthy or deceptive and the rest of the field is binomial
+        pairs.append((0.0, pe * (h - 1) / h * (1.0 - p)))
+        if ht >= 2:
+            branch = pe * (h - 1) / h * p * (ht - 1) / (h - 1)
+            for k, w in enumerate(entry_mm_trusty, trusty_start):
+                field = 2 + hd + k
+                pairs.append((snip, branch * w / field))
+                pairs.append((0.0, branch * w * (field - 1) / field))
+        if hd >= 1:
+            branch = pe * (h - 1) / h * p * hd / (h - 1)
+            for k, w in enumerate(entry_mm_rogue, rogue_start):
+                field = 2 + (hd - 1) + k
+                pairs.append((snip, branch * w / field))
+                pairs.append((0.0, branch * w * (field - 1) / field))
+    return _merged(pairs)
+
+
+def gamma_to_no_sniping_by_slope(params: GameParams) -> float:
+    """Numeric cross-check on gamma_to_no_sniping: root of the p=0 slope.
+
+    The zero over gamma of the slope numerator at p = 0 (which is
+    N'(0) * Q(0), Q(0) > 0); must agree with the closed form to ~1e-8.
+    """
+    f = lambda g: _slope_numerator(0.0, replace(params, gamma=g))
+    hi = 2.0
+    while f(hi) > 0:
+        hi *= 2.0
+        if hi > 1e9:
+            raise ValidationError("no-sniping threshold not bracketed")
+    return _root(f, 1.0, hi)

@@ -32,6 +32,8 @@ from sniplab import utility
 from sniplab.params import GameParams, derive
 from sniplab.race import Population
 
+import oracles
+
 FIG7_RATES = dict(H=5, alpha=0.45, mu=0.5, delta=0.5)
 CANDIDATE_RATES = dict(alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
 
@@ -158,10 +160,10 @@ def test_criterion_2_closed_form_enumeration_equivalence():
             p = float(p)
             worst = max(
                 worst,
-                abs(race.mm_loss_prob(p, n) - race.mm_loss_prob_enum(p, n)),
+                abs(race.mm_loss_prob(p, n) - oracles.mm_loss_prob_enum(p, n)),
                 abs(
                     race.win_prob_given_entry(p, n)
-                    - race.win_prob_given_entry_enum(p, n)
+                    - oracles.win_prob_given_entry_enum(p, n)
                 ),
             )
             if p > 0:
@@ -313,7 +315,7 @@ def test_criterion_5_probability_closure_and_brute_force():
     for _ in range(150):
         params, p, pop, s = _random_setup(rng)
         closed = det.utility_distribution(params, p, pop, s)
-        enum = det.utility_distribution_enum(params, p, pop, s)
+        enum = oracles.utility_distribution_enum(params, p, pop, s)
         worst_brute = max(
             worst_brute,
             max(abs(a - b) for a, b in zip(closed.probs, enum.probs)),
@@ -323,7 +325,7 @@ def test_criterion_5_probability_closure_and_brute_force():
     params = GameParams(H=4, **CANDIDATE_RATES)
     p, pop, s = 0.35, Population(3, 1), 0.4
     d = derive(params)
-    enum = det.utility_distribution_enum(params, p, pop, s)
+    enum = oracles.utility_distribution_enum(params, p, pop, s)
     win = p * race.win_prob_given_entry_mixed(p, pop)
     loss = race.mm_loss_prob_mixed(p, pop)
     frac = (params.H - 1) / params.H

@@ -379,6 +379,19 @@ class TestDeterminism:
         assert run(argv) == 0
         assert (out1 / "sweep_gamma.csv").read_bytes() == before
 
+    def test_rerun_monitor_from_manifest(self, tmp_path):
+        sim_out = tmp_path / "s"
+        roster = ["--ht", "3", "--hd", "1", "--stages", "2000", "--seeds", "4"]
+        assert run(["simulate", *MIX, *roster, "--out", str(sim_out)]) == 0
+        stream = ["--stream", str(sim_out / "stream_seed4.csv")]
+        for name, source in [("inline", roster), ("recorded", stream)]:
+            out = tmp_path / name
+            assert run(["monitor", *MIX, *source, "--out", str(out)]) == 0
+            before = (out / "trajectory.csv").read_bytes()
+            (out / "trajectory.csv").unlink()
+            assert run(cli.args_from_manifest(out / "monitor_manifest.json")) == 0
+            assert (out / "trajectory.csv").read_bytes() == before
+
     def test_manifest_records_rng_contract(self, tmp_path):
         sim_out, inline, recorded = tmp_path / "s", tmp_path / "i", tmp_path / "r"
         roster = ["--ht", "3", "--hd", "1", "--stages", "500", "--seeds", "4"]

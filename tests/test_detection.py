@@ -8,6 +8,8 @@ from sniplab import detection as det, race, simulator as sim, transitions as tr,
 from sniplab.params import GameParams, ValidationError, derive
 from sniplab.race import Population
 
+import oracles
+
 MIX = GameParams(H=4, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
 
 
@@ -53,9 +55,21 @@ class TestUtilityDistribution:
         for _ in range(120):
             params, p, pop, s = random_setup(rng)
             closed = det.utility_distribution(params, p, pop, s)
-            enum = det.utility_distribution_enum(params, p, pop, s)
+            enum = oracles.utility_distribution_enum(params, p, pop, s)
             assert closed.support == pytest.approx(enum.support, abs=1e-12)
             assert closed.probs == pytest.approx(enum.probs, abs=1e-10)
+
+    def test_support_holds_every_paid_utility_exactly(self):
+        # the engine pays utility.evaluate of the table cells; the law must
+        # hold those very floats, not values within SUPPORT_TOL of them
+        rng = np.random.default_rng(303)
+        for _ in range(300):
+            params, p, pop, s = random_setup(rng)
+            agents = sim.compliance_roster(pop, p, s)
+            run = sim.run_repeated(agents, params, 1024, seed=int(rng.integers(2**32)))
+            support = set(det.utility_distribution(params, p, pop, s).support)
+            paid = set(np.unique(run.utilities).tolist())
+            assert paid <= support, (params, p, pop, s, paid - support)
 
     def test_sniper_loss_outcome_carries_full_news_mass(self):
         # the two reversal orderings both contribute; the halved variant is
@@ -64,7 +78,7 @@ class TestUtilityDistribution:
         d = derive(params)
         win = p * race.win_prob_given_entry_mixed(p, pop)
         full = (params.H - 1) / params.H * d.alpha_bar * d.beta * win
-        enum = det.utility_distribution_enum(params, p, pop, s)
+        enum = oracles.utility_distribution_enum(params, p, pop, s)
         idx = enum.index_of(-params.gamma * s)
         assert enum.probs[idx] == pytest.approx(full, abs=1e-14)
         assert abs(enum.probs[idx] - full / 2) > 1e-4

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sniplab import race
 from sniplab import transitions as tr
 from sniplab.params import GameParams, ValidationError
 from sniplab.race import Population
+
+import oracles
 
 
 def central_diff(f, x, step=1e-6):
@@ -33,6 +35,12 @@ def full_length_pmf(n, p):
         w[k - 1] = nxt
     total = sum(w)
     return [x / total for x in w]
+
+
+def exact_expect(m, p, f):
+    """E[f(N)] for N ~ Bin(m, p), summed in exact rational arithmetic."""
+    q = 1 - p
+    return sum(math.comb(m, k) * p**k * q ** (m - k) * f(k) for k in range(m + 1))
 
 
 class TestHomogeneous:
@@ -65,10 +73,10 @@ class TestHomogeneous:
         for p in np.linspace(0.0, 1.0, 11):
             p = float(p)
             assert race.mm_loss_prob(p, n) == pytest.approx(
-                race.mm_loss_prob_enum(p, n), abs=1e-12
+                oracles.mm_loss_prob_enum(p, n), abs=1e-12
             )
             assert race.win_prob_given_entry(p, n) == pytest.approx(
-                race.win_prob_given_entry_enum(p, n), abs=1e-12
+                oracles.win_prob_given_entry_enum(p, n), abs=1e-12
             )
 
     @given(
@@ -115,20 +123,16 @@ class TestHomogeneous:
     def test_exact_near_zero(self, n):
         # the closed forms cancel catastrophically for small n*p; every value
         # and derivative must still match exact rational arithmetic
-        def expect(m, p, f):
-            q = 1 - p
-            return sum(math.comb(m, k) * p**k * q ** (m - k) * f(k) for k in range(m + 1))
-
         for p in (1e-6, 1.01e-6, 3e-6, 1e-5, 1e-4, 1e-3, 1e-2):
             x = Fraction(p)
             exact = {
-                race.mm_loss_prob: expect(n - 1, x, lambda k: Fraction(k, k + 1)),
+                race.mm_loss_prob: exact_expect(n - 1, x, lambda k: Fraction(k, k + 1)),
                 race.mm_loss_prob_deriv: (n - 1)
-                * expect(n - 2, x, lambda k: Fraction(1, (k + 1) * (k + 2))),
-                race.win_prob_given_entry: expect(n - 2, x, lambda k: Fraction(1, k + 2)),
+                * exact_expect(n - 2, x, lambda k: Fraction(1, (k + 1) * (k + 2))),
+                race.win_prob_given_entry: exact_expect(n - 2, x, lambda k: Fraction(1, k + 2)),
             }
             if n > 2:
-                exact[race.win_prob_given_entry_deriv] = -(n - 2) * expect(
+                exact[race.win_prob_given_entry_deriv] = -(n - 2) * exact_expect(
                     n - 3, x, lambda k: Fraction(1, (k + 2) * (k + 3))
                 )
             for fn, value in exact.items():
@@ -215,12 +219,12 @@ class TestMixed:
     def test_two_urn_form_agrees(self, pop):
         for p in np.linspace(0.0, 1.0, 9):
             assert race.win_prob_given_entry_mixed(float(p), pop) == pytest.approx(
-                race.win_prob_given_entry_mixed_two_urn(float(p), pop), abs=1e-12
+                oracles.win_prob_given_entry_mixed_two_urn(float(p), pop), abs=1e-12
             )
 
     def test_two_urn_needs_two_trustworthy(self):
         with pytest.raises(ValidationError):
-            race.win_prob_given_entry_mixed_two_urn(0.5, Population(1, 2))
+            oracles.win_prob_given_entry_mixed_two_urn(0.5, Population(1, 2))
 
     def test_win_prob_mixed_monte_carlo(self):
         # simulate the race-composition process seen by a racing trustworthy
@@ -301,3 +305,43 @@ def test_derivatives_match_finite_differences(p, n):
     assert math.isclose(
         race.win_prob_given_entry_deriv(p, n), fd_win, rel_tol=0, abs_tol=1e-6
     )
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=20),
+    st.floats(min_value=-9.0, max_value=0.0),
+)
+@example(ht=40, hd=20, log10_p=-9.0)
+@example(ht=1, hd=2, log10_p=0.0)
+@settings(max_examples=100, deadline=None)
+def test_mixed_match_exact_sums(ht, hd, log10_p):
+    # every mixed race probability against an exact rational sum; the win
+    # probabilities by the two-urn route, conditioning on the maker's type
+    assume(ht + hd >= 3)
+    pop = Population(ht, hd)
+    p = 10.0**log10_p
+    x = Fraction(p)
+    others = pop.total - 1
+    exact = {
+        race.mm_loss_prob_mixed: exact_expect(
+            ht - 1, x, lambda k: Fraction(hd + k, 1 + hd + k)
+        ),
+        race.win_prob_given_entry_mixed: (
+            Fraction(ht - 1, others) * exact_expect(ht - 2, x, lambda k: Fraction(1, 2 + hd + k))
+            + Fraction(hd, others) * exact_expect(ht - 1, x, lambda k: Fraction(1, 1 + hd + k))
+        ),
+    }
+    if hd:
+        exact[race.mm_loss_prob_mixed_deceptive] = exact_expect(
+            ht, x, lambda k: Fraction(hd - 1 + k, hd + k)
+        )
+        exact[race.win_prob_given_entry_mixed_deceptive] = (
+            Fraction(ht, others) * exact_expect(ht - 1, x, lambda k: Fraction(1, 1 + hd + k))
+            + Fraction(hd - 1, others) * exact_expect(ht, x, lambda k: Fraction(1, hd + k))
+        )
+    for fn, value in exact.items():
+        got = fn(p, pop)
+        assert abs(Fraction(got) - value) <= Fraction(1, 10**12) * value, (
+            fn.__name__, got, float(value)
+        )

@@ -6,6 +6,8 @@ import pytest
 from sniplab import transitions as tr
 from sniplab.params import GameParams, derive
 
+import oracles
+
 FIG = dict(H=5, alpha=0.45, mu=0.5, delta=0.5)
 
 
@@ -47,13 +49,13 @@ class TestThresholds:
         assert fig_thresholds.to_no_sniping == pytest.approx(7.8313, abs=5e-4)
 
     def test_no_sniping_closed_form_vs_slope_root(self, fig_thresholds):
-        numeric = tr.gamma_to_no_sniping_by_slope(params(3.0))
+        numeric = oracles.gamma_to_no_sniping_by_slope(params(3.0))
         assert fig_thresholds.to_no_sniping == pytest.approx(numeric, abs=1e-8)
 
     def test_no_sniping_symmetric_rates(self):
         pr = GameParams(H=4, alpha=0.4, mu=0.4, delta=0.5, gamma=2.0)
         got = tr.gamma_to_no_sniping(pr)
-        assert got == pytest.approx(tr.gamma_to_no_sniping_by_slope(pr), abs=1e-8)
+        assert got == pytest.approx(oracles.gamma_to_no_sniping_by_slope(pr), abs=1e-8)
 
     def test_no_sniping_is_h_free(self):
         for h in (3, 5, 9):

@@ -13,13 +13,15 @@ from sniplab.utility import (
     UtilityEndpoints,
     bandit_zero_crossing,
     endpoints,
+    event_by_code,
     event_probability,
-    event_utility,
     evaluate,
     indifference,
     payoff_table_rows,
     utility_line,
 )
+
+import oracles
 
 FIG_PARAMS = dict(H=5, alpha=0.45, mu=0.5, delta=0.5)
 
@@ -133,28 +135,14 @@ class TestPayoffTable:
             ), ev.code
 
     def test_reference_cells(self):
-        p = params(gamma=2.0)
-        s = 0.3
-        assert event_utility("NG-LA", "mm", "mm_loses", s, p) == pytest.approx(
+        s, gamma = 0.3, 2.0
+        assert evaluate(event_by_code("NG-LA").mm_if_loses, s, gamma) == pytest.approx(
             -2.0 * (1 - s)
         )
-        assert event_utility("NG-NG", "winning_bandit", "mm_loses", s, p) == pytest.approx(
-            2 - s
-        )
-        assert event_utility("LA-LB", "mm", "no_race", s, p) == pytest.approx(2 * s)
-        for code in ("NG-NG", "NB-LA", "NB-NO"):
-            assert event_utility(code, "losing_bandit", "mm_loses", s, p) == 0.0
-
-    def test_consistency_errors(self):
-        p = params()
-        with pytest.raises(ValidationError):
-            event_utility("LA-LB", "mm", "mm_loses", 0.5, p)
-        with pytest.raises(ValidationError):
-            event_utility("NG-NG", "mm", "no_race", 0.5, p)
-        with pytest.raises(ValidationError):
-            event_utility("NG-NG", "winning_bandit", "mm_wins", 0.5, p)
-        with pytest.raises(ValidationError):
-            event_utility("NG-NG", "mm", "mm_loses", 1.5, p)
+        assert evaluate(event_by_code("NG-NG").sniper, s, gamma) == pytest.approx(2 - s)
+        assert evaluate(event_by_code("LA-LB").mm_if_loses, s, gamma) == pytest.approx(2 * s)
+        for code in ("NG-LA", "NB-LB"):  # the sniper takes nothing from a spent quote
+            assert evaluate(event_by_code(code).sniper, s, gamma) == 0.0
 
 
 class TestEventProbability:
@@ -181,8 +169,8 @@ class TestEventProbability:
 
 def oracle_expected_utilities(s, p_snipe, params_):
     d = derive(params_)
-    h = race.mm_loss_prob_enum(p_snipe, params_.H)
-    g = race.win_prob_given_entry_enum(p_snipe, params_.H)
+    h = oracles.mm_loss_prob_enum(p_snipe, params_.H)
+    g = oracles.win_prob_given_entry_enum(p_snipe, params_.H)
     race_lose = race_win = quiet = 0.0
     bandit = 0.0
     for ev in PAYOFF_TABLE:
