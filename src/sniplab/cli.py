@@ -408,7 +408,10 @@ def cmd_monitor(args: argparse.Namespace) -> int:
                      "assumed_hd": assumed, "p": p, "spread": spread})
     if args.stream:
         stream = simulator.iter_stream_csv(args.stream, args.agent)
-        resolved.update({"stream": args.stream, "agent": args.agent})
+        # absolute, so that the manifest reruns from any directory
+        resolved.update(
+            {"stream": str(Path(args.stream).resolve()), "agent": args.agent}
+        )
     else:
         seeds = _parse_seeds(args.seeds)
         if len(seeds) != 1:

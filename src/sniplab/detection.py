@@ -9,10 +9,12 @@ pays it.  An independent enumeration over (event, role, race composition)
 checks it in the tests.
 
 Knowing the distribution under compliance (no deceptive agents, H0) and under
-a posited number of sure snipers (H1), an agent monitors his own utility
-stream with Wald's sequential probability ratio test: the running sum of
-log-likelihood ratios is compared against two thresholds derived from the
-admissible error rates.
+a posited number of sure snipers (H1), both on the same support, an agent
+monitors its own utility stream with Wald's sequential probability ratio
+test.  ``monitor_stream`` tabulates log P(u | H1) / P(u | H0) once per support
+point (+-inf where only one law allows the outcome), adds the entry of each
+observed utility to a running sum, and stops as soon as the sum leaves the
+interval between the two thresholds derived from the admissible error rates.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from . import race, utility
@@ -122,59 +124,6 @@ def sprt_thresholds(err_i: float, err_ii: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class SprtState:
-    """Running log-likelihood-ratio statistic with its decision thresholds."""
-
-    statistic: float
-    t: int
-    lower: float
-    upper: float
-    decision: str = CONTINUE
-
-    @classmethod
-    def start(cls, err_i: float, err_ii: float) -> "SprtState":
-        a, b = sprt_thresholds(err_i, err_ii)
-        return cls(statistic=0.0, t=0, lower=a, upper=b)
-
-
-def log_likelihood_ratio(
-    u: float, dist0: UtilityDistribution, dist1: UtilityDistribution
-) -> float:
-    """log P(u | H1) / P(u | H0); +-inf when the outcome is impossible under
-    exactly one hypothesis."""
-    p0 = dist0.probs[dist0.index_of(u)]
-    p1 = dist1.probs[dist1.index_of(u)]
-    if p0 == 0.0 and p1 == 0.0:
-        raise ValidationError(f"utility {u!r} impossible under both hypotheses")
-    if p0 == 0.0:
-        log.warning("outcome %r impossible under H0: forcing rejection", u)
-        return math.inf
-    if p1 == 0.0:
-        log.warning("outcome %r impossible under H1: forcing acceptance", u)
-        return -math.inf
-    return math.log(p1 / p0)
-
-
-def sprt_step(
-    state: SprtState,
-    u: float,
-    dist0: UtilityDistribution,
-    dist1: UtilityDistribution,
-) -> SprtState:
-    """Advance the test by one observed utility."""
-    if state.decision != CONTINUE:
-        raise ValidationError("sprt state is frozen once a decision is reached")
-    statistic = state.statistic + log_likelihood_ratio(u, dist0, dist1)
-    if statistic < state.lower:
-        decision = ACCEPT_H0
-    elif statistic > state.upper:
-        decision = REJECT_H0
-    else:
-        decision = CONTINUE
-    return replace(state, statistic=statistic, t=state.t + 1, decision=decision)
-
-
-@dataclass(frozen=True)
 class MonitorResult:
     """Outcome of monitoring a finite utility stream.
 
@@ -195,23 +144,50 @@ def monitor_stream(
     err_i: float,
     err_ii: float,
 ) -> MonitorResult:
-    """Fold sprt_step over a utility stream, keeping the full trajectory."""
-    state = SprtState.start(err_i, err_ii)
+    """Wald's SPRT over a utility stream, keeping the full trajectory.
+
+    dist0 and dist1 are the laws under H0 and H1 on one shared support.  The
+    stream is read one utility at a time and no further than the decision.
+    """
+    if dist0.support != dist1.support:
+        raise ValidationError("the H0 and H1 utility laws must share one support")
+    lower, upper = sprt_thresholds(err_i, err_ii)
+    # log P(u | H1) / P(u | H0) per support point; None where both are zero
+    ratios: list[float | None] = []
+    for p0, p1 in zip(dist0.probs, dist1.probs):
+        if p0 == 0.0:
+            ratios.append(None if p1 == 0.0 else math.inf)
+        else:
+            ratios.append(-math.inf if p1 == 0.0 else math.log(p1 / p0))
+    statistic = 0.0
     trajectory: list[tuple[int, float, float, float, str]] = []
-    for u in stream:
-        previous = state.statistic
+    for t, u in enumerate(stream, 1):
         try:
-            state = sprt_step(state, u, dist0, dist1)
+            ratio = ratios[dist0.index_of(u)]
         except ValidationError as exc:
-            raise ValidationError(f"stage {state.t + 1}: {exc}") from exc
-        trajectory.append(
-            (state.t, u, state.statistic - previous, state.statistic, state.decision)
-        )
-        if state.decision != CONTINUE:
-            return MonitorResult(state.decision, state.t, state.statistic, trajectory)
+            raise ValidationError(f"stage {t}: {exc}") from exc
+        if ratio is None:
+            raise ValidationError(
+                f"stage {t}: utility {u!r} impossible under both hypotheses"
+            )
+        if ratio == math.inf:
+            log.warning("outcome %r impossible under H0: forcing rejection", u)
+        elif ratio == -math.inf:
+            log.warning("outcome %r impossible under H1: forcing acceptance", u)
+        previous = statistic
+        statistic += ratio
+        if statistic < lower:
+            decision = ACCEPT_H0
+        elif statistic > upper:
+            decision = REJECT_H0
+        else:
+            decision = CONTINUE
+        trajectory.append((t, u, statistic - previous, statistic, decision))
+        if decision != CONTINUE:
+            return MonitorResult(decision, t, statistic, trajectory)
     if not trajectory:
         raise ValidationError("cannot monitor an empty utility stream")
-    return MonitorResult(UNDECIDED, None, state.statistic, trajectory)
+    return MonitorResult(UNDECIDED, None, statistic, trajectory)
 
 
 def write_trajectory_csv(path: str, result: MonitorResult) -> None:

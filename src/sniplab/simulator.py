@@ -348,8 +348,3 @@ def iter_stream_csv(path: str, agent_id: int) -> Iterator[float]:
             raise bad("no stages")
         if not seen:
             raise bad(f"no row for agent {agent_id} in stage {stage}")
-
-
-def read_stream_csv(path: str, agent_id: int) -> list[float]:
-    """Per-stage utilities of one agent from a stream CSV, in stage order."""
-    return list(iter_stream_csv(path, agent_id))

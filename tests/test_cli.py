@@ -392,6 +392,21 @@ class TestDeterminism:
             assert run(cli.args_from_manifest(out / "monitor_manifest.json")) == 0
             assert (out / "trajectory.csv").read_bytes() == before
 
+    def test_rerun_monitor_from_another_directory(self, tmp_path, monkeypatch):
+        work, other = tmp_path / "work", tmp_path / "other"
+        work.mkdir()
+        other.mkdir()
+        monkeypatch.chdir(work)
+        assert run(["simulate", *MIX, "--ht", "3", "--hd", "1", "--stages", "2000",
+                    "--seeds", "4", "--out", "sim"]) == 0
+        assert run(["monitor", *MIX, "--stream", "sim/stream_seed4.csv",
+                    "--out", "mon"]) == 0
+        before = (work / "mon" / "trajectory.csv").read_bytes()
+        (work / "mon" / "trajectory.csv").unlink()
+        monkeypatch.chdir(other)
+        assert run(cli.args_from_manifest("../work/mon/monitor_manifest.json")) == 0
+        assert (work / "mon" / "trajectory.csv").read_bytes() == before
+
     def test_manifest_records_rng_contract(self, tmp_path):
         sim_out, inline, recorded = tmp_path / "s", tmp_path / "i", tmp_path / "r"
         roster = ["--ht", "3", "--hd", "1", "--stages", "500", "--seeds", "4"]

@@ -1,3 +1,4 @@
+import logging
 import math
 from itertools import islice
 
@@ -144,43 +145,50 @@ def dists():
 
 
 class TestSprtStep:
+    """One observation of monitor_stream, and the laws it accepts."""
+
     def test_equal_likelihood_no_move(self, dists):
         _, d0, _ = dists
-        state = det.SprtState.start(0.05, 0.05)
-        stepped = det.sprt_step(state, d0.support[0], d0, d0)
-        assert stepped.statistic == 0.0
-        assert stepped.t == 1
-        assert stepped.decision == det.CONTINUE
+        result = det.monitor_stream([d0.support[0]], d0, d0, 0.05, 0.05)
+        assert result.trajectory == [(1, d0.support[0], 0.0, 0.0, det.CONTINUE)]
+        assert result.statistic == 0.0
 
-    def test_frozen_state(self, dists):
-        _, d0, d1 = dists
-        state = det.SprtState(statistic=5.0, t=3, lower=-1, upper=2,
-                              decision=det.REJECT_H0)
-        with pytest.raises(ValidationError):
-            det.sprt_step(state, d0.support[0], d0, d1)
-
-    def test_unmatched_utility(self, dists):
-        _, d0, d1 = dists
-        state = det.SprtState.start(0.05, 0.05)
-        with pytest.raises(ValidationError):
-            det.sprt_step(state, 123.456, d0, d1)
-
-    def test_zero_probability_forces_decision(self):
+    def test_zero_probability_forces_decision(self, caplog):
         # when the null posits no sniping at all, a sniper outcome is
         # impossible under H0 but not under the alternative: observing one
-        # must end the test at once
+        # must end the test at once, and symmetrically for an outcome only
+        # the null allows
         s = 0.4
         d0 = det.utility_distribution(MIX, 0.0, Population(4, 0), s)
         d1 = det.utility_distribution(MIX, 0.5, Population(3, 1), s)
-        state = det.SprtState.start(0.05, 0.05)
-        stepped = det.sprt_step(state, 2.0 - s, d0, d1)
-        assert stepped.decision == det.REJECT_H0
-        assert stepped.statistic == math.inf
-        # and symmetrically for an outcome only the null allows
-        state = det.SprtState.start(0.05, 0.05)
-        stepped = det.sprt_step(state, 2.0 - s, d1, d0)
-        assert stepped.decision == det.ACCEPT_H0
-        assert stepped.statistic == -math.inf
+        cases = [(d0, d1, det.REJECT_H0, math.inf, "H0: forcing rejection"),
+                 (d1, d0, det.ACCEPT_H0, -math.inf, "H1: forcing acceptance")]
+        for null, alt, decision, statistic, message in cases:
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger=det.__name__):
+                result = det.monitor_stream([2.0 - s] * 3, null, alt, 0.05, 0.05)
+            assert (result.decision, result.stopped_at) == (decision, 1)
+            assert result.statistic == statistic
+            assert result.trajectory == [(1, 2.0 - s, statistic, statistic, decision)]
+            assert [r.getMessage() for r in caplog.records] == [
+                f"outcome {2.0 - s!r} impossible under {message}"
+            ]
+
+    def test_impossible_under_both_hypotheses(self):
+        # a monitored agent that never snipes cannot earn a sniper's utility
+        s = 0.4
+        d0 = det.utility_distribution(MIX, 0.0, Population(4, 0), s)
+        d1 = det.utility_distribution(MIX, 0.0, Population(3, 1), s)
+        with pytest.raises(ValidationError, match="stage 2: .* impossible under both"):
+            det.monitor_stream([0.0, 2.0 - s], d0, d1, 0.05, 0.05)
+
+    def test_laws_on_different_supports_refused(self):
+        d0 = det.utility_distribution(MIX, 0.3, Population(4, 0), 0.4)
+        d1 = det.utility_distribution(MIX, 0.3, Population(3, 1), 0.37)
+        stream = iter([0.0])
+        with pytest.raises(ValidationError, match="one support"):
+            det.monitor_stream(stream, d0, d1, 0.05, 0.05)
+        assert next(stream) == 0.0  # refused before any observation was read
 
 
 class TestMonitorStream:
@@ -217,13 +225,12 @@ class TestMonitorStream:
         rng = np.random.default_rng(5)
         stream = list(rng.choice(d0.support, p=d0.probs, size=40))
         folded = det.monitor_stream(stream, d0, d1, 0.01, 0.01)
-        state = det.SprtState.start(0.01, 0.01)
-        for u in stream:
-            if state.decision != det.CONTINUE:
-                break
-            state = det.sprt_step(state, u, d0, d1)
-        assert folded.statistic == state.statistic  # exact, same fold order
-        assert folded.trajectory[-1][3] == state.statistic
+        statistic = 0.0
+        for u in stream[: len(folded.trajectory)]:
+            i = d0.index_of(u)
+            statistic += math.log(d1.probs[i] / d0.probs[i])
+        assert folded.statistic == statistic  # exact, same left-to-right sum
+        assert folded.trajectory[-1][3] == statistic
 
     def test_deceptive_stream_rejected(self, dists):
         regime, d0, d1 = dists

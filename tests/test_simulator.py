@@ -284,10 +284,10 @@ class TestStreamCsv:
         path = tmp_path / "stream.csv"
         sim.write_stream_csv(str(path), run)
         for agent_id in (0, 3):
-            stream = sim.read_stream_csv(str(path), agent_id)
+            stream = list(sim.iter_stream_csv(str(path), agent_id))
             assert stream == [float(u) for u in run.utilities[:, agent_id]]
         with pytest.raises(ValidationError):
-            sim.read_stream_csv(str(path), 9)
+            list(sim.iter_stream_csv(str(path), 9))
 
     @pytest.mark.parametrize(
         "agents, n_stages",
