@@ -153,6 +153,11 @@ class TestSprtStep:
         assert result.trajectory == [(1, d0.support[0], 0.0, 0.0, det.CONTINUE)]
         assert result.statistic == 0.0
 
+    def test_unmatched_utility(self, dists):
+        _, d0, d1 = dists
+        with pytest.raises(ValidationError, match="stage 1"):
+            det.monitor_stream([123.456], d0, d1, 0.05, 0.05)
+
     def test_zero_probability_forces_decision(self, caplog):
         # when the null posits no sniping at all, a sniper outcome is
         # impossible under H0 but not under the alternative: observing one
