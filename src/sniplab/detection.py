@@ -15,6 +15,11 @@ test.  ``monitor_stream`` tabulates log P(u | H1) / P(u | H0) once per support
 point (+-inf where only one law allows the outcome), adds the entry of each
 observed utility to a running sum, and stops as soon as the sum leaves the
 interval between the two thresholds derived from the admissible error rates.
+Every utility the engine pays is ``==`` a support point and is looked up in a
+table keyed by the support values; anything else (a stream file's value that
+matches only to ``SUPPORT_TOL``, a value merged into a nearby support point)
+falls back to ``UtilityDistribution.index_of``'s tolerance scan, which also
+refuses values off the support.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ CONTINUE = "continue"
 ACCEPT_H0 = "accept_h0"
 REJECT_H0 = "reject_h0"
 UNDECIDED = "undecided"
+
+_MISS = object()  # a utility that is not exactly a support point
 
 
 @dataclass(frozen=True)
@@ -159,13 +166,18 @@ def monitor_stream(
             ratios.append(None if p1 == 0.0 else math.inf)
         else:
             ratios.append(-math.inf if p1 == 0.0 else math.log(p1 / p0))
+    # consecutive support points lie more than SUPPORT_TOL apart, so an exact
+    # hit is the point the scan would match
+    exact = dict(zip(dist0.support, ratios))
     statistic = 0.0
     trajectory: list[tuple[int, float, float, float, str]] = []
     for t, u in enumerate(stream, 1):
-        try:
-            ratio = ratios[dist0.index_of(u)]
-        except ValidationError as exc:
-            raise ValidationError(f"stage {t}: {exc}") from exc
+        ratio = exact.get(u, _MISS)
+        if ratio is _MISS:
+            try:
+                ratio = ratios[dist0.index_of(u)]
+            except ValidationError as exc:
+                raise ValidationError(f"stage {t}: {exc}") from exc
         if ratio is None:
             raise ValidationError(
                 f"stage {t}: utility {u!r} impossible under both hypotheses"

@@ -22,10 +22,11 @@ drawn on every stage, race or not:
   k-th entering non-maker in id order.
 
 A Generator fills the matrix row by row from one stream, so the draws do not
-depend on how many stages are drawn at once: the chunk size is a speed
-constant, a lazily consumed ``stage_stream`` is a prefix of ``run_repeated``'s
-stages, and identical (agents, params, n_stages, seed) yield bit-identical
-utility streams.  Contract 1 (a variable number of draws per stage, integer
+depend on how many stages are drawn at once: the chunk schedule (64 stages
+first, doubling to 1,024) is a speed constant outside the contract, a lazily
+consumed ``stage_stream`` is a prefix of ``run_repeated``'s stages, and
+identical (agents, params, n_stages, seed) yield bit-identical utility
+streams.  Contract 1 (a variable number of draws per stage, integer
 draws for the market maker and the winner) gives different streams.
 
 Stream files (``write_stream_csv``) hold one row per stage and agent, in stage
@@ -51,8 +52,10 @@ from .race import Population
 TRUSTWORTHY = "trustworthy"
 DECEPTIVE = "deceptive"
 RNG_CONTRACT = 2
-# Stages drawn at once.  Not part of the contract; kept small because a
-# sequential test usually stops after a few hundred stages of a fresh stream.
+# Stages per chunk: _FIRST_CHUNK first, doubling up to _CHUNK_STAGES.  Speed
+# constants, not part of the contract: a sequential test usually stops after a
+# few hundred stages of a fresh stream, so it draws little past its decision.
+_FIRST_CHUNK = 64
 _CHUNK_STAGES = 1024
 
 
@@ -110,10 +113,13 @@ class SimRun:
 def _stage_chunks(
     agents: Sequence[AgentConfig], params: GameParams, rng: np.random.Generator
 ) -> Iterator[tuple[np.ndarray, ...]]:
-    """Endless stages, ``_CHUNK_STAGES`` at a time, drawn under RNG contract 2.
+    """Endless stages in chunks, drawn under RNG contract 2.
 
-    Yields (events, mm_ids, winners, utilities, entered) per chunk; entered
-    marks the non-makers that enter each race.
+    The first chunk holds ``_FIRST_CHUNK`` stages and each next one twice as
+    many, up to ``_CHUNK_STAGES`` (64, 128, 256, 512, 1024, 1024, ...): a
+    stream that stops early draws little past its end, and the draws are the
+    same under any schedule.  Yields (events, mm_ids, winners, utilities,
+    entered) per chunk; entered marks the non-makers that enter each race.
     """
     h = len(agents)
     if h < 3:
@@ -139,9 +145,10 @@ def _stage_chunks(
          for expr in (ev.mm_if_loses, ev.sniper, ev.mm_if_wins)]
         for ev in utility.PAYOFF_TABLE
     ])
-    rows = np.arange(_CHUNK_STAGES)
+    m = _FIRST_CHUNK
     while True:
-        u = rng.random((_CHUNK_STAGES, h + 4))
+        rows = np.arange(m)
+        u = rng.random((m, h + 4))
         mm = candidates[(u[:, 0] * len(candidates)).astype(np.intp)]
         first = np.searchsorted(cut1, u[:, 1], side="right")
         second = np.searchsorted(cut2, u[:, 2], side="right")
@@ -157,10 +164,11 @@ def _stage_chunks(
         winners = np.where(is_race, mm, -1)
         snipes = k > 0
         winners[snipes] = entries[offset[snipes] + k[snipes] - 1] % h
-        utilities = np.zeros((_CHUNK_STAGES, h))
+        utilities = np.zeros((m, h))
         utilities[rows, mm] = table[events, np.where(winners == mm, 2, 0)]
         utilities[rows[snipes], winners[snipes]] = table[events[snipes], 1]
         yield events, mm, winners, utilities, entered
+        m = min(2 * m, _CHUNK_STAGES)
 
 
 def stage_stream(
@@ -193,10 +201,13 @@ def run_repeated(
     winners = np.empty(n_stages, dtype=np.int16)
     utilities = np.empty((n_stages, len(agents)))
     chunks = _stage_chunks(agents, params, np.random.default_rng(seed))
-    for start in range(0, n_stages, _CHUNK_STAGES):
-        stop = min(start + _CHUNK_STAGES, n_stages)
-        for whole, part in zip((events, mm_ids, winners, utilities), next(chunks)):
+    start = 0
+    while start < n_stages:
+        chunk = next(chunks)
+        stop = min(start + len(chunk[0]), n_stages)
+        for whole, part in zip((events, mm_ids, winners, utilities), chunk):
             whole[start:stop] = part[: stop - start]
+        start = stop
     stats = RunStats(
         total_utility=utilities.sum(axis=0),
         race_wins=np.bincount(winners[winners >= 0], minlength=len(agents)),

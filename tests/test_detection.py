@@ -136,6 +136,38 @@ class TestSprtThresholds:
             det.sprt_thresholds(0.05, bad)
 
 
+def scan_fold(stream, dist0, dist1, err_i, err_ii):
+    """Wald's SPRT with every observation mapped through index_of: the
+    reference for monitor_stream's exact-match table."""
+    lower, upper = det.sprt_thresholds(err_i, err_ii)
+    statistic, trajectory = 0.0, []
+    for t, u in enumerate(stream, 1):
+        try:
+            i = dist0.index_of(u)
+        except ValidationError as exc:
+            raise ValidationError(f"stage {t}: {exc}") from exc
+        p0, p1 = dist0.probs[i], dist1.probs[i]
+        if p0 == p1 == 0.0:
+            raise ValidationError(
+                f"stage {t}: utility {u!r} impossible under both hypotheses"
+            )
+        previous = statistic
+        if p0 == 0.0:
+            statistic += math.inf
+        else:
+            statistic += -math.inf if p1 == 0.0 else math.log(p1 / p0)
+        if statistic < lower:
+            decision = det.ACCEPT_H0
+        elif statistic > upper:
+            decision = det.REJECT_H0
+        else:
+            decision = det.CONTINUE
+        trajectory.append((t, u, statistic - previous, statistic, decision))
+        if decision != det.CONTINUE:
+            return det.MonitorResult(decision, t, statistic, trajectory)
+    return det.MonitorResult(det.UNDECIDED, None, statistic, trajectory)
+
+
 @pytest.fixture(scope="module")
 def dists():
     regime = tr.optimal_sniping(MIX)
@@ -266,9 +298,79 @@ class TestMonitorStream:
 
     def test_unmatched_reports_stage(self, dists):
         _, d0, d1 = dists
-        stream = [d0.support[0], d0.support[0], 42.0]
-        with pytest.raises(ValidationError, match="stage 3"):
-            det.monitor_stream(stream, d0, d1, 0.05, 0.05)
+        for bad in (42.0, d0.support[-1] + 2e-9, math.nan, math.inf):
+            stream = [d0.support[0], d0.support[0], bad]
+            with pytest.raises(ValidationError, match="stage 3: utility .* no support"):
+                det.monitor_stream(stream, d0, d1, 0.05, 0.05)
+
+    def test_table_matches_scan_fold(self):
+        # merged supports (s at or within 1e-12 of 0 or 1) make the engine pay
+        # values that match a support point only to SUPPORT_TOL, and some
+        # observations are moved by 4e-10 or replaced by an off-support value
+        rng = np.random.default_rng(404)
+        edges = [0.0, 1.0, 1e-12, 1.0 - 1e-12]
+        for k in range(200):
+            params, p, pop, s = random_setup(rng)
+            if k % 2:
+                s = edges[k // 2 % 4]
+            h0, h1 = Population(params.H, 0), Population(params.H - 1, 1)
+            d0 = det.utility_distribution(params, p, h0, s)
+            d1 = det.utility_distribution(params, p, h1, s)
+            agents = sim.compliance_roster(pop, p, s)
+            run = sim.run_repeated(agents, params, 300, seed=int(rng.integers(2**32)))
+            stream = run.utilities[:, 0] + rng.choice(
+                [0.0, 4e-10, -4e-10], p=[0.9, 0.05, 0.05], size=300
+            )
+            if k % 10 == 0:
+                stream[rng.integers(300)] = rng.choice([math.nan, 3.5, -0.5])
+            err_i, err_ii = rng.uniform(1e-4, 0.2, size=2)
+            outcomes = []
+            for fold in (det.monitor_stream, scan_fold):
+                try:
+                    outcomes.append(repr(fold(stream.tolist(), d0, d1, err_i, err_ii)))
+                except ValidationError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (params, p, pop, s)
+
+    def test_near_value_folds_like_exact(self, dists):
+        regime, d0, d1 = dists
+        agents = sim.compliance_roster(Population(3, 1), regime.p_star, regime.s_star)
+        rng = np.random.default_rng(8)
+        stages = islice(sim.stage_stream(agents, MIX, rng), 3000)
+        exact = [out.utilities[0] for out in stages]
+        near = [u + (5e-10 if t % 2 else -5e-10) for t, u in enumerate(exact)]
+        a = det.monitor_stream(exact, d0, d1, 0.05, 0.05)
+        b = det.monitor_stream(near, d0, d1, 0.05, 0.05)
+        assert (b.decision, b.stopped_at) == (a.decision, a.stopped_at)
+        assert b.statistic == a.statistic
+        assert [row[2:] for row in b.trajectory] == [row[2:] for row in a.trajectory]
+
+    def test_negative_zero_folds_like_zero(self, dists):
+        _, d0, d1 = dists
+        a = det.monitor_stream([0.0] * 3, d0, d1, 0.05, 0.05)
+        b = det.monitor_stream([-0.0, 0.0, -0.0], d0, d1, 0.05, 0.05)
+        assert repr(b.statistic) == repr(a.statistic)
+        assert repr([row[2:] for row in b.trajectory]) == repr(
+            [row[2:] for row in a.trajectory]
+        )
+
+    @pytest.mark.parametrize("pop", [Population(4, 0), Population(3, 1)], ids=["H0", "H1"])
+    def test_engine_utilities_need_no_scan(self, dists, monkeypatch, pop):
+        # every utility the engine pays is exactly a support point, so the
+        # exact-match table serves each observation of a long stream
+        regime, d0, d1 = dists
+
+        def no_scan(self, u):
+            raise AssertionError(f"index_of scanned for {u!r}")
+
+        monkeypatch.setattr(det.UtilityDistribution, "index_of", no_scan)
+        agents = sim.compliance_roster(pop, regime.p_star, regime.s_star)
+        rng = np.random.default_rng(12)
+        stages = islice(sim.stage_stream(agents, MIX, rng), 2000)
+        stream = (out.utilities[0] for out in stages)
+        result = det.monitor_stream(stream, d0, d1, 1e-100, 1e-100)  # never stops
+        assert result.decision == det.UNDECIDED
+        assert len(result.trajectory) == 2000
 
     def test_trajectory_csv(self, dists, tmp_path):
         _, d0, d1 = dists

@@ -118,6 +118,12 @@ class TestPlayStage:
             assert run.utilities[t].tolist() == utilities
 
 
+@pytest.fixture(scope="module")
+def long_mix_run():
+    agents = roster(Population(3, 1), 0.4, 0.6)
+    return agents, sim.run_repeated(agents, MIX, 4000, seed=31)
+
+
 class TestRunRepeated:
     def test_bounds(self):
         agents = roster(Population(5, 0), 0.3, 0.5)
@@ -139,7 +145,7 @@ class TestRunRepeated:
         assert not np.array_equal(a.utilities, c.utilities)
 
     def test_stream_is_a_prefix_of_the_run(self):
-        # 2,500 stages span three chunks of the engine
+        # 2,500 stages span six chunks of the engine (64, 128, ..., 1,024, 1,024)
         agents = roster(Population(3, 1), 0.4, 0.6)
         run = sim.run_repeated(agents, MIX, 2500, seed=9)
         stream = sim.stage_stream(agents, MIX, np.random.default_rng(9))
@@ -147,6 +153,23 @@ class TestRunRepeated:
             assert out.utilities == run.utilities[t].tolist()
             assert utility.EVENT_INDEX[out.event] == run.events[t]
             assert (out.mm_id, out.winner) == (run.mm_ids[t], run.winners[t])
+
+    @pytest.mark.parametrize(
+        "n_stages", [1, 63, 64, 65, 191, 192, 193, 1983, 1984, 1985, 3009]
+    )
+    def test_chunk_boundaries_do_not_shift_the_draws(self, long_mix_run, n_stages):
+        # chunks end after 64, 192, 448, 960, 1,984 and 3,008 stages
+        agents, full = long_mix_run
+        run = sim.run_repeated(agents, MIX, n_stages, seed=31)
+        for name in ("utilities", "events", "mm_ids", "winners"):
+            got, want = getattr(run, name), getattr(full, name)[:n_stages]
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+        stream = sim.stage_stream(agents, MIX, np.random.default_rng(31))
+        outs = list(islice(stream, n_stages))
+        assert [o.utilities for o in outs] == run.utilities.tolist()
+        assert [utility.EVENT_INDEX[o.event] for o in outs] == run.events.tolist()
+        assert [o.mm_id for o in outs] == run.mm_ids.tolist()
+        assert [o.winner for o in outs] == run.winners.tolist()
 
     def test_totals_are_stagewise_sums(self):
         agents = roster(Population(5, 0), 0.3, 0.5)
