@@ -8,6 +8,11 @@ to reproduce each output byte-for-byte.  Every command runs in one process.
 directory, runs the command and writes the manifest from the output names the
 command returns.  A ``cmd_*`` function does only its own work and records its
 own inputs in ``resolved``; ``_roster`` and ``_play`` record theirs.
+
+Only ``simulate`` and inline ``monitor`` draw stages, so only they import
+numpy and ``simulator``; ``analyze``, ``sweep`` and ``monitor --stream`` run
+without loading numpy.  Manifests and ``analysis.json`` are strict JSON: a
+non-finite number is refused, never written.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from contextlib import closing
@@ -23,9 +29,7 @@ from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, detection, simulator, transitions, utility
+from . import __version__, detection, streams, transitions, utility
 from .params import (
     _CONFIG_KEYS,
     GameParams,
@@ -88,8 +92,8 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, outputs: list[s
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     if "seeds" in resolved:  # its streams depend on the engine's draw order
-        manifest["rng_contract"] = simulator.RNG_CONTRACT
-    text = json.dumps(manifest, indent=2, sort_keys=True)
+        manifest["rng_contract"] = streams.RNG_CONTRACT
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     (out_dir / f"{command}_manifest.json").write_text(text + "\n")
 
 
@@ -102,10 +106,10 @@ def args_from_manifest(path: str | Path) -> list[str]:
     manifest = json.loads(Path(path).read_text())
     resolved = manifest["resolved"]
     contract = manifest.get("rng_contract")
-    if "seeds" in resolved and contract != simulator.RNG_CONTRACT:
+    if "seeds" in resolved and contract != streams.RNG_CONTRACT:
         raise ValidationError(
             f"{path} records RNG contract {contract}; this version draws stages "
-            f"under contract {simulator.RNG_CONTRACT} and cannot reproduce its streams"
+            f"under contract {streams.RNG_CONTRACT} and cannot reproduce its streams"
         )
     argv = [manifest["command"]]
     for key, value in resolved.items():
@@ -127,6 +131,16 @@ def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _fmt(row[k]) for k in fieldnames})
+
+
+def _require_finite(row: dict) -> dict:
+    """row, unless a value overflowed to inf or NaN: then a ValidationError."""
+    for key, value in row.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(
+                f"{key} = {value}: the parameters lie beyond the range of floating point"
+            )
+    return row
 
 
 def _fmt(value) -> str:
@@ -175,6 +189,8 @@ def _parse_grid(spec: str) -> list[float]:
             start, stop, step = (float(x) for x in parts)
         except ValueError as exc:
             raise ValidationError(f"invalid grid {spec!r}") from exc
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValidationError(f"grid bounds and step must be finite (got {spec!r})")
         if step <= 0:
             raise ValidationError(f"grid step must be positive (got {step})")
         values = []
@@ -199,9 +215,9 @@ def _parse_grid(spec: str) -> list[float]:
 
 def cmd_analyze(args: argparse.Namespace, params: GameParams, resolved: dict,
                 out: Path) -> list[str]:
-    row = transitions.regime_sweep([params.gamma], params)[0]
+    row = transitions.regime_row(params, transitions.thresholds(params))
     probabilistic = row["regime"] == transitions.PROBABILISTIC
-    report = {
+    report = _require_finite({
         "gamma_probabilistic": row["gamma_probabilistic"],
         "gamma_no_sniping": row["gamma_no_sniping"],
         "regime": row["regime"],
@@ -210,8 +226,9 @@ def cmd_analyze(args: argparse.Namespace, params: GameParams, resolved: dict,
         "u_sure": row["u_sure"],
         "u_opt": row["u_opt"],
         "bandit_zero_spread": utility.bandit_zero_crossing(params),
-    }
-    analysis = json.dumps({"params": resolved, **report}, indent=2, sort_keys=True)
+    })
+    analysis = json.dumps({"params": resolved, **report}, indent=2, sort_keys=True,
+                          allow_nan=False)
     (out / "analysis.json").write_text(analysis + "\n")
     utility.write_payoff_table_csv(str(out / "payoff_table.csv"), params)
     for key, value in report.items():
@@ -226,43 +243,45 @@ def cmd_analyze(args: argparse.Namespace, params: GameParams, resolved: dict,
 
 def cmd_sweep(args: argparse.Namespace, params: GameParams, resolved: dict,
               out: Path) -> list[str]:
+    """One row per grid value; a value that is invalid, or whose row does not
+    come out finite, is noted and skipped."""
     grid = _parse_grid(args.grid)
     if not grid:
         raise ValidationError("empty sweep grid")
     variable = args.variable
     regime_fields = ["regime", "p_star", "s_star", "u_sure", "u_opt"]
-    if variable == "gamma":
-        bad = [g for g in grid if g < 1]
-        if bad:
-            print(f"note: skipping gamma values < 1: {bad}", file=sys.stderr)
-        grid = [g for g in grid if g >= 1]
-        rows = transitions.regime_sweep(grid, params)
-        fields = ["gamma", *regime_fields]
-    elif variable == "p":
-        bad = [p for p in grid if not 0 <= p <= 1]
-        if bad:
-            print(f"note: skipping p values outside [0, 1]: {bad}", file=sys.stderr)
-        rows = []
-        for p in grid:
-            if 0 <= p <= 1:
-                point = transitions.indifference_at(p, params)
-                rows.append({"p": p, "s_star": point.s_star, "u_star": point.u_star})
+    if variable == "p":
         fields = ["p", "s_star", "u_star"]
+
+        def row_of(p: float) -> dict:
+            point = transitions.indifference_at(p, params)
+            return {"p": p, "s_star": point.s_star, "u_star": point.u_star}
+
+    elif variable == "gamma":
+        fields = ["gamma", *regime_fields]
+        th = transitions.thresholds(params)  # they do not depend on gamma
+
+        def row_of(gamma: float) -> dict:
+            return transitions.regime_row(replace(params, gamma=gamma), th)
+
     elif variable in ("alpha", "mu", "delta", "H"):
-        rows = []
-        for value in grid:
+        fields = [variable, "gamma_probabilistic", "gamma_no_sniping", *regime_fields]
+
+        def row_of(value: float) -> dict:
             # a fractional H is left for GameParams to refuse, not truncated
             integral = variable == "H" and value.is_integer()
             setting = {variable: int(value) if integral else value}
-            try:
-                trial = replace(params, **setting)
-            except ValidationError as exc:
-                print(f"note: skipping {variable}={value}: {exc}", file=sys.stderr)
-                continue
-            rows.append(setting | transitions.regime_sweep([trial.gamma], trial)[0])
-        fields = [variable, "gamma_probabilistic", "gamma_no_sniping", *regime_fields]
+            trial = replace(params, **setting)
+            return setting | transitions.regime_row(trial, transitions.thresholds(trial))
+
     else:
         raise ValidationError(f"unknown sweep variable {variable!r}")
+    rows = []
+    for value in grid:
+        try:
+            rows.append(_require_finite(row_of(value)))
+        except ValidationError as exc:
+            print(f"note: skipping {variable}={value}: {exc}", file=sys.stderr)
     if not rows:
         raise ValidationError("sweep grid is empty after validity filtering")
     name = f"sweep_{variable}.csv"
@@ -306,6 +325,8 @@ def _play(args: argparse.Namespace, params: GameParams, resolved: dict) -> tuple
 
 def cmd_simulate(args: argparse.Namespace, params: GameParams, resolved: dict,
                  out: Path) -> list[str]:
+    from . import simulator
+
     pop = _roster(args, params, resolved)
     p, spread = _play(args, params, resolved)
     seeds = _parse_seeds(args.seeds)
@@ -328,7 +349,7 @@ def cmd_simulate(args: argparse.Namespace, params: GameParams, resolved: dict,
         simulator.write_stream_csv(str(out / name), run)
         outputs.append(name)
         means = run.utilities.mean(axis=0)
-        errs = run.utilities.std(axis=0, ddof=1) / np.sqrt(run.stats.n_stages)
+        errs = run.utilities.std(axis=0, ddof=1) / math.sqrt(run.stats.n_stages)
         for agent_id, cls in enumerate(classes):
             summary_rows.append(
                 {
@@ -371,10 +392,14 @@ def cmd_monitor(args: argparse.Namespace, params: GameParams, resolved: dict,
     resolved.update({"err1": args.err1, "err2": args.err2, "assumed_hd": assumed,
                      "agent": args.agent})
     if args.stream:
-        stream = simulator.iter_stream_csv(args.stream, args.agent)
+        stream = streams.iter_stream_csv(args.stream, args.agent)
         # absolute, so that the manifest reruns from any directory
         resolved["stream"] = str(Path(args.stream).resolve())
     else:
+        import numpy as np
+
+        from . import simulator
+
         seeds = _parse_seeds(args.seeds)
         if len(seeds) != 1:
             raise ValidationError(

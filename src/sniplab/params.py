@@ -4,6 +4,7 @@ All downstream formulas are expressed in units of the jump size sigma, so the
 public API works on sigma-rescaled parameters (sigma = 1).  The quantities a
 parameter set must satisfy:
 
+* finite values in every field,
 * at least three competing high-frequency traders,
 * positive arrival rates and latency,
 * risk aversion gamma >= 1,
@@ -13,6 +14,7 @@ parameter set must satisfy:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -40,18 +42,19 @@ class GameParams:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if int(self.H) != self.H or self.H < 3:
+        # a chained comparison is false for NaN, and its upper bound refuses inf
+        if not 3 <= self.H < math.inf or int(self.H) != self.H:
             raise ValidationError(f"H must be an integer >= 3 (got {self.H})")
-        if self.alpha <= 0:
-            raise ValidationError(f"alpha must be positive (got {self.alpha})")
-        if self.mu <= 0:
-            raise ValidationError(f"mu must be positive (got {self.mu})")
-        if self.delta <= 0:
-            raise ValidationError(f"delta must be positive (got {self.delta})")
-        if self.gamma < 1:
-            raise ValidationError(f"gamma must be >= 1 (got {self.gamma})")
-        if self.sigma <= 0:
-            raise ValidationError(f"sigma must be positive (got {self.sigma})")
+        if not 0 < self.alpha < math.inf:
+            raise ValidationError(f"alpha must be finite and positive (got {self.alpha})")
+        if not 0 < self.mu < math.inf:
+            raise ValidationError(f"mu must be finite and positive (got {self.mu})")
+        if not 0 < self.delta < math.inf:
+            raise ValidationError(f"delta must be finite and positive (got {self.delta})")
+        if not 1 <= self.gamma < math.inf:
+            raise ValidationError(f"gamma must be finite and >= 1 (got {self.gamma})")
+        if not 0 < self.sigma < math.inf:
+            raise ValidationError(f"sigma must be finite and positive (got {self.sigma})")
         load = (self.alpha + self.mu) * self.delta
         if not load < 1:
             raise ValidationError(
@@ -105,6 +108,10 @@ def derive(params: GameParams) -> DerivedParams:
     """Compute the derived quantities from a validated parameter set."""
     alpha_bar = params.alpha * params.delta / 2
     mu_bar = params.mu * params.delta / 2
+    if not (alpha_bar > 0 and mu_bar > 0):  # positive factors whose product underflowed
+        raise ValidationError(
+            f"alpha*delta/2 and mu*delta/2 underflow (got {alpha_bar}, {mu_bar})"
+        )
     return DerivedParams(
         alpha_bar=alpha_bar,
         mu_bar=mu_bar,

@@ -5,9 +5,9 @@ position: a market maker is selected, a trigger event arrives, at most one
 further event falls inside the race window, the race (if any) is resolved and
 per-agent utilities are assigned from the payoff table.
 
-Reproducibility, RNG contract 2: every stage consumes exactly H + 4 doubles
-from ``Generator.random``, one row of an (m, H + 4) matrix, and every column is
-drawn on every stage, race or not:
+Reproducibility, RNG contract 2 (``streams.RNG_CONTRACT``): every stage
+consumes exactly H + 4 doubles from ``Generator.random``, one row of an
+(m, H + 4) matrix, and every column is drawn on every stage, race or not:
 
 * col 0 -- market maker, ``candidates[floor(u * k)]`` among the k agents that
   post the minimal spread, in id order;
@@ -29,17 +29,12 @@ identical (agents, params, n_stages, seed) yield bit-identical utility
 streams.  Contract 1 (a variable number of draws per stage, integer
 draws for the market maker and the winner) gives different streams.
 
-Stream files (``write_stream_csv``) hold one row per stage and agent, in stage
-order and, within a stage, in agent-id order, with floats written by ``repr``.
-``iter_stream_csv`` reads one agent's utilities lazily, so a sequential test
-reads only up to its decision; it refuses a malformed stream (bad header,
-stage gap, duplicated or out-of-order stage, missing agent) with
-``ValidationError`` once it reaches the defect.
+``write_stream_csv`` writes a run in the stream-file format of ``streams``,
+which also reads it back and holds the contract number.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -48,10 +43,10 @@ import numpy as np
 from . import race, utility
 from .params import GameParams, ValidationError, derive
 from .race import Population
+from .streams import _HEADER
 
 TRUSTWORTHY = "trustworthy"
 DECEPTIVE = "deceptive"
-RNG_CONTRACT = 2
 # Stages per chunk: _FIRST_CHUNK first, doubling up to _CHUNK_STAGES.  Speed
 # constants, not part of the contract: a sequential test usually stops after a
 # few hundred stages of a fresh stream, so it draws little past its decision.
@@ -269,7 +264,6 @@ def analytic_mean_utility(
     ) / h
 
 
-_HEADER = "stage,agent_id,role,event,utility"
 # Rows formatted per write: memory stays flat however many stages a run has.
 _CHUNK_ROWS = 1 << 16
 
@@ -316,46 +310,3 @@ def write_stream_csv(path: str, run: SimRun) -> None:
                     for t, k in zip(range(start, stop), inverse.tolist())
                 )
             )
-
-
-def iter_stream_csv(path: str, agent_id: int) -> Iterator[float]:
-    """One agent's per-stage utilities from a stream CSV, in stage order.
-
-    Reads no further than the caller consumes.  Stages must run 0, 1, 2, ...
-    with the agent present once in each; a bad header, a gap, a duplicated or
-    out-of-order stage, a malformed row or a stage without the agent raises
-    ValidationError when the reader reaches it.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-
-        def bad(what: str) -> ValidationError:
-            return ValidationError(f"{path}, line {reader.line_num}: {what}")
-
-        if next(reader, None) != _HEADER.split(","):
-            raise bad(f"header is not {_HEADER!r}")
-        stage, seen = -1, True  # the current stage, and whether it had the agent
-        for row in reader:
-            if len(row) != 5:
-                raise bad(f"malformed row {row!r}")
-            try:
-                t, a = int(row[0]), int(row[1])
-                u = float(row[4]) if a == agent_id else None
-            except ValueError as exc:
-                raise bad(f"malformed row {row!r}") from exc
-            if t != stage:
-                if t != stage + 1:
-                    after = f"stage {stage}" if stage >= 0 else "the header"
-                    raise bad(f"stage {t} follows {after}")
-                if not seen:
-                    raise bad(f"no row for agent {agent_id} in stage {stage}")
-                stage, seen = t, False
-            if u is not None:
-                if seen:
-                    raise bad(f"second row for agent {agent_id} in stage {stage}")
-                seen = True
-                yield u
-        if stage < 0:
-            raise bad("no stages")
-        if not seen:
-            raise bad(f"no row for agent {agent_id} in stage {stage}")

@@ -152,7 +152,11 @@ def gamma_to_no_sniping(params: GameParams) -> float:
     """
     d = derive(params)
     z = 1.0 + d.mu_bar - d.beta * (1.0 - d.mu_bar)
-    return 1.0 + math.sqrt((1.0 - d.mu_bar) * z / (d.alpha_bar * d.theta_bar))
+    scale = d.alpha_bar * d.theta_bar  # underflows to 0 at tiny rates
+    ratio = (1.0 - d.mu_bar) * z / scale if scale > 0 else math.inf
+    if ratio == math.inf:
+        raise ValidationError(f"the no-sniping threshold overflows for {params}")
+    return 1.0 + math.sqrt(ratio)
 
 
 def gamma_to_probabilistic(params: GameParams) -> float:
@@ -226,36 +230,31 @@ def optimal_sniping(params: GameParams) -> SnipingRegime:
     return _classify(params, derive(params), thresholds(params))
 
 
-def regime_sweep(gammas, params: GameParams) -> list[dict[str, object]]:
-    """Classify each gamma on a grid; rows ordered by gamma as given.
+def regime_row(params: GameParams, th: Thresholds) -> dict[str, object]:
+    """Classify params against its thresholds: one row of a regime sweep.
 
     Columns: gamma, regime, p_star (1 when sure, 0 when not sniping), s_star,
     u_sure = u*(1), u_opt, the utility of the optimal regime, and the two
-    thresholds gamma_probabilistic and gamma_no_sniping.  The thresholds do
-    not depend on gamma, so they are computed once for the whole grid.
+    thresholds gamma_probabilistic and gamma_no_sniping.  ``th`` must be
+    ``thresholds(params)``, or those of a parameter set that differs from
+    params only in gamma: the thresholds do not depend on gamma, so a sweep
+    over gamma computes them once.
     """
-    th = thresholds(params)
-    rows = []
-    for gamma in gammas:
-        p = replace(params, gamma=gamma)
-        d = derive(p)
-        regime = _classify(p, d, th)
-        if regime.kind == SURE:
-            p_star = 1.0
-        elif regime.kind == NO_SNIPING:
-            p_star = 0.0
-        else:
-            p_star = regime.p_star
-        rows.append(
-            {
-                "gamma": gamma,
-                "regime": regime.kind,
-                "p_star": p_star,
-                "s_star": regime.s_star,
-                "u_sure": _point(1.0, d, p.H).u_star,
-                "u_opt": regime.u_star,
-                "gamma_probabilistic": th.to_probabilistic,
-                "gamma_no_sniping": th.to_no_sniping,
-            }
-        )
-    return rows
+    d = derive(params)
+    regime = _classify(params, d, th)
+    if regime.kind == SURE:
+        p_star = 1.0
+    elif regime.kind == NO_SNIPING:
+        p_star = 0.0
+    else:
+        p_star = regime.p_star
+    return {
+        "gamma": params.gamma,
+        "regime": regime.kind,
+        "p_star": p_star,
+        "s_star": regime.s_star,
+        "u_sure": _point(1.0, d, params.H).u_star,
+        "u_opt": regime.u_star,
+        "gamma_probabilistic": th.to_probabilistic,
+        "gamma_no_sniping": th.to_no_sniping,
+    }

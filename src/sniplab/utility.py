@@ -196,8 +196,9 @@ def utility_line(ep: UtilityEndpoints, who: str, s: float) -> float:
     raise ValidationError(f"unknown line {who!r}")
 
 
-class ParallelLinesError(ValueError):
-    """The two utility lines are (numerically) parallel."""
+class ParallelLinesError(ValidationError):
+    """The two utility lines are (numerically) parallel: the parameters have
+    no point of indifference."""
 
 
 PARALLEL_TOL = 1e-12

@@ -5,7 +5,9 @@ its sprt-replicates workload runs against this checkout.  The round
 uses ``stage_stream`` items' ``.utilities``, ``monitor_stream``'s
 (stage, utility, log_ratio, statistic, decision) rows, the fields of
 ``MonitorResult`` and ``cli._thread_cap``; a change to any of them shows here
-as failed replicates or failed checks.
+as failed replicates or failed checks.  ``import sniplab.cli`` loads no numpy
+and no ``simulator``, so the modules the workloads reach are imported here by
+name.
 """
 
 from pathlib import Path
@@ -13,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import sniplab
-import sniplab.cli  # noqa: F401  (loads every module the workloads reach)
+import sniplab.cli  # noqa: F401
+import sniplab.simulator  # noqa: F401  (cli imports it only where stages are drawn)
 
 SNIPBENCH = Path(__file__).resolve().parents[1] / "snipbench"
 

@@ -1,10 +1,17 @@
 import csv
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from sniplab import cli, simulator
+from sniplab import cli, simulator, streams
 from sniplab.params import ValidationError
 
 FIG7 = ["--H", "5", "--alpha", "0.45", "--mu", "0.5", "--delta", "0.5"]
@@ -18,6 +25,46 @@ def run(argv):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def exit_code(argv):
+    """cli.main's exit code, including argparse's exit 2 on a malformed flag."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(path):
+    """The JSON document at path; Infinity, -Infinity and NaN are refused."""
+    return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
+
+
+# A plausible parameter set with one or two fields overridden by any finite
+# float or an extreme value; H takes integers, as its flag does.
+EXTREMES = ["inf", "-inf", "nan", "1e-300", "1e300"]
+PLAUSIBLE = {
+    "--H": st.integers(3, 200),
+    "--alpha": st.floats(0.01, 1.0),
+    "--mu": st.floats(0.01, 1.0),
+    "--delta": st.floats(0.01, 0.49),  # (alpha + mu) * delta < 1
+    "--gamma": st.floats(1.0, 20.0),
+    "--sigma": st.floats(0.1, 10.0),
+}
+FIG7_FIELDS = {"--H": 5, "--alpha": 0.45, "--mu": 0.5, "--delta": 0.5, "--gamma": 3.5,
+               "--sigma": 1.0}
+OVERRIDES = st.dictionaries(
+    st.sampled_from(sorted(PLAUSIBLE)),
+    st.one_of(st.sampled_from(EXTREMES),
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.integers(-(10**6), 10**6)),
+    min_size=1,
+    max_size=2,
+)
 
 
 class TestAnalyze:
@@ -74,6 +121,59 @@ class TestAnalyze:
         )
         assert code == 2
         assert "latency" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--gamma", "nan"), ("--gamma", "inf"), ("--sigma", "nan"), ("--sigma", "inf"),
+         ("--alpha", "-inf")],
+    )
+    def test_non_finite_value_refused(self, tmp_path, capsys, flag, value):
+        argv = ["analyze", *FIG7, "--gamma", "3.5", f"{flag}={value}", "--out", str(tmp_path)]
+        assert run(argv) == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_config_value_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "game.cfg"
+        cfg.write_text("H = 5\nalpha = 0.45\nmu = 0.5\ndelta = 0.5\ngamma = nan\n")
+        assert run(["analyze", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+        assert "gamma must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            # u*(1) = N/Q with N ~ q^2 overflows: u_sure would be -inf
+            ("--gamma", "1e300", "u_sure = -inf"),
+            # alpha_bar * theta_bar underflows to 0
+            ("--alpha", "1e-300", "no-sniping threshold overflows"),
+        ],
+    )
+    def test_extreme_finite_value_refused(self, tmp_path, capsys, flag, value, message):
+        argv = ["analyze", *FIG7, "--gamma", "3.5", flag, value, "--out", str(tmp_path)]
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(st.fixed_dictionaries(PLAUSIBLE), OVERRIDES)
+    @example(FIG7_FIELDS, {"--gamma": "1e300"})  # an overflowing u_sure
+    @example(FIG7_FIELDS, {"--alpha": "1e-300"})  # an underflowing threshold scale
+    @example(FIG7_FIELDS, {"--mu": 1e-16})  # parallel utility lines
+    def test_exit_2_or_finite_strict_json(self, fields, overrides):
+        with tempfile.TemporaryDirectory() as out:
+            argv = ["analyze", *(f"{k}={v}" for k, v in {**fields, **overrides}.items()),
+                    "--out", out]
+            code = exit_code(argv)
+            assert code in (0, 2)
+            if code == 0:
+                report = strict_json(Path(out) / "analysis.json")
+                strict_json(Path(out) / "analyze_manifest.json")
+                values = {**report.pop("params"), **report}
+                if report["regime"] != "probabilistic":
+                    assert values.pop("p_star") is None
+                values.pop("regime")
+                for key, value in values.items():
+                    assert isinstance(value, (int, float)) and math.isfinite(value), key
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         # an output "directory" that is actually a file is a runtime failure,
@@ -142,6 +242,37 @@ class TestSweep:
         assert "note: skipping H=4.5: H must be an integer" in err
         assert "note: skipping H=5.9: H must be an integer" in err
         assert [r["H"] for r in read_rows(out / "sweep_H.csv")] == ["5"]
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+    def test_non_finite_H_is_skipped(self, tmp_path, capsys, value):
+        argv = ["sweep", *FIG7, "--gamma", "4", "--variable", "H", "--grid", f"5,{value}",
+                "--out", str(tmp_path)]
+        assert run(argv) == 0
+        assert "note: skipping H=" in capsys.readouterr().err
+        assert [r["H"] for r in read_rows(tmp_path / "sweep_H.csv")] == ["5"]
+
+    def test_non_finite_gamma_is_skipped(self, tmp_path, capsys):
+        argv = ["sweep", *FIG7, "--gamma", "3", "--variable", "gamma", "--grid", "3,nan,inf",
+                "--out", str(tmp_path)]
+        assert run(argv) == 0
+        err = capsys.readouterr().err
+        assert "note: skipping gamma=nan: gamma must be finite" in err
+        assert "note: skipping gamma=inf: gamma must be finite" in err
+        assert [r["gamma"] for r in read_rows(tmp_path / "sweep_gamma.csv")] == ["3.0"]
+
+    def test_overflowing_row_is_skipped(self, tmp_path, capsys):
+        argv = ["sweep", *FIG7, "--gamma", "3", "--variable", "gamma", "--grid", "3,1e300",
+                "--out", str(tmp_path)]
+        assert run(argv) == 0
+        assert "note: skipping gamma=1e+300: u_sure = -inf" in capsys.readouterr().err
+        assert [r["gamma"] for r in read_rows(tmp_path / "sweep_gamma.csv")] == ["3.0"]
+
+    @pytest.mark.parametrize("grid", ["1:inf:1", "1:2:nan", "nan:2:0.5", "-inf:2:0.5"])
+    def test_non_finite_range_refused(self, tmp_path, capsys, grid):
+        argv = ["sweep", *FIG7, "--gamma", "3", "--variable", "gamma", f"--grid={grid}",
+                "--out", str(tmp_path)]
+        assert run(argv) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_empty_grid(self, tmp_path, capsys):
         code = run(
@@ -367,7 +498,7 @@ class TestStreamValidation:
         path = tmp_path / "bad.csv"
         path.write_text(_corrupt(kind, *_blocks(recorded[0])))
         with pytest.raises(ValidationError):
-            list(simulator.iter_stream_csv(str(path), 0))
+            list(streams.iter_stream_csv(str(path), 0))
         code = run(["monitor", *MIX, "--stream", str(path), "--agent", "0",
                     "--out", str(tmp_path / "m")])
         assert code == 2
@@ -375,7 +506,7 @@ class TestStreamValidation:
 
     def test_missing_agent_refused(self, recorded, tmp_path, capsys):
         with pytest.raises(ValidationError):
-            list(simulator.iter_stream_csv(str(recorded[0]), 9))
+            list(streams.iter_stream_csv(str(recorded[0]), 9))
         code = run(["monitor", *MIX, "--stream", str(recorded[0]), "--agent", "9",
                     "--out", str(tmp_path)])
         assert code == 2
@@ -392,6 +523,34 @@ class TestStreamValidation:
         assert run(["monitor", *MIX, "--stream", str(garbled), "--agent", "0",
                     "--out", str(out)]) == 0
         assert (out / "trajectory.csv").read_bytes() == trajectory
+
+
+class TestNoNumpy:
+    """The analytic commands and monitor --stream never import numpy."""
+
+    PROBE = (
+        "import sys; from sniplab import cli; code = cli.main(sys.argv[1:]); "
+        "print(sorted(m for m in ('numpy', 'sniplab.simulator') if m in sys.modules)); "
+        "sys.exit(code)"
+    )
+
+    def test_commands_load_no_numpy(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert run(["simulate", *MIX, "--ht", "4", "--stages", "2000", "--seeds", "1",
+                    "--out", str(sim)]) == 0
+        commands = [
+            ["analyze", *FIG7, "--gamma", "3.5"],
+            ["sweep", *FIG7, "--gamma", "3", "--variable", "gamma", "--grid", "1:9:0.05"],
+            ["monitor", *MIX, "--stream", str(sim / "stream_seed1.csv")],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        for i, argv in enumerate(commands):
+            done = subprocess.run(
+                [sys.executable, "-c", self.PROBE, *argv, "--out", str(tmp_path / str(i))],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.splitlines()[-1] == "[]", argv[0]
 
 
 class TestDeterminism:

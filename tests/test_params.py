@@ -67,6 +67,27 @@ def test_first_violated_invariant_is_named(kwargs, fragment):
         GameParams(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["H", "alpha", "mu", "delta", "gamma", "sigma"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_field_refused(field, value):
+    kwargs = dict(H=5, alpha=0.45, mu=0.5, delta=0.5, gamma=3.0, sigma=1.0)
+    kwargs[field] = value
+    expected = "an integer" if field == "H" else "finite"
+    with pytest.raises(ValidationError, match=f"{field} must be {expected}"):
+        GameParams(**kwargs)
+
+
+def test_huge_integer_H_is_finite():
+    assert GameParams(H=10**400, alpha=0.45, mu=0.5, delta=0.5, gamma=3.0).H == 10**400
+
+
+def test_underflowing_rates_refused_by_derive():
+    # alpha * delta / 2 and mu * delta / 2 both round to 0
+    p = GameParams(H=5, alpha=1e-300, mu=1e-300, delta=1e-30, gamma=2.0)
+    with pytest.raises(ValidationError, match="underflow"):
+        derive(p)
+
+
 @given(valid_params_st)
 def test_theta_bar_is_harmonic_mean(p):
     d = derive(p)

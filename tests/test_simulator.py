@@ -6,7 +6,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from sniplab import race, simulator as sim, transitions as tr, utility
+from sniplab import race, simulator as sim, streams, transitions as tr, utility
 from sniplab.params import GameParams, ValidationError, derive
 from sniplab.race import Population
 from sniplab.simulator import AgentConfig
@@ -307,10 +307,10 @@ class TestStreamCsv:
         path = tmp_path / "stream.csv"
         sim.write_stream_csv(str(path), run)
         for agent_id in (0, 3):
-            stream = list(sim.iter_stream_csv(str(path), agent_id))
+            stream = list(streams.iter_stream_csv(str(path), agent_id))
             assert stream == [float(u) for u in run.utilities[:, agent_id]]
         with pytest.raises(ValidationError):
-            list(sim.iter_stream_csv(str(path), 9))
+            list(streams.iter_stream_csv(str(path), 9))
 
     @pytest.mark.parametrize(
         "agents, n_stages",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sniplab import transitions as tr
-from sniplab.params import GameParams, derive
+from sniplab.params import GameParams, ValidationError, derive
 
 import oracles
 
@@ -56,6 +56,23 @@ class TestThresholds:
         pr = GameParams(H=4, alpha=0.4, mu=0.4, delta=0.5, gamma=2.0)
         got = tr.gamma_to_no_sniping(pr)
         assert got == pytest.approx(oracles.gamma_to_no_sniping_by_slope(pr), abs=1e-8)
+
+    @pytest.mark.parametrize("alpha", [1e-154, 1e-300])
+    def test_no_sniping_overflow_refused(self, alpha):
+        # alpha_bar * theta_bar underflows (1e-300) or its inverse overflows
+        pr = GameParams(H=5, alpha=alpha, mu=0.5, delta=0.5, gamma=3.5)
+        with pytest.raises(ValidationError, match="threshold overflows"):
+            tr.gamma_to_no_sniping(pr)
+
+    def test_thresholds_large_but_finite(self):
+        # both thresholds grow like 1 / alpha as alpha -> 0, up to alpha = 1e-150
+        scaled = [
+            (alpha * th.to_no_sniping, alpha * th.to_probabilistic)
+            for alpha in (1e-50, 1e-150)
+            for th in [tr.thresholds(GameParams(H=5, alpha=alpha, mu=0.5, delta=0.5,
+                                                gamma=3.5))]
+        ]
+        assert scaled[1] == pytest.approx(scaled[0], rel=1e-9)
 
     def test_no_sniping_is_h_free(self):
         for h in (3, 5, 9):
@@ -163,7 +180,8 @@ class TestOptimalSniping:
 class TestRegimeSweep:
     def test_sweep_structure(self):
         gammas = [1.5, 2.0, 3.0, 4.0, 5.5, 7.0, 8.0, 9.0]
-        rows = tr.regime_sweep(gammas, params(3.0))
+        th = tr.thresholds(params(3.0))
+        rows = [tr.regime_row(params(g), th) for g in gammas]
         assert [r["gamma"] for r in rows] == gammas
         assert rows[0]["regime"] == tr.SURE
         assert rows[-1]["regime"] == tr.NO_SNIPING

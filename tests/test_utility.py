@@ -264,6 +264,8 @@ class TestIndifference:
         assert point.playable
 
     def test_parallel_lines_error(self):
+        # parameters without a point of indifference are invalid input: exit 2
+        assert issubclass(ParallelLinesError, ValidationError)
         with pytest.raises(ParallelLinesError):
             indifference(UtilityEndpoints(1.0, 1.0, 0.0, 0.0))
 
