@@ -180,6 +180,11 @@ def _parse_seeds(raw: str) -> list[int]:
     return seeds
 
 
+# The most values a start:stop:step grid may have; it is counted before any
+# value is made, so a mistyped step cannot ask for gigabytes.
+MAX_GRID_VALUES = 100_000
+
+
 def _parse_grid(spec: str) -> list[float]:
     if ":" in spec:
         parts = spec.split(":")
@@ -193,6 +198,10 @@ def _parse_grid(spec: str) -> list[float]:
             raise ValidationError(f"grid bounds and step must be finite (got {spec!r})")
         if step <= 0:
             raise ValidationError(f"grid step must be positive (got {step})")
+        # the loop below keeps k while k <= (stop - start) / step + 1e-9; the
+        # quotient is inf where it overflows, and refused with the rest
+        if not (stop - start) / step + 1e-9 < MAX_GRID_VALUES:
+            raise ValidationError(f"grid {spec!r} has more than {MAX_GRID_VALUES} values")
         values = []
         k = 0
         while True:

@@ -5,7 +5,7 @@ public API works on sigma-rescaled parameters (sigma = 1).  The quantities a
 parameter set must satisfy:
 
 * finite values in every field,
-* at least three competing high-frequency traders,
+* at least three competing high-frequency traders, and fewer than 2**53,
 * positive arrival rates and latency,
 * risk aversion gamma >= 1,
 * the latency condition (alpha + mu) * delta < 1, i.e. strictly less than one
@@ -42,9 +42,10 @@ class GameParams:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        # a chained comparison is false for NaN, and its upper bound refuses inf
-        if not 3 <= self.H < math.inf or int(self.H) != self.H:
-            raise ValidationError(f"H must be an integer >= 3 (got {self.H})")
+        # a chained comparison is false for NaN; its upper bound refuses inf and
+        # any H a float cannot hold exactly, since the formulas take H as a float
+        if not 3 <= self.H < 2**53 or int(self.H) != self.H:
+            raise ValidationError(f"H must be an integer in [3, 2**53) (got {self.H})")
         if not 0 < self.alpha < math.inf:
             raise ValidationError(f"alpha must be finite and positive (got {self.alpha})")
         if not 0 < self.mu < math.inf:

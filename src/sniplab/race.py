@@ -36,12 +36,20 @@ exact at p = 0.  The mixed-population functions are such sums at every p.
 Independent second computations of these quantities, used only as test
 oracles, live in ``tests/oracles.py``.
 
+A sum runs over the weights that can reach it: its upper tail is cut where a
+term falls to 2**-56 of the first term past the mode.  Each dropped term lies
+below half an ulp of every running sum it would join, so under the plain
+left-to-right addition of ``sum`` (up to Python 3.11) the cut keeps every bit;
+``_binom_pmf`` gives the argument.  Near the sure-to-probabilistic transition
+at H in the thousands, p* ~ 0.85/H, this leaves 18 of the ~170 nonzero terms.
+
 The closed forms stay as the fast path for n*p >= 1: a call costs O(1) there,
-while a sum costs one term per nonzero binomial weight.  One ``mm_loss_prob``
-call takes about 0.2 us by its closed form at any n, against 2.3 us (n = 5),
-310 us (n = 2,000) and 770 us (n = 10,000) for the sum at p = 0.3 (2 CPUs,
-Python 3.11).  ``sweep --variable H`` runs at n in the thousands, so the sums
-alone would slow it by orders of magnitude.
+while a sum costs one term per weight in its window.  One ``mm_loss_prob``
+call takes about 0.45 us by its closed form at any n, against 4.4 us (n = 5),
+350 us (n = 2,000, 785 terms) and 860 us (n = 10,000, 2,051 terms) for the
+sum at p = 0.3, and 10 us for the sum at p = 0.85/n for n = 2,000 or 10,000
+(2 CPUs, Python 3.11).  ``sweep --variable H`` runs at n in the thousands,
+where sums in place of the closed forms would slow it by orders of magnitude.
 """
 
 from __future__ import annotations
@@ -93,24 +101,44 @@ class Population:
 
 
 def _binom_pmf(n: int, p: float) -> tuple[int, list[float]]:
-    """Probability mass of Bin(n, p) where it does not underflow.
+    """Probability mass of Bin(n, p) where it can reach a float sum.
 
-    Returns (start, weights): weights[i] is the mass at start + i, and the
-    mass outside the window is zero in floating point.  Built outward from
-    the mode by the ratio recurrence pmf[k+1] / pmf[k] = (n-k) p / ((k+1) (1-p))
-    and then normalised, so no binomial coefficient or power is ever formed:
-    the mass stays finite for n in the thousands, where comb(n, k) overflows a
-    float and (1-p)^n underflows.  Each side stops at the first term that
-    underflows; p = 0 and p = 1 give exact point masses.
+    Returns (start, weights): weights[i] is the mass at start + i.  Built
+    outward from the mode by the ratio recurrence
+    pmf[k+1] / pmf[k] = (n-k) p / ((k+1) (1-p)) and then normalised, so no
+    binomial coefficient or power is ever formed: the mass stays finite for n
+    in the thousands, where comb(n, k) overflows a float and (1-p)^n
+    underflows.  p = 0 and p = 1 give exact point masses.
+
+    The lower side stops at the first term that underflows to 0.  The upper
+    side stops at the first term at or below 2**-56 of up[1], the first term
+    past the mode.  Every sum over the weights, taken in order of k by plain
+    left-to-right float addition, keeps every bit under that cut:
+
+    * past the mode the terms only fall, and they are added last;
+    * the normalising total is >= 1 by then (it holds the mode's 1.0), and
+      each dropped term is at most 2**-56 up[1] <= 2**-56, under half an
+      ulp of it;
+    * an expectation sum of w * f(k) by then holds w[mode+1] f(mode+1), and
+      each caller's f has 0 <= f(k) <= 2 f(mode+1) beyond the mode, so each
+      dropped product is at most 2**-55 of the sum, and half an ulp of a
+      positive normal float S exceeds 2**-54 S.  (A nonzero dropped term
+      needs up[2] > 0, and up[2] <= up[1]**2, so S is far from subnormal.)
+
+    So fl(S + t) = S for each dropped term t: the sum with the tail is the
+    sum without it.  Python 3.12's compensated ``sum`` carries the low-order
+    parts along, so there the tail could still move the last bit.
     """
     q = 1.0 - p
     mode = min(n, int((n + 1) * p))
     up = [1.0]  # mass at mode, mode + 1, ...
-    for k in range(mode, n):
-        nxt = up[-1] * ((n - k) * p / ((k + 1) * q))
-        if nxt == 0.0:
-            break  # the ratio falls beyond the mode, so the rest is zero too
-        up.append(nxt)
+    if mode < n:
+        cut = (n - mode) * p / ((mode + 1) * q) * 2.0**-56  # up[1] * 2**-56
+        for k in range(mode, n):
+            nxt = up[-1] * ((n - k) * p / ((k + 1) * q))
+            if nxt <= cut:
+                break  # the ratio falls beyond the mode, so the rest is smaller
+            up.append(nxt)
     down = [1.0]  # mass at mode, mode - 1, ...
     for k in range(mode, 0, -1):
         nxt = down[-1] * (k * q / ((n - k + 1) * p))

@@ -3,6 +3,9 @@
 Each function recomputes, by a different route, something the package has one
 implementation of, and the tests compare the two:
 
+* ``full_length_pmf`` -- the mass of Bin(n, p) on all of 0..n, zeros included,
+  with neither tail cut; every enumeration below sums over it, so none of them
+  shares the window of ``race._binom_pmf``;
 * ``mm_loss_prob_enum`` and ``win_prob_given_entry_enum`` -- the homogeneous
   race probabilities as plain binomial expectations, without the closed forms;
 * ``win_prob_given_entry_mixed_two_urn`` -- the mixed-population win
@@ -21,22 +24,48 @@ from dataclasses import replace
 from sniplab import utility
 from sniplab.detection import UtilityDistribution, _merged
 from sniplab.params import GameParams, ValidationError, derive
-from sniplab.race import Population, _binom_expect, _binom_pmf, _check_n, _check_p
+from sniplab.race import Population, _check_n, _check_p
 from sniplab.transitions import _root, _slope_numerator
+
+
+def full_length_pmf(n: int, p: float) -> list[float]:
+    """Mass of Bin(n, p) on all of 0..n, zeros included, by the ratio recurrence
+    of race._binom_pmf; each side stops only where a term underflows to 0."""
+    q = 1.0 - p
+    mode = min(n, int((n + 1) * p))
+    w = [0.0] * (n + 1)
+    w[mode] = 1.0
+    for k in range(mode, n):
+        nxt = w[k] * ((n - k) * p / ((k + 1) * q))
+        if nxt == 0.0:
+            break
+        w[k + 1] = nxt
+    for k in range(mode, 0, -1):
+        nxt = w[k] * (k * q / ((n - k + 1) * p))
+        if nxt == 0.0:
+            break
+        w[k - 1] = nxt
+    total = sum(w)
+    return [x / total for x in w]
+
+
+def full_length_expect(n: int, p: float, f) -> float:
+    """E[f(N)] for N ~ Bin(n, p), summed over full_length_pmf in order of k."""
+    return sum(w * f(k) for k, w in enumerate(full_length_pmf(n, p)))
 
 
 def mm_loss_prob_enum(p: float, n_agents: int) -> float:
     """Exact binomial-expectation form of mm_loss_prob, E[N/(1+N)], N~Bin(n-1,p)."""
     _check_p(p)
     _check_n(n_agents)
-    return _binom_expect(n_agents - 1, p, lambda k: k / (k + 1))
+    return full_length_expect(n_agents - 1, p, lambda k: k / (k + 1))
 
 
 def win_prob_given_entry_enum(p: float, n_agents: int) -> float:
     """Exact binomial-expectation form of win_prob_given_entry, E[1/(2+N)], N~Bin(n-2,p)."""
     _check_p(p)
     _check_n(n_agents)
-    return _binom_expect(n_agents - 2, p, lambda k: 1 / (k + 2))
+    return full_length_expect(n_agents - 2, p, lambda k: 1 / (k + 2))
 
 
 def win_prob_given_entry_mixed_two_urn(p: float, pop: Population) -> float:
@@ -53,12 +82,10 @@ def win_prob_given_entry_mixed_two_urn(p: float, pop: Population) -> float:
             f"two-urn form needs at least 2 trustworthy agents (got {ht})"
         )
     h_minus_1 = pop.total - 1
-    start, pmf = _binom_pmf(ht - 2, p)
-    mm_trusty = sum(w / (2 + hd + k) for k, w in enumerate(pmf, start))
+    mm_trusty = full_length_expect(ht - 2, p, lambda k: 1 / (2 + hd + k))
     result = (ht - 1) / h_minus_1 * mm_trusty
     if hd > 0:
-        start, pmf = _binom_pmf(ht - 1, p)
-        mm_deceptive = sum(w / (1 + hd + k) for k, w in enumerate(pmf, start))
+        mm_deceptive = full_length_expect(ht - 1, p, lambda k: 1 / (1 + hd + k))
         result += hd / h_minus_1 * mm_deceptive
     return result
 
@@ -79,9 +106,9 @@ def utility_distribution_enum(
     ht, hd = pop.trustworthy, pop.deceptive
     gamma = params.gamma
     pairs: list[tuple[float, float]] = []
-    mm_start, entry_as_mm = _binom_pmf(ht - 1, p)
-    trusty_start, entry_mm_trusty = _binom_pmf(ht - 2, p) if ht >= 2 else (0, [])
-    rogue_start, entry_mm_rogue = _binom_pmf(ht - 1, p)
+    entry_as_mm = full_length_pmf(ht - 1, p)
+    entry_mm_trusty = full_length_pmf(ht - 2, p) if ht >= 2 else []
+    entry_mm_rogue = entry_as_mm
     for ev in utility.PAYOFF_TABLE:
         pe = utility.event_probability(ev, params)
         mm_lose = utility.evaluate(ev.mm_if_loses, s, gamma)
@@ -92,7 +119,7 @@ def utility_distribution_enum(
         snip = utility.evaluate(ev.sniper, s, gamma)
         mm_win = utility.evaluate(ev.mm_if_wins, s, gamma)
         # as market maker: field is hd sure snipers + Bin(ht-1, p)
-        for k, w in enumerate(entry_as_mm, mm_start):
+        for k, w in enumerate(entry_as_mm):
             field = 1 + hd + k
             pairs.append((mm_lose, pe / h * w * (field - 1) / field))
             pairs.append((mm_win, pe / h * w / field))
@@ -101,13 +128,13 @@ def utility_distribution_enum(
         pairs.append((0.0, pe * (h - 1) / h * (1.0 - p)))
         if ht >= 2:
             branch = pe * (h - 1) / h * p * (ht - 1) / (h - 1)
-            for k, w in enumerate(entry_mm_trusty, trusty_start):
+            for k, w in enumerate(entry_mm_trusty):
                 field = 2 + hd + k
                 pairs.append((snip, branch * w / field))
                 pairs.append((0.0, branch * w * (field - 1) / field))
         if hd >= 1:
             branch = pe * (h - 1) / h * p * hd / (h - 1)
-            for k, w in enumerate(entry_mm_rogue, rogue_start):
+            for k, w in enumerate(entry_mm_rogue):
                 field = 2 + (hd - 1) + k
                 pairs.append((snip, branch * w / field))
                 pairs.append((0.0, branch * w * (field - 1) / field))

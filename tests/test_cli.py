@@ -133,6 +133,14 @@ class TestAnalyze:
         assert f"{flag[2:]} must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_huge_integer_H_refused(self, tmp_path, capsys):
+        # a float cannot hold this H; it used to fail converting it, with exit 1
+        argv = ["analyze", "--H", "1" + "0" * 400, *FIG7[2:], "--gamma", "3.5",
+                "--out", str(tmp_path)]
+        assert run(argv) == 2
+        assert "H must be an integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_config_value_refused(self, tmp_path, capsys):
         cfg = tmp_path / "game.cfg"
         cfg.write_text("H = 5\nalpha = 0.45\nmu = 0.5\ndelta = 0.5\ngamma = nan\n")
@@ -273,6 +281,22 @@ class TestSweep:
                 "--out", str(tmp_path)]
         assert run(argv) == 2
         assert "must be finite" in capsys.readouterr().err
+
+    def test_grid_size_capped(self, tmp_path, capsys):
+        # counted before any value is made: a billion values are never built
+        cap = cli.MAX_GRID_VALUES
+        with pytest.raises(ValidationError, match="more than"):
+            cli._parse_grid("1:1e9:1")
+        with pytest.raises(ValidationError, match="more than"):
+            cli._parse_grid("-1e308:1e308:1")  # the count overflows a float
+        with pytest.raises(ValidationError, match="more than"):
+            cli._parse_grid(f"1:{cap + 1}:1")
+        assert len(cli._parse_grid(f"1:{cap}:1")) == cap
+        argv = ["sweep", *FIG7, "--gamma", "3", "--variable", "gamma", "--grid", "1:1e9:1",
+                "--out", str(tmp_path)]
+        assert run(argv) == 2
+        assert f"more than {cap} values" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_grid(self, tmp_path, capsys):
         code = run(

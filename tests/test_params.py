@@ -77,8 +77,13 @@ def test_non_finite_field_refused(field, value):
         GameParams(**kwargs)
 
 
-def test_huge_integer_H_is_finite():
-    assert GameParams(H=10**400, alpha=0.45, mu=0.5, delta=0.5, gamma=3.0).H == 10**400
+def test_huge_integer_H_refused():
+    # the formulas convert H to a float, which cannot hold these exactly
+    rates = dict(alpha=0.45, mu=0.5, delta=0.5, gamma=3.0)
+    for h in (2**53, 10**400, 1e300):
+        with pytest.raises(ValidationError, match="H must be an integer"):
+            GameParams(H=h, **rates)
+    assert GameParams(H=2**53 - 1, **rates).H == 2**53 - 1
 
 
 def test_underflowing_rates_refused_by_derive():

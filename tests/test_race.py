@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,24 +18,29 @@ def central_diff(f, x, step=1e-6):
     return (f(x + step) - f(x - step)) / (2 * step)
 
 
-def full_length_pmf(n, p):
-    """Mass of Bin(n, p) on all of 0..n, zeros included, by the recurrence of race._binom_pmf."""
-    q = 1.0 - p
-    mode = min(n, int((n + 1) * p))
-    w = [0.0] * (n + 1)
-    w[mode] = 1.0
-    for k in range(mode, n):
-        nxt = w[k] * ((n - k) * p / ((k + 1) * q))
-        if nxt == 0.0:
-            break
-        w[k + 1] = nxt
-    for k in range(mode, 0, -1):
-        nxt = w[k] * (k * q / ((n - k + 1) * p))
-        if nxt == 0.0:
-            break
-        w[k - 1] = nxt
-    total = sum(w)
-    return [x / total for x in w]
+HOMOGENEOUS_FS = (
+    lambda k: k / (k + 1),
+    lambda k: 1 / (k + 2),
+    lambda k: 1 / ((k + 1) * (k + 2)),
+    lambda k: 1 / ((k + 2) * (k + 3)),
+)
+
+
+def race_sums(n, p):
+    """Every binomial sum of race at (n, p): _binom_expect with the homogeneous
+    functions' f's, and the mixed-population functions at H_t = n, H_d 0-3."""
+    values = [race._binom_expect(n, p, f) for f in HOMOGENEOUS_FS]
+    for hd in range(4):
+        if n + hd < 3:
+            continue
+        pop = Population(n, hd)
+        values += [race.mm_loss_prob_mixed(p, pop), race.win_prob_given_entry_mixed(p, pop)]
+        if hd:
+            values += [
+                race.mm_loss_prob_mixed_deceptive(p, pop),
+                race.win_prob_given_entry_mixed_deceptive(p, pop),
+            ]
+    return values
 
 
 def exact_expect(m, p, f):
@@ -142,20 +148,24 @@ class TestHomogeneous:
                 )
 
     @pytest.mark.parametrize("n", [1, 3, 10, 100, 1000, 10_000])
-    def test_windowed_sum_matches_full_length(self, n):
-        # the sums skip only exact zeros, in the same order, so every bit is kept
-        fs = (
-            lambda k: k / (k + 1),
-            lambda k: 1 / (k + 2),
-            lambda k: 1 / ((k + 1) * (k + 2)),
-            lambda k: 1 / ((k + 2) * (k + 3)),
-        )
-        for p in (0.0, 1e-9, 1e-6, 0.1 / n, 0.5 / n, 0.9 / n, 2.0 / n, 0.3, 0.9, 1.0):
+    def test_windowed_sum_matches_full_length(self, n, monkeypatch):
+        # the window drops only upper-tail terms below half an ulp of every
+        # running sum (see race._binom_pmf), so every bit is kept
+        rng = random.Random(n)
+        fixed = (0.0, 1e-9, 1e-6, 0.1 / n, 0.5 / n, 0.85 / n, 0.9 / n, 2.0 / n, 0.3, 0.9, 1.0)
+        band = tuple(rng.random() / n for _ in range(4))  # n*p < 1, where the sums run
+        for p in fixed + band:
             p = min(p, 1.0)
-            full = full_length_pmf(n, p)
-            for f in fs:
-                reference = sum(w * f(k) for k, w in enumerate(full))
-                assert race._binom_expect(n, p, f) == reference, (n, p)
+            windowed = race_sums(n, p)
+            with monkeypatch.context() as m:
+                m.setattr(race, "_binom_pmf", lambda size, prob: (0, oracles.full_length_pmf(size, prob)))
+                full = race_sums(n, p)
+            assert windowed == full, (n, p)
+
+    def test_upper_tail_is_cut(self):
+        # near p* at H in the thousands, only ~18 of ~170 nonzero terms can
+        # reach a float sum
+        assert len(race._binom_pmf(9999, 0.85e-4)[1]) <= 25
 
     def test_homogeneous_solve_at_large_h(self):
         params = GameParams(H=5000, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
