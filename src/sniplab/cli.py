@@ -22,6 +22,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import sys
 from contextlib import closing
 from dataclasses import replace
@@ -488,19 +489,24 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "monitor" and not args.stream and args.ht is None:
         parser.error("monitor needs --stream or --ht for an inline simulation")
+    made = []  # the directories this run makes, innermost first
     try:
         params, resolved = _resolve_params(args)
         out = Path(args.out)
+        made = [d for d in (out.resolve(), *out.resolve().parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
         outputs = args.func(args, params, resolved, out)
         _write_manifest(out, args.command, resolved, outputs)
+        return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code = EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - runtime failures get exit code 1
         print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+        code = EXIT_RUNTIME
+    if made:  # a failed run leaves no directory of its own behind
+        shutil.rmtree(made[-1], ignore_errors=True)
+    return code
 
 
 if __name__ == "__main__":

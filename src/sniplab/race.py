@@ -45,9 +45,9 @@ at H in the thousands, p* ~ 0.85/H, this leaves 18 of the ~170 nonzero terms.
 
 The closed forms stay as the fast path for n*p >= 1: a call costs O(1) there,
 while a sum costs one term per weight in its window.  One ``mm_loss_prob``
-call takes about 0.45 us by its closed form at any n, against 4.4 us (n = 5),
-350 us (n = 2,000, 785 terms) and 860 us (n = 10,000, 2,051 terms) for the
-sum at p = 0.3, and 10 us for the sum at p = 0.85/n for n = 2,000 or 10,000
+call takes about 0.65 us by its closed form at any n, against 5.2 us for the
+sum at n = 5 (p = 0.1), 340 us (n = 2,000, 785 terms) and 890 us (n = 10,000,
+2,051 terms) at p = 0.3, and 11 us at p = 0.85/n for n = 2,000 or 10,000
 (2 CPUs, Python 3.11).  ``sweep --variable H`` runs at n in the thousands,
 where sums in place of the closed forms would slow it by orders of magnitude.
 """
@@ -100,10 +100,10 @@ class Population:
         return self.trustworthy + self.deceptive
 
 
-def _binom_pmf(n: int, p: float) -> tuple[int, list[float]]:
+def _binom_pmf(n: int, p: float) -> enumerate:
     """Probability mass of Bin(n, p) where it can reach a float sum.
 
-    Returns (start, weights): weights[i] is the mass at start + i.  Built
+    Returns the pairs (k, mass at k) in order of k, as an enumerate.  Built
     outward from the mode by the ratio recurrence
     pmf[k+1] / pmf[k] = (n-k) p / ((k+1) (1-p)) and then normalised, so no
     binomial coefficient or power is ever formed: the mass stays finite for n
@@ -134,26 +134,22 @@ def _binom_pmf(n: int, p: float) -> tuple[int, list[float]]:
     up = [1.0]  # mass at mode, mode + 1, ...
     if mode < n:
         cut = (n - mode) * p / ((mode + 1) * q) * 2.0**-56  # up[1] * 2**-56
+        term = 1.0
         for k in range(mode, n):
-            nxt = up[-1] * ((n - k) * p / ((k + 1) * q))
-            if nxt <= cut:
+            term *= (n - k) * p / ((k + 1) * q)
+            if term <= cut:
                 break  # the ratio falls beyond the mode, so the rest is smaller
-            up.append(nxt)
+            up.append(term)
     down = [1.0]  # mass at mode, mode - 1, ...
+    term = 1.0
     for k in range(mode, 0, -1):
-        nxt = down[-1] * (k * q / ((n - k + 1) * p))
-        if nxt == 0.0:
+        term *= k * q / ((n - k + 1) * p)
+        if term == 0.0:
             break
-        down.append(nxt)
+        down.append(term)
     w = down[:0:-1] + up
     total = sum(w)
-    return mode + 1 - len(down), [x / total for x in w]
-
-
-def _binom_expect(n: int, p: float, f) -> float:
-    """E[f(N)] for N ~ Bin(n, p)."""
-    start, pmf = _binom_pmf(n, p)
-    return sum(w * f(k) for k, w in enumerate(pmf, start))
+    return enumerate([x / total for x in w], mode + 1 - len(down))
 
 
 def mm_loss_prob(p: float, n_agents: int) -> float:
@@ -165,7 +161,7 @@ def mm_loss_prob(p: float, n_agents: int) -> float:
     _check_n(n_agents)
     n = n_agents
     if n * p < CLOSED_FORM_MIN_NP:
-        return _binom_expect(n - 1, p, lambda k: k / (k + 1))
+        return sum([w * (k / (k + 1)) for k, w in _binom_pmf(n - 1, p)])
     return ((1.0 - p) ** n - (1.0 - n * p)) / (n * p)
 
 
@@ -175,7 +171,7 @@ def mm_loss_prob_deriv(p: float, n_agents: int) -> float:
     _check_n(n_agents)
     n = n_agents
     if n * p < CLOSED_FORM_MIN_NP:
-        return (n - 1) * _binom_expect(n - 2, p, lambda k: 1 / ((k + 1) * (k + 2)))
+        return (n - 1) * sum([w * (1 / ((k + 1) * (k + 2))) for k, w in _binom_pmf(n - 2, p)])
     return (1.0 - (1.0 - p) ** (n - 1) * (n * p + 1.0 - p)) / (n * p * p)
 
 
@@ -191,7 +187,7 @@ def win_prob_given_entry(p: float, n_agents: int) -> float:
     if n == 2:
         return 0.5  # a lone entrant always faces exactly the market maker
     if n * p < CLOSED_FORM_MIN_NP:
-        return _binom_expect(n - 2, p, lambda k: 1 / (k + 2))
+        return sum([w * (1 / (k + 2)) for k, w in _binom_pmf(n - 2, p)])
     if p == 1.0:
         return 1.0 / n
     return mm_loss_prob(p, n) / ((n - 1) * p)
@@ -205,7 +201,7 @@ def win_prob_given_entry_deriv(p: float, n_agents: int) -> float:
     if n == 2:
         return 0.0
     if n * p < CLOSED_FORM_MIN_NP:
-        return -(n - 2) * _binom_expect(n - 3, p, lambda k: 1 / ((k + 2) * (k + 3)))
+        return -(n - 2) * sum([w * (1 / ((k + 2) * (k + 3))) for k, w in _binom_pmf(n - 3, p)])
     if p == 1.0:
         return -(n - 2) / (n * (n - 1))
     return (mm_loss_prob_deriv(p, n) * p - mm_loss_prob(p, n)) / ((n - 1) * p * p)
@@ -225,8 +221,7 @@ def mm_loss_prob_mixed(p: float, pop: Population) -> float:
     """
     _check_p(p)
     hd = pop.deceptive
-    start, pmf = _binom_pmf(pop.trustworthy - 1, p)
-    return sum(w * (hd + k) / (1 + hd + k) for k, w in enumerate(pmf, start))
+    return sum(w * (hd + k) / (1 + hd + k) for k, w in _binom_pmf(pop.trustworthy - 1, p))
 
 
 def win_prob_given_entry_mixed(p: float, pop: Population) -> float:
@@ -243,10 +238,9 @@ def win_prob_given_entry_mixed(p: float, pop: Population) -> float:
     _check_p(p)
     hd = pop.deceptive
     ht = pop.trustworthy
-    start, pmf = _binom_pmf(ht - 1, p)
     total = sum(
         w * (k / (1 + k + hd) + (ht - 1 - k) / (2 + k + hd) + hd / (1 + k + hd))
-        for k, w in enumerate(pmf, start)
+        for k, w in _binom_pmf(ht - 1, p)
     )
     return total / (pop.total - 1)
 
@@ -261,8 +255,7 @@ def mm_loss_prob_mixed_deceptive(p: float, pop: Population) -> float:
     hd = pop.deceptive
     if hd < 1:
         raise ValidationError("deceptive viewpoint needs at least one deceptive agent")
-    start, pmf = _binom_pmf(pop.trustworthy, p)
-    return sum(w * (hd - 1 + k) / (hd + k) for k, w in enumerate(pmf, start))
+    return sum(w * (hd - 1 + k) / (hd + k) for k, w in _binom_pmf(pop.trustworthy, p))
 
 
 def win_prob_given_entry_mixed_deceptive(p: float, pop: Population) -> float:
@@ -278,11 +271,9 @@ def win_prob_given_entry_mixed_deceptive(p: float, pop: Population) -> float:
     if hd < 1:
         raise ValidationError("deceptive viewpoint needs at least one deceptive agent")
     h_minus_1 = pop.total - 1
-    start, pmf = _binom_pmf(ht - 1, p)
-    mm_trusty = sum(w / (1 + hd + k) for k, w in enumerate(pmf, start))
+    mm_trusty = sum(w / (1 + hd + k) for k, w in _binom_pmf(ht - 1, p))
     result = ht / h_minus_1 * mm_trusty
     if hd >= 2:
-        start, pmf = _binom_pmf(ht, p)
-        mm_deceptive = sum(w / (hd + k) for k, w in enumerate(pmf, start))
+        mm_deceptive = sum(w / (hd + k) for k, w in _binom_pmf(ht, p))
         result += (hd - 1) / h_minus_1 * mm_deceptive
     return result

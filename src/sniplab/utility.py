@@ -153,22 +153,30 @@ class UtilityEndpoints:
     mm1: float
 
 
-def endpoints_from_race_probs(
-    win_unconditional: float, mm_loss: float, d: DerivedParams
-) -> UtilityEndpoints:
-    """Assemble the utility endpoints from the two race probabilities.
+def endpoint_values(
+    win_unconditional: float, mm_loss: float, d: DerivedParams, q: float
+) -> tuple[float, float, float, float]:
+    """(A, B, C, D) from the two race probabilities at excess risk aversion q
+    (d.q at d's own gamma; nothing else in d depends on gamma).
 
     win_unconditional is the agent's unconditional per-race win probability
     (entry probability times conditional win probability); mm_loss is the
     probability the market maker he might become would lose the race.
     """
     factor = d.beta * win_unconditional
-    return UtilityEndpoints(
-        bandit0=d.m * factor,
-        bandit1=-d.alpha_bar * d.q * factor,
-        mm0=-(d.q * d.theta_bar + d.beta * (d.m * (d.q + 1) - d.mu_bar * d.q) * mm_loss),
-        mm1=(1.0 + d.mu_bar) - d.beta * (d.m + d.alpha_bar * d.q * mm_loss),
+    return (
+        d.m * factor,
+        -d.alpha_bar * q * factor,
+        -(q * d.theta_bar + d.beta * (d.m * (q + 1) - d.mu_bar * q) * mm_loss),
+        (1.0 + d.mu_bar) - d.beta * (d.m + d.alpha_bar * q * mm_loss),
     )
+
+
+def endpoints_from_race_probs(
+    win_unconditional: float, mm_loss: float, d: DerivedParams
+) -> UtilityEndpoints:
+    """The utility endpoints from the two race probabilities (see endpoint_values)."""
+    return UtilityEndpoints(*endpoint_values(win_unconditional, mm_loss, d, d.q))
 
 
 def endpoints(p: float, pop: Population, params: GameParams) -> UtilityEndpoints:

@@ -13,6 +13,12 @@ implementation of, and the tests compare the two:
 * ``utility_distribution_enum`` -- a trustworthy agent's stage-utility law by
   enumeration over (event, role, race composition), without the mixed race
   probabilities;
+* ``slope_numerator`` -- the slope numerator N'Q - NQ' assembled as it was
+  before ``transitions`` evaluated it from two race values: a fresh
+  ``derive``, then ``UtilityEndpoints``, then the derivative terms; the
+  package's kernel must give the same bits;
+* ``gamma_to_probabilistic_by_reference`` -- the sure-to-probabilistic
+  threshold by the package's bracket and root-finder on that reference;
 * ``gamma_to_no_sniping_by_slope`` -- the no-sniping threshold as the root of
   the p = 0 slope, against its closed form.
 """
@@ -21,11 +27,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from sniplab import utility
+from sniplab import race, utility
 from sniplab.detection import UtilityDistribution, _merged
 from sniplab.params import GameParams, ValidationError, derive
 from sniplab.race import Population, _check_n, _check_p
-from sniplab.transitions import _root, _slope_numerator
+from sniplab.transitions import _root
 
 
 def full_length_pmf(n: int, p: float) -> list[float]:
@@ -141,16 +147,57 @@ def utility_distribution_enum(
     return _merged(pairs)
 
 
+def slope_numerator(p: float, params: GameParams) -> float:
+    """N'(p)Q(p) - N(p)Q'(p) at params, from a fresh derive and the endpoints
+    built by utility.endpoints_from_race_probs."""
+    d, n = derive(params), params.H
+    dh = race.mm_loss_prob_deriv(p, n)
+    dwin = dh / (n - 1)  # (p*g(p))'
+    h = race.mm_loss_prob(p, n)
+    ep = utility.endpoints_from_race_probs(h / (n - 1), h, d)
+    a, b, c, dd = ep.bandit0, ep.bandit1, ep.mm0, ep.mm1
+    da = d.m * d.beta * dwin
+    db = -d.alpha_bar * d.q * d.beta * dwin
+    dc = -d.beta * (d.m * (d.q + 1) - d.mu_bar * d.q) * dh
+    dD = -d.alpha_bar * d.q * d.beta * dh
+    num = a * dd - b * c
+    den = (a - c) + (dd - b)
+    dnum = da * dd + a * dD - db * c - b * dc
+    dden = da - dc + dD - db
+    return dnum * den - num * dden
+
+
+def slope_numerator_in_gamma(params: GameParams, p: float = 1.0):
+    """gamma -> slope_numerator(p, params at that gamma), each gamma through
+    dataclasses.replace and so through GameParams' validation."""
+    return lambda g: slope_numerator(p, replace(params, gamma=g))
+
+
+def gamma_to_probabilistic_by_reference(params: GameParams, no_sniping: float) -> float:
+    """The sure-to-probabilistic threshold found as the package finds it, with
+    _root on the same bracket, but on slope_numerator_in_gamma; no_sniping is
+    the no-sniping threshold, which sets the first upper end."""
+    k = slope_numerator_in_gamma(params)
+    if k(1.0) <= 0:
+        return 1.0
+    hi = max(2.0, 10.0 * no_sniping)
+    while k(hi) >= 0:
+        hi *= 2.0
+        if hi > 1e9:
+            raise ValidationError("sure-to-probabilistic threshold not bracketed")
+    return _root(k, 1.0, hi, k(1.0), k(hi))
+
+
 def gamma_to_no_sniping_by_slope(params: GameParams) -> float:
     """Numeric cross-check on gamma_to_no_sniping: root of the p=0 slope.
 
     The zero over gamma of the slope numerator at p = 0 (which is
     N'(0) * Q(0), Q(0) > 0); must agree with the closed form to ~1e-8.
     """
-    f = lambda g: _slope_numerator(0.0, replace(params, gamma=g))
+    f = slope_numerator_in_gamma(params, 0.0)
     hi = 2.0
     while f(hi) > 0:
         hi *= 2.0
         if hi > 1e9:
             raise ValidationError("no-sniping threshold not bracketed")
-    return _root(f, 1.0, hi)
+    return _root(f, 1.0, hi, f(1.0), f(hi))

@@ -223,7 +223,7 @@ def test_criterion_3_derivative_checks():
     gl_params = fig7(th.to_no_sniping)
     ep = tr._endpoints(0.0, derive(gl_params), gl_params.H)
     q0 = (ep.bandit0 - ep.mm0) + (ep.mm1 - ep.bandit1)
-    nprime0 = tr._slope_numerator(0.0, gl_params) / q0
+    nprime0 = tr._slope_terms(0.0, derive(gl_params), gl_params.H)[0] / q0
     elapsed = time.perf_counter() - t0
     ok = (
         worst_race < 1e-6

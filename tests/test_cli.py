@@ -305,6 +305,20 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["0.2:0.9:0.2", "1:1e9:1"])
+    def test_refused_sweep_leaves_no_directory(self, tmp_path, capsys, grid):
+        # an all-invalid grid is refused after the rows, an oversized one
+        # before them; neither leaves a directory the run made
+        argv = ["sweep", *FIG7, "--gamma", "3", "--variable", "gamma", "--grid", grid]
+        assert run([*argv, "--out", str(tmp_path / "new" / "out")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("mine\n")
+        assert run([*argv, "--out", str(kept)]) == 2
+        assert [f.name for f in kept.iterdir()] == ["notes.txt"]
+        assert (kept / "notes.txt").read_text() == "mine\n"
+
 
 class TestSimulate:
     def test_fair_population(self, tmp_path):

@@ -18,18 +18,17 @@ def central_diff(f, x, step=1e-6):
     return (f(x + step) - f(x - step)) / (2 * step)
 
 
-HOMOGENEOUS_FS = (
-    lambda k: k / (k + 1),
-    lambda k: 1 / (k + 2),
-    lambda k: 1 / ((k + 1) * (k + 2)),
-    lambda k: 1 / ((k + 2) * (k + 3)),
-)
-
-
 def race_sums(n, p):
-    """Every binomial sum of race at (n, p): _binom_expect with the homogeneous
-    functions' f's, and the mixed-population functions at H_t = n, H_d 0-3."""
-    values = [race._binom_expect(n, p, f) for f in HOMOGENEOUS_FS]
+    """Every binomial sum of race over Bin(n, p): the homogeneous functions at
+    the agent count whose sum runs over Bin(n, p) (below CLOSED_FORM_MIN_NP,
+    or at every p with it set to inf), and the mixed-population functions at
+    H_t = n, H_d 0-3."""
+    values = [
+        race.mm_loss_prob(p, n + 1),
+        race.mm_loss_prob_deriv(p, n + 2),
+        race.win_prob_given_entry(p, n + 2),
+        race.win_prob_given_entry_deriv(p, n + 3),
+    ]
     for hd in range(4):
         if n + hd < 3:
             continue
@@ -41,6 +40,18 @@ def race_sums(n, p):
                 race.win_prob_given_entry_mixed_deceptive(p, pop),
             ]
     return values
+
+
+def oracle_sums(n, p):
+    """The four homogeneous sums of race_sums, as oracles.full_length_expect
+    of f passed as a function."""
+    expect = oracles.full_length_expect
+    return [
+        expect(n, p, lambda k: k / (k + 1)),
+        (n + 1) * expect(n, p, lambda k: 1 / ((k + 1) * (k + 2))),
+        expect(n, p, lambda k: 1 / (k + 2)),
+        -(n + 1) * expect(n, p, lambda k: 1 / ((k + 2) * (k + 3))),
+    ]
 
 
 def exact_expect(m, p, f):
@@ -150,22 +161,26 @@ class TestHomogeneous:
     @pytest.mark.parametrize("n", [1, 3, 10, 100, 1000, 10_000])
     def test_windowed_sum_matches_full_length(self, n, monkeypatch):
         # the window drops only upper-tail terms below half an ulp of every
-        # running sum (see race._binom_pmf), so every bit is kept
+        # running sum (see race._binom_pmf), so every bit is kept; and the
+        # homogeneous sums, f written inline, are those of f as a function
         rng = random.Random(n)
         fixed = (0.0, 1e-9, 1e-6, 0.1 / n, 0.5 / n, 0.85 / n, 0.9 / n, 2.0 / n, 0.3, 0.9, 1.0)
         band = tuple(rng.random() / n for _ in range(4))  # n*p < 1, where the sums run
+        monkeypatch.setattr(race, "CLOSED_FORM_MIN_NP", math.inf)  # sums at every p
         for p in fixed + band:
             p = min(p, 1.0)
             windowed = race_sums(n, p)
             with monkeypatch.context() as m:
-                m.setattr(race, "_binom_pmf", lambda size, prob: (0, oracles.full_length_pmf(size, prob)))
+                full_length = lambda size, prob: enumerate(oracles.full_length_pmf(size, prob))
+                m.setattr(race, "_binom_pmf", full_length)
                 full = race_sums(n, p)
             assert windowed == full, (n, p)
+            assert windowed[:4] == oracle_sums(n, p), (n, p)
 
     def test_upper_tail_is_cut(self):
         # near p* at H in the thousands, only ~18 of ~170 nonzero terms can
         # reach a float sum
-        assert len(race._binom_pmf(9999, 0.85e-4)[1]) <= 25
+        assert len(list(race._binom_pmf(9999, 0.85e-4))) <= 25
 
     def test_homogeneous_solve_at_large_h(self):
         params = GameParams(H=5000, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)

@@ -1,14 +1,21 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from sniplab import race
 from sniplab import transitions as tr
-from sniplab.params import GameParams, ValidationError, derive
+from sniplab.params import DerivedParams, GameParams, ValidationError, derive
 
 import oracles
 
 FIG = dict(H=5, alpha=0.45, mu=0.5, delta=0.5)
+
+
+def slope_numerator(p, pr):
+    """N'(p)Q(p) - N(p)Q'(p) at pr, which shares the sign of du*/dp."""
+    return tr._slope_terms(p, derive(pr), pr.H)[0]
 
 
 def params(gamma, **overrides):
@@ -95,7 +102,7 @@ class TestThresholds:
 
     def test_slope_zero_at_no_sniping_threshold(self, fig_thresholds):
         gl = fig_thresholds.to_no_sniping
-        assert abs(tr._slope_numerator(0.0, params(gl))) < 1e-8
+        assert abs(slope_numerator(0.0, params(gl))) < 1e-8
 
     def test_order(self, fig_thresholds):
         assert 1 <= fig_thresholds.to_probabilistic <= fig_thresholds.to_no_sniping
@@ -113,7 +120,7 @@ class TestThresholds:
 
     def test_slope_numerator_shape(self, fig_thresholds):
         # positive at gamma=1, negative far out, concave to the right of 1
-        k = lambda g: tr._slope_numerator(1.0, params(g))
+        k = lambda g: slope_numerator(1.0, params(g))
         assert k(1.0) > 0
         hi = 10 * fig_thresholds.to_no_sniping
         assert k(hi) < 0
@@ -168,8 +175,8 @@ class TestOptimalSniping:
         regime = tr.optimal_sniping(pr)
         assert regime.kind == tr.PROBABILISTIC
         p = regime.p_star
-        assert tr._slope_numerator(p * (1 - 1e-12), pr) > 0
-        assert tr._slope_numerator(p * (1 + 1e-12), pr) <= 0
+        assert slope_numerator(p * (1 - 1e-12), pr) > 0
+        assert slope_numerator(p * (1 + 1e-12), pr) <= 0
 
     def test_utility_vanishes_at_upper_threshold(self, fig_thresholds):
         gl = fig_thresholds.to_no_sniping
@@ -192,3 +199,56 @@ class TestRegimeSweep:
             assert r["u_opt"] >= r["u_sure"] - 1e-12
             if r["regime"] == tr.SURE:
                 assert r["u_opt"] == pytest.approx(r["u_sure"], abs=1e-12)
+
+
+def recording(log, fn, position=0):
+    """fn, appending its argument at position to log on every call."""
+    def wrapper(*args):
+        log.append(args[position])
+        return fn(*args)
+    return wrapper
+
+
+class TestSlopeKernel:
+    def test_kernel_is_the_reference_assembly_bit_for_bit(self):
+        # the float kernel against a fresh derive, UtilityEndpoints and the
+        # derivative terms, by ==: at p = 0 and 1, n*p < 1 (binomial sums) and
+        # any p, and in gamma through the sure-to-probabilistic threshold
+        # H log-uniform on 3..10,000, gamma on [1, 60], (alpha + mu) delta < 1
+        rng = random.Random(2024)
+        settings = [GameParams(H=10_000, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)]
+        while len(settings) < 151:
+            alpha, mu, delta = rng.uniform(0.01, 2), rng.uniform(0.01, 2), rng.uniform(0.01, 1)
+            if (alpha + mu) * delta < 1:
+                h = int(math.exp(rng.uniform(math.log(3), math.log(10_000))))
+                gamma = 1.0 + 59.0 * rng.random() ** 2
+                settings.append(GameParams(H=h, alpha=alpha, mu=mu, delta=delta, gamma=gamma))
+        for pr in settings:
+            d, n = derive(pr), pr.H
+            for p in (0.0, 1.0, 0.85 / n, rng.random() / n, rng.random()):
+                assert tr._slope_terms(p, d, n)[0] == oracles.slope_numerator(p, pr), (pr, p)
+            th = tr.thresholds(pr)
+            reference = oracles.gamma_to_probabilistic_by_reference(pr, th.to_no_sniping)
+            assert th.to_probabilistic == reference, pr
+
+    def test_probabilistic_row_work_counts(self, monkeypatch):
+        # counts that host noise cannot move, over one h-sweep row at H = 2,000:
+        # one derive per entry point, each slope once per p, p* raced twice
+        pr = GameParams(H=2000, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
+        built, derived, kernel_qs, slope_ps, loss_ps = [], [], [], [], []
+        for cls in (GameParams, DerivedParams):
+            monkeypatch.setattr(cls, "__post_init__", recording(built, cls.__post_init__))
+        monkeypatch.setattr(tr, "derive", recording(derived, derive))
+        monkeypatch.setattr(tr, "_slope_kernel", recording(kernel_qs, tr._slope_kernel, 3))
+        monkeypatch.setattr(tr, "_slope_terms", recording(slope_ps, tr._slope_terms))
+        monkeypatch.setattr(race, "mm_loss_prob", recording(loss_ps, race.mm_loss_prob))
+        th = tr.thresholds(pr)
+        threshold_qs = list(kernel_qs)  # K(gamma) takes q = gamma - 1
+        row = tr.regime_row(pr, th)
+        assert row["regime"] == tr.PROBABILISTIC
+        # gamma_to_probabilistic, gamma_to_no_sniping and regime_row
+        assert [type(obj).__name__ for obj in built] == ["DerivedParams"] * 3
+        assert len(derived) == 3
+        assert len(threshold_qs) == len(set(threshold_qs)) > 0
+        assert len(slope_ps) == len(set(slope_ps)) > 21
+        assert loss_ps.count(row["p_star"]) <= 2
