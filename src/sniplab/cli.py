@@ -28,7 +28,9 @@ from contextlib import closing
 from dataclasses import replace
 from datetime import datetime, timezone
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__, detection, streams, transitions, utility
 from .params import (
@@ -126,12 +128,13 @@ def args_from_manifest(path: str | Path) -> list[str]:
     return argv
 
 
-def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Tidy CSV: the header, then one line per row of values in header order;
+    csv writes a float with repr."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row[k]) for k in fieldnames})
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _require_finite(row: dict) -> dict:
@@ -142,12 +145,6 @@ def _require_finite(row: dict) -> dict:
                 f"{key} = {value}: the parameters lie beyond the range of floating point"
             )
     return row
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -178,6 +175,8 @@ def _parse_seeds(raw: str) -> list[int]:
         raise ValidationError(f"invalid seed list {raw!r}") from exc
     if any(seed < 0 for seed in seeds):
         raise ValidationError(f"seeds must be non-negative (got {raw!r})")
+    if len(set(seeds)) < len(seeds):  # a repeated seed would redraw its stream
+        raise ValidationError(f"seeds must not repeat (got {raw!r})")
     return seeds
 
 
@@ -240,7 +239,8 @@ def cmd_analyze(args: argparse.Namespace, params: GameParams, resolved: dict,
     analysis = json.dumps({"params": resolved, **report}, indent=2, sort_keys=True,
                           allow_nan=False)
     (out / "analysis.json").write_text(analysis + "\n")
-    utility.write_payoff_table_csv(str(out / "payoff_table.csv"), params)
+    table = utility.payoff_table_rows(params)
+    _write_csv(out / "payoff_table.csv", list(table[0]), map(dict.values, table))
     for key, value in report.items():
         print(f"{key} = {value}")
     return ["analysis.json", "payoff_table.csv"]
@@ -295,7 +295,7 @@ def cmd_sweep(args: argparse.Namespace, params: GameParams, resolved: dict,
     if not rows:
         raise ValidationError("sweep grid is empty after validity filtering")
     name = f"sweep_{variable}.csv"
-    _write_csv(out / name, fields, rows)
+    _write_csv(out / name, fields, map(itemgetter(*fields), rows))
     resolved["variable"] = variable
     resolved["grid"] = args.grid
     print(f"wrote {out / name} ({len(rows)} rows)")
@@ -322,13 +322,9 @@ def _play(args: argparse.Namespace, params: GameParams, resolved: dict) -> tuple
     """Sniping probability and spread: the flags, else the optimal regime's."""
     p, spread = args.p, args.spread
     if p is None or spread is None:
-        regime = transitions.optimal_sniping(params)
-        if p is None:
-            p = regime.p_star
-            if p is None:
-                p = 1.0 if regime.kind == transitions.SURE else 0.0
-        if spread is None:
-            spread = regime.s_star
+        row = transitions.regime_row(params, transitions.thresholds(params))
+        p = row["p_star"] if p is None else p
+        spread = row["s_star"] if spread is None else spread
     resolved.update({"p": p, "spread": spread})
     return p, spread
 
@@ -359,7 +355,7 @@ def cmd_simulate(args: argparse.Namespace, params: GameParams, resolved: dict,
         simulator.write_stream_csv(str(out / name), run)
         outputs.append(name)
         means = run.utilities.mean(axis=0)
-        errs = run.utilities.std(axis=0, ddof=1) / math.sqrt(run.stats.n_stages)
+        errs = run.utilities.std(axis=0, ddof=1) / math.sqrt(args.stages)
         for agent_id, cls in enumerate(classes):
             summary_rows.append(
                 {
@@ -369,14 +365,14 @@ def cmd_simulate(args: argparse.Namespace, params: GameParams, resolved: dict,
                     "stages": args.stages,
                     "mean_utility": float(means[agent_id]),
                     "std_error": float(errs[agent_id]),
-                    "race_wins": int(run.stats.race_wins[agent_id]),
+                    "race_wins": int(run.race_wins[agent_id]),
                     "analytic_mean": analytic[cls],
                 }
             )
         del run
     summary_rows.sort(key=lambda r: (r["seed"], r["agent_id"]))
     # the row's key order is the column order
-    _write_csv(out / "summary.csv", list(summary_rows[0]), summary_rows)
+    _write_csv(out / "summary.csv", list(summary_rows[0]), map(dict.values, summary_rows))
     outputs.append("summary.csv")
     print(f"wrote {len(outputs)} files to {out}")
     return outputs
@@ -429,7 +425,8 @@ def cmd_monitor(args: argparse.Namespace, params: GameParams, resolved: dict,
         resolved.update({"stages": args.stages, "seeds": seeds})
     with closing(stream):
         result = detection.monitor_stream(stream, dist0, dist1, args.err1, args.err2)
-    detection.write_trajectory_csv(str(out / "trajectory.csv"), result)
+    header = ["stage", "utility", "log_ratio", "S", "decision"]
+    _write_csv(out / "trajectory.csv", header, result.trajectory)
     print(f"decision = {result.decision}")
     print(f"stopped_at = {result.stopped_at}")
     print(f"statistic = {result.statistic}")

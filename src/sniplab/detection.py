@@ -24,7 +24,6 @@ refuses values off the support.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -200,11 +199,3 @@ def monitor_stream(
     if not trajectory:
         raise ValidationError("cannot monitor an empty utility stream")
     return MonitorResult(UNDECIDED, None, statistic, trajectory)
-
-
-def write_trajectory_csv(path: str, result: MonitorResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["stage", "utility", "log_ratio", "S", "decision"])
-        for stage, u, ratio, s_val, decision in result.trajectory:
-            writer.writerow([stage, repr(u), repr(ratio), repr(s_val), decision])

@@ -56,9 +56,9 @@ _CHUNK_STAGES = 1024
 
 @dataclass(frozen=True)
 class AgentConfig:
-    """One simulated trader: sniping probability and posted spread."""
+    """One simulated trader: sniping probability and posted spread.  An
+    agent's id is its position in the roster."""
 
-    agent_id: int
     snipe_prob: float
     spread: float
 
@@ -82,27 +82,16 @@ class StageOutcome(NamedTuple):
 
 
 @dataclass(frozen=True)
-class RunStats:
-    """Aggregates of one repeated run (summation in stage order)."""
-
-    total_utility: np.ndarray
-    race_wins: np.ndarray
-    n_stages: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class SimRun:
-    """Full record of a repeated run: per-stage streams plus aggregates."""
+    """Full record of a repeated run: the per-stage streams and each agent's
+    race wins; its number of stages is len(utilities)."""
 
     agents: tuple[AgentConfig, ...]
-    params: GameParams
-    seed: int
     utilities: np.ndarray  # (n_stages, n_agents)
     events: np.ndarray     # (n_stages,) index into utility.PAYOFF_TABLE
     mm_ids: np.ndarray     # (n_stages,)
     winners: np.ndarray    # (n_stages,), -1 when no race
-    stats: RunStats
+    race_wins: np.ndarray  # (n_agents,)
 
 
 def _stage_chunks(
@@ -119,8 +108,6 @@ def _stage_chunks(
     h = len(agents)
     if h < 3:
         raise ValidationError(f"need at least 3 agents (got {h})")
-    if [a.agent_id for a in agents] != list(range(h)):
-        raise ValidationError("agent ids must be 0..n-1 in order")
     d = derive(params)
     cut1 = np.array([d.beta / 2, d.beta, d.beta + (1.0 - d.beta) / 2])
     cut2 = np.array([
@@ -203,21 +190,13 @@ def run_repeated(
         for whole, part in zip((events, mm_ids, winners, utilities), chunk):
             whole[start:stop] = part[: stop - start]
         start = stop
-    stats = RunStats(
-        total_utility=utilities.sum(axis=0),
-        race_wins=np.bincount(winners[winners >= 0], minlength=len(agents)),
-        n_stages=n_stages,
-        seed=seed,
-    )
     return SimRun(
         agents=tuple(agents),
-        params=params,
-        seed=seed,
         utilities=utilities,
         events=events,
         mm_ids=mm_ids,
         winners=winners,
-        stats=stats,
+        race_wins=np.bincount(winners[winners >= 0], minlength=len(agents)),
     )
 
 
@@ -226,11 +205,8 @@ def compliance_roster(
 ) -> tuple[AgentConfig, ...]:
     """Agents 0..H_t-1 trustworthy (snipe at p), the rest deceptive (snipe
     for sure); everyone advertises the same spread."""
-    trusty = [AgentConfig(i, p, spread) for i in range(pop.trustworthy)]
-    rogue = [
-        AgentConfig(pop.trustworthy + i, 1.0, spread) for i in range(pop.deceptive)
-    ]
-    return tuple(trusty + rogue)
+    trusty, rogue = AgentConfig(p, spread), AgentConfig(1.0, spread)
+    return (trusty,) * pop.trustworthy + (rogue,) * pop.deceptive
 
 
 def analytic_mean_utility(
@@ -247,16 +223,14 @@ def analytic_mean_utility(
     """
     if pop.total != params.H:
         raise ValidationError(f"population of {pop.total} does not match H={params.H}")
-    d = derive(params)
     if agent_class == TRUSTWORTHY:
-        win = p * race.win_prob_given_entry_mixed(p, pop)
-        loss = race.mm_loss_prob_mixed(p, pop)
+        ep = utility.endpoints(p, pop, params)
     elif agent_class == DECEPTIVE:
         win = race.win_prob_given_entry_mixed_deceptive(p, pop)
         loss = race.mm_loss_prob_mixed_deceptive(p, pop)
+        ep = utility.endpoints_from_race_probs(win, loss, derive(params))
     else:
         raise ValidationError(f"unknown agent class {agent_class!r}")
-    ep = utility.endpoints_from_race_probs(win, loss, d)
     h = pop.total
     return (
         utility.utility_line(ep, "mm", s)
@@ -276,7 +250,7 @@ def write_stream_csv(path: str, run: SimRun) -> None:
     utility bits share one text, so each distinct stage of a chunk is
     formatted once.
     """
-    n_stages, n_agents = run.stats.n_stages, len(run.agents)
+    n_stages, n_agents = run.utilities.shape
     codes = [ev.code for ev in utility.PAYOFF_TABLE]
     chunk = max(1, _CHUNK_ROWS // n_agents)
     keys = np.empty((min(chunk, n_stages), n_agents + 2), dtype=np.int64)

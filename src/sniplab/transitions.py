@@ -169,14 +169,16 @@ def _no_sniping(d: DerivedParams, params: GameParams) -> float:
     return 1.0 + math.sqrt(ratio)
 
 
-def gamma_to_probabilistic(params: GameParams) -> float:
-    """Risk aversion above which probabilistic sniping beats sure sniping.
+def thresholds(params: GameParams) -> Thresholds:
+    """Both risk-aversion thresholds, from one ``derive`` of params.
 
-    The unique gamma >= 1 at which the p = 1 slope numerator
-    K(gamma) = N'(1)Q(1) - N(1)Q'(1) crosses zero; K is evaluated
-    numerically rather than through expanded cubic coefficients.
-    Returns 1.0 (with a warning) if K(1) <= 0, i.e. probabilistic sniping is
-    already optimal at minimal risk aversion.
+    to_no_sniping is the closed form of ``gamma_to_no_sniping``.
+    to_probabilistic is the unique gamma >= 1 at which the p = 1 slope
+    numerator K(gamma) = N'(1)Q(1) - N(1)Q'(1) crosses zero; K is evaluated
+    numerically rather than through expanded cubic coefficients, and the
+    search is bracketed by ten times to_no_sniping.  to_probabilistic is 1.0
+    (with a warning) if K(1) <= 0, i.e. probabilistic sniping is already
+    optimal at minimal risk aversion.
     """
     d, n = derive(params), params.H
     # the race values at p = 1 do not depend on gamma; gamma - 1.0 has the
@@ -187,20 +189,20 @@ def gamma_to_probabilistic(params: GameParams) -> float:
         log.warning(
             "probabilistic sniping already optimal at gamma = 1 for %s", params
         )
-        return 1.0
-    hi = max(2.0, 10.0 * _no_sniping(d, params))
+        return Thresholds(1.0, _no_sniping(d, params))
+    no_sniping = _no_sniping(d, params)
+    hi = max(2.0, 10.0 * no_sniping)
     while (k_hi := k(hi)) >= 0:
         hi *= 2.0
         if hi > 1e9:
             raise ValidationError("sure-to-probabilistic threshold not bracketed")
-    return _root(k, 1.0, hi, k_lo, k_hi)
+    return Thresholds(_root(k, 1.0, hi, k_lo, k_hi), no_sniping)
 
 
-def thresholds(params: GameParams) -> Thresholds:
-    return Thresholds(
-        to_probabilistic=gamma_to_probabilistic(params),
-        to_no_sniping=gamma_to_no_sniping(params),
-    )
+def gamma_to_probabilistic(params: GameParams) -> float:
+    """Risk aversion above which probabilistic sniping beats sure sniping:
+    ``thresholds(params).to_probabilistic``."""
+    return thresholds(params).to_probabilistic
 
 
 def _classify(params: GameParams, d: DerivedParams, th: Thresholds) -> SnipingRegime:

@@ -24,7 +24,6 @@ B = E U_B(1), the market-maker line from C = E U_M(0) to D = E U_M(1).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 from . import race
@@ -76,25 +75,21 @@ class EventSpec:
         return self.first in ("NG", "NB")
 
 
-def _race_row(first: str, second: str, mm_loses: Expr, sniper: Expr, mm_wins: Expr) -> EventSpec:
-    return EventSpec(first, second, mm_loses, sniper, mm_wins)
-
-
 def _quiet_row(first: str, second: str, mm: Expr) -> EventSpec:
     return EventSpec(first, second, mm, _ZERO, mm)
 
 
 PAYOFF_TABLE: tuple[EventSpec, ...] = (
-    _race_row("NG", "NG", _NEG_G_TWO_MINUS_S, _TWO_MINUS_S, _ZERO),
-    _race_row("NG", "NB", _S, _NEG_GS, _ZERO),
-    _race_row("NG", "LA", _NEG_G_ONE_MINUS_S, _ZERO, _NEG_G_ONE_MINUS_S),
-    _race_row("NG", "LB", _2S, _ONE_MINUS_S, _ONE_PLUS_S),
-    _race_row("NG", "NO", _NEG_G_ONE_MINUS_S, _ONE_MINUS_S, _ZERO),
-    _race_row("NB", "NG", _S, _NEG_GS, _ZERO),
-    _race_row("NB", "NB", _NEG_G_TWO_MINUS_S, _TWO_MINUS_S, _ZERO),
-    _race_row("NB", "LA", _2S, _ONE_MINUS_S, _ONE_PLUS_S),
-    _race_row("NB", "LB", _NEG_G_ONE_MINUS_S, _ZERO, _NEG_G_ONE_MINUS_S),
-    _race_row("NB", "NO", _NEG_G_ONE_MINUS_S, _ONE_MINUS_S, _ZERO),
+    EventSpec("NG", "NG", _NEG_G_TWO_MINUS_S, _TWO_MINUS_S, _ZERO),
+    EventSpec("NG", "NB", _S, _NEG_GS, _ZERO),
+    EventSpec("NG", "LA", _NEG_G_ONE_MINUS_S, _ZERO, _NEG_G_ONE_MINUS_S),
+    EventSpec("NG", "LB", _2S, _ONE_MINUS_S, _ONE_PLUS_S),
+    EventSpec("NG", "NO", _NEG_G_ONE_MINUS_S, _ONE_MINUS_S, _ZERO),
+    EventSpec("NB", "NG", _S, _NEG_GS, _ZERO),
+    EventSpec("NB", "NB", _NEG_G_TWO_MINUS_S, _TWO_MINUS_S, _ZERO),
+    EventSpec("NB", "LA", _2S, _ONE_MINUS_S, _ONE_PLUS_S),
+    EventSpec("NB", "LB", _NEG_G_ONE_MINUS_S, _ZERO, _NEG_G_ONE_MINUS_S),
+    EventSpec("NB", "NO", _NEG_G_ONE_MINUS_S, _ONE_MINUS_S, _ZERO),
     _quiet_row("LA", "NG", _NEG_G_ONE_MINUS_S),
     _quiet_row("LA", "NB", _ONE_PLUS_S),
     _quiet_row("LA", "LA", _S),
@@ -298,11 +293,3 @@ def payoff_table_rows(params: GameParams) -> list[dict[str, object]]:
             }
         )
     return rows
-
-
-def write_payoff_table_csv(path: str, params: GameParams) -> None:
-    rows = payoff_table_rows(params)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)

@@ -380,7 +380,7 @@ def test_criterion_6_simulator_calibration():
     # (~1.3% of seeds); nearby seeds show unbiased scatter around u*
     run = sim.run_repeated(agents, params, 100_000, seed=1)
     means = run.utilities.mean(axis=0)
-    ses = run.utilities.std(axis=0, ddof=1) / math.sqrt(run.stats.n_stages)
+    ses = run.utilities.std(axis=0, ddof=1) / math.sqrt(len(run.utilities))
     mean_ok = all(
         abs(means[i] - regime.u_star) < 3 * ses[i] for i in range(5)
     )
@@ -398,7 +398,7 @@ def test_criterion_6_simulator_calibration():
     observed = np.zeros(len(dist.support))
     for value, count in zip(values, counts):
         observed[dist.index_of(float(value))] += count
-    expected = np.array(dist.probs) * big.stats.n_stages
+    expected = np.array(dist.probs) * len(big.utilities)
     chi = scipy_stats.chisquare(observed, expected)
     chi_ok = chi.pvalue > 0.001
 
@@ -423,7 +423,7 @@ def test_criterion_7_deceptive_agent_effect():
     agents = sim.compliance_roster(pop, regime.p_star, regime.s_star)
     run = sim.run_repeated(agents, params, 100_000, seed=20240818)
     means = run.utilities.mean(axis=0)
-    ses = run.utilities.std(axis=0, ddof=1) / math.sqrt(run.stats.n_stages)
+    ses = run.utilities.std(axis=0, ddof=1) / math.sqrt(len(run.utilities))
     separations = [
         (means[4] - means[i]) / math.sqrt(ses[4] ** 2 + ses[i] ** 2)
         for i in range(4)

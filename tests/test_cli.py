@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sniplab import cli, simulator, streams
-from sniplab.params import ValidationError
+from sniplab import cli, simulator, streams, transitions
+from sniplab.params import GameParams, ValidationError
 
 FIG7 = ["--H", "5", "--alpha", "0.45", "--mu", "0.5", "--delta", "0.5"]
 MIX = ["--H", "4", "--alpha", "0.45", "--mu", "0.3", "--delta", "0.5", "--gamma", "3"]
@@ -76,7 +76,9 @@ class TestAnalyze:
         report = json.loads((out / "analysis.json").read_text())
         assert report["gamma_no_sniping"] == pytest.approx(7.8313, abs=5e-4)
         assert report["u_opt"] > report["u_sure"] > 0
-        assert (out / "payoff_table.csv").exists()
+        lines = (out / "payoff_table.csv").read_text().splitlines()
+        assert lines[0] == "event,prob_first,prob_second,u_mm_loses,u_sniper,u_mm_wins"
+        assert len(lines) == 21
         manifest = json.loads((out / "analyze_manifest.json").read_text())
         assert manifest["command"] == "analyze"
         assert sorted(manifest["outputs"]) == ["analysis.json", "payoff_table.csv"]
@@ -372,6 +374,27 @@ class TestSimulate:
         assert code == 2
         assert capsys.readouterr().err == "error: seeds must be non-negative (got '2,-1')\n"
 
+    def test_repeated_seed_is_validation_error(self, tmp_path, capsys):
+        # a repeated seed used to write its stream and summary rows twice
+        out = tmp_path / "s"
+        code = run(["simulate", *MIX, "--ht", "4", "--stages", "10", "--seeds", "1,2,1",
+                    "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seeds must not repeat (got '1,2,1')\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gamma, kind", [(1.5, "sure"), (3.5, "probabilistic"),
+                                             (9.0, "no_sniping")])
+    def test_default_play_is_the_optimal_regime(self, tmp_path, gamma, kind):
+        params = GameParams(H=5, alpha=0.45, mu=0.5, delta=0.5, gamma=gamma)
+        regime = transitions.optimal_sniping(params)
+        assert regime.kind == kind
+        assert run(["simulate", *FIG7, "--gamma", str(gamma), "--ht", "5", "--stages", "10",
+                    "--out", str(tmp_path)]) == 0
+        resolved = json.loads((tmp_path / "simulate_manifest.json").read_text())["resolved"]
+        p = {"sure": 1.0, "probabilistic": regime.p_star, "no_sniping": 0.0}[kind]
+        assert (resolved["p"], resolved["spread"]) == (p, regime.s_star)
+
 
 class TestMonitor:
     def test_inline_deceptive_rejects(self, tmp_path, capsys):
@@ -409,6 +432,9 @@ class TestMonitor:
             == 0
         )
         assert "decision = undecided" in capsys.readouterr().out
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "stage,utility,log_ratio,S,decision"
+        assert len(lines) == 4
 
     def test_monitor_recorded_stream(self, tmp_path, capsys):
         sim_out = tmp_path / "rec"
@@ -701,6 +727,31 @@ class TestDeterminism:
         )
         for name, digest in expected.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_non_stream_outputs_are_stable(self, tmp_path):
+        # digests of every output but the streams, taken on CPython 3.11.7
+        # with numpy 2.4.6; the summary's p and spread are pinned as above,
+        # the monitor's come from the optimiser, as in a default run
+        expected = {
+            "analysis.json": "d8fd9641fae7923c62eda84774c85b63a9a80ca2e5440d10cd0384c908f9fff7",
+            "payoff_table.csv": "e8273d80e97d9ff85dfcb6ac74c5821443400e70026065cde08f3bc39a8fc890",
+            "sweep_gamma.csv": "a318ec6f6de8d31fa71f3291c22857e5ab7d730369a7af667772dce58fea3a00",
+            "sweep_H.csv": "0282939357a7b9ea8b03cd2380ebd35b65d98ef4084cae917f7eb4620223832a",
+            "summary.csv": "e18239c474bb8bcbd7c491ff2d6d74cca0beb9788e018315924ace10976fe1b6",
+            "trajectory.csv": "b1f8caaf725e0e06b2c8505b9fdb39867af6d9fc77042565d2d9c11a92b9877c",
+        }
+        for argv in [
+            ["analyze", *FIG7, "--gamma", "3.5"],
+            ["sweep", *FIG7, "--gamma", "3", "--variable", "gamma", "--grid", "1.5:8:0.5"],
+            ["sweep", *FIG7, "--gamma", "4", "--variable", "H", "--grid", "2000,5000,10000"],
+            ["simulate", *MIX, "--ht", "3", "--hd", "1", "--stages", "2000", "--seeds", "1,2",
+             "--p", "0.2035691573361233", "--spread", "0.6064860601438494"],
+            ["monitor", *MIX, "--ht", "3", "--hd", "1", "--stages", "20000", "--seeds", "5",
+             "--agent", "2"],
+        ]:
+            assert run([*argv, "--out", str(tmp_path)]) == 0, argv[0]
+        for name, digest in expected.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def _flag(option_strings, dest, type_=None, default=None, required=False):

@@ -371,12 +371,3 @@ class TestMonitorStream:
         result = det.monitor_stream(stream, d0, d1, 1e-100, 1e-100)  # never stops
         assert result.decision == det.UNDECIDED
         assert len(result.trajectory) == 2000
-
-    def test_trajectory_csv(self, dists, tmp_path):
-        _, d0, d1 = dists
-        result = det.monitor_stream([d0.support[0]] * 3, d0, d1, 0.05, 0.05)
-        path = tmp_path / "traj.csv"
-        det.write_trajectory_csv(str(path), result)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "stage,utility,log_ratio,S,decision"
-        assert len(lines) == 4

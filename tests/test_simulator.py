@@ -24,10 +24,10 @@ def _game(h):
 
 
 TIED_AT_ZERO = (
-    AgentConfig(0, 0.5, 0.0),
-    AgentConfig(1, 0.7, 0.0),
-    AgentConfig(2, 0.3, 0.6),
-    AgentConfig(3, 1.0, 0.0),
+    AgentConfig(0.5, 0.0),
+    AgentConfig(0.7, 0.0),
+    AgentConfig(0.3, 0.6),
+    AgentConfig(1.0, 0.0),
 )
 
 
@@ -40,7 +40,7 @@ def reference_stages(agents, params, n_stages, seed):
     cut2 = [d.alpha_bar, 2 * d.alpha_bar, 2 * d.alpha_bar + d.mu_bar,
             2 * (d.alpha_bar + d.mu_bar)]
     s = min(a.spread for a in agents)
-    candidates = [a.agent_id for a in agents if a.spread == s]
+    candidates = [i for i, a in enumerate(agents) if a.spread == s]
     stages = []
     for u in np.random.default_rng(seed).random((n_stages, h + 4)).tolist():
         mm = candidates[int(u[0] * len(candidates))]
@@ -86,9 +86,9 @@ class TestPlayStage:
 
     def test_min_spread_poster_becomes_mm(self):
         agents = (
-            AgentConfig(0, 0.5, 0.7),
-            AgentConfig(1, 0.5, 0.3),
-            AgentConfig(2, 0.5, 0.7),
+            AgentConfig(0.5, 0.7),
+            AgentConfig(0.5, 0.3),
+            AgentConfig(0.5, 0.7),
         )
         pr = GameParams(H=3, alpha=0.45, mu=0.5, delta=0.5, gamma=2.0)
         run = sim.run_repeated(agents, pr, 3000, seed=2)
@@ -96,12 +96,11 @@ class TestPlayStage:
 
     def test_agent_validation(self):
         with pytest.raises(ValidationError):
-            AgentConfig(0, 1.5, 0.5)
+            AgentConfig(1.5, 0.5)
         with pytest.raises(ValidationError):
-            AgentConfig(0, 0.5, -0.1)
-        for ids in [(0, 1), (0, 2, 1)]:  # fewer than 3 agents; ids out of order
-            with pytest.raises(ValidationError):
-                sim.run_repeated(tuple(AgentConfig(i, 1, 0.5) for i in ids), FIG7, 10, 0)
+            AgentConfig(0.5, -0.1)
+        with pytest.raises(ValidationError, match="at least 3 agents"):
+            sim.run_repeated((AgentConfig(1, 0.5),) * 2, FIG7, 10, 0)
 
     @pytest.mark.parametrize(
         "agents",
@@ -174,8 +173,8 @@ class TestRunRepeated:
     def test_totals_are_stagewise_sums(self):
         agents = roster(Population(5, 0), 0.3, 0.5)
         run = sim.run_repeated(agents, FIG7, 2000, seed=3)
-        assert np.array_equal(run.stats.total_utility, run.utilities.sum(axis=0))
-        assert run.stats.race_wins.sum() == (run.winners >= 0).sum()
+        assert run.race_wins.tolist() == [int((run.winners == a).sum()) for a in range(5)]
+        assert run.race_wins.sum() == (run.winners >= 0).sum()
 
     def test_no_race_stage_only_mm_paid(self):
         agents = roster(Population(5, 0), 0.7, 0.5)
@@ -209,7 +208,7 @@ def big_run():
 class TestEmpiricalFrequencies:
     def test_event_frequencies(self, big_run):
         _, run = big_run
-        n = run.stats.n_stages
+        n = len(run.utilities)
         counts = np.bincount(run.events, minlength=20)
         for idx, ev in enumerate(utility.PAYOFF_TABLE):
             prob = utility.event_probability(ev, FIG7)
@@ -263,7 +262,7 @@ class TestAnalyticMeanUtility:
         agents = roster(pop, regime.p_star, regime.s_star)
         run = sim.run_repeated(agents, MIX, 100_000, seed=11)
         means = run.utilities.mean(axis=0)
-        ses = run.utilities.std(axis=0, ddof=1) / math.sqrt(run.stats.n_stages)
+        ses = run.utilities.std(axis=0, ddof=1) / math.sqrt(len(run.utilities))
         u_t = sim.analytic_mean_utility(
             sim.TRUSTWORTHY, regime.p_star, regime.s_star, pop, MIX
         )
@@ -285,7 +284,7 @@ def reference_write_stream_csv(path, run):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["stage", "agent_id", "role", "event", "utility"])
         codes = [ev.code for ev in utility.PAYOFF_TABLE]
-        for t in range(run.stats.n_stages):
+        for t in range(len(run.utilities)):
             mm = run.mm_ids[t]
             code = codes[run.events[t]]
             for a in range(len(run.agents)):

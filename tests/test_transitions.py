@@ -233,12 +233,14 @@ class TestSlopeKernel:
 
     def test_probabilistic_row_work_counts(self, monkeypatch):
         # counts that host noise cannot move, over one h-sweep row at H = 2,000:
-        # one derive per entry point, each slope once per p, p* raced twice
+        # one derive per entry point, the no-sniping closed form once, each
+        # slope once per p, p* raced twice
         pr = GameParams(H=2000, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
-        built, derived, kernel_qs, slope_ps, loss_ps = [], [], [], [], []
+        built, derived, closed, kernel_qs, slope_ps, loss_ps = [], [], [], [], [], []
         for cls in (GameParams, DerivedParams):
             monkeypatch.setattr(cls, "__post_init__", recording(built, cls.__post_init__))
         monkeypatch.setattr(tr, "derive", recording(derived, derive))
+        monkeypatch.setattr(tr, "_no_sniping", recording(closed, tr._no_sniping))
         monkeypatch.setattr(tr, "_slope_kernel", recording(kernel_qs, tr._slope_kernel, 3))
         monkeypatch.setattr(tr, "_slope_terms", recording(slope_ps, tr._slope_terms))
         monkeypatch.setattr(race, "mm_loss_prob", recording(loss_ps, race.mm_loss_prob))
@@ -246,9 +248,10 @@ class TestSlopeKernel:
         threshold_qs = list(kernel_qs)  # K(gamma) takes q = gamma - 1
         row = tr.regime_row(pr, th)
         assert row["regime"] == tr.PROBABILISTIC
-        # gamma_to_probabilistic, gamma_to_no_sniping and regime_row
-        assert [type(obj).__name__ for obj in built] == ["DerivedParams"] * 3
-        assert len(derived) == 3
+        # thresholds and regime_row
+        assert [type(obj).__name__ for obj in built] == ["DerivedParams"] * 2
+        assert len(derived) == 2
+        assert len(closed) == 1
         assert len(threshold_qs) == len(set(threshold_qs)) > 0
         assert len(slope_ps) == len(set(slope_ps)) > 21
         assert loss_ps.count(row["p_star"]) <= 2

@@ -330,10 +330,3 @@ class TestCsvExport:
         assert by_event["LB-NG"]["u_mm_loses"] == "1+s"
         total = sum(r["prob_first"] * r["prob_second"] for r in rows)
         assert total == pytest.approx(1.0, abs=1e-14)
-
-    def test_write_csv(self, tmp_path):
-        path = tmp_path / "table.csv"
-        utility.write_payoff_table_csv(str(path), params())
-        lines = path.read_text().splitlines()
-        assert lines[0] == "event,prob_first,prob_second,u_mm_loses,u_sniper,u_mm_wins"
-        assert len(lines) == 21
