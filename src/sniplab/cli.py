@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import shutil
 import sys
 from contextlib import closing
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from itertools import islice
 from operator import itemgetter
@@ -74,15 +75,7 @@ def _resolve_params(args: argparse.Namespace) -> tuple[GameParams, dict]:
         if flag is not None:
             values[key] = flag
     params = params_from_config(values)
-    resolved = {
-        "H": params.H,
-        "alpha": params.alpha,
-        "mu": params.mu,
-        "delta": params.delta,
-        "gamma": params.gamma,
-        "sigma": 1.0,
-        "sigma_scale": params.sigma,
-    }
+    resolved = {**asdict(params), "sigma": 1.0, "sigma_scale": params.sigma}
     return rescale_to_unit_sigma(params), resolved
 
 
@@ -322,15 +315,17 @@ def _play(args: argparse.Namespace, params: GameParams, resolved: dict) -> tuple
     """Sniping probability and spread: the flags, else the optimal regime's."""
     p, spread = args.p, args.spread
     if p is None or spread is None:
-        row = transitions.regime_row(params, transitions.thresholds(params))
-        p = row["p_star"] if p is None else p
-        spread = row["s_star"] if spread is None else spread
+        regime = transitions.optimal_sniping(params)
+        p = regime.p_star if p is None else p
+        spread = regime.s_star if spread is None else spread
     resolved.update({"p": p, "spread": spread})
     return p, spread
 
 
 def cmd_simulate(args: argparse.Namespace, params: GameParams, resolved: dict,
                  out: Path) -> list[str]:
+    import numpy as np
+
     from . import simulator
 
     pop = _roster(args, params, resolved)
@@ -338,6 +333,8 @@ def cmd_simulate(args: argparse.Namespace, params: GameParams, resolved: dict,
     seeds = _parse_seeds(args.seeds)
     if not seeds:
         raise ValidationError("need at least one seed")
+    if args.stages < 2:  # a standard error needs two stages
+        raise ValidationError(f"stages must be >= 2 (got {args.stages})")
     resolved.update({"stages": args.stages, "seeds": seeds})
     agents = simulator.compliance_roster(pop, p, spread)
     # the roster's order: trustworthy agents first, then the deceptive ones
@@ -354,10 +351,11 @@ def cmd_simulate(args: argparse.Namespace, params: GameParams, resolved: dict,
         name = f"stream_seed{seed}.csv"
         simulator.write_stream_csv(str(out / name), run)
         outputs.append(name)
-        means = run.utilities.mean(axis=0)
-        errs = run.utilities.std(axis=0, ddof=1) / math.sqrt(args.stages)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            means = run.utilities.mean(axis=0)
+            errs = run.utilities.std(axis=0, ddof=1) / math.sqrt(args.stages)
         for agent_id, cls in enumerate(classes):
-            summary_rows.append(
+            summary_rows.append(_require_finite(
                 {
                     "seed": seed,
                     "agent_id": agent_id,
@@ -368,7 +366,7 @@ def cmd_simulate(args: argparse.Namespace, params: GameParams, resolved: dict,
                     "race_wins": int(run.race_wins[agent_id]),
                     "analytic_mean": analytic[cls],
                 }
-            )
+            ))
         del run
     summary_rows.sort(key=lambda r: (r["seed"], r["agent_id"]))
     # the row's key order is the column order
@@ -436,6 +434,7 @@ def cmd_monitor(args: argparse.Namespace, params: GameParams, resolved: dict,
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: building it costs ten parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sniplab",

@@ -4,8 +4,8 @@ A trustworthy agent's stage utility takes one of nine values (for generic
 spread and risk aversion): 0, -gamma*(2-s), s, -gamma*(1-s), s+1, 2s, 2-s,
 1-s and -gamma*s.  ``utility_distribution`` builds their probabilities from
 the payoff table, weighting each cell's columns by the mixed-population race
-probabilities, and takes each value from the table exactly as the simulator
-pays it.  An independent enumeration over (event, role, race composition)
+probabilities, and takes each value from ``utility.payoffs``, which the
+simulator pays.  An independent enumeration over (event, role, race composition)
 checks it in the tests.
 
 Knowing the distribution under compliance (no deceptive agents, H0) and under
@@ -83,8 +83,8 @@ def utility_distribution(
     other trustworthy agents snipe with probability p, the deceptive ones for
     sure.  In each race cell the maker's loss column carries mm_loss_prob_mixed
     and the sniper column p * win_prob_given_entry_mixed.  Support values are
-    the utilities the engine pays; values that collide (degenerate s or
-    gamma) are merged.
+    ``utility.payoffs``, the utilities the engine pays; values that collide
+    (degenerate s or gamma) are merged.
     """
     if pop.total != params.H:
         raise ValidationError(f"population of {pop.total} does not match H={params.H}")
@@ -94,16 +94,16 @@ def utility_distribution(
     h = pop.total
     loss = race.mm_loss_prob_mixed(p, pop)
     win = p * race.win_prob_given_entry_mixed(p, pop)
-    value = lambda expr: utility.evaluate(expr, s, params.gamma)
     pairs = []
-    for ev in utility.PAYOFF_TABLE:
-        first = d.beta if ev.has_race else 1.0 - d.beta
-        pe = first / 2 * utility.second_event_prob(ev.second, d)
+    for ev, (mm_loses, sniper, mm_wins) in zip(
+        utility.PAYOFF_TABLE, utility.payoffs(s, params.gamma)
+    ):
+        pe = utility.first_event_prob(ev, d) * utility.second_event_prob(ev.second, d)
         lose, snipe = (loss, win) if ev.has_race else (0.0, 0.0)
         pairs += [
-            (value(ev.mm_if_loses), pe / h * lose),
-            (value(ev.mm_if_wins), pe / h * (1.0 - lose)),
-            (value(ev.sniper), pe * (h - 1) / h * snipe),
+            (mm_loses, pe / h * lose),
+            (mm_wins, pe / h * (1.0 - lose)),
+            (sniper, pe * (h - 1) / h * snipe),
             (0.0, pe * (h - 1) / h * (1.0 - snipe)),
         ]
     return _merged(pairs)

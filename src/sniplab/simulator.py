@@ -24,7 +24,7 @@ consumes exactly H + 4 doubles from ``Generator.random``, one row of an
 A Generator fills the matrix row by row from one stream, so the draws do not
 depend on how many stages are drawn at once: the chunk schedule (64 stages
 first, doubling to 1,024) is a speed constant outside the contract, a lazily
-consumed ``stage_stream`` is a prefix of ``run_repeated``'s stages, and
+consumed ``stage_stream`` yields a prefix of ``run_repeated``'s utilities, and
 identical (agents, params, n_stages, seed) yield bit-identical utility
 streams.  Contract 1 (a variable number of draws per stage, integer
 draws for the market maker and the winner) gives different streams.
@@ -72,21 +72,16 @@ class AgentConfig:
 
 
 class StageOutcome(NamedTuple):
-    """One stage of ``stage_stream``: event code, market maker, race winner
-    (-1 without a race) and the utility of each agent, indexed by id."""
+    """One stage of ``stage_stream``: each agent's utility, indexed by id."""
 
-    event: str
-    mm_id: int
-    winner: int
     utilities: list[float]
 
 
 @dataclass(frozen=True)
 class SimRun:
     """Full record of a repeated run: the per-stage streams and each agent's
-    race wins; its number of stages is len(utilities)."""
+    race wins; its shape is utilities.shape, (stages, agents)."""
 
-    agents: tuple[AgentConfig, ...]
     utilities: np.ndarray  # (n_stages, n_agents)
     events: np.ndarray     # (n_stages,) index into utility.PAYOFF_TABLE
     mm_ids: np.ndarray     # (n_stages,)
@@ -120,13 +115,9 @@ def _stage_chunks(
     s = float(spreads.min())  # the market maker's spread
     candidates = np.flatnonzero(spreads == s).astype(np.int16)
     snipe_probs = np.array([a.snipe_prob for a in agents])
-    # utility of (event, outcome) at spread s; outcome 0: the maker loses or
-    # there is no race, 1: the sniper wins, 2: the maker wins
-    table = np.array([
-        [utility.evaluate(expr, s, params.gamma)
-         for expr in (ev.mm_if_loses, ev.sniper, ev.mm_if_wins)]
-        for ev in utility.PAYOFF_TABLE
-    ])
+    # utility.payoffs: utility of (event, outcome) at spread s; outcome 0: the
+    # maker loses or there is no race, 1: the sniper wins, 2: the maker wins
+    table = np.array(utility.payoffs(s, params.gamma))
     m = _FIRST_CHUNK
     while True:
         rows = np.arange(m)
@@ -158,18 +149,11 @@ def stage_stream(
 ) -> Iterator[StageOutcome]:
     """Endless stream of independent stage games (shared roster and rng).
 
-    With ``rng = default_rng(seed)`` its stages are those of
-    ``run_repeated(agents, params, n, seed)``, one at a time.
+    With ``rng = default_rng(seed)`` its utilities are the rows of
+    ``run_repeated(agents, params, n, seed).utilities``, one at a time.
     """
-    codes = [ev.code for ev in utility.PAYOFF_TABLE]
-    for events, mm_ids, winners, utilities, _ in _stage_chunks(agents, params, rng):
-        yield from map(
-            StageOutcome,
-            [codes[e] for e in events.tolist()],
-            mm_ids.tolist(),
-            winners.tolist(),
-            utilities.tolist(),
-        )
+    for _, _, _, utilities, _ in _stage_chunks(agents, params, rng):
+        yield from map(StageOutcome, utilities.tolist())
 
 
 def run_repeated(
@@ -191,7 +175,6 @@ def run_repeated(
             whole[start:stop] = part[: stop - start]
         start = stop
     return SimRun(
-        agents=tuple(agents),
         utilities=utilities,
         events=events,
         mm_ids=mm_ids,
@@ -245,7 +228,8 @@ _CHUNK_ROWS = 1 << 16
 def write_stream_csv(path: str, run: SimRun) -> None:
     """Newline-delimited utility stream: stage, agent_id, role, event, utility.
 
-    Rows run in stage order and, within a stage, in agent-id order; floats
+    Rows run in stage order and, within a stage, in agent-id order (the
+    columns of run.utilities); floats
     are written with repr.  Stages that share market maker, event and
     utility bits share one text, so each distinct stage of a chunk is
     formatted once.

@@ -5,8 +5,8 @@ changes, and u*(p) = N(p)/Q(p) with N = A*D - B*C and Q = A - C + D - B built
 from the utility-line endpoints.  The slope of u* at the two ends of [0, 1]
 defines two thresholds in the risk aversion gamma:
 
-* ``gamma_to_probabilistic``: above it, the slope at p = 1 is negative and
-  backing off from sure sniping raises u*; the zero crossing of the slope
+* ``Thresholds.to_probabilistic``: above it, the slope at p = 1 is negative
+  and backing off from sure sniping raises u*; the zero crossing of the slope
   numerator K(gamma) = N'(1)Q(1) - N(1)Q'(1), which is unique above 1
   (positive at 1, eventually negative, concave to the right of 1).
 * ``gamma_to_no_sniping``: above it, u*(p) <= 0 for every p and staying out
@@ -62,13 +62,13 @@ class Thresholds:
 class SnipingRegime:
     """Classification of a parameter set with its optimal play.
 
-    p_star is present only in the probabilistic regime; u_star and s_star are
-    the utility and spread of the optimal point of indifference (p = 1 when
-    sure, p = 0 with zero utility when not sniping).
+    p_star is the probability to play: 1.0 when sure, p* when probabilistic,
+    0.0 when not sniping; u_star and s_star are the utility and spread of the
+    point of indifference at p_star (zero utility when not sniping).
     """
 
     kind: str
-    p_star: float | None
+    p_star: float
     u_star: float
     s_star: float
 
@@ -176,33 +176,24 @@ def thresholds(params: GameParams) -> Thresholds:
     to_probabilistic is the unique gamma >= 1 at which the p = 1 slope
     numerator K(gamma) = N'(1)Q(1) - N(1)Q'(1) crosses zero; K is evaluated
     numerically rather than through expanded cubic coefficients, and the
-    search is bracketed by ten times to_no_sniping.  to_probabilistic is 1.0
-    (with a warning) if K(1) <= 0, i.e. probabilistic sniping is already
-    optimal at minimal risk aversion.
+    search is bracketed by ten times to_no_sniping.  K(1) > 0 over the valid
+    parameters (tests/test_transitions.py draws them from H up to 10**6 and
+    rates down to 1e-12); a K(1) that underflows to zero is refused.
     """
     d, n = derive(params), params.H
+    no_sniping = _no_sniping(d, params)
     # the race values at p = 1 do not depend on gamma; gamma - 1.0 has the
     # bits of derive(replace(params, gamma=gamma)).q
     h, dh = race.mm_loss_prob(1.0, n), race.mm_loss_prob_deriv(1.0, n)
     k = lambda g: _slope_kernel(h, dh, d, g - 1.0, n)[0]
-    if (k_lo := k(1.0)) <= 0:
-        log.warning(
-            "probabilistic sniping already optimal at gamma = 1 for %s", params
-        )
-        return Thresholds(1.0, _no_sniping(d, params))
-    no_sniping = _no_sniping(d, params)
+    if not (k_lo := k(1.0)) > 0:
+        raise ValidationError(f"K(1) = {k_lo} is not positive (underflow) for {params}")
     hi = max(2.0, 10.0 * no_sniping)
     while (k_hi := k(hi)) >= 0:
         hi *= 2.0
         if hi > 1e9:
             raise ValidationError("sure-to-probabilistic threshold not bracketed")
     return Thresholds(_root(k, 1.0, hi, k_lo, k_hi), no_sniping)
-
-
-def gamma_to_probabilistic(params: GameParams) -> float:
-    """Risk aversion above which probabilistic sniping beats sure sniping:
-    ``thresholds(params).to_probabilistic``."""
-    return thresholds(params).to_probabilistic
 
 
 def _classify(params: GameParams, d: DerivedParams, th: Thresholds) -> SnipingRegime:
@@ -215,7 +206,7 @@ def _classify(params: GameParams, d: DerivedParams, th: Thresholds) -> SnipingRe
     n = params.H
     if params.gamma < th.to_probabilistic:
         point = _point(1.0, d, n)
-        return SnipingRegime(SURE, None, point.u_star, point.s_star)
+        return SnipingRegime(SURE, 1.0, point.u_star, point.s_star)
     if params.gamma < th.to_no_sniping:
         slope = lambda p: _slope_terms(p, d, n)[0]
         grid = [i / 20 for i in range(21)]
@@ -237,7 +228,7 @@ def _classify(params: GameParams, d: DerivedParams, th: Thresholds) -> SnipingRe
         if point.u_star > PLAYABLE_TOL:
             return SnipingRegime(PROBABILISTIC, p_star, point.u_star, point.s_star)
     point = _point(0.0, d, n)
-    return SnipingRegime(NO_SNIPING, None, 0.0, point.s_star)
+    return SnipingRegime(NO_SNIPING, 0.0, 0.0, point.s_star)
 
 
 def optimal_sniping(params: GameParams) -> SnipingRegime:
@@ -248,7 +239,7 @@ def optimal_sniping(params: GameParams) -> SnipingRegime:
 def regime_row(params: GameParams, th: Thresholds) -> dict[str, object]:
     """Classify params against its thresholds: one row of a regime sweep.
 
-    Columns: gamma, regime, p_star (1 when sure, 0 when not sniping), s_star,
+    Columns: gamma, regime, p_star (see ``SnipingRegime``), s_star,
     u_sure = u*(1), u_opt, the utility of the optimal regime, and the two
     thresholds gamma_probabilistic and gamma_no_sniping.  ``th`` must be
     ``thresholds(params)``, or those of a parameter set that differs from
@@ -257,16 +248,10 @@ def regime_row(params: GameParams, th: Thresholds) -> dict[str, object]:
     """
     d = derive(params)
     regime = _classify(params, d, th)
-    if regime.kind == SURE:
-        p_star = 1.0
-    elif regime.kind == NO_SNIPING:
-        p_star = 0.0
-    else:
-        p_star = regime.p_star
     return {
         "gamma": params.gamma,
         "regime": regime.kind,
-        "p_star": p_star,
+        "p_star": regime.p_star,
         "s_star": regime.s_star,
         "u_sure": _point(1.0, d, params.H).u_star,
         "u_opt": regime.u_star,

@@ -24,14 +24,12 @@ B = E U_B(1), the market-maker line from C = E U_M(0) to D = E U_M(1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import race
 from .params import DerivedParams, GameParams, ValidationError, derive
 from .race import Population
-
-FIRST_EVENTS = ("NG", "NB", "LA", "LB")
-SECOND_EVENTS = ("NG", "NB", "LA", "LB", "NO")
 
 # Utility expressions as coefficients on (1, s, gamma, gamma*s).
 Expr = tuple[float, float, float, float]
@@ -103,7 +101,17 @@ PAYOFF_TABLE: tuple[EventSpec, ...] = (
 )
 
 _TABLE_BY_CODE = {ev.code: ev for ev in PAYOFF_TABLE}
-EVENT_INDEX = {ev.code: i for i, ev in enumerate(PAYOFF_TABLE)}
+
+
+def payoffs(s: float, gamma: float) -> list[tuple[float, float, float]]:
+    """Each cell's (maker loses or no race, sniper, maker wins) utilities at
+    spread s and risk aversion gamma, in PAYOFF_TABLE order: the values the
+    engine pays and the monitor's law is built on.  An overflow is refused."""
+    values = [(evaluate(ev.mm_if_loses, s, gamma), evaluate(ev.sniper, s, gamma),
+               evaluate(ev.mm_if_wins, s, gamma)) for ev in PAYOFF_TABLE]
+    if not all(math.isfinite(v) for row in values for v in row):
+        raise ValidationError(f"a payoff at spread {s}, gamma {gamma} is not finite")
+    return values
 
 
 def event_by_code(code: str) -> EventSpec:
@@ -121,12 +129,15 @@ def second_event_prob(second: str, d: DerivedParams) -> float:
     return 1.0 - 2.0 * (d.alpha_bar + d.mu_bar)
 
 
+def first_event_prob(ev: EventSpec, d: DerivedParams) -> float:
+    return d.beta / 2 if ev.has_race else (1.0 - d.beta) / 2
+
+
 def event_probability(event: EventSpec | str, params: GameParams) -> float:
     """Probability of a two-event code; the twenty of them sum to one."""
     ev = event_by_code(event) if isinstance(event, str) else event
     d = derive(params)
-    first = d.beta / 2 if ev.has_race else (1.0 - d.beta) / 2
-    return first * second_event_prob(ev.second, d)
+    return first_event_prob(ev, d) * second_event_prob(ev.second, d)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +296,7 @@ def payoff_table_rows(params: GameParams) -> list[dict[str, object]]:
         rows.append(
             {
                 "event": ev.code,
-                "prob_first": d.beta / 2 if ev.has_race else (1 - d.beta) / 2,
+                "prob_first": first_event_prob(ev, d),
                 "prob_second": second_event_prob(ev.second, d),
                 "u_mm_loses": expr_str(ev.mm_if_loses),
                 "u_sniper": expr_str(ev.sniper),

@@ -1,13 +1,15 @@
 """What the benchmark calls of the program still works.
 
 The benchmark's snipbench/workloads.py is imported read-only and one round of
-its sprt-replicates workload runs against this checkout.  The round
-uses ``stage_stream`` items' ``.utilities``, ``monitor_stream``'s
-(stage, utility, log_ratio, statistic, decision) rows, the fields of
-``MonitorResult`` and ``cli._thread_cap``; a change to any of them shows here
-as failed replicates or failed checks.  ``import sniplab.cli`` loads no numpy
-and no ``simulator``, so the modules the workloads reach are imported here by
-name.
+its sprt-replicates, gamma-sweep and campaign workloads runs against this
+checkout.  The sprt-replicates round uses ``stage_stream`` items'
+``.utilities``, ``monitor_stream``'s (stage, utility, log_ratio, statistic,
+decision) rows, the fields of ``MonitorResult`` and ``cli._thread_cap``; the
+other two run ``sweep``, ``simulate`` and ``monitor --stream`` through
+``cli.main`` and check every row and verdict against the benchmark's oracle.
+A change to any of them shows here as failed operations or failed checks.
+``import sniplab.cli`` loads no numpy and no ``simulator``, so the modules the
+workloads reach are imported here by name.
 """
 
 from pathlib import Path
@@ -40,5 +42,17 @@ def test_sprt_replicates_round(workloads, tmp_path):
     finally:
         workload.close()
     assert first.attempted == 2 * workload.PER_HYPOTHESIS
+    assert first.failed == 0
+    assert workload.check() == []
+
+
+@pytest.mark.parametrize("name", ["gamma-sweep", "campaign"])
+def test_cli_workload_round(workloads, tmp_path, name):
+    workload = workloads.WORKLOADS[name](sniplab, 1, tmp_path, sniplab.utility.PAYOFF_TABLE)
+    try:
+        first = workload.run_round(0)
+    finally:
+        workload.close()
+    assert first.attempted > 0
     assert first.failed == 0
     assert workload.check() == []

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -20,6 +21,14 @@ MIX = ["--H", "4", "--alpha", "0.45", "--mu", "0.3", "--delta", "0.5", "--gamma"
 
 def run(argv):
     return cli.main(argv)
+
+
+def run_process(argv):
+    """`python -m sniplab.cli argv` in a fresh interpreter, whose stderr also
+    holds what logging and warnings print."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "sniplab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def read_rows(path):
@@ -163,6 +172,17 @@ class TestAnalyze:
         assert run(argv) == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_underflowing_slope_numerator_gives_one_error_line(self, tmp_path):
+        # K(1) underflows to 0 at alpha 1e-320; it used to be taken for
+        # "probabilistic sniping already optimal" in a warning before the error
+        out = tmp_path / "a"
+        done = run_process(["analyze", "--H", "1000", "--alpha", "1e-320", "--mu", "0.5",
+                            "--delta", "0.5", "--gamma", "3", "--out", str(out)])
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: the no-sniping threshold overflows")
+        assert done.stderr.count("\n") == 1
+        assert not out.exists()
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(st.fixed_dictionaries(PLAUSIBLE), OVERRIDES)
@@ -383,6 +403,26 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: seeds must not repeat (got '1,2,1')\n"
         assert not out.exists()
 
+    def test_one_stage_refused(self, tmp_path, capsys):
+        # the standard error of one stage is undefined: it was written as nan
+        out = tmp_path / "one"
+        code = run(["simulate", *MIX, "--ht", "4", "--stages", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: stages must be >= 2 (got 1)\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning fails the run
+    def test_overflowing_summary_refused(self, tmp_path, capsys):
+        # payoffs near 1e200 are finite, but the squares behind the standard
+        # error overflow: the run used to exit 0 with std_error = inf
+        out = tmp_path / "big"
+        code = run(["simulate", *MIX[:-2], "--gamma", "1e200", "--ht", "3", "--hd", "1",
+                    "--stages", "1000", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: std_error = inf: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("gamma, kind", [(1.5, "sure"), (3.5, "probabilistic"),
                                              (9.0, "no_sniping")])
     def test_default_play_is_the_optimal_regime(self, tmp_path, gamma, kind):
@@ -456,6 +496,19 @@ class TestMonitor:
         )
         text = capsys.readouterr().out
         assert "decision = reject_h0" in text
+
+    @pytest.mark.parametrize("command", ["monitor", "simulate"])
+    def test_overflowing_payoff_refused(self, tmp_path, capsys, command):
+        # -gamma*(2-s) overflows at gamma 1e308: inline monitoring used to
+        # fold -inf utilities, and the engine to pay them
+        out = tmp_path / "big"
+        code = run([command, *MIX[:-2], "--gamma", "1e308", "--ht", "4", "--stages", "2000",
+                    "--seeds", "7", "--p", "0.5", "--spread", "0.3", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: a payoff at spread 0.3, gamma 1e+308 is not finite\n"
+        )
+        assert not out.exists()
 
     def test_needs_stream_or_roster(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -798,6 +851,21 @@ class TestParser:
             _flag(("--assumed-hd",), "assumed_hd", "int", 1),
         },
     }
+
+    def test_main_builds_one_parser(self, tmp_path, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        for gamma in ("1.5", "3.5"):
+            argv = ["analyze", *FIG7, "--gamma", gamma, "--out", str(tmp_path / gamma)]
+            assert run(argv) == 0
+        assert len(parsers) == 2
+        assert parsers[0] is parsers[1] is cli.build_parser()
 
     def test_flags_are_pinned(self):
         subcommands = cli.build_parser()._subparsers._group_actions[0].choices

@@ -61,16 +61,26 @@ class TestUtilityDistribution:
             assert closed.probs == pytest.approx(enum.probs, abs=1e-10)
 
     def test_support_holds_every_paid_utility_exactly(self):
-        # the engine pays utility.evaluate of the table cells; the law must
-        # hold those very floats, not values within SUPPORT_TOL of them
+        # the engine pays utility.payoffs and the law is built on them: the law
+        # must hold those very floats, not values within SUPPORT_TOL of them
         rng = np.random.default_rng(303)
         for _ in range(300):
             params, p, pop, s = random_setup(rng)
             agents = sim.compliance_roster(pop, p, s)
             run = sim.run_repeated(agents, params, 1024, seed=int(rng.integers(2**32)))
-            support = set(det.utility_distribution(params, p, pop, s).support)
+            support = det.utility_distribution(params, p, pop, s).support
             paid = set(np.unique(run.utilities).tolist())
-            assert paid <= support, (params, p, pop, s, paid - support)
+            assert paid <= set(support), (params, p, pop, s, paid - set(support))
+            table = utility.payoffs(s, params.gamma)
+            merged = []
+            for value in sorted({0.0, *(v for row in table for v in row)}):
+                if not merged or value - merged[-1] > det.SUPPORT_TOL:
+                    merged.append(value)
+            assert support == tuple(merged)
+            chunks = sim._stage_chunks(agents, params, np.random.default_rng(0))
+            next(chunks)
+            engine, want = chunks.gi_frame.f_locals["table"], np.array(table)
+            assert (engine.shape, engine.tobytes()) == (want.shape, want.tobytes())
 
     def test_sniper_loss_outcome_carries_full_news_mass(self):
         # the two reversal orderings both contribute; the halved variant is

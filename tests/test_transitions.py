@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sniplab import race
 from sniplab import transitions as tr
@@ -81,6 +82,23 @@ class TestThresholds:
         ]
         assert scaled[1] == pytest.approx(scaled[0], rel=1e-9)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(3, 10**6), st.floats(-12.0, 1.0), st.floats(-12.0, 1.0),
+           st.floats(-6.0, -0.001))
+    def test_slope_numerator_positive_at_gamma_one(self, h, log_alpha, log_mu, log_latency):
+        # thresholds refuses K(1) <= 0: over valid rates K(1) is positive, and
+        # it reaches zero only where it underflows (alpha near 1e-320)
+        alpha, mu = 10.0**log_alpha, 10.0**log_mu
+        pr = GameParams(H=h, alpha=alpha, mu=mu, delta=10.0**log_latency / (alpha + mu),
+                        gamma=1.0)
+        h1, dh1 = race.mm_loss_prob(1.0, h), race.mm_loss_prob_deriv(1.0, h)
+        assert tr._slope_kernel(h1, dh1, derive(pr), 0.0, h)[0] > 0
+
+    def test_non_positive_slope_numerator_refused(self, monkeypatch):
+        monkeypatch.setattr(tr, "_slope_kernel", lambda *args: (0.0, 1.0))
+        with pytest.raises(ValidationError, match=r"K\(1\) = 0.0 is not positive"):
+            tr.thresholds(params(3.0))
+
     def test_no_sniping_is_h_free(self):
         for h in (3, 5, 9):
             assert tr.gamma_to_no_sniping(params(3.0, H=h)) == pytest.approx(
@@ -133,7 +151,7 @@ class TestOptimalSniping:
     def test_sure_regime(self):
         regime = tr.optimal_sniping(params(1.7575))
         assert regime.kind == tr.SURE
-        assert regime.p_star is None
+        assert regime.p_star == 1.0
         assert regime.u_star == pytest.approx(
             tr.indifference_at(1.0, params(1.7575)).u_star
         )
@@ -148,6 +166,7 @@ class TestOptimalSniping:
     def test_no_sniping_regime(self):
         regime = tr.optimal_sniping(params(7.8313))
         assert regime.kind == tr.NO_SNIPING
+        assert regime.p_star == 0.0
         assert regime.u_star == 0.0
         regime = tr.optimal_sniping(params(9.0))
         assert regime.kind == tr.NO_SNIPING
