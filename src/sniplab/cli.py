@@ -345,29 +345,39 @@ def cmd_simulate(args: argparse.Namespace, params: GameParams, resolved: dict,
     }
     outputs = []
     summary_rows = []
-    # write and summarise each run before the next one is drawn
-    for seed in seeds:
-        run = simulator.run_repeated(agents, params, args.stages, seed)
-        name = f"stream_seed{seed}.csv"
-        simulator.write_stream_csv(str(out / name), run)
-        outputs.append(name)
-        with np.errstate(over="ignore"):  # an overflow is refused below
-            means = run.utilities.mean(axis=0)
-            errs = run.utilities.std(axis=0, ddof=1) / math.sqrt(args.stages)
-        for agent_id, cls in enumerate(classes):
-            summary_rows.append(_require_finite(
-                {
-                    "seed": seed,
-                    "agent_id": agent_id,
-                    "class": cls,
-                    "stages": args.stages,
-                    "mean_utility": float(means[agent_id]),
-                    "std_error": float(errs[agent_id]),
-                    "race_wins": int(run.race_wins[agent_id]),
-                    "analytic_mean": analytic[cls],
-                }
-            ))
-        del run
+    # summarise, check and write each run before the next one is drawn; the
+    # streams take their names only once every seed has passed, so a refused
+    # run removes what it wrote and leaves an earlier run's streams alone
+    partial = lambda name: out / f".{name}.partial"
+    try:
+        for seed in seeds:
+            run = simulator.run_repeated(agents, params, args.stages, seed)
+            with np.errstate(over="ignore"):  # an overflow is refused below
+                means = run.utilities.mean(axis=0)
+                errs = run.utilities.std(axis=0, ddof=1) / math.sqrt(args.stages)
+            for agent_id, cls in enumerate(classes):
+                summary_rows.append(_require_finite(
+                    {
+                        "seed": seed,
+                        "agent_id": agent_id,
+                        "class": cls,
+                        "stages": args.stages,
+                        "mean_utility": float(means[agent_id]),
+                        "std_error": float(errs[agent_id]),
+                        "race_wins": int(run.race_wins[agent_id]),
+                        "analytic_mean": analytic[cls],
+                    }
+                ))
+            name = f"stream_seed{seed}.csv"
+            outputs.append(name)
+            simulator.write_stream_csv(str(partial(name)), run)
+            del run
+    except BaseException:
+        for name in outputs:
+            partial(name).unlink(missing_ok=True)
+        raise
+    for name in outputs:
+        partial(name).replace(out / name)
     summary_rows.sort(key=lambda r: (r["seed"], r["agent_id"]))
     # the row's key order is the column order
     _write_csv(out / "summary.csv", list(summary_rows[0]), map(dict.values, summary_rows))

@@ -207,18 +207,17 @@ def analytic_mean_utility(
     if pop.total != params.H:
         raise ValidationError(f"population of {pop.total} does not match H={params.H}")
     if agent_class == TRUSTWORTHY:
-        ep = utility.endpoints(p, pop, params)
+        win = p * race.win_prob_given_entry_mixed(p, pop)
+        loss = race.mm_loss_prob_mixed(p, pop)
     elif agent_class == DECEPTIVE:
         win = race.win_prob_given_entry_mixed_deceptive(p, pop)
         loss = race.mm_loss_prob_mixed_deceptive(p, pop)
-        ep = utility.endpoints_from_race_probs(win, loss, derive(params))
     else:
         raise ValidationError(f"unknown agent class {agent_class!r}")
+    d = derive(params)
+    a, b, c, dd = utility.endpoint_values(win, loss, d, d.q)
     h = pop.total
-    return (
-        utility.utility_line(ep, "mm", s)
-        + (h - 1) * utility.utility_line(ep, "bandit", s)
-    ) / h
+    return ((c * (1.0 - s) + dd * s) + (h - 1) * (a * (1.0 - s) + b * s)) / h
 
 
 # Rows formatted per write: memory stays flat however many stages a run has.

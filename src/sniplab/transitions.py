@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from . import race, utility
 from .params import DerivedParams, GameParams, ValidationError, derive
-from .utility import IndifferencePoint, UtilityEndpoints
+from .utility import IndifferencePoint
 
 log = logging.getLogger(__name__)
 
@@ -106,14 +106,10 @@ def _root(f, lo: float, hi: float, flo: float, fhi: float) -> float:
             side = -1
 
 
-def _endpoints(p: float, d: DerivedParams, n_agents: int) -> UtilityEndpoints:
-    """Utility-line endpoints of the homogeneous game at sniping probability p."""
-    h = race.mm_loss_prob(p, n_agents)  # the market maker loses the race
-    return utility.endpoints_from_race_probs(h / (n_agents - 1), h, d)
-
-
 def _point(p: float, d: DerivedParams, n_agents: int) -> IndifferencePoint:
-    return utility.indifference(_endpoints(p, d, n_agents))
+    """Point of indifference of the homogeneous game at sniping probability p."""
+    h = race.mm_loss_prob(p, n_agents)  # the market maker loses the race
+    return utility.indifference(*utility.endpoint_values(h / (n_agents - 1), h, d, d.q))
 
 
 def indifference_at(p: float, params: GameParams) -> IndifferencePoint:

@@ -20,6 +20,11 @@ of 2.60384 for alpha=0.45, mu=0.5, delta=0.5, H=5 (tests/test_acceptance.py).
 Expected utilities for both roles are affine in the spread s, so they are
 summarised by their endpoints: the bandit line runs from A = E U_B(0) to
 B = E U_B(1), the market-maker line from C = E U_M(0) to D = E U_M(1).
+``endpoint_values`` gives them as the plain tuple (A, B, C, D), the one form
+of the lines: ``indifference`` intersects them, the slope kernel of
+``transitions`` differentiates them and ``simulator.analytic_mean_utility``
+evaluates them at a spread.  An event's probability is
+``first_event_prob(ev, d) * second_event_prob(ev.second, d)``.
 """
 
 from __future__ import annotations
@@ -27,9 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import race
 from .params import DerivedParams, GameParams, ValidationError, derive
-from .race import Population
 
 # Utility expressions as coefficients on (1, s, gamma, gamma*s).
 Expr = tuple[float, float, float, float]
@@ -100,8 +103,6 @@ PAYOFF_TABLE: tuple[EventSpec, ...] = (
     _quiet_row("LB", "NO", _S),
 )
 
-_TABLE_BY_CODE = {ev.code: ev for ev in PAYOFF_TABLE}
-
 
 def payoffs(s: float, gamma: float) -> list[tuple[float, float, float]]:
     """Each cell's (maker loses or no race, sniper, maker wins) utilities at
@@ -112,13 +113,6 @@ def payoffs(s: float, gamma: float) -> list[tuple[float, float, float]]:
     if not all(math.isfinite(v) for row in values for v in row):
         raise ValidationError(f"a payoff at spread {s}, gamma {gamma} is not finite")
     return values
-
-
-def event_by_code(code: str) -> EventSpec:
-    try:
-        return _TABLE_BY_CODE[code]
-    except KeyError:
-        raise ValidationError(f"unknown event code {code!r}") from None
 
 
 def second_event_prob(second: str, d: DerivedParams) -> float:
@@ -133,30 +127,9 @@ def first_event_prob(ev: EventSpec, d: DerivedParams) -> float:
     return d.beta / 2 if ev.has_race else (1.0 - d.beta) / 2
 
 
-def event_probability(event: EventSpec | str, params: GameParams) -> float:
-    """Probability of a two-event code; the twenty of them sum to one."""
-    ev = event_by_code(event) if isinstance(event, str) else event
-    d = derive(params)
-    return first_event_prob(ev, d) * second_event_prob(ev.second, d)
-
-
 # ---------------------------------------------------------------------------
 # Expected-utility lines
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UtilityEndpoints:
-    """Endpoints of the two expected-utility lines over s in [0, 1].
-
-    bandit0/bandit1: bandit line at s = 0 and s = 1 (A and B)
-    mm0/mm1: market-maker line at s = 0 and s = 1 (C and D)
-    """
-
-    bandit0: float
-    bandit1: float
-    mm0: float
-    mm1: float
 
 
 def endpoint_values(
@@ -178,38 +151,6 @@ def endpoint_values(
     )
 
 
-def endpoints_from_race_probs(
-    win_unconditional: float, mm_loss: float, d: DerivedParams
-) -> UtilityEndpoints:
-    """The utility endpoints from the two race probabilities (see endpoint_values)."""
-    return UtilityEndpoints(*endpoint_values(win_unconditional, mm_loss, d, d.q))
-
-
-def endpoints(p: float, pop: Population, params: GameParams) -> UtilityEndpoints:
-    """Utility-line endpoints for a trustworthy agent in the given population.
-
-    With no deceptive agents this reduces to the homogeneous game's endpoints
-    built from mm_loss_prob and win_prob_given_entry.
-    """
-    if pop.total != params.H:
-        raise ValidationError(
-            f"population of {pop.total} does not match H={params.H}"
-        )
-    d = derive(params)
-    win = p * race.win_prob_given_entry_mixed(p, pop)
-    loss = race.mm_loss_prob_mixed(p, pop)
-    return endpoints_from_race_probs(win, loss, d)
-
-
-def utility_line(ep: UtilityEndpoints, who: str, s: float) -> float:
-    """Evaluate one expected-utility line at spread s."""
-    if who == "bandit":
-        return ep.bandit0 * (1.0 - s) + ep.bandit1 * s
-    if who == "mm":
-        return ep.mm0 * (1.0 - s) + ep.mm1 * s
-    raise ValidationError(f"unknown line {who!r}")
-
-
 class ParallelLinesError(ValidationError):
     """The two utility lines are (numerically) parallel: the parameters have
     no point of indifference."""
@@ -220,28 +161,21 @@ PARALLEL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class IndifferencePoint:
-    """Intersection of the bandit and market-maker utility lines.
-
-    playable is True when the common utility is strictly positive, i.e. the
-    spread s_star is worth quoting for every agent regardless of role.
-    """
+    """Intersection of the bandit and market-maker utility lines."""
 
     s_star: float
     u_star: float
-    playable: bool
 
 
-def indifference(ep: UtilityEndpoints) -> IndifferencePoint:
-    """Intersection of the two lines: both roles earn u_star at spread s_star."""
-    a, b, c, d = ep.bandit0, ep.bandit1, ep.mm0, ep.mm1
+def indifference(a: float, b: float, c: float, d: float) -> IndifferencePoint:
+    """Intersection of the lines from endpoint_values' (A, B, C, D): both roles
+    earn u_star at spread s_star."""
     denom = (a - c) + (d - b)
     if abs(denom) < PARALLEL_TOL:
         raise ParallelLinesError(
             f"utility lines are parallel to within {PARALLEL_TOL}"
         )
-    s_star = (a - c) / denom
-    u_star = (a * d - b * c) / denom
-    return IndifferencePoint(s_star=s_star, u_star=u_star, playable=u_star > 0)
+    return IndifferencePoint(s_star=(a - c) / denom, u_star=(a * d - b * c) / denom)
 
 
 def bandit_zero_crossing(params: GameParams) -> float:
@@ -261,31 +195,18 @@ def bandit_zero_crossing(params: GameParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _poly_str(const: float, slope: float) -> str:
-    """Render const + slope*s compactly, e.g. '2-s', 's', '0', '1+s'."""
-
-    def num(x: float) -> str:
-        return str(int(x)) if float(x).is_integer() else repr(x)
-
-    if slope == 0:
-        return num(const)
-    s_term = "s" if abs(slope) == 1 else f"{num(abs(slope))}*s"
-    if const == 0:
-        return s_term if slope > 0 else f"-{s_term}"
-    sign = "+" if slope > 0 else "-"
-    return f"{num(const)}{sign}{s_term}"
-
-
-def expr_str(expr: Expr) -> str:
-    """Human-readable form of a utility expression."""
-    c0, cs, cg, cgs = expr
-    if cg == 0 and cgs == 0:
-        return _poly_str(c0, cs)
-    if c0 == 0 and cs == 0:
-        # gamma * (cg + cgs*s); table entries are -gamma*(positive payoff)
-        inner = _poly_str(-cg, -cgs)
-        return f"-gamma*({inner})" if inner != "s" else "-gamma*s"
-    return f"{_poly_str(c0, cs)}+gamma*({_poly_str(cg, cgs)})"
+# The text of each utility expression, as payoff_table.csv shows it.
+_EXPR_TEXT: dict[Expr, str] = {
+    _ZERO: "0",
+    _S: "s",
+    _2S: "2*s",
+    _ONE_MINUS_S: "1-s",
+    _TWO_MINUS_S: "2-s",
+    _ONE_PLUS_S: "1+s",
+    _NEG_G_ONE_MINUS_S: "-gamma*(1-s)",
+    _NEG_G_TWO_MINUS_S: "-gamma*(2-s)",
+    _NEG_GS: "-gamma*s",
+}
 
 
 def payoff_table_rows(params: GameParams) -> list[dict[str, object]]:
@@ -298,9 +219,9 @@ def payoff_table_rows(params: GameParams) -> list[dict[str, object]]:
                 "event": ev.code,
                 "prob_first": first_event_prob(ev, d),
                 "prob_second": second_event_prob(ev.second, d),
-                "u_mm_loses": expr_str(ev.mm_if_loses),
-                "u_sniper": expr_str(ev.sniper),
-                "u_mm_wins": expr_str(ev.mm_if_wins),
+                "u_mm_loses": _EXPR_TEXT[ev.mm_if_loses],
+                "u_sniper": _EXPR_TEXT[ev.sniper],
+                "u_mm_wins": _EXPR_TEXT[ev.mm_if_wins],
             }
         )
     return rows

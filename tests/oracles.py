@@ -15,8 +15,8 @@ implementation of, and the tests compare the two:
   probabilities;
 * ``slope_numerator`` -- the slope numerator N'Q - NQ' assembled as it was
   before ``transitions`` evaluated it from two race values: a fresh
-  ``derive``, then ``UtilityEndpoints``, then the derivative terms; the
-  package's kernel must give the same bits;
+  ``derive``, then ``utility.endpoint_values`` at ``d.q``, then the
+  derivative terms; the package's kernel must give the same bits;
 * ``gamma_to_probabilistic_by_reference`` -- the sure-to-probabilistic
   threshold by the package's bracket and root-finder on that reference;
 * ``gamma_to_no_sniping_by_slope`` -- the no-sniping threshold as the root of
@@ -116,7 +116,7 @@ def utility_distribution_enum(
     entry_mm_trusty = full_length_pmf(ht - 2, p) if ht >= 2 else []
     entry_mm_rogue = entry_as_mm
     for ev in utility.PAYOFF_TABLE:
-        pe = utility.event_probability(ev, params)
+        pe = utility.first_event_prob(ev, d) * utility.second_event_prob(ev.second, d)
         mm_lose = utility.evaluate(ev.mm_if_loses, s, gamma)
         if not ev.has_race:
             pairs.append((mm_lose, pe / h))
@@ -149,13 +149,12 @@ def utility_distribution_enum(
 
 def slope_numerator(p: float, params: GameParams) -> float:
     """N'(p)Q(p) - N(p)Q'(p) at params, from a fresh derive and the endpoints
-    built by utility.endpoints_from_race_probs."""
+    from utility.endpoint_values at d.q."""
     d, n = derive(params), params.H
     dh = race.mm_loss_prob_deriv(p, n)
     dwin = dh / (n - 1)  # (p*g(p))'
     h = race.mm_loss_prob(p, n)
-    ep = utility.endpoints_from_race_probs(h / (n - 1), h, d)
-    a, b, c, dd = ep.bandit0, ep.bandit1, ep.mm0, ep.mm1
+    a, b, c, dd = utility.endpoint_values(h / (n - 1), h, d, d.q)
     da = d.m * d.beta * dwin
     db = -d.alpha_bar * d.q * d.beta * dwin
     dc = -d.beta * (d.m * (d.q + 1) - d.mu_bar * d.q) * dh

@@ -69,14 +69,16 @@ def brute_force_u_star(p, params, table):
     and the lines are intersected; race probabilities come from the binomial
     entry counts.
     """
-    h = params.H
+    h, derived = params.H, derive(params)
     mm_loss = _binom_expect(h - 1, p, lambda k: k / (k + 1))
     win = p * _binom_expect(h - 2, p, lambda k: 1 / (k + 2))
 
     def role_utilities(s):
         bandit = mm = 0.0
         for ev in table:
-            pe = utility.event_probability(ev, params)
+            pe = utility.first_event_prob(ev, derived) * utility.second_event_prob(
+                ev.second, derived
+            )
             u = lambda expr: utility.evaluate(expr, s, params.gamma)
             if ev.has_race:
                 bandit += pe * win * u(ev.sniper)
@@ -221,9 +223,11 @@ def test_criterion_3_derivative_checks():
     th = tr.thresholds(fig7(2.0))
     slope_at_gk = tr.indifference_slope(1.0, fig7(th.to_probabilistic))
     gl_params = fig7(th.to_no_sniping)
-    ep = tr._endpoints(0.0, derive(gl_params), gl_params.H)
-    q0 = (ep.bandit0 - ep.mm0) + (ep.mm1 - ep.bandit1)
-    nprime0 = tr._slope_terms(0.0, derive(gl_params), gl_params.H)[0] / q0
+    gl_d, n = derive(gl_params), gl_params.H
+    h0 = race.mm_loss_prob(0.0, n)
+    a, b, c, dd = utility.endpoint_values(h0 / (n - 1), h0, gl_d, gl_d.q)
+    q0 = (a - c) + (dd - b)
+    nprime0 = tr._slope_terms(0.0, gl_d, n)[0] / q0
     elapsed = time.perf_counter() - t0
     ok = (
         worst_race < 1e-6
@@ -307,7 +311,11 @@ def test_criterion_5_probability_closure_and_brute_force():
     worst_events = worst_dist = 0.0
     for _ in range(1000):
         params, p, pop, s = _random_setup(rng)
-        total = sum(utility.event_probability(ev, params) for ev in utility.PAYOFF_TABLE)
+        d = derive(params)
+        total = sum(
+            utility.first_event_prob(ev, d) * utility.second_event_prob(ev.second, d)
+            for ev in utility.PAYOFF_TABLE
+        )
         worst_events = max(worst_events, abs(total - 1.0))
         dist = det.utility_distribution(params, p, pop, s)
         worst_dist = max(worst_dist, abs(sum(dist.probs) - 1.0))

@@ -423,6 +423,22 @@ class TestSimulate:
         assert err.startswith("error: std_error = inf: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("seeds, stages", [("1,2", "10000"), ("3,1", "2")])
+    def test_refused_run_leaves_no_stream(self, tmp_path, capsys, seeds, stages):
+        # a stream used to be written before its seed's summary was checked.
+        # Seed 1's standard error overflows, before this run writes a stream
+        # (1,2) or after it writes seed 3's (3,1); the --out directory holds
+        # an earlier run's files, which stay as they were
+        argv = ["simulate", "--H", "5", "--alpha", "0.45", "--mu", "0.3", "--delta", "0.5",
+                "--gamma", "1e200", "--ht", "5", "--p", "1", "--spread", "0.5",
+                "--out", str(tmp_path)]
+        assert run([*argv, "--stages", "2", "--seeds", "3"]) == 0
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run([*argv, "--stages", stages, "--seeds", seeds]) == 2
+        assert capsys.readouterr().err.startswith("error: std_error = inf: ")
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize("gamma, kind", [(1.5, "sure"), (3.5, "probabilistic"),
                                              (9.0, "no_sniping")])
     def test_default_play_is_the_optimal_regime(self, tmp_path, gamma, kind):

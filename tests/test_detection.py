@@ -102,15 +102,16 @@ class TestUtilityDistribution:
         s = 0.4
         dist = det.utility_distribution(params, 1.0, Population(5, 0), s)
         g = race.win_prob_given_entry(1.0, params.H)
+        d = derive(params)
         expected: dict[float, float] = {}
         for ev in utility.PAYOFF_TABLE:
             if not ev.has_race:
                 continue
             value = utility.evaluate(ev.sniper, s, params.gamma)
             if value != 0.0:
-                expected[value] = expected.get(value, 0.0) + utility.event_probability(
-                    ev, params
-                )
+                expected[value] = expected.get(value, 0.0) + utility.first_event_prob(
+                    ev, d
+                ) * utility.second_event_prob(ev.second, d)
         assert len(expected) == 3
         for value, mass in expected.items():
             got = dist.probs[dist.index_of(value)]

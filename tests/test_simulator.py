@@ -205,8 +205,9 @@ class TestEmpiricalFrequencies:
         _, run = big_run
         n = len(run.utilities)
         counts = np.bincount(run.events, minlength=20)
+        d = derive(FIG7)
         for idx, ev in enumerate(utility.PAYOFF_TABLE):
-            prob = utility.event_probability(ev, FIG7)
+            prob = utility.first_event_prob(ev, d) * utility.second_event_prob(ev.second, d)
             se = math.sqrt(prob * (1 - prob) / n)
             assert abs(counts[idx] / n - prob) < 4 * se, ev.code
 

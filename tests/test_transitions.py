@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sniplab import race
 from sniplab import transitions as tr
+from sniplab import utility
 from sniplab.params import DerivedParams, GameParams, ValidationError, derive
 
 import oracles
@@ -47,8 +48,9 @@ class TestSlope:
         pr = params(3.0)
         point = tr.indifference_at(0.0, pr)
         assert point.u_star == pytest.approx(0.0, abs=1e-15)
-        ep = tr._endpoints(0.0, derive(pr), pr.H)
-        assert point.s_star == pytest.approx(-ep.mm0 / (ep.mm1 - ep.mm0), abs=1e-12)
+        d = derive(pr)
+        _, _, c, dd = utility.endpoint_values(0.0, race.mm_loss_prob(0.0, pr.H), d, d.q)
+        assert point.s_star == pytest.approx(-c / (dd - c), abs=1e-12)
 
 
 class TestThresholds:
@@ -230,7 +232,7 @@ def recording(log, fn, position=0):
 
 class TestSlopeKernel:
     def test_kernel_is_the_reference_assembly_bit_for_bit(self):
-        # the float kernel against a fresh derive, UtilityEndpoints and the
+        # the float kernel against a fresh derive, endpoint_values and the
         # derivative terms, by ==: at p = 0 and 1, n*p < 1 (binomial sums) and
         # any p, and in gamma through the sure-to-probabilistic threshold
         # H log-uniform on 3..10,000, gamma on [1, 60], (alpha + mu) delta < 1

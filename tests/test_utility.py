@@ -3,22 +3,19 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sniplab import race, utility
+from sniplab import race, simulator, utility
 from sniplab.params import GameParams, ValidationError, derive
 from sniplab.race import Population
 from sniplab.utility import (
     PAYOFF_TABLE,
-    IndifferencePoint,
     ParallelLinesError,
-    UtilityEndpoints,
     bandit_zero_crossing,
-    endpoints,
-    event_by_code,
-    event_probability,
+    endpoint_values,
     evaluate,
+    first_event_prob,
     indifference,
     payoff_table_rows,
-    utility_line,
+    second_event_prob,
 )
 
 import oracles
@@ -30,6 +27,28 @@ def params(gamma=2.0, **overrides):
     kwargs = dict(FIG_PARAMS, gamma=gamma)
     kwargs.update(overrides)
     return GameParams(**kwargs)
+
+
+BY_CODE = {ev.code: ev for ev in PAYOFF_TABLE}
+
+
+def event_prob(ev, pr):
+    d = derive(pr)
+    return first_event_prob(ev, d) * second_event_prob(ev.second, d)
+
+
+def lines(p_snipe, pr):
+    """(A, B, C, D) of a trustworthy agent among H trustworthy agents, from the
+    mixed race probabilities, as analytic_mean_utility builds them."""
+    pop = Population(pr.H, 0)
+    d = derive(pr)
+    win = p_snipe * race.win_prob_given_entry_mixed(p_snipe, pop)
+    return endpoint_values(win, race.mm_loss_prob_mixed(p_snipe, pop), d, d.q)
+
+
+def line_at(at0, at1, s):
+    """A utility line with values at0 at s = 0 and at1 at s = 1, at spread s."""
+    return at0 * (1.0 - s) + at1 * s
 
 
 valid_params_st = st.builds(
@@ -136,28 +155,28 @@ class TestPayoffTable:
 
     def test_reference_cells(self):
         s, gamma = 0.3, 2.0
-        assert evaluate(event_by_code("NG-LA").mm_if_loses, s, gamma) == pytest.approx(
+        assert evaluate(BY_CODE["NG-LA"].mm_if_loses, s, gamma) == pytest.approx(
             -2.0 * (1 - s)
         )
-        assert evaluate(event_by_code("NG-NG").sniper, s, gamma) == pytest.approx(2 - s)
-        assert evaluate(event_by_code("LA-LB").mm_if_loses, s, gamma) == pytest.approx(2 * s)
+        assert evaluate(BY_CODE["NG-NG"].sniper, s, gamma) == pytest.approx(2 - s)
+        assert evaluate(BY_CODE["LA-LB"].mm_if_loses, s, gamma) == pytest.approx(2 * s)
         for code in ("NG-LA", "NB-LB"):  # the sniper takes nothing from a spent quote
-            assert evaluate(event_by_code(code).sniper, s, gamma) == 0.0
+            assert evaluate(BY_CODE[code].sniper, s, gamma) == 0.0
 
 
 class TestEventProbability:
     def test_reference_cells(self):
         p = params()
         d = derive(p)
-        assert event_probability("NG-LA", p) == pytest.approx(d.beta / 2 * d.mu_bar)
-        assert event_probability("NB-NO", p) == pytest.approx(
+        assert event_prob(BY_CODE["NG-LA"], p) == pytest.approx(d.beta / 2 * d.mu_bar)
+        assert event_prob(BY_CODE["NB-NO"], p) == pytest.approx(
             d.beta / 2 * (1 - 2 * (d.alpha_bar + d.mu_bar))
         )
 
     @given(valid_params_st)
     @settings(max_examples=200)
     def test_closure(self, p):
-        total = sum(event_probability(ev, p) for ev in PAYOFF_TABLE)
+        total = sum(event_prob(ev, p) for ev in PAYOFF_TABLE)
         assert math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-14)
 
 
@@ -190,84 +209,82 @@ class TestEndpoints:
     @pytest.mark.parametrize("gamma", [1.0, 2.515, 4.0])
     def test_lines_match_direct_sums(self, p_snipe, gamma):
         pr = params(gamma=gamma)
-        ep = endpoints(p_snipe, Population(pr.H, 0), pr)
+        a, b, c, dd = lines(p_snipe, pr)
         for s in (0.0, 0.25, 0.5, 0.75, 1.0):
             mm, bandit = oracle_expected_utilities(s, p_snipe, pr)
-            assert utility_line(ep, "mm", s) == pytest.approx(mm, abs=1e-12)
-            assert utility_line(ep, "bandit", s) == pytest.approx(bandit, abs=1e-12)
+            assert line_at(c, dd, s) == pytest.approx(mm, abs=1e-12)
+            assert line_at(a, b, s) == pytest.approx(bandit, abs=1e-12)
 
     def test_no_deceptive_reduction(self):
         pr = params(gamma=3.0)
         d = derive(pr)
-        ep = endpoints(0.4, Population(pr.H, 0), pr)
+        a, b, c, dd = lines(0.4, pr)
         pg = 0.4 * race.win_prob_given_entry(0.4, pr.H)
         h = race.mm_loss_prob(0.4, pr.H)
-        assert ep.bandit0 == pytest.approx(d.m * d.beta * pg, abs=1e-14)
-        assert ep.bandit1 == pytest.approx(-d.alpha_bar * d.q * d.beta * pg, abs=1e-14)
-        assert ep.mm0 == pytest.approx(
+        assert a == pytest.approx(d.m * d.beta * pg, abs=1e-14)
+        assert b == pytest.approx(-d.alpha_bar * d.q * d.beta * pg, abs=1e-14)
+        assert c == pytest.approx(
             -(d.q * d.theta_bar + d.beta * (d.m * pr.gamma - d.mu_bar * d.q) * h),
             abs=1e-14,
         )
-        assert ep.mm1 == pytest.approx(
+        assert dd == pytest.approx(
             (1 + d.mu_bar) - d.beta * (d.m + d.alpha_bar * d.q * h), abs=1e-14
         )
 
     def test_risk_neutral_bandit_endpoint(self):
-        ep = endpoints(1.0, Population(5, 0), params(gamma=1.0))
-        assert ep.bandit1 == 0.0
+        assert lines(1.0, params(gamma=1.0))[1] == 0.0
 
     def test_no_sniping_endpoints(self):
         pr = params(gamma=3.0)
         d = derive(pr)
-        ep = endpoints(0.0, Population(pr.H, 0), pr)
-        assert ep.bandit0 == 0.0
-        assert ep.bandit1 == 0.0
-        assert ep.mm0 == pytest.approx(-d.q * d.theta_bar, abs=1e-15)
-        assert ep.mm1 == pytest.approx((1 + d.mu_bar) - d.beta * d.m, abs=1e-15)
+        a, b, c, dd = lines(0.0, pr)
+        assert a == 0.0
+        assert b == 0.0
+        assert c == pytest.approx(-d.q * d.theta_bar, abs=1e-15)
+        assert dd == pytest.approx((1 + d.mu_bar) - d.beta * d.m, abs=1e-15)
 
     @pytest.mark.parametrize("p_snipe", [0.2, 0.8])
     def test_monotone_in_gamma(self, p_snipe):
         eps = 1e-4
-        lo = endpoints(p_snipe, Population(5, 0), params(gamma=2.0))
-        hi = endpoints(p_snipe, Population(5, 0), params(gamma=2.0 + eps))
-        assert hi.bandit0 == lo.bandit0  # dA/dgamma = 0
-        assert hi.bandit1 < lo.bandit1
-        assert hi.mm0 < lo.mm0
-        assert hi.mm1 < lo.mm1
+        lo = lines(p_snipe, params(gamma=2.0))
+        hi = lines(p_snipe, params(gamma=2.0 + eps))
+        assert hi[0] == lo[0]  # dA/dgamma = 0
+        assert hi[1] < lo[1]
+        assert hi[2] < lo[2]
+        assert hi[3] < lo[3]
 
     @pytest.mark.parametrize("gamma", [1.5, 3.0])
     def test_monotone_in_p(self, gamma):
-        pop = Population(5, 0)
         pr = params(gamma=gamma)
-        lo = endpoints(0.4, pop, pr)
-        hi = endpoints(0.4 + 1e-4, pop, pr)
-        assert hi.bandit0 > lo.bandit0
-        assert hi.bandit1 < lo.bandit1
-        assert hi.mm0 < lo.mm0
-        assert hi.mm1 < lo.mm1
+        lo = lines(0.4, pr)
+        hi = lines(0.4 + 1e-4, pr)
+        assert hi[0] > lo[0]
+        assert hi[1] < lo[1]
+        assert hi[2] < lo[2]
+        assert hi[3] < lo[3]
 
     def test_population_mismatch(self):
-        with pytest.raises(ValidationError):
-            endpoints(0.5, Population(3, 0), params())
+        for cls in (simulator.TRUSTWORTHY, simulator.DECEPTIVE):
+            with pytest.raises(ValidationError):
+                simulator.analytic_mean_utility(cls, 0.5, 0.5, Population(3, 0), params())
 
 
 class TestIndifference:
     def test_intersection_at_left_endpoint(self):
-        point = indifference(UtilityEndpoints(bandit0=0.4, bandit1=-1.0, mm0=0.4, mm1=1.0))
+        point = indifference(0.4, -1.0, 0.4, 1.0)
         assert point.s_star == 0.0
         assert point.u_star == pytest.approx(0.4)
 
     def test_symmetric_toy(self):
-        point = indifference(UtilityEndpoints(1.0, 0.0, 0.0, 1.0))
+        point = indifference(1.0, 0.0, 0.0, 1.0)
         assert point.s_star == pytest.approx(0.5)
         assert point.u_star == pytest.approx(0.5)
-        assert point.playable
 
     def test_parallel_lines_error(self):
         # parameters without a point of indifference are invalid input: exit 2
         assert issubclass(ParallelLinesError, ValidationError)
         with pytest.raises(ParallelLinesError):
-            indifference(UtilityEndpoints(1.0, 1.0, 0.0, 0.0))
+            indifference(1.0, 1.0, 0.0, 0.0)
 
     @given(
         valid_params_st,
@@ -275,13 +292,10 @@ class TestIndifference:
     )
     @settings(max_examples=200)
     def test_lines_agree_at_intersection(self, pr, p_snipe):
-        ep = endpoints(p_snipe, Population(pr.H, 0), pr)
-        assert ep.bandit0 >= 0.0 >= ep.bandit1
-        point = indifference(ep)
-        assert abs(
-            utility_line(ep, "bandit", point.s_star)
-            - utility_line(ep, "mm", point.s_star)
-        ) < 1e-12
+        a, b, c, dd = lines(p_snipe, pr)
+        assert a >= 0.0 >= b
+        point = indifference(a, b, c, dd)
+        assert abs(line_at(a, b, point.s_star) - line_at(c, dd, point.s_star)) < 1e-12
 
 
 class TestBanditZeroCrossing:
@@ -295,11 +309,11 @@ class TestBanditZeroCrossing:
         assert got == pytest.approx(expected, abs=1e-15)
         # cross-check: bisection on the evaluated bandit line
         for p_snipe in (0.3, 0.9):
-            ep = endpoints(p_snipe, Population(pr.H, 0), pr)
+            a, b, _, _ = lines(p_snipe, pr)
             lo, hi = 0.0, 1.0
             for _ in range(100):
                 mid = (lo + hi) / 2
-                if utility_line(ep, "bandit", mid) > 0:
+                if line_at(a, b, mid) > 0:
                     lo = mid
                 else:
                     hi = mid
@@ -311,10 +325,10 @@ class TestBanditZeroCrossing:
         # line roots at two sniping probabilities must give the same spread
         if pr.gamma == 1.0:
             return
-        ep1 = endpoints(0.25, Population(pr.H, 0), pr)
-        ep2 = endpoints(0.75, Population(pr.H, 0), pr)
-        root1 = ep1.bandit0 / (ep1.bandit0 - ep1.bandit1)
-        root2 = ep2.bandit0 / (ep2.bandit0 - ep2.bandit1)
+        a1, b1, _, _ = lines(0.25, pr)
+        a2, b2, _, _ = lines(0.75, pr)
+        root1 = a1 / (a1 - b1)
+        root2 = a2 / (a2 - b2)
         assert math.isclose(root1, root2, rel_tol=0, abs_tol=1e-14)
 
 
