@@ -110,20 +110,23 @@ def _binom_pmf(n: int, p: float) -> enumerate:
     in the thousands, where comb(n, k) overflows a float and (1-p)^n
     underflows.  p = 0 and p = 1 give exact point masses.
 
-    The lower side stops at the first term that underflows to 0.  The upper
-    side stops at the first term at or below 2**-56 of up[1], the first term
+    The terms go into one list, w[k] below, with 1.0 at the mode: the lower
+    side from the mode down, reversed in place, then the upper side.  The
+    lower side stops at the first term that underflows to 0.  The upper side
+    stops at the first term at or below 2**-56 of w[mode+1], the first term
     past the mode.  Every sum over the weights, taken in order of k by plain
     left-to-right float addition, keeps every bit under that cut:
 
     * past the mode the terms only fall, and they are added last;
     * the normalising total is >= 1 by then (it holds the mode's 1.0), and
-      each dropped term is at most 2**-56 up[1] <= 2**-56, under half an
+      each dropped term is at most 2**-56 w[mode+1] <= 2**-56, under half an
       ulp of it;
     * an expectation sum of w * f(k) by then holds w[mode+1] f(mode+1), and
       each caller's f has 0 <= f(k) <= 2 f(mode+1) beyond the mode, so each
       dropped product is at most 2**-55 of the sum, and half an ulp of a
       positive normal float S exceeds 2**-54 S.  (A nonzero dropped term
-      needs up[2] > 0, and up[2] <= up[1]**2, so S is far from subnormal.)
+      needs w[mode+2] > 0, and w[mode+2] <= w[mode+1]**2, so S is far from
+      subnormal.)
 
     So fl(S + t) = S for each dropped term t: the sum with the tail is the
     sum without it.  Python 3.12's compensated ``sum`` carries the low-order
@@ -131,25 +134,25 @@ def _binom_pmf(n: int, p: float) -> enumerate:
     """
     q = 1.0 - p
     mode = min(n, int((n + 1) * p))
-    up = [1.0]  # mass at mode, mode + 1, ...
-    if mode < n:
-        cut = (n - mode) * p / ((mode + 1) * q) * 2.0**-56  # up[1] * 2**-56
-        term = 1.0
-        for k in range(mode, n):
-            term *= (n - k) * p / ((k + 1) * q)
-            if term <= cut:
-                break  # the ratio falls beyond the mode, so the rest is smaller
-            up.append(term)
-    down = [1.0]  # mass at mode, mode - 1, ...
+    w = [1.0]  # mass at mode, mode - 1, ...
     term = 1.0
     for k in range(mode, 0, -1):
         term *= k * q / ((n - k + 1) * p)
         if term == 0.0:
             break
-        down.append(term)
-    w = down[:0:-1] + up
+        w.append(term)
+    start = mode + 1 - len(w)
+    w.reverse()  # mass at start, ..., mode; the upper side follows
+    if mode < n:
+        cut = (n - mode) * p / ((mode + 1) * q) * 2.0**-56  # w[mode+1] * 2**-56
+        term = 1.0
+        for k in range(mode, n):
+            term *= (n - k) * p / ((k + 1) * q)
+            if term <= cut:
+                break  # the ratio falls beyond the mode, so the rest is smaller
+            w.append(term)
     total = sum(w)
-    return enumerate([x / total for x in w], mode + 1 - len(down))
+    return enumerate([x / total for x in w], start)
 
 
 def mm_loss_prob(p: float, n_agents: int) -> float:

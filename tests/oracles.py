@@ -6,6 +6,9 @@ implementation of, and the tests compare the two:
 * ``full_length_pmf`` -- the mass of Bin(n, p) on all of 0..n, zeros included,
   with neither tail cut; every enumeration below sums over it, so none of them
   shares the window of ``race._binom_pmf``;
+* ``binom_pmf_two_lists`` -- ``race._binom_pmf``'s window built as two lists,
+  one per side of the mode, joined by slicing: the weights, in order, that
+  the one-list build must reproduce;
 * ``mm_loss_prob_enum`` and ``win_prob_given_entry_enum`` -- the homogeneous
   race probabilities as plain binomial expectations, without the closed forms;
 * ``win_prob_given_entry_mixed_two_urn`` -- the mixed-population win
@@ -53,6 +56,32 @@ def full_length_pmf(n: int, p: float) -> list[float]:
         w[k - 1] = nxt
     total = sum(w)
     return [x / total for x in w]
+
+
+def binom_pmf_two_lists(n: int, p: float) -> enumerate:
+    """The (k, mass at k) pairs of race._binom_pmf, from an upper list and a
+    lower list, each starting at the mode, joined as down[:0:-1] + up."""
+    q = 1.0 - p
+    mode = min(n, int((n + 1) * p))
+    up = [1.0]  # mass at mode, mode + 1, ...
+    if mode < n:
+        cut = (n - mode) * p / ((mode + 1) * q) * 2.0**-56  # up[1] * 2**-56
+        term = 1.0
+        for k in range(mode, n):
+            term *= (n - k) * p / ((k + 1) * q)
+            if term <= cut:
+                break
+            up.append(term)
+    down = [1.0]  # mass at mode, mode - 1, ...
+    term = 1.0
+    for k in range(mode, 0, -1):
+        term *= k * q / ((n - k + 1) * p)
+        if term == 0.0:
+            break
+        down.append(term)
+    w = down[:0:-1] + up
+    total = sum(w)
+    return enumerate([x / total for x in w], mode + 1 - len(down))
 
 
 def full_length_expect(n: int, p: float, f) -> float:

@@ -60,6 +60,23 @@ def exact_expect(m, p, f):
     return sum(math.comb(m, k) * p**k * q ** (m - k) * f(k) for k in range(m + 1))
 
 
+@st.composite
+def pmf_arguments(draw):
+    """(n, p) for Bin(n, p): n on 1..10,000 and p at an end of [0, 1],
+    log-uniform down to 1e-300, or a few ulps from k/n or from k/(n+1), where
+    the mode steps."""
+    n = draw(st.integers(1, 10_000))
+    kind = draw(st.sampled_from(["end", "log", "near"]))
+    if kind == "end":
+        return n, draw(st.sampled_from([0.0, 1.0]))
+    if kind == "log":
+        return n, 10.0 ** draw(st.floats(-300.0, 0.0))
+    p = draw(st.integers(0, n)) / draw(st.sampled_from([n, n + 1]))
+    for _ in range(draw(st.integers(0, 3))):
+        p = math.nextafter(p, draw(st.sampled_from([0.0, 1.0])))
+    return n, p
+
+
 class TestHomogeneous:
     def test_mm_loss_known_points(self):
         assert race.mm_loss_prob(1.0, 5) == pytest.approx(0.8, abs=1e-15)
@@ -181,6 +198,16 @@ class TestHomogeneous:
         # near p* at H in the thousands, only ~18 of ~170 nonzero terms can
         # reach a float sum
         assert len(list(race._binom_pmf(9999, 0.85e-4))) <= 25
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(pmf_arguments())
+    @example((1, 0.5))
+    @example((10_000, 0.5))
+    def test_pmf_weights_match_two_list_build(self, args):
+        # the one-list window gives the same pairs (k, weight), in the same
+        # order and with the same normalisation, as two lists joined by slicing
+        n, p = args
+        assert list(race._binom_pmf(n, p)) == list(oracles.binom_pmf_two_lists(n, p))
 
     def test_homogeneous_solve_at_large_h(self):
         params = GameParams(H=5000, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sniplab.params import DerivedParams, GameParams, ValidationError, derive
 import oracles
 
 FIG = dict(H=5, alpha=0.45, mu=0.5, delta=0.5)
+SCAN_GRID = [i / 20 for i in range(21)]  # where optimal_sniping scans du*/dp
 
 
 def slope_numerator(p, pr):
@@ -254,10 +256,12 @@ class TestSlopeKernel:
 
     def test_probabilistic_row_work_counts(self, monkeypatch):
         # counts that host noise cannot move, over one h-sweep row at H = 2,000:
-        # one derive per entry point, the no-sniping closed form once, each
-        # slope once per p, p* raced twice
+        # one derive per entry point, the no-sniping closed form once, the
+        # scan's race values once per grid point, each root slope once per p,
+        # p* raced twice
         pr = GameParams(H=2000, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
-        built, derived, closed, kernel_qs, slope_ps, loss_ps = [], [], [], [], [], []
+        built, derived, closed, kernel_qs, slope_ps = [], [], [], [], []
+        loss_ps, deriv_ps = [], []
         for cls in (GameParams, DerivedParams):
             monkeypatch.setattr(cls, "__post_init__", recording(built, cls.__post_init__))
         monkeypatch.setattr(tr, "derive", recording(derived, derive))
@@ -265,8 +269,12 @@ class TestSlopeKernel:
         monkeypatch.setattr(tr, "_slope_kernel", recording(kernel_qs, tr._slope_kernel, 3))
         monkeypatch.setattr(tr, "_slope_terms", recording(slope_ps, tr._slope_terms))
         monkeypatch.setattr(race, "mm_loss_prob", recording(loss_ps, race.mm_loss_prob))
+        monkeypatch.setattr(race, "mm_loss_prob_deriv",
+                            recording(deriv_ps, race.mm_loss_prob_deriv))
         th = tr.thresholds(pr)
         threshold_qs = list(kernel_qs)  # K(gamma) takes q = gamma - 1
+        del deriv_ps[:]  # thresholds races p = 1 for K(gamma)
+        tr._scan_race.cache_clear()  # an earlier test may have scanned H = 2,000
         row = tr.regime_row(pr, th)
         assert row["regime"] == tr.PROBABILISTIC
         # thresholds and regime_row
@@ -274,5 +282,44 @@ class TestSlopeKernel:
         assert len(derived) == 2
         assert len(closed) == 1
         assert len(threshold_qs) == len(set(threshold_qs)) > 0
-        assert len(slope_ps) == len(set(slope_ps)) > 21
+        # the scan races each grid point once; the root's slopes lie off the grid
+        assert sorted(p for p in deriv_ps if p in SCAN_GRID) == SCAN_GRID
+        assert len(slope_ps) == len(set(slope_ps)) > 0
+        assert set(SCAN_GRID).isdisjoint(slope_ps)
+        assert len(deriv_ps) == len(SCAN_GRID) + len(slope_ps)
         assert loss_ps.count(row["p_star"]) <= 2
+
+    def test_gamma_sweep_races_the_scan_once(self, monkeypatch):
+        # 20 probabilistic rows at one H race the 21 scan points once in all,
+        # not once per row (420 calls)
+        pr = params(3.0)
+        th = tr.thresholds(pr)  # outside the count: it races p = 1
+        deriv_ps = []
+        monkeypatch.setattr(race, "mm_loss_prob_deriv",
+                            recording(deriv_ps, race.mm_loss_prob_deriv))
+        tr._scan_race.cache_clear()
+        rows = [tr.regime_row(replace(pr, gamma=3.0 + 0.2 * i), th) for i in range(20)]
+        assert {row["regime"] for row in rows} == {tr.PROBABILISTIC}
+        assert sum(p in SCAN_GRID for p in deriv_ps) == 21
+
+    def test_scan_cache_is_keyed_by_h(self):
+        # the scan's race values depend on H alone: rows with other rates at
+        # a cached H, and rows after another H, equal rows from an empty cache
+        settings = [
+            GameParams(H=5, alpha=0.45, mu=0.5, delta=0.5, gamma=3.0),
+            GameParams(H=5, alpha=0.3, mu=0.4, delta=0.6, gamma=3.0),
+            GameParams(H=7, alpha=0.6, mu=0.2, delta=0.7, gamma=3.0),
+            GameParams(H=5, alpha=0.5, mu=0.1, delta=0.8, gamma=3.0),
+        ]
+        cases = []
+        for pr in settings:
+            th = tr.thresholds(pr)
+            mid = (th.to_probabilistic + th.to_no_sniping) / 2
+            cases.append((replace(pr, gamma=mid), th))
+        tr._scan_race.cache_clear()
+        rows = [tr.regime_row(pr, th) for pr, th in cases]
+        assert tr._scan_race.cache_info()[:2] == (1, 3)  # (hits, misses): H 5, 5, 7, 5
+        assert {row["regime"] for row in rows} == {tr.PROBABILISTIC}
+        for (pr, th), row in zip(cases, rows):
+            tr._scan_race.cache_clear()
+            assert tr.regime_row(pr, th) == row, pr
