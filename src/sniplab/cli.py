@@ -26,7 +26,7 @@ import os
 import shutil
 import sys
 from contextlib import closing
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from itertools import islice
 from operator import itemgetter
@@ -391,6 +391,36 @@ def cmd_simulate(args: argparse.Namespace, params: GameParams, resolved: dict,
 # ---------------------------------------------------------------------------
 
 
+def _check_stream_source(stream: Path, resolved: dict) -> str | None:
+    """Refuse a stream that its sibling simulate_manifest.json does not list,
+    or that was drawn under other parameters, play or RNG contract than the
+    monitor assumes; without a manifest, the note to print instead."""
+    path = stream.parent / "simulate_manifest.json"
+    if not path.exists():
+        return f"note: no simulate_manifest.json beside {stream}; its source is not checked"
+    try:
+        manifest = json.loads(path.read_text())
+        recorded = manifest["resolved"]
+        listed = stream.name in manifest["outputs"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path} is not a readable simulate manifest") from exc
+    if not listed:
+        raise ValidationError(
+            f"{stream} is not among the outputs of {path}: it is left from another run"
+        )
+    contract = manifest.get("rng_contract")
+    if contract != streams.RNG_CONTRACT:
+        raise ValidationError(
+            f"{path} records RNG contract {contract}, not {streams.RNG_CONTRACT}"
+        )
+    keys = [*(f.name for f in fields(GameParams)), "sigma_scale", "p", "spread"]
+    wrong = [f"{k} = {recorded.get(k)!r} there, {resolved[k]!r} here"
+             for k in keys if recorded.get(k) != resolved[k]]
+    if wrong:
+        raise ValidationError(f"{stream} does not match {path}: " + "; ".join(wrong))
+    return None
+
+
 def cmd_monitor(args: argparse.Namespace, params: GameParams, resolved: dict,
                 out: Path) -> list[str]:
     assumed = args.assumed_hd
@@ -405,7 +435,9 @@ def cmd_monitor(args: argparse.Namespace, params: GameParams, resolved: dict,
     dist1 = detection.utility_distribution(params, p, pop1, spread)
     resolved.update({"err1": args.err1, "err2": args.err2, "assumed_hd": assumed,
                      "agent": args.agent})
+    note = None
     if args.stream:
+        note = _check_stream_source(Path(args.stream), resolved)
         stream = streams.iter_stream_csv(args.stream, args.agent)
         # absolute, so that the manifest reruns from any directory
         resolved["stream"] = str(Path(args.stream).resolve())
@@ -438,6 +470,8 @@ def cmd_monitor(args: argparse.Namespace, params: GameParams, resolved: dict,
     print(f"decision = {result.decision}")
     print(f"stopped_at = {result.stopped_at}")
     print(f"statistic = {result.statistic}")
+    if note:  # after the verdict: a refused stream prints only its error
+        print(note, file=sys.stderr)
     return ["trajectory.csv"]
 
 

@@ -578,6 +578,68 @@ class TestMonitor:
         assert trajectory == (recorded / "trajectory.csv").read_bytes()
         assert trajectory.count(b"\n") > 2
 
+    def test_stream_from_other_play_refused(self, tmp_path, capsys):
+        # drawn at p = 1: the monitor's default p* law used to test it anyway
+        # and reject H0
+        sim_out = tmp_path / "s"
+        assert run(["simulate", *MIX, "--ht", "4", "--p", "1.0", "--spread", "0.6",
+                    "--stages", "2000", "--seeds", "4", "--out", str(sim_out)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "m"
+        assert run(["monitor", *MIX, "--stream", str(sim_out / "stream_seed4.csv"),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "p = 1.0 there" in err and "spread = 0.6" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", 3.5), ("H", 5), ("sigma_scale", 2.0), ("spread", 0.5), ("rng_contract", 1),
+        ("outputs", None), (None, None),
+    ])
+    def test_stream_from_other_manifest_refused(self, tmp_path, capsys, key, value):
+        # key None: a manifest that is not JSON
+        sim_out = tmp_path / "s"
+        assert run(["simulate", *MIX, "--ht", "4", "--stages", "200", "--seeds", "4",
+                    "--out", str(sim_out)]) == 0
+        argv = ["monitor", *MIX, "--stream", str(sim_out / "stream_seed4.csv"),
+                "--out", str(tmp_path / "m")]
+        assert run(argv) == 0
+        path = sim_out / "simulate_manifest.json"
+        manifest = json.loads(path.read_text())
+        if key in ("rng_contract", "outputs"):
+            manifest[key] = value
+        elif key is not None:
+            manifest["resolved"][key] = value
+        path.write_text(json.dumps(manifest) if key else "{")
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_stale_stream_refused(self, tmp_path, capsys):
+        # a rerun with fewer seeds leaves stream_seed2.csv beside a manifest
+        # that no longer lists it
+        sim = ["simulate", *MIX, "--ht", "4", "--stages", "200", "--out", str(tmp_path / "s")]
+        assert run([*sim, "--seeds", "1,2"]) == 0
+        assert run([*sim, "--seeds", "1"]) == 0
+        capsys.readouterr()
+        argv = ["monitor", *MIX, "--out", str(tmp_path / "m"), "--stream"]
+        assert run([*argv, str(tmp_path / "s" / "stream_seed2.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not among the outputs" in err
+        assert run([*argv, str(tmp_path / "s" / "stream_seed1.csv")]) == 0
+
+    def test_stream_without_manifest_is_noted(self, tmp_path, capsys):
+        sim_out = tmp_path / "s"
+        assert run(["simulate", *MIX, "--ht", "4", "--stages", "200", "--seeds", "4",
+                    "--out", str(sim_out)]) == 0
+        (sim_out / "simulate_manifest.json").unlink()
+        capsys.readouterr()
+        stream = sim_out / "stream_seed4.csv"
+        assert run(["monitor", *MIX, "--stream", str(stream), "--out", str(tmp_path / "m")]) == 0
+        assert capsys.readouterr().err == (
+            f"note: no simulate_manifest.json beside {stream}; its source is not checked\n"
+        )
+
 
 def _blocks(path):
     """Header line and the stream's rows grouped by stage."""
@@ -798,15 +860,19 @@ class TestDeterminism:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     def test_non_stream_outputs_are_stable(self, tmp_path):
-        # digests of every output but the streams, taken on CPython 3.11.7
-        # with numpy 2.4.6; the summary's p and spread are pinned as above,
-        # the monitor's come from the optimiser, as in a default run
+        # digests of every output, streams included, taken on CPython 3.11.7
+        # with numpy 2.4.6; the streams' digests were taken with the writer
+        # that formatted each distinct stage once per chunk.  The summary's p
+        # and spread are pinned as above, the monitor's come from the
+        # optimiser, as in a default run
         expected = {
             "analysis.json": "d8fd9641fae7923c62eda84774c85b63a9a80ca2e5440d10cd0384c908f9fff7",
             "payoff_table.csv": "e8273d80e97d9ff85dfcb6ac74c5821443400e70026065cde08f3bc39a8fc890",
             "sweep_gamma.csv": "a318ec6f6de8d31fa71f3291c22857e5ab7d730369a7af667772dce58fea3a00",
             "sweep_H.csv": "0282939357a7b9ea8b03cd2380ebd35b65d98ef4084cae917f7eb4620223832a",
             "summary.csv": "e18239c474bb8bcbd7c491ff2d6d74cca0beb9788e018315924ace10976fe1b6",
+            "stream_seed1.csv": "97b5fbf01c4556364e0a4f41cb8de1377aebe290d15f3b4932f74c3b23167e1c",
+            "stream_seed2.csv": "e8351aeff2985699a2fb0b7ddba2f8ad125396568d15766157ec5d69225ce8a6",
             "trajectory.csv": "b1f8caaf725e0e06b2c8505b9fdb39867af6d9fc77042565d2d9c11a92b9877c",
         }
         for argv in [

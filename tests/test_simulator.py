@@ -326,21 +326,54 @@ class TestStreamCsv:
         reference_write_stream_csv(str(want), run)
         assert got.read_bytes() == want.read_bytes()
 
-    def test_any_run_matches_reference_writer(self, tmp_path, monkeypatch):
-        # values run_repeated never writes, in every cell, across many chunks
+    @pytest.mark.parametrize("chunk_rows", [5, 12, 1 << 15],
+                             ids=["1-stage-chunks", "2-stage-chunks", "one-chunk"])
+    def test_any_run_matches_reference_writer(self, tmp_path, monkeypatch, chunk_rows):
+        # values run_repeated never writes, in every cell; the 400 stages
+        # repeat 40 distinct ones, so a text formatted in one chunk is written
+        # again in later ones.  Stages 0 and 1 differ only in a zero's sign,
+        # stages 0 and 2 only in a NaN's payload
         run = sim.run_repeated(roster(Population(4, 1), 0.4, 0.6), _game(5), 400, seed=2)
         rng = np.random.default_rng(3)
         odd = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1])
-        utilities = odd[rng.integers(len(odd), size=run.utilities.shape)]
-        run = replace(
-            run,
-            utilities=utilities,
-            events=rng.integers(20, size=400).astype(np.int8),
-            mm_ids=rng.integers(5, size=400).astype(np.int16),
-        )
-        monkeypatch.setattr(sim, "_CHUNK_ROWS", 12)  # two stages a chunk
+        utilities = odd[rng.integers(len(odd), size=(40, 5))]
+        events = rng.integers(20, size=40).astype(np.int8)
+        mm_ids = rng.integers(5, size=40).astype(np.int16)
+        utilities[0] = [0.0, 0.1, math.nan, -math.inf, 1e16]
+        utilities[1:3] = utilities[0]
+        utilities[1, 0] = -0.0
+        utilities[2, 2:3].view(np.int64)[:] += 1  # another quiet NaN
+        events[1:3], mm_ids[1:3] = events[0], mm_ids[0]
+        stage = np.concatenate([np.arange(40), rng.integers(40, size=360)])
+        run = replace(run, utilities=utilities[stage], events=events[stage],
+                      mm_ids=mm_ids[stage])
+        monkeypatch.setattr(sim, "_CHUNK_ROWS", chunk_rows)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         sim.write_stream_csv(str(got), run)
         reference_write_stream_csv(str(want), run)
         assert got.read_bytes() == want.read_bytes()
-        assert b",-0.0\n" in got.read_bytes()
+        lines = got.read_text().splitlines()
+        assert lines[1].endswith(",0.0") and lines[6].endswith(",-0.0")  # agent 0
+
+    def test_each_distinct_stage_is_formatted_once(self, tmp_path, monkeypatch):
+        # 3,000 stages in 15 chunks of 200: a stage text is formatted once per
+        # file, not once per chunk it appears in
+        regime = tr.optimal_sniping(_game(5))
+        run = sim.run_repeated(roster(Population(4, 1), regime.p_star, regime.s_star),
+                               _game(5), 3000, seed=4)
+        formatted = []
+
+        def counted(key, *rest):
+            formatted.append(key)
+            return stage_tail(key, *rest)
+
+        stage_tail = sim._stage_tail
+        monkeypatch.setattr(sim, "_stage_tail", counted)
+        monkeypatch.setattr(sim, "_CHUNK_ROWS", 1000)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        sim.write_stream_csv(str(got), run)
+        reference_write_stream_csv(str(want), run)
+        assert got.read_bytes() == want.read_bytes()
+        distinct = set(zip(run.mm_ids.tolist(), run.events.tolist(), map(bytes, run.utilities)))
+        assert len(formatted) == len(set(formatted)) == len(distinct)
+        assert 20 < len(distinct) < 2 * 200  # within the dict's bound
