@@ -326,9 +326,7 @@ class TestStreamCsv:
         reference_write_stream_csv(str(want), run)
         assert got.read_bytes() == want.read_bytes()
 
-    @pytest.mark.parametrize("chunk_rows", [5, 12, 1 << 15],
-                             ids=["1-stage-chunks", "2-stage-chunks", "one-chunk"])
-    def test_any_run_matches_reference_writer(self, tmp_path, monkeypatch, chunk_rows):
+    def test_any_run_matches_reference_writer(self, tmp_path, monkeypatch):
         # values run_repeated never writes, in every cell; the 400 stages
         # repeat 40 distinct ones, so a text formatted in one chunk is written
         # again in later ones.  Stages 0 and 1 differ only in a zero's sign,
@@ -347,13 +345,16 @@ class TestStreamCsv:
         stage = np.concatenate([np.arange(40), rng.integers(40, size=360)])
         run = replace(run, utilities=utilities[stage], events=events[stage],
                       mm_ids=mm_ids[stage])
-        monkeypatch.setattr(sim, "_CHUNK_ROWS", chunk_rows)
-        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        sim.write_stream_csv(str(got), run)
+        want = tmp_path / "want.csv"
         reference_write_stream_csv(str(want), run)
-        assert got.read_bytes() == want.read_bytes()
-        lines = got.read_text().splitlines()
-        assert lines[1].endswith(",0.0") and lines[6].endswith(",-0.0")  # agent 0
+        # 1 stage a chunk, 2 stages a chunk, and the whole run in one chunk
+        for chunk_rows in (5, 12, 1 << 15):
+            monkeypatch.setattr(sim, "_CHUNK_ROWS", chunk_rows)
+            got = tmp_path / f"got{chunk_rows}.csv"
+            sim.write_stream_csv(str(got), run)
+            assert got.read_bytes() == want.read_bytes(), chunk_rows
+            lines = got.read_text().splitlines()
+            assert lines[1].endswith(",0.0") and lines[6].endswith(",-0.0")  # agent 0
 
     def test_each_distinct_stage_is_formatted_once(self, tmp_path, monkeypatch):
         # 3,000 stages in 15 chunks of 200: a stage text is formatted once per
