@@ -29,17 +29,32 @@ identical (agents, params, n_stages, seed) yield bit-identical utility
 streams.  Contract 1 (a variable number of draws per stage, integer
 draws for the market maker and the winner) gives different streams.
 
+A fresh stream costs little more than its draws.  ``_stage_law`` builds what
+a roster's stages are compared with (cut points, maker candidates, snipe
+probabilities, payoff table: one ``derive`` and one ``utility.payoffs``) once
+per (roster, params), read-only, in a small LRU cache.  ``_stage_chunks``
+draws each chunk in a fixed number of numpy calls on flat cell indices of the
+(m, H) chunk, and ``stage_stream`` makes its records with ``tuple.__new__``,
+which runs no Python code per stage.  Tried and rejected: the winner found by
+a per-row cumsum and argmax over the entry mask (60-68 ms per 20k stages at
+H = 200 for entries and winners, against 10-12 ms on flat entries); a first
+chunk of 128 or 256 stages (a criterion-8 replicate took 0.64-1.63 times its
+time at 64, unresolved); a fast path for these records in
+``detection.monitor_stream`` (no measurable gain).
+
 ``write_stream_csv`` writes a run in the stream-file format of ``streams``,
 which also reads it back and holds the contract number.  It formats each
-distinct stage (market maker, event, utility bits) once per file and writes
-every stage by joining its number to that text; its chunks bound only the
-memory a write uses.
+distinct stage (market maker, event, utility bits) once per file, and of it
+only the maker's row and the rows not paid +0.0, and writes every stage by
+joining its number to that text; its chunks bound only the memory a write
+uses.
 """
 
 from __future__ import annotations
 
-import struct
+import functools
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -93,16 +108,18 @@ class SimRun:
     race_wins: np.ndarray  # (n_agents,)
 
 
-def _stage_chunks(
-    agents: Sequence[AgentConfig], params: GameParams, rng: np.random.Generator
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """Endless stages in chunks, drawn under RNG contract 2.
+@functools.lru_cache(maxsize=16)
+def _stage_law(
+    agents: tuple[AgentConfig, ...], params: GameParams
+) -> tuple[np.ndarray, ...]:
+    """What a stage's draws are compared with, for one (roster, params):
+    the trigger and second-event cut points, the market-maker candidates,
+    the snipe probabilities and the payoff table, all read-only.
 
-    The first chunk holds ``_FIRST_CHUNK`` stages and each next one twice as
-    many, up to ``_CHUNK_STAGES`` (64, 128, 256, 512, 1024, 1024, ...): a
-    stream that stops early draws little past its end, and the draws are the
-    same under any schedule.  Yields (events, mm_ids, winners, utilities,
-    entered) per chunk; entered marks the non-makers that enter each race.
+    Rosters and params that compare equal share a law, and get the same bits
+    from it: an int where a float was compares the draws alike, and a spread
+    of -0.0 pays what 0.0 does, as each payoff is c0 + cs * s + ... with c0
+    never -0.0.
     """
     h = len(agents)
     if h < 3:
@@ -122,29 +139,61 @@ def _stage_chunks(
     # utility.payoffs: utility of (event, outcome) at spread s; outcome 0: the
     # maker loses or there is no race, 1: the sniper wins, 2: the maker wins
     table = np.array(utility.payoffs(s, params.gamma))
+    law = (cut1, cut2, candidates, snipe_probs, table)
+    for array in law:
+        array.setflags(write=False)
+    return law
+
+
+def _stage_chunks(
+    agents: Sequence[AgentConfig], params: GameParams, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Endless stages in chunks, drawn under RNG contract 2.
+
+    The first chunk holds ``_FIRST_CHUNK`` stages and each next one twice as
+    many, up to ``_CHUNK_STAGES`` (64, 128, 256, 512, 1024, 1024, ...): a
+    stream that stops early draws little past its end, and the draws are the
+    same under any schedule.  Yields (events, mm_ids, winners, utilities,
+    entered) per chunk; entered marks the non-makers that enter each race.
+
+    The law comes from ``_stage_law``, built once per (roster, params).  The
+    kernel works on flat cell indices of the (m, H) chunk: row i's maker
+    sits in cell i * H + mm_i; the flat indices of the entries are sorted by
+    row, so one ``bincount`` of entry // H counts each row's entrants and
+    the k-th entrant of row i is entry offset_i + k - 1; the utilities are
+    two scatters into one zeroed vector of m * H, from the payoff table
+    raveled to 3 * event + outcome.  Methods (``a.nonzero()``,
+    ``a.cumsum()``, ``a.searchsorted``) stand in for numpy's Python-level
+    wrappers of the same name, which cost about 1 us a call on a 64-stage
+    chunk.
+    """
+    h = len(agents)
+    cut1, cut2, candidates, snipe_probs, table = _stage_law(tuple(agents), params)
+    payoff = table.ravel()  # the cell of (event, outcome) is 3 * event + outcome
     m = _FIRST_CHUNK
     while True:
-        rows = np.arange(m)
         u = rng.random((m, h + 4))
         mm = candidates[(u[:, 0] * len(candidates)).astype(np.intp)]
-        first = np.searchsorted(cut1, u[:, 1], side="right")
-        second = np.searchsorted(cut2, u[:, 2], side="right")
+        first = cut1.searchsorted(u[:, 1], "right")
+        second = cut2.searchsorted(u[:, 2], "right")
         events = (5 * first + second).astype(np.int8)
         is_race = first < 2  # news trigger
         entered = (u[:, 3:h + 3] < snipe_probs) & is_race[:, None]
-        entered[rows, mm] = False
-        count = entered.sum(axis=1)
+        cells = np.arange(0, m * h, h) + mm  # the maker's cell of each row
+        flat = entered.ravel()  # a view: entered is a fresh (m, H) array
+        flat[cells] = False
+        entries = flat.nonzero()[0]
+        count = np.bincount(entries // h, minlength=m)
         k = (u[:, h + 3] * (count + 1)).astype(np.intp)
         # the k-th entrant of a row sits in the row's run of flat entries
-        entries = np.flatnonzero(entered)
-        offset = np.cumsum(count) - count
+        offset = count.cumsum() - count
         winners = np.where(is_race, mm, -1)
-        snipes = k > 0
+        snipes = k.nonzero()[0]
         winners[snipes] = entries[offset[snipes] + k[snipes] - 1] % h
-        utilities = np.zeros((m, h))
-        utilities[rows, mm] = table[events, np.where(winners == mm, 2, 0)]
-        utilities[rows[snipes], winners[snipes]] = table[events[snipes], 1]
-        yield events, mm, winners, utilities, entered
+        utilities = np.zeros(m * h)
+        utilities[cells] = payoff[3 * events + np.where(winners == mm, 2, 0)]
+        utilities[snipes * h + winners[snipes]] = payoff[3 * events[snipes] + 1]
+        yield events, mm, winners, utilities.reshape(m, h), entered
         m = min(2 * m, _CHUNK_STAGES)
 
 
@@ -155,9 +204,12 @@ def stage_stream(
 
     With ``rng = default_rng(seed)`` its utilities are the rows of
     ``run_repeated(agents, params, n, seed).utilities``, one at a time.
+    Each chunk's rows become records through ``tuple.__new__``: the same
+    StageOutcome objects that ``StageOutcome(row)`` makes, without running
+    the NamedTuple's Python-level ``__new__`` once per stage.
     """
     for _, _, _, utilities, _ in _stage_chunks(agents, params, rng):
-        yield from map(StageOutcome, utilities.tolist())
+        yield from map(tuple.__new__, repeat(StageOutcome), zip(utilities.tolist()))
 
 
 def run_repeated(
@@ -228,16 +280,30 @@ def analytic_mean_utility(
 _CHUNK_ROWS = 1 << 15
 
 
-def _stage_tail(key: bytes, unpack, codes: list[str]) -> list[str]:
+def _stage_tail(key: bytes, codes: list[str], zero_rows: dict) -> list[str]:
     """The rows of one stage without their stage number, behind a leading "",
     so that str(t).join(tail) is the text of stage t.  key holds the market
-    maker, the event and each agent's utility bits."""
-    mm, event, *utilities = unpack(key)
+    maker, the event and each agent's utility bits, as int64 words.
+
+    Only the maker's row and the rows whose bits are not +0.0 are formatted;
+    the others are copied from zero_rows, each event's "bandit, 0.0" rows,
+    made the first time the event is seen.
+    """
+    words = memoryview(key)
+    bits, values = words.cast("q").tolist(), words.cast("d")
+    mm, event = bits[0], bits[1]
     code = codes[event]
-    return [""] + [
-        f",{a},{'mm' if a == mm else 'bandit'},{code},{u!r}\n"
-        for a, u in enumerate(utilities)
-    ]
+    zeros = zero_rows.get(event)
+    if zeros is None:
+        zeros = zero_rows[event] = [""] + [
+            f",{a},bandit,{code},0.0\n" for a in range(len(bits) - 2)
+        ]
+    tail = zeros.copy()
+    for a, b in enumerate(bits[2:]):
+        if b:
+            tail[a + 1] = f",{a},bandit,{code},{values[a + 2]!r}\n"
+    tail[mm + 1] = f",{mm},mm,{code},{values[mm + 2]!r}\n"
+    return tail
 
 
 def write_stream_csv(path: str, run: SimRun) -> None:
@@ -249,7 +315,9 @@ def write_stream_csv(path: str, run: SimRun) -> None:
     bits (so -0.0 and 0.0 stay apart), and a dict from key to text lives for
     the whole file: each distinct stage is formatted once per file (260
     times in a 100k-stage run at H = 5, 4 + 1 at p*), and stage t is written
-    as one str(t).join.  Chunks of _CHUNK_ROWS rows bound only the memory
+    as one str(t).join.  A stage's +0.0 bandit rows are copies of its
+    event's, so a stage costs two formatted rows, not H (at H = 200 most
+    stages are distinct).  Chunks of _CHUNK_ROWS rows bound only the memory
     used: should the dict pass 2 * _CHUNK_ROWS rows, as it can with many
     agents, it keeps just the current chunk's stages.
     """
@@ -258,8 +326,8 @@ def write_stream_csv(path: str, run: SimRun) -> None:
     chunk = max(1, _CHUNK_ROWS // n_agents)
     keys = np.empty((min(chunk, n_stages), n_agents + 2), dtype=np.int64)
     key_type = np.dtype((np.void, keys.itemsize * keys.shape[1]))
-    unpack = struct.Struct(f"=2q{n_agents}d").unpack
     tails: dict[bytes, list[str]] = {}
+    zero_rows: dict[int, list[str]] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_HEADER + "\n")
         for start in range(0, n_stages, chunk):
@@ -277,7 +345,7 @@ def write_stream_csv(path: str, run: SimRun) -> None:
                 # keep only the texts this chunk writes
                 tails = {key: tails[key] for key in distinct & tails.keys()}
             for key in distinct - tails.keys():
-                tails[key] = _stage_tail(key, unpack, codes)
+                tails[key] = _stage_tail(key, codes, zero_rows)
             fh.write(
                 "".join(
                     str(t).join(tails[key])

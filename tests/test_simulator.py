@@ -104,8 +104,15 @@ class TestPlayStage:
 
     @pytest.mark.parametrize(
         "agents",
-        [roster(Population(4, 1), 0.4, 0.6), TIED_AT_ZERO],
-        ids=["H5-4+1", "tied-min-spread-0"],
+        [
+            roster(Population(4, 1), 0.4, 0.6),
+            TIED_AT_ZERO,
+            roster(Population(5, 0), 0.0, 0.5),  # no entrant in any chunk
+            roster(Population(5, 0), 1.0, 0.5),  # every agent enters
+            roster(Population(3, 0), 0.5, 0.4),
+            roster(Population(199, 1), 0.02, 0.3),
+        ],
+        ids=["H5-4+1", "tied-min-spread-0", "p0", "p1", "H3", "H200-199+1"],
     )
     def test_matches_reference_stages(self, agents):
         params = _game(len(agents))
@@ -115,6 +122,33 @@ class TestPlayStage:
         ):
             assert (run.events[t], run.mm_ids[t], run.winners[t]) == (event, mm, winner)
             assert run.utilities[t].tolist() == utilities
+
+
+def test_stage_law_is_built_once_per_roster_and_params(monkeypatch):
+    # 20 fresh streams over one roster derive the rates and tabulate the
+    # payoffs once; another spread or another gamma gets a law of its own
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sim, "derive", counted(derive))
+    monkeypatch.setattr(utility, "payoffs", counted(utility.payoffs))
+    sim._stage_law.cache_clear()
+    agents = roster(Population(3, 1), 0.4, 0.6)
+    for seed in range(20):
+        next(sim.stage_stream(agents, MIX, np.random.default_rng(seed)))
+    assert calls == ["derive", "payoffs"]
+    wider = agents[:3] + (AgentConfig(1.0, 0.7),)
+    next(sim.stage_stream(wider, MIX, np.random.default_rng(0)))
+    next(sim.stage_stream(agents, replace(MIX, gamma=3.5), np.random.default_rng(0)))
+    assert calls == ["derive", "payoffs"] * 3
+    for array in sim._stage_law(agents, MIX):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +389,27 @@ class TestStreamCsv:
             assert got.read_bytes() == want.read_bytes(), chunk_rows
             lines = got.read_text().splitlines()
             assert lines[1].endswith(",0.0") and lines[6].endswith(",-0.0")  # agent 0
+
+    def test_many_agents_with_signed_zeros_match_reference_writer(self, tmp_path):
+        # at H = 200 most rows are copies of an event's zero rows; a -0.0 in
+        # a bandit's cell or in the maker's, and a maker paid +0.0, are not
+        agents = roster(Population(199, 1), 0.02, 0.3)
+        run = sim.run_repeated(agents, _game(200), 300, seed=8)
+        utilities = run.utilities.copy()
+        mm = run.mm_ids.tolist()
+        utilities[0, (mm[0] + 1) % 200] = -0.0
+        utilities[1, mm[1]] = -0.0
+        utilities[2, mm[2]] = 0.0
+        run = replace(run, utilities=utilities)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        sim.write_stream_csv(str(got), run)
+        reference_write_stream_csv(str(want), run)
+        assert got.read_bytes() == want.read_bytes()
+        lines = got.read_text().splitlines()[1:]
+        assert lines[(mm[0] + 1) % 200].endswith(",bandit,{},-0.0".format(
+            utility.PAYOFF_TABLE[run.events[0]].code))
+        assert lines[200 + mm[1]].endswith(",-0.0") and ",mm," in lines[200 + mm[1]]
+        assert lines[400 + mm[2]].endswith(",0.0") and ",mm," in lines[400 + mm[2]]
 
     def test_each_distinct_stage_is_formatted_once(self, tmp_path, monkeypatch):
         # 3,000 stages in 15 chunks of 200: a stage text is formatted once per
