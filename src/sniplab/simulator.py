@@ -280,7 +280,9 @@ def analytic_mean_utility(
 _CHUNK_ROWS = 1 << 15
 
 
-def _stage_tail(key: bytes, codes: list[str], zero_rows: dict) -> list[str]:
+def _stage_tail(
+    key: bytes, codes: list[str], zero_rows: dict[int, list[str]]
+) -> list[str]:
     """The rows of one stage without their stage number, behind a leading "",
     so that str(t).join(tail) is the text of stage t.  key holds the market
     maker, the event and each agent's utility bits, as int64 words.
