@@ -34,14 +34,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import __version__, detection, streams, transitions, utility
-from .params import (
-    _CONFIG_KEYS,
-    GameParams,
-    ValidationError,
-    load_config,
-    params_from_config,
-    rescale_to_unit_sigma,
-)
+from .params import GameParams, ValidationError, load_config, params_from_config
 from .race import Population
 
 EXIT_OK = 0
@@ -64,19 +57,20 @@ def _thread_cap(n_jobs: int) -> int:
 def _resolve_params(args: argparse.Namespace) -> tuple[GameParams, dict]:
     """The sigma-rescaled parameters, and the manifest's record of them.
 
-    ``sigma_scale`` is the jump size before rescaling, from the flag or the
-    config file; ``args_from_manifest`` passes it back as ``--sigma``.
+    Outputs are measured in units of sigma.  ``sigma_scale`` is the jump size
+    before rescaling, from the flag or the config file; ``args_from_manifest``
+    passes it back as ``--sigma``.
     """
     values: dict[str, float] = {}
     if args.config:
         values.update(load_config(args.config))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
+    for field in fields(GameParams):
+        flag = getattr(args, field.name, None)
         if flag is not None:
-            values[key] = flag
+            values[field.name] = flag
     params = params_from_config(values)
     resolved = {**asdict(params), "sigma": 1.0, "sigma_scale": params.sigma}
-    return rescale_to_unit_sigma(params), resolved
+    return replace(params, sigma=1.0), resolved
 
 
 def _write_manifest(out_dir: Path, command: str, resolved: dict, outputs: list[str]) -> None:
@@ -93,20 +87,36 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, outputs: list[s
     (out_dir / f"{command}_manifest.json").write_text(text + "\n")
 
 
-def args_from_manifest(path: str | Path) -> list[str]:
-    """Reconstruct the argv that reproduces a recorded run (same --out).
+def _read_manifest(path: str | Path) -> dict:
+    """The manifest at path: JSON with a ``command`` and a ``resolved`` mapping.
 
-    A manifest with seeds from another RNG contract is refused: this engine
-    would draw other streams from them.
+    A record with seeds must carry this engine's RNG contract, as
+    ``_write_manifest`` writes it: under another one the seeds draw other
+    streams.  Anything else is refused.
     """
-    manifest = json.loads(Path(path).read_text())
-    resolved = manifest["resolved"]
+    try:
+        manifest = json.loads(Path(path).read_text())
+        resolved, command = manifest["resolved"], manifest["command"]
+        readable = isinstance(resolved, dict) and isinstance(command, str)
+    except (ValueError, KeyError, TypeError):
+        readable = False
+    if not readable:
+        raise ValidationError(
+            f"{path} is not a manifest: it needs JSON with a command and resolved inputs"
+        )
     contract = manifest.get("rng_contract")
     if "seeds" in resolved and contract != streams.RNG_CONTRACT:
         raise ValidationError(
             f"{path} records RNG contract {contract}; this version draws stages "
-            f"under contract {streams.RNG_CONTRACT} and cannot reproduce its streams"
+            f"under contract {streams.RNG_CONTRACT}, so its seeds would draw other streams"
         )
+    return manifest
+
+
+def args_from_manifest(path: str | Path) -> list[str]:
+    """Reconstruct the argv that reproduces a recorded run (same --out)."""
+    manifest = _read_manifest(path)
+    resolved = manifest["resolved"]
     argv = [manifest["command"]]
     for key, value in resolved.items():
         if key in ("sigma", "outputs") or value is None:
@@ -398,20 +408,11 @@ def _check_stream_source(stream: Path, resolved: dict) -> str | None:
     path = stream.parent / "simulate_manifest.json"
     if not path.exists():
         return f"note: no simulate_manifest.json beside {stream}; its source is not checked"
-    try:
-        manifest = json.loads(path.read_text())
-        recorded = manifest["resolved"]
-        listed = stream.name in manifest["outputs"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValidationError(f"{path} is not a readable simulate manifest") from exc
-    if not listed:
+    manifest = _read_manifest(path)
+    recorded, outputs = manifest["resolved"], manifest.get("outputs")
+    if not isinstance(outputs, list) or stream.name not in outputs:
         raise ValidationError(
             f"{stream} is not among the outputs of {path}: it is left from another run"
-        )
-    contract = manifest.get("rng_contract")
-    if contract != streams.RNG_CONTRACT:
-        raise ValidationError(
-            f"{path} records RNG contract {contract}, not {streams.RNG_CONTRACT}"
         )
     keys = [*(f.name for f in fields(GameParams)), "sigma_scale", "p", "spread"]
     wrong = [f"{k} = {recorded.get(k)!r} there, {resolved[k]!r} here"

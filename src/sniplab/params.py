@@ -1,8 +1,10 @@
 """Primitive game parameters, derived quantities and model assumptions.
 
 All downstream formulas are expressed in units of the jump size sigma, so the
-public API works on sigma-rescaled parameters (sigma = 1).  The quantities a
-parameter set must satisfy:
+public API works on sigma-rescaled parameters (sigma = 1): the spreads and
+utilities it produces are measured with sigma as the yardstick.  The original
+sigma is the factor that converts them back; the CLI records it in the run
+manifest as ``sigma_scale``.  The quantities a parameter set must satisfy:
 
 * finite values in every field,
 * at least three competing high-frequency traders, and fewer than 2**53,
@@ -15,7 +17,7 @@ parameter set must satisfy:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 
 class ValidationError(ValueError):
@@ -123,28 +125,13 @@ def derive(params: GameParams) -> DerivedParams:
     )
 
 
-def rescale_to_unit_sigma(params: GameParams) -> GameParams:
-    """Return the parameter set expressed in units of the jump size.
-
-    Spreads and utilities produced downstream are then measured with sigma as
-    the yardstick.  The original sigma is the scale factor for converting
-    reported values back; callers that need it for reporting should keep the
-    original parameter set (the CLI records it in the run manifest).
-    """
-    if params.sigma == 1.0:
-        return params
-    return replace(params, sigma=1.0)
-
-
-_CONFIG_KEYS = ("H", "alpha", "mu", "delta", "gamma", "sigma")
-
-
 def load_config(path: str) -> dict[str, float]:
     """Read a flat key=value parameter file.
 
-    Recognised keys: H, alpha, mu, delta, gamma, sigma.  Blank lines and
-    '#' comments are ignored; unknown keys are an error.
+    Recognised keys: the fields of GameParams.  Blank lines and '#' comments
+    are ignored; unknown keys are an error.
     """
+    keys = {f.name for f in fields(GameParams)}
     values: dict[str, float] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -157,7 +144,7 @@ def load_config(path: str) -> dict[str, float]:
                 )
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in keys:
                 raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")

@@ -9,11 +9,12 @@ defines two thresholds in the risk aversion gamma:
   and backing off from sure sniping raises u*; the zero crossing of the slope
   numerator K(gamma) = N'(1)Q(1) - N(1)Q'(1), which is unique above 1
   (positive at 1, eventually negative, concave to the right of 1).
-* ``gamma_to_no_sniping``: above it, u*(p) <= 0 for every p and staying out
-  of races is best; closed form 1 + sqrt((1 - mu_bar) Z / (alpha_bar *
-  theta_bar)) with Z = 1 + mu_bar - beta (1 - mu_bar), equivalently the
-  gamma at which N'(0) crosses zero (the tests find that root numerically
-  as a check on the closed form).
+* ``Thresholds.to_no_sniping``: above it, u*(p) <= 0 for every p and
+  staying out of races is best; closed form 1 + sqrt((1 - mu_bar) Z /
+  (alpha_bar * theta_bar)) with Z = 1 + mu_bar - beta (1 - mu_bar),
+  independent of H and of gamma, equivalently the gamma at which N'(0)
+  crosses zero (the tests find that root numerically as a check on the
+  closed form).
 
 Between the two thresholds ``optimal_sniping`` scans the sign of du*/dp on 21
 points of [0, 1] and takes p* as the zero of the analytic slope numerator
@@ -172,14 +173,6 @@ def indifference_slope(p: float, params: GameParams) -> float:
     return k / (q_ * q_)
 
 
-def gamma_to_no_sniping(params: GameParams) -> float:
-    """Risk aversion above which not sniping at all is optimal (closed form).
-
-    Independent of H and of params.gamma.
-    """
-    return _no_sniping(derive(params), params)
-
-
 def _no_sniping(d: DerivedParams, params: GameParams) -> float:
     z = 1.0 + d.mu_bar - d.beta * (1.0 - d.mu_bar)
     scale = d.alpha_bar * d.theta_bar  # underflows to 0 at tiny rates
@@ -192,7 +185,8 @@ def _no_sniping(d: DerivedParams, params: GameParams) -> float:
 def thresholds(params: GameParams) -> Thresholds:
     """Both risk-aversion thresholds, from one ``derive`` of params.
 
-    to_no_sniping is the closed form of ``gamma_to_no_sniping``.
+    ``Thresholds.to_no_sniping`` is the module's closed form; where it
+    overflows, a ValidationError is raised before K is searched.
     to_probabilistic is the unique gamma >= 1 at which the p = 1 slope
     numerator K(gamma) = N'(1)Q(1) - N(1)Q'(1) crosses zero; K is evaluated
     numerically rather than through expanded cubic coefficients, and the

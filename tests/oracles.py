@@ -23,7 +23,7 @@ implementation of, and the tests compare the two:
 * ``gamma_to_probabilistic_by_reference`` -- the sure-to-probabilistic
   threshold by the package's bracket and root-finder on that reference;
 * ``gamma_to_no_sniping_by_slope`` -- the no-sniping threshold as the root of
-  the p = 0 slope, against its closed form.
+  the p = 0 slope, against its closed form ``Thresholds.to_no_sniping``.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ def gamma_to_probabilistic_by_reference(params: GameParams, no_sniping: float) -
 
 
 def gamma_to_no_sniping_by_slope(params: GameParams) -> float:
-    """Numeric cross-check on gamma_to_no_sniping: root of the p=0 slope.
+    """Numeric cross-check on Thresholds.to_no_sniping: root of the p=0 slope.
 
     The zero over gamma of the slope numerator at p = 0 (which is
     N'(0) * Q(0), Q(0) > 0); must agree with the closed form to ~1e-8.

@@ -121,6 +121,14 @@ class TestAnalyze:
             assert params["sigma"] == 1.0
             assert params["sigma_scale"] == 2.0
 
+    @pytest.mark.parametrize("sigma", [2.0, 0.5])
+    def test_resolve_params_rescales_sigma(self, sigma):
+        args = cli.build_parser().parse_args(["analyze", *FIG7, "--gamma", "3.5",
+                                              "--sigma", str(sigma)])
+        params, resolved = cli._resolve_params(args)
+        assert params == GameParams(H=5, alpha=0.45, mu=0.5, delta=0.5, gamma=3.5, sigma=1.0)
+        assert (resolved["sigma"], resolved["sigma_scale"]) == (1.0, sigma)
+
     def test_missing_key_is_validation_error(self, tmp_path, capsys):
         assert run(["analyze", "--H", "5", "--alpha", "0.45", "--out", str(tmp_path)]) == 2
         assert "mu" in capsys.readouterr().err
@@ -838,6 +846,29 @@ class TestDeterminism:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValidationError, match="RNG contract"):
             cli.args_from_manifest(path)
+
+    def test_malformed_manifest_refused(self, tmp_path, capsys):
+        path = tmp_path / "analyze_manifest.json"
+        for text in ("{", json.dumps({"command": "analyze", "outputs": []}),
+                     json.dumps({"command": "analyze", "resolved": [1]}),
+                     json.dumps({"resolved": {"gamma": 3.5}})):
+            path.write_text(text)
+            with pytest.raises(ValidationError, match="not a manifest"):
+                cli.args_from_manifest(path)
+        # a seeded record without its RNG contract: both readers refuse it
+        sim_out = tmp_path / "s"
+        assert run(["simulate", *MIX, "--ht", "4", "--stages", "200", "--seeds", "4",
+                    "--out", str(sim_out)]) == 0
+        path = sim_out / "simulate_manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["rng_contract"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match="RNG contract None"):
+            cli.args_from_manifest(path)
+        capsys.readouterr()
+        assert run(["monitor", *MIX, "--stream", str(sim_out / "stream_seed4.csv"),
+                    "--out", str(tmp_path / "m")]) == 2
+        assert "RNG contract None" in capsys.readouterr().err
 
     def test_simulate_streams_are_stable(self, tmp_path):
         # digests of the streams written by the row-by-row csv.writer writer,

@@ -77,9 +77,7 @@ class TestUtilityDistribution:
                 if not merged or value - merged[-1] > det.SUPPORT_TOL:
                     merged.append(value)
             assert support == tuple(merged)
-            chunks = sim._stage_chunks(agents, params, np.random.default_rng(0))
-            next(chunks)
-            engine, want = chunks.gi_frame.f_locals["table"], np.array(table)
+            engine, want = sim._stage_law(tuple(agents), params)[4], np.array(table)
             assert (engine.shape, engine.tobytes()) == (want.shape, want.tobytes())
 
     def test_sniper_loss_outcome_carries_full_news_mass(self):

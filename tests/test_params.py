@@ -9,7 +9,6 @@ from sniplab.params import (
     derive,
     load_config,
     params_from_config,
-    rescale_to_unit_sigma,
 )
 
 
@@ -110,24 +109,17 @@ def test_rescale_preserves_sigma_free_fields(p, sigma):
     scaled = GameParams(
         H=p.H, alpha=p.alpha, mu=p.mu, delta=p.delta, gamma=p.gamma, sigma=sigma
     )
-    d0 = derive(p)
-    d1 = derive(rescale_to_unit_sigma(scaled))
-    assert d0 == d1
-
-
-def test_rescale_cases():
-    base = dict(H=3, alpha=0.2, mu=0.2, delta=0.5, gamma=1.5)
-    assert rescale_to_unit_sigma(GameParams(sigma=2.0, **base)).sigma == 1.0
-    identity = GameParams(sigma=1.0, **base)
-    assert rescale_to_unit_sigma(identity) is identity
-    assert rescale_to_unit_sigma(GameParams(sigma=0.5, **base)).sigma == 1.0
+    # derive never reads sigma: rescaling to sigma = 1 changes no derived quantity
+    assert derive(scaled) == derive(p)
 
 
 def test_config_roundtrip(tmp_path):
     cfg = tmp_path / "game.cfg"
-    cfg.write_text("# example\nH = 5\nalpha = 0.45\nmu = 0.5\ndelta = 0.5\ngamma = 3.5\n")
+    # every field of GameParams, so the recognised keys are all of them
+    cfg.write_text("# example\nH = 5\nalpha = 0.45\nmu = 0.5\ndelta = 0.5\ngamma = 3.5\n"
+                   "sigma = 2\n")
     params = params_from_config(load_config(str(cfg)))
-    assert params == GameParams(H=5, alpha=0.45, mu=0.5, delta=0.5, gamma=3.5)
+    assert params == GameParams(H=5, alpha=0.45, mu=0.5, delta=0.5, gamma=3.5, sigma=2.0)
 
 
 def test_config_unknown_key(tmp_path):

@@ -66,7 +66,7 @@ class TestThresholds:
 
     def test_no_sniping_symmetric_rates(self):
         pr = GameParams(H=4, alpha=0.4, mu=0.4, delta=0.5, gamma=2.0)
-        got = tr.gamma_to_no_sniping(pr)
+        got = tr.thresholds(pr).to_no_sniping
         assert got == pytest.approx(oracles.gamma_to_no_sniping_by_slope(pr), abs=1e-8)
 
     @pytest.mark.parametrize("alpha", [1e-154, 1e-300])
@@ -74,7 +74,7 @@ class TestThresholds:
         # alpha_bar * theta_bar underflows (1e-300) or its inverse overflows
         pr = GameParams(H=5, alpha=alpha, mu=0.5, delta=0.5, gamma=3.5)
         with pytest.raises(ValidationError, match="threshold overflows"):
-            tr.gamma_to_no_sniping(pr)
+            tr.thresholds(pr).to_no_sniping
 
     def test_thresholds_large_but_finite(self):
         # both thresholds grow like 1 / alpha as alpha -> 0, up to alpha = 1e-150
@@ -105,8 +105,8 @@ class TestThresholds:
 
     def test_no_sniping_is_h_free(self):
         for h in (3, 5, 9):
-            assert tr.gamma_to_no_sniping(params(3.0, H=h)) == pytest.approx(
-                tr.gamma_to_no_sniping(params(3.0)), abs=1e-14
+            assert tr.thresholds(params(3.0, H=h)).to_no_sniping == pytest.approx(
+                tr.thresholds(params(3.0)).to_no_sniping, abs=1e-14
             )
 
     def test_probabilistic_threshold_zeroes_the_slope(self, fig_thresholds):
