@@ -13,15 +13,19 @@ into trustworthy agents (snipe with probability ``p``) and deceptive agents
 (snipe for sure), from both the trustworthy and the deceptive agent's
 viewpoint.
 
-Closed forms (with N_B counting bandit entrants):
+Closed forms (with N_B counting bandit entrants, L = log1p(-p), -inf at
+p = 1, and y = (n-1) L):
 
-    mm_loss_prob(p, n)       = E[N_B/(1+N_B)]   = ((1-p)^n - (1-n p)) / (n p)
+    mm_loss_prob(p, n)         = E[N_B/(1+N_B)] = (expm1(n L) + n p) / (n p)
+    mm_loss_prob_deriv(p, n)   = -(expm1(y) + (n-1) p exp(y)) / (n p^2)
     win_prob_given_entry(p, n) = E[1/(2+N_B')]  = mm_loss_prob(p, n) / ((n-1) p)
 
-Both are 0/0 at p = 0, and for small n*p each closed-form numerator is the
-difference of two nearly equal numbers: at n = 3, p = 1e-6 the closed-form
-derivative of win_prob_given_entry is wrong in its leading digit.  The closed
-forms are therefore used only where n*p >= ``CLOSED_FORM_MIN_NP``.  Below
+These are ((1-p)^n - (1 - n p)) / (n p) and its derivative with (1-p)^n
+taken as exp(n L): forming (1-p)**n instead amplifies the rounding of 1 - p
+about n times (Goldberg 1991, ACM Comput. Surv. 23:5), which cost up to
+2.8e6 ulps at n*p in [1, 2) for n from 2,000 to 10^6, and 7e15 ulps near
+n = 2**53.  The numerators still cancel for small n*p, and at p = 0 the forms
+are 0/0, so they are used only where n*p >= ``CLOSED_FORM_MIN_NP``.  Below
 that, all four functions are evaluated as the binomial expectations
 
     mm_loss_prob               =      E[N/(1+N)],          N ~ Bin(n-1, p)
@@ -34,34 +38,46 @@ with the mass function built by a ratio recurrence (``_binom_pmf``).  All
 terms of a sum share one sign, so there is no cancellation, and the sums are
 exact at p = 0.  The mixed-population functions are such sums at every p.
 Independent second computations of these quantities, used only as test
-oracles, live in ``tests/oracles.py``.
+oracles, live in ``tests/oracles.py``; among them is an 80-digit ``decimal``
+reference against which ``tests/test_race.py`` bounds each function's error
+in ulps, with the bounds derived there.
+
+The cutoff is set by that error, not by speed.  It is the smallest multiple
+of 0.05 at which the closed forms' largest error above it is no larger than
+the sums' largest error below it, for mm_loss_prob and its derivative alike.
+Over 4,000 random (n, p) per band of width 0.05 in n*p, with n log-uniform
+from 2 to 2**53 - 1, the closed forms were within 6.4 and 8.2 ulps at
+n*p >= 3/4, and the sums within 7.1 and 9.3 ulps at n*p in [0.4, 3/4); at
+n*p in [0.7, 3/4) the closed-form derivative reached 10.6 ulps.  The
+measurement is recorded in BENCH_21.json.  win_prob_given_entry_deriv,
+whose closed form subtracts two near-equal products, is the least accurate
+function at the cutoff: 77 ulps at n*p in [3/4, 0.8).
 
 A sum runs over the weights that can reach it: its upper tail is cut where a
 term falls to 2**-56 of the first term past the mode.  Each dropped term lies
 below half an ulp of every running sum it would join, so under the plain
 left-to-right addition of ``sum`` (up to Python 3.11) the cut keeps every bit;
-``_binom_pmf`` gives the argument.  Near the sure-to-probabilistic transition
-at H in the thousands, p* ~ 0.85/H, this leaves 18 of the ~170 nonzero terms.
-
-The closed forms stay as the fast path for n*p >= 1: a call costs O(1) there,
-while a sum costs one term per weight in its window.  One ``mm_loss_prob``
-call takes about 0.65 us by its closed form at any n, against 5.2 us for the
-sum at n = 5 (p = 0.1), 340 us (n = 2,000, 785 terms) and 890 us (n = 10,000,
-2,051 terms) at p = 0.3, and 11 us at p = 0.85/n for n = 2,000 or 10,000
-(2 CPUs, Python 3.11).  ``sweep --variable H`` runs at n in the thousands,
-where sums in place of the closed forms would slow it by orders of magnitude.
+``_binom_pmf`` gives the argument.  Below the cutoff the mode is 0 and a
+window holds at most about 18 terms.  A closed-form call costs O(1) at any
+n, a sum one term per weight in its window; their timings are recorded in
+BENCH_21.json.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp, expm1, inf, log1p
 
 from .params import ValidationError
 
-# Below this expected number of bandit entrants the closed forms lose
-# precision to cancellation (relative error ~1e-14 at n*p = 1, growing like a
-# power of 1/(n*p) below), so the binomial sums are evaluated instead.
-CLOSED_FORM_MIN_NP = 1.0
+# Below this expected number of bandit entrants the closed forms' numerators
+# cancel until they are less accurate than the binomial sums, which are
+# evaluated instead.  Set from the errors against a decimal reference (see the
+# module docstring), not from the workload: at n*p >= 3/4 the closed forms of
+# mm_loss_prob and its derivative are within 25 and 29 ulps by the
+# first-order bounds derived in tests/test_race.py, and were measured within
+# 6.4 and 8.2; the sums' bounds below are 48 and 41 ulps.
+CLOSED_FORM_MIN_NP = 0.75
 
 
 def _check_p(p: float) -> None:
@@ -163,9 +179,10 @@ def mm_loss_prob(p: float, n_agents: int) -> float:
     _check_p(p)
     _check_n(n_agents)
     n = n_agents
-    if n * p < CLOSED_FORM_MIN_NP:
+    z = n * p
+    if z < CLOSED_FORM_MIN_NP:
         return sum([w * (k / (k + 1)) for k, w in _binom_pmf(n - 1, p)])
-    return ((1.0 - p) ** n - (1.0 - n * p)) / (n * p)
+    return (expm1(n * (log1p(-p) if p < 1.0 else -inf)) + z) / z
 
 
 def mm_loss_prob_deriv(p: float, n_agents: int) -> float:
@@ -175,7 +192,8 @@ def mm_loss_prob_deriv(p: float, n_agents: int) -> float:
     n = n_agents
     if n * p < CLOSED_FORM_MIN_NP:
         return (n - 1) * sum([w * (1 / ((k + 1) * (k + 2))) for k, w in _binom_pmf(n - 2, p)])
-    return (1.0 - (1.0 - p) ** (n - 1) * (n * p + 1.0 - p)) / (n * p * p)
+    y = (n - 1) * (log1p(-p) if p < 1.0 else -inf)
+    return -(expm1(y) + (n - 1) * p * exp(y)) / (n * p * p)
 
 
 def win_prob_given_entry(p: float, n_agents: int) -> float:

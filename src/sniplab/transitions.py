@@ -22,17 +22,17 @@ N'(p)Q(p) - N(p)Q'(p) inside each descending sign change, guarding against
 non-unimodal surprises.  Both zeros in this module, p* and K(gamma), are
 found by one bracketed root-finder, ``_root``: regula falsi with the
 Illinois step, run to float precision.  Each evaluation is float arithmetic
-on h = mm_loss_prob(p, n) and its derivative (``_slope_kernel``): 1.4 us for
-K(gamma), whose race values are fixed, and 12 us (n = 5) or 25 us (n = 2,000,
-p = 0.85/n) for a p* step with its race calls (2 CPUs, Python 3.11).  The
-scan's race values depend on n alone: ``_scan_race`` computes its 21 (h, dh)
-pairs once per n and keeps those of the last n.  So the rows of a gamma
-sweep, which share H, scan by kernel arithmetic alone: a probabilistic row
-races only its p* steps and points of indifference, 42 calls fewer than with
-a cold scan.  At n = 5 such a row (``regime_row``) takes a median 125 us, and
-173 us with the cache cleared before each row.  An H sweep gives every row a
-new n, so its rows race the scan every time.  The iterates are part of the
-output: an Anderson-Bjorck step in place of the Illinois one moved the last
+on h = mm_loss_prob(p, n) and its derivative (``_slope_kernel``); K(gamma)'s
+race values are fixed, while a p* step makes its two race calls, which are
+O(1) closed forms at n*p >= ``race.CLOSED_FORM_MIN_NP`` (near p* at H in the
+thousands, n*p is about 0.85) and short binomial sums below.  The scan's race
+values depend on n alone: ``_scan_race`` computes its 21 (h, dh) pairs once
+per n and keeps those of the last n.  So the rows of a gamma sweep, which
+share H, scan by kernel arithmetic alone: a probabilistic row races only its
+p* steps and points of indifference, 42 calls fewer than with a cold scan.
+An H sweep gives every row a new n, so its rows race the scan every time.
+The timings of these steps are recorded in BENCH_21.json.  The iterates are
+part of the output: an Anderson-Bjorck step in place of the Illinois one moved the last
 bits of p* in 60 and 62 of 400 random settings and saved 0.2-2.9 % of the
 evaluations, so the path stays as it is.
 """

@@ -11,6 +11,12 @@ implementation of, and the tests compare the two:
   the one-list build must reproduce;
 * ``mm_loss_prob_enum`` and ``win_prob_given_entry_enum`` -- the homogeneous
   race probabilities as plain binomial expectations, without the closed forms;
+* ``race_reference`` -- the four homogeneous race functions in ``decimal``
+  arithmetic at 80 or more digits, the exact value that tests/test_race.py
+  measures each function's error in ulps against;
+* ``mm_loss_prob_0_1_0`` and ``mm_loss_prob_deriv_0_1_0`` -- the two race
+  functions as sniplab 0.1.0 computed them, with (1-p)**n and the cutoff at
+  n*p = 1; patched into ``race``, they reproduce that version's outputs;
 * ``win_prob_given_entry_mixed_two_urn`` -- the mixed-population win
   probability, conditioning on the market maker's type;
 * ``utility_distribution_enum`` -- a trustworthy agent's stage-utility law by
@@ -28,7 +34,9 @@ implementation of, and the tests compare the two:
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 from sniplab import race, utility
 from sniplab.detection import UtilityDistribution, _merged
@@ -101,6 +109,59 @@ def win_prob_given_entry_enum(p: float, n_agents: int) -> float:
     _check_p(p)
     _check_n(n_agents)
     return full_length_expect(n_agents - 2, p, lambda k: 1 / (k + 2))
+
+
+def race_reference(p: float, n_agents: int, digits: int = 80) -> dict[str, Decimal]:
+    """mm_loss_prob, mm_loss_prob_deriv, win_prob_given_entry and
+    win_prob_given_entry_deriv at (p, n), keyed by name, to ``digits`` digits.
+
+    The closed forms of race's module docstring with (1-p)^n taken as an
+    exact-exponent ``decimal`` power of the float p converted exactly.  The
+    working precision adds the digits that the evaluation loses: 1 - p rounded
+    to it carries one unit in its last place, which the power multiplies by n
+    (len(str(n)) digits), and the numerators cancel to about (n p)^2 of 1,
+    with one more factor n p in the derivative of win_prob_given_entry
+    (3 log10(1/(n p)) digits).  p = 0, where the forms are 0/0, and n = 2,
+    where a lone bandit always faces the market maker, give their exact
+    values.
+    """
+    _check_p(p)
+    _check_n(n_agents)
+    n = n_agents
+    if p == 0.0:
+        values = [Decimal(0), Decimal(n - 1) / 2, Decimal(1) / 2, -Decimal(n - 2) / 6]
+    else:
+        extra = len(str(n)) + 3 * max(0, math.ceil(-math.log10(n * p)))
+        with localcontext() as ctx:
+            ctx.prec = digits + 10 + extra
+            x, m = Decimal(p), Decimal(n)
+            h = ((1 - x) ** n - (1 - m * x)) / (m * x)
+            dh = (1 - (1 - x) ** (n - 1) * (m * x + 1 - x)) / (m * x * x)
+            values = [h, dh, h / ((m - 1) * x), (dh * x - h) / ((m - 1) * x * x)]
+    if n == 2:
+        values[2:] = [Decimal(1) / 2, Decimal(0)]
+    names = ("mm_loss_prob", "mm_loss_prob_deriv", "win_prob_given_entry",
+             "win_prob_given_entry_deriv")
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return {name: +value for name, value in zip(names, values)}
+
+
+def mm_loss_prob_0_1_0(p: float, n_agents: int) -> float:
+    """race.mm_loss_prob of sniplab 0.1.0: the binomial sum below n*p = 1, and
+    ((1-p)**n - (1 - n p)) / (n p) at and above."""
+    n = n_agents
+    if n * p < 1.0:
+        return sum([w * (k / (k + 1)) for k, w in race._binom_pmf(n - 1, p)])
+    return ((1.0 - p) ** n - (1.0 - n * p)) / (n * p)
+
+
+def mm_loss_prob_deriv_0_1_0(p: float, n_agents: int) -> float:
+    """race.mm_loss_prob_deriv of sniplab 0.1.0, as mm_loss_prob_0_1_0."""
+    n = n_agents
+    if n * p < 1.0:
+        return (n - 1) * sum([w * (1 / ((k + 1) * (k + 2))) for k, w in race._binom_pmf(n - 2, p)])
+    return (1.0 - (1.0 - p) ** (n - 1) * (n * p + 1.0 - p)) / (n * p * p)
 
 
 def win_prob_given_entry_mixed_two_urn(p: float, pop: Population) -> float:

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sniplab import cli, simulator, streams, transitions
+from sniplab import cli, race, simulator, streams, transitions
 from sniplab.params import GameParams, ValidationError
+
+import oracles
 
 FIG7 = ["--H", "5", "--alpha", "0.45", "--mu", "0.5", "--delta", "0.5"]
 MIX = ["--H", "4", "--alpha", "0.45", "--mu", "0.3", "--delta", "0.5", "--gamma", "3"]
@@ -895,16 +897,17 @@ class TestDeterminism:
         # with numpy 2.4.6; the streams' digests were taken with the writer
         # that formatted each distinct stage once per chunk.  The summary's p
         # and spread are pinned as above, the monitor's come from the
-        # optimiser, as in a default run
+        # optimiser, as in a default run.  sweep_gamma.csv, sweep_H.csv and
+        # trajectory.csv were taken with the log1p race forms of 0.2.0
         expected = {
             "analysis.json": "d8fd9641fae7923c62eda84774c85b63a9a80ca2e5440d10cd0384c908f9fff7",
             "payoff_table.csv": "e8273d80e97d9ff85dfcb6ac74c5821443400e70026065cde08f3bc39a8fc890",
-            "sweep_gamma.csv": "a318ec6f6de8d31fa71f3291c22857e5ab7d730369a7af667772dce58fea3a00",
-            "sweep_H.csv": "0282939357a7b9ea8b03cd2380ebd35b65d98ef4084cae917f7eb4620223832a",
+            "sweep_gamma.csv": "fe882f04ded698db80a760044dfb7971a3c3de22790c38124752b7e4db8cd577",
+            "sweep_H.csv": "cdd61198c0229bf1a2fe7551e6116ec0425d4068b645bc5d0388d83e623415df",
             "summary.csv": "e18239c474bb8bcbd7c491ff2d6d74cca0beb9788e018315924ace10976fe1b6",
             "stream_seed1.csv": "97b5fbf01c4556364e0a4f41cb8de1377aebe290d15f3b4932f74c3b23167e1c",
             "stream_seed2.csv": "e8351aeff2985699a2fb0b7ddba2f8ad125396568d15766157ec5d69225ce8a6",
-            "trajectory.csv": "b1f8caaf725e0e06b2c8505b9fdb39867af6d9fc77042565d2d9c11a92b9877c",
+            "trajectory.csv": "5de0108f3c4dca9b2271718e90170855f9f7a8280a89388c82f02634786ddec7",
         }
         for argv in [
             ["analyze", *FIG7, "--gamma", "3.5"],
@@ -918,6 +921,55 @@ class TestDeterminism:
             assert run([*argv, "--out", str(tmp_path)]) == 0, argv[0]
         for name, digest in expected.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    def test_outputs_changed_in_0_2_0_stay_near_0_1_0(self, tmp_path, monkeypatch):
+        # Of the files test_non_stream_outputs_are_stable pins, 0.2.0 moved the
+        # last bits of these three.  Under the race forms of 0.1.0, patched
+        # in, the commands that write them give 0.1.0's digests, so the
+        # comparison is with 0.1.0's own outputs.
+        # Every number must agree to 1e-12 relative to max(1, |value|).  Where
+        # these outputs are read, both versions' race values lie within a few
+        # ulps of exact: the H sweep's p* sits at n p ~ 0.85, which 0.1.0
+        # summed, and the gamma sweep and the monitor run at H = 5 and 4,
+        # where (1-p)**n amplifies the rounding of 1 - p at most 5 times.
+        # 1e-12 leaves room for p*, whose slope is flat at the root, and for
+        # the SPRT statistic, a sum of 295 terms that each moved by a few
+        # ulps.  Measured: 7.5e-15, on the statistic.
+        changed = {
+            "sweep_gamma.csv": "a318ec6f6de8d31fa71f3291c22857e5ab7d730369a7af667772dce58fea3a00",
+            "sweep_H.csv": "0282939357a7b9ea8b03cd2380ebd35b65d98ef4084cae917f7eb4620223832a",
+            "trajectory.csv": "b1f8caaf725e0e06b2c8505b9fdb39867af6d9fc77042565d2d9c11a92b9877c",
+        }
+        commands = [
+            ["sweep", *FIG7, "--gamma", "3", "--variable", "gamma", "--grid", "1.5:8:0.5"],
+            ["sweep", *FIG7, "--gamma", "4", "--variable", "H", "--grid", "2000,5000,10000"],
+            ["monitor", *MIX, "--ht", "3", "--hd", "1", "--stages", "20000", "--seeds", "5",
+             "--agent", "2"],
+        ]
+        old, new = tmp_path / "0.1.0", tmp_path / "0.2.0"
+        with monkeypatch.context() as m:
+            m.setattr(race, "mm_loss_prob", oracles.mm_loss_prob_0_1_0)
+            m.setattr(race, "mm_loss_prob_deriv", oracles.mm_loss_prob_deriv_0_1_0)
+            transitions._scan_race.cache_clear()
+            for argv in commands:
+                assert run([*argv, "--out", str(old)]) == 0, argv[0]
+        transitions._scan_race.cache_clear()
+        for argv in commands:
+            assert run([*argv, "--out", str(new)]) == 0, argv[0]
+        for name, digest in changed.items():
+            assert hashlib.sha256((old / name).read_bytes()).hexdigest() == digest, name
+            rows_old = list(csv.reader((old / name).open()))
+            rows_new = list(csv.reader((new / name).open()))
+            assert rows_old != rows_new and len(rows_old) == len(rows_new), name
+            for row_old, row_new in zip(rows_old, rows_new):
+                assert len(row_old) == len(row_new)
+                for a, b in zip(row_old, row_new):
+                    try:
+                        x, y = float(a), float(b)
+                    except ValueError:
+                        assert a == b, name
+                        continue
+                    assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (name, row_old, row_new)
 
 
 def _flag(option_strings, dest, type_=None, default=None, required=False):

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +227,250 @@ class TestHomogeneous:
             race.win_prob_given_entry(1.2, 5)
         with pytest.raises(ValidationError):
             race.mm_loss_prob(0.5, 1)
+
+
+# ---------------------------------------------------------------------------
+# Precision contract: every homogeneous race function against the decimal
+# reference, in ulps of the exact value.
+# ---------------------------------------------------------------------------
+
+RACE_FUNCTIONS = {
+    "mm_loss_prob": race.mm_loss_prob,
+    "mm_loss_prob_deriv": race.mm_loss_prob_deriv,
+    "win_prob_given_entry": race.win_prob_given_entry,
+    "win_prob_given_entry_deriv": race.win_prob_given_entry_deriv,
+}
+# the suprema over the valid range of the first-order bounds derived in
+# TestPrecision's docstring, rounded up; in units of u = 2**-53, so in ulps
+CLOSED_FORM_BOUNDS = {
+    "mm_loss_prob": 25,
+    "mm_loss_prob_deriv": 29,
+    "win_prob_given_entry": 23,
+    "win_prob_given_entry_deriv": 501,
+}
+SUM_BOUNDS = {
+    "mm_loss_prob": 48,
+    "mm_loss_prob_deriv": 41,
+    "win_prob_given_entry": 42,
+    "win_prob_given_entry_deriv": 42,
+}
+
+
+def ulps_off(got, exact):
+    """|got - exact| in ulps of the float nearest the exact value."""
+    if exact == 0:
+        return 0.0 if got == 0.0 else math.inf
+    return float(abs(Decimal(got) - exact) / Decimal(math.ulp(float(exact))))
+
+
+def closed_form_bounds(p, n):
+    """First-order error bounds, in u, of the four closed forms at (p, n)."""
+    log_q = math.log1p(-p) if p < 1.0 else -math.inf
+    z, w = n * p, (n - 1) * p
+    t, y = n * log_q, (n - 1) * log_q
+    e, ey = math.exp(t), math.exp(y)
+    te, ye = (0.0, 0.0) if p == 1.0 else (-t * e, -y * ey)  # |t| e^t and |y| e^y
+    s = e - 1.0 + z  # numerator of mm_loss_prob
+    m = 1.0 - ey * (1.0 + w)  # minus the numerator of its derivative
+    b_h = (3 * te + 2 * (1 - e) + z) / s + 3
+    b_dh = (3 * ye + 2 * (1 - ey) + w * (4 * ey + 3 * ye)) / m + 4
+    h, dh_p = s / z, m / z  # mm_loss_prob and p times its derivative
+    b_dwin = (dh_p * (b_dh + 1) + h * b_h) / (h - dh_p) + 4 if n > 2 else 0.0
+    return {
+        "mm_loss_prob": b_h,
+        "mm_loss_prob_deriv": b_dh,
+        "win_prob_given_entry": b_h + 2 if n > 2 else 0.0,
+        "win_prob_given_entry_deriv": b_dwin,
+    }
+
+
+def _running_sum_bound(n, p, f, scaled):
+    """First-order error bound, in u, of sum(w * f(k)) over race._binom_pmf(n, p),
+    times an integer when scaled, relative to the exact expectation."""
+    pairs = list(race._binom_pmf(n, p))
+    mode = min(n, int((n + 1) * p))
+    steps = [5.0 * abs(k - mode) for k, _ in pairs]  # recurrence roundings
+
+    def accumulation(terms):  # sum of min(u S_j, t_j) over the additions, in u
+        total, bound = 0.0, 0.0
+        for j, t in enumerate(terms):
+            total += t
+            if j:
+                bound += min(total, t * 2.0**53)
+        return bound
+
+    weights = [w for _, w in pairs]
+    e_total = (sum(w * a for w, a in zip(weights, steps)) + accumulation(weights)) / sum(weights)
+    terms = [w * f(k) for k, w in pairs]
+    exact = sum(terms)
+    if exact == 0.0:
+        return 0.0
+    err = sum(t * (a + e_total + 3) for t, a in zip(terms, steps)) + accumulation(terms)
+    return err / exact + 1 + scaled  # + the tail beyond the window, + the scaling
+
+
+def sum_bounds(p, n):
+    """First-order error bounds, in u, of the four binomial sums at (p, n)."""
+    return {
+        "mm_loss_prob": _running_sum_bound(n - 1, p, lambda k: k / (k + 1), 0),
+        "mm_loss_prob_deriv": _running_sum_bound(n - 2, p, lambda k: 1 / ((k + 1) * (k + 2)), 1),
+        "win_prob_given_entry": (
+            _running_sum_bound(n - 2, p, lambda k: 1 / (k + 2), 0) if n > 2 else 0.0
+        ),
+        "win_prob_given_entry_deriv": (
+            _running_sum_bound(n - 3, p, lambda k: 1 / ((k + 2) * (k + 3)), 1) if n > 2 else 0.0
+        ),
+    }
+
+
+@st.composite
+def closed_form_arguments(draw):
+    """(p, n) with n from 2 to 2**53 - 1, log-uniform, and n*p >= 3/4: n*p
+    log-uniform on [3/4, 96] or p = 1."""
+    n = min(2**53 - 1, max(2, int(2.0 ** draw(st.floats(1.0, 53.0)))))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 2**53 - 1))
+    if draw(st.integers(0, 9)) == 0:
+        return 1.0, n
+    p = min(1.0, 0.75 * 2.0 ** draw(st.floats(0.0, 7.0)) / n)
+    while n * p < race.CLOSED_FORM_MIN_NP:
+        p = math.nextafter(p, 1.0)
+    return p, n
+
+
+@st.composite
+def sum_arguments(draw):
+    """(p, n) with n from 2 to 10,000 and n*p < 3/4: p = 0, p log-uniform down
+    to 1e-300, or n*p uniform on [0.5, 3/4), where the sums' bounds peak."""
+    n = draw(st.integers(2, 10_000))
+    kind = draw(st.sampled_from(["zero", "log", "top"]))
+    if kind == "zero":
+        return 0.0, n
+    if kind == "log":
+        p = 10.0 ** draw(st.floats(-300.0, math.log10(0.75 / n)))
+    else:
+        p = draw(st.floats(0.5, 0.75)) / n
+    while n * p >= race.CLOSED_FORM_MIN_NP:
+        p = math.nextafter(p, 0.0)
+    return p, n
+
+
+class TestPrecision:
+    """Each homogeneous race function within its stated error bound, in ulps
+    of the exact value from ``oracles.race_reference``.
+
+    The bounds are first-order running-error bounds, in units of
+    u = 2**-53: a result within K u relative lies within K ulps.  Each
+    +, -, * and / rounds with relative error at most u; log1p, expm1 and exp
+    are taken to be within 1 ulp, 2u relative (glibc's documented maxima);
+    n < 2**53 and the small integers are exact floats.
+
+    Closed forms, with z = n p, t = n log1p(-p) and e = e^t (the exact
+    (1-p)^n), S = e - 1 + z the numerator of mm_loss_prob.  t carries 3u
+    (log1p, then * n), which expm1 turns into |t| e 3u absolute; expm1
+    adds 2u of |e - 1|, the rounded z adds z u, the sum u of S, and the
+    division by the rounded z two more:
+
+        mm_loss_prob:   (3 |t| e + 2 (1 - e) + z) / S + 3
+
+    With w = (n-1) p, y = (n-1) log1p(-p) and M = 1 - e^y (1 + w), the
+    derivative's numerator up to sign: expm1(y) as above, and exp(y) (2u plus 3|y|u from
+    y) times w (u, and u for the product); the sum adds u of M and n p p and
+    its quotient three:
+
+        mm_loss_prob_deriv:   (3 |y| e^y + 2 (1 - e^y) + w e^y (4 + 3 |y|)) / M + 4
+
+    win_prob_given_entry divides mm_loss_prob by (n-1) p: + 2.  Its
+    derivative, (p dh - h) / ((n-1) p^2) with h = S/z and p dh = M/z, cancels
+    between two terms that carry the bounds above:
+
+        win_prob_given_entry_deriv:   (p dh (B_dh + 1) + h B_h) / (h - p dh) + 4
+
+    Each falls as n p grows, so its supremum over n p >= 3/4 lies at
+    n p = 3/4: 24.8 (at n = 2), 29.0 (as n grows), 22.4 (n = 3) and
+    500.1 (n = 3), stated as 25, 29, 23 and 501.  At n = 2 the win
+    probability and its derivative are exact constants.
+
+    Binomial sums.  Each weight is 1.0 at the mode m times |k - m| ratios of
+    the recurrence, each with 5 roundings (1 - p, two products, the quotient
+    and the running product): 5 |k - m| u.  The normalising total adds its
+    weighted error and its accumulation, the division by it u, f(k) and the
+    product w f(k) 2u, and the scaled sums u for the factor n - 1 or n - 2.
+    Plain left-to-right addition makes each step's error at most
+    min(u S_j, t_j) for partial sum S_j and term t_j, since the old sum is
+    itself a candidate for the rounded result.  The window's dropped tail,
+    a few times 2**-56 of the sum, adds at most u.  These bounds depend on the window, so
+    ``sum_bounds`` computes them from it.  For n <= 10^4 and n p < 3/4 they
+    peak below n p = 3/4 at n = 10^4: 47.0, 40.5, 41.4 and 41.6, stated as 48,
+    41, 42 and 42.
+
+    Each test checks, at every drawn (p, n), that the measured error lies
+    within the first-order bound there and that the bound lies within the
+    stated one.  The errors measured are well inside: over 4,000 random
+    (p, n) per band of width 0.05 in n p (see race's module docstring), the
+    closed forms of mm_loss_prob and its derivative stayed within 6.4 and
+    8.2 ulps at n p >= 3/4, the sums within 7.1 and 9.3 at n p < 3/4, and
+    win_prob_given_entry_deriv within 77 at n p in [3/4, 0.8).  The
+    (1-p)**n forms of sniplab 0.1.0 were off by up to 2.8e6 ulps at n p in
+    [1, 2) for n from 2,000 to 10^6.
+    """
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+    @given(closed_form_arguments())
+    @example((0.375, 2))  # n p = 3/4 at the smallest n: the bounds on h peak
+    @example((0.25, 3))  # the win derivative's bound peaks
+    @example((0.75 / (2**53 - 1), 2**53 - 1))
+    @example((0.85 / 2000, 2000))  # near p* of the Fig. 7 rates at gamma 4
+    @example((1.0, 2**53 - 1))
+    def test_closed_forms_within_bounds(self, args):
+        p, n = args
+        assert n * p >= race.CLOSED_FORM_MIN_NP
+        exact = oracles.race_reference(p, n)
+        for name, bound in closed_form_bounds(p, n).items():
+            err = ulps_off(RACE_FUNCTIONS[name](p, n), exact[name])
+            assert err <= bound <= CLOSED_FORM_BOUNDS[name], (name, p, n, err, bound)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+    @given(sum_arguments())
+    @example((math.nextafter(0.75, 0.0) / 10_000, 10_000))  # the sums' bounds peak
+    @example((1e-300, 3))
+    @example((0.0, 10_000))
+    def test_sums_within_bounds(self, args):
+        p, n = args
+        assert n * p < race.CLOSED_FORM_MIN_NP
+        exact = oracles.race_reference(p, n)
+        for name, bound in sum_bounds(p, n).items():
+            err = ulps_off(RACE_FUNCTIONS[name](p, n), exact[name])
+            assert err <= bound <= SUM_BOUNDS[name], (name, p, n, err, bound)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12])
+    def test_reference_matches_exact_sums(self, n):
+        # the reference's closed forms against exact rational expectations
+        for p in (1e-300, 1e-6, 0.1, 0.375, 0.9, 1.0):
+            x = Fraction(p)
+            exact = {
+                "mm_loss_prob": exact_expect(n - 1, x, lambda k: Fraction(k, k + 1)),
+                "mm_loss_prob_deriv": (n - 1)
+                * exact_expect(n - 2, x, lambda k: Fraction(1, (k + 1) * (k + 2))),
+                "win_prob_given_entry": exact_expect(n - 2, x, lambda k: Fraction(1, k + 2)),
+                "win_prob_given_entry_deriv": -(n - 2) * exact_expect(
+                    n - 3, x, lambda k: Fraction(1, (k + 2) * (k + 3))
+                ) if n > 2 else Fraction(0),
+            }
+            reference = oracles.race_reference(p, n)
+            for name, value in exact.items():
+                got = Fraction(reference[name])
+                assert abs(got - value) <= Fraction(1, 10**78) * abs(value), (name, n, p)
+
+    @pytest.mark.parametrize("n", [3, 2000, 10**9, 2**53 - 1])
+    def test_reference_is_stable_in_precision(self, n):
+        # 40 more digits move no value beyond its 78th digit
+        for z in (1e-250, 1e-3, 0.75, 1.0, 30.0):
+            p = min(1.0, z / n)
+            at_80 = oracles.race_reference(p, n)
+            at_120 = oracles.race_reference(p, n, digits=120)
+            for name, value in at_80.items():
+                assert abs(value - at_120[name]) <= abs(at_120[name]) * Decimal("1e-78"), (name, n, z)
 
 
 class TestPopulation:

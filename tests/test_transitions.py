@@ -302,6 +302,21 @@ class TestSlopeKernel:
         assert {row["regime"] for row in rows} == {tr.PROBABILISTIC}
         assert sum(p in SCAN_GRID for p in deriv_ps) == 21
 
+    @pytest.mark.parametrize("h", [2000, 5000, 10000])
+    def test_large_h_p_star_builds_few_windows(self, h, monkeypatch):
+        # near p* at H in the thousands n p is about 0.85, above
+        # race.CLOSED_FORM_MIN_NP, so the root's iterates take the closed
+        # forms: a cold optimal_sniping builds at most 8 binomial windows,
+        # where a cutoff at n p = 1 built 23-39.  Counts, not timings, so the
+        # guard does not depend on the host's speed
+        windows = []
+        monkeypatch.setattr(race, "_binom_pmf", recording(windows, race._binom_pmf))
+        tr._scan_race.cache_clear()
+        regime = tr.optimal_sniping(GameParams(H=h, alpha=0.45, mu=0.5, delta=0.5, gamma=4.0))
+        assert regime.kind == tr.PROBABILISTIC
+        assert 0.75 < h * regime.p_star < 1.0
+        assert 0 < len(windows) <= 8
+
     def test_scan_cache_is_keyed_by_h(self):
         # the scan's race values depend on H alone: rows with other rates at
         # a cached H, and rows after another H, equal rows from an empty cache
