@@ -36,11 +36,11 @@ per (roster, params), read-only, in a small LRU cache.  ``_stage_chunks``
 draws each chunk in a fixed number of numpy calls on flat cell indices of the
 (m, H) chunk, and ``stage_stream`` makes its records with ``tuple.__new__``,
 which runs no Python code per stage.  Tried and rejected: the winner found by
-a per-row cumsum and argmax over the entry mask (60-68 ms per 20k stages at
-H = 200 for entries and winners, against 10-12 ms on flat entries); a first
-chunk of 128 or 256 stages (a criterion-8 replicate took 0.64-1.63 times its
-time at 64, unresolved); a fast path for these records in
-``detection.monitor_stream`` (no measurable gain).
+a per-row cumsum and argmax over the entry mask (several times slower than
+flat entries at H = 200); a first chunk of 128 or 256 stages (no resolved
+change to a criterion-8 replicate); a fast path for these records in
+``detection.monitor_stream`` (no measurable gain).  Their timings are
+recorded in BENCH_22.json.
 
 ``write_stream_csv`` writes a run in the stream-file format of ``streams``,
 which also reads it back and holds the contract number.  It formats each
@@ -164,8 +164,8 @@ def _stage_chunks(
     two scatters into one zeroed vector of m * H, from the payoff table
     raveled to 3 * event + outcome.  Methods (``a.nonzero()``,
     ``a.cumsum()``, ``a.searchsorted``) stand in for numpy's Python-level
-    wrappers of the same name, which cost about 1 us a call on a 64-stage
-    chunk.
+    wrappers of the same name, whose call overhead is a visible share of a
+    64-stage chunk (BENCH_22.json).
     """
     h = len(agents)
     cut1, cut2, candidates, snipe_probs, table = _stage_law(tuple(agents), params)

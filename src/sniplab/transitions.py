@@ -16,25 +16,33 @@ defines two thresholds in the risk aversion gamma:
   crosses zero (the tests find that root numerically as a check on the
   closed form).
 
-Between the two thresholds ``optimal_sniping`` scans the sign of du*/dp on 21
-points of [0, 1] and takes p* as the zero of the analytic slope numerator
+Between the two thresholds ``optimal_sniping`` scans the sign of du*/dp on a
+grid of [0, 1] and takes p* as the zero of the analytic slope numerator
 N'(p)Q(p) - N(p)Q'(p) inside each descending sign change, guarding against
-non-unimodal surprises.  Both zeros in this module, p* and K(gamma), are
-found by one bracketed root-finder, ``_root``: regula falsi with the
-Illinois step, run to float precision.  Each evaluation is float arithmetic
-on h = mm_loss_prob(p, n) and its derivative (``_slope_kernel``); K(gamma)'s
-race values are fixed, while a p* step makes its two race calls, which are
-O(1) closed forms at n*p >= ``race.CLOSED_FORM_MIN_NP`` (near p* at H in the
-thousands, n*p is about 0.85) and short binomial sums below.  The scan's race
-values depend on n alone: ``_scan_race`` computes its 21 (h, dh) pairs once
-per n and keeps those of the last n.  So the rows of a gamma sweep, which
-share H, scan by kernel arithmetic alone: a probabilistic row races only its
-p* steps and points of indifference, 42 calls fewer than with a cold scan.
-An H sweep gives every row a new n, so its rows race the scan every time.
-The timings of these steps are recorded in BENCH_21.json.  The iterates are
-part of the output: an Anderson-Bjorck step in place of the Illinois one moved the last
-bits of p* in 60 and 62 of 400 random settings and saved 0.2-2.9 % of the
-evaluations, so the path stays as it is.
+non-unimodal surprises.  The grid is ``_SCAN_GRID``, 21 points 0.05 apart,
+with the points p = c/n, c in ``_NP_POINTS``, added inside its first cell
+(0, 0.05).  At H in the thousands p* lies near 0.85/n, so those points
+bracket it on the n*p scale, where the first cell alone is about 600 times
+too wide at H = 10^4; at n <= 16 none falls inside the cell, and the grid is
+``_SCAN_GRID`` alone.  Every c is at least ``race.CLOSED_FORM_MIN_NP``, so
+the points and the root's iterates between them race on the O(1) closed
+forms rather than on the binomial sums below the cutoff; points below it cost
+more time than they save.
+
+Both zeros in this module, p* and K(gamma), are found by one bracketed
+root-finder, ``_root``: regula falsi with the Illinois step, run to float
+precision, with a next-float probe where the secant point rounds onto an end
+of the bracket.  Each evaluation is float arithmetic on h = mm_loss_prob(p,
+n) and its derivative (``_slope_kernel``); K(gamma)'s race values are fixed,
+while a p* step makes its two race calls.  The scan's race values depend on n
+alone: ``_scan_race`` computes them once per n and keeps those of the last n.
+So the rows of a gamma sweep, which share H, scan by kernel arithmetic alone
+and race only their p* steps and points of indifference.  An H sweep gives
+every row a new n, so its rows race the scan every time.  The timings of
+these steps are recorded in BENCH_21.json and BENCH_22.json.  The iterates
+are part of the output: an Anderson-Bjorck step in place of the Illinois one
+moved the last bits of p* in 60 and 62 of 400 random settings and saved
+0.2-2.9 % of the evaluations, so that step was not taken.
 """
 
 from __future__ import annotations
@@ -54,8 +62,11 @@ log = logging.getLogger(__name__)
 # no-sniping payoff of zero, so the regime is classified as no-sniping.
 PLAYABLE_TOL = 1e-12
 
-# du*/dp is scanned for sign changes on these points of [0, 1]
+# du*/dp is scanned for sign changes on these points of [0, 1] ...
 _SCAN_GRID = tuple(i / 20 for i in range(21))
+# ... and on p = c/n for these c, where c/n < 0.05 (see the module docstring);
+# each c must be at least race.CLOSED_FORM_MIN_NP
+_NP_POINTS = (0.8, 1.0, 2.0, 4.0, 8.0)
 
 SURE = "sure"
 PROBABILISTIC = "probabilistic"
@@ -92,15 +103,23 @@ def _root(f, lo: float, hi: float, flo: float, fhi: float) -> float:
     Regula falsi with the Illinois step (Dowell & Jarratt 1971): when the
     same end of the bracket is replaced twice running, the value kept at the
     other end is halved, which makes the convergence superlinear.  A secant
-    point that rounds onto an end is replaced by the midpoint.  Stops when f
-    is exactly zero or lo and hi are adjacent floats, and returns the end
-    with f <= 0.
+    point that rounds onto an end means the zero lies within rounding of that
+    end, so the float next to it is probed, which closes the bracket if the
+    sign changes there; if it does not, the next such point is replaced by
+    the midpoint, so probes and midpoints alternate and the bracket never
+    shrinks ulp by ulp.  Stops when f is exactly zero or lo and hi are
+    adjacent floats, and returns the end with f <= 0.
     """
     side = 0
+    probe = True
     while True:
         x = lo + (hi - lo) * (flo / (flo - fhi))
         if not lo < x < hi:
-            x = lo + (hi - lo) / 2
+            if probe:
+                x = math.nextafter(lo, hi) if x <= lo else math.nextafter(hi, lo)
+            else:
+                x = lo + (hi - lo) / 2
+            probe = not probe
             if not lo < x < hi:
                 return hi
         fx = f(x)
@@ -153,15 +172,20 @@ def _slope_terms(p: float, d: DerivedParams, n_agents: int) -> tuple[float, floa
 
 
 @functools.lru_cache(maxsize=1)
-def _scan_race(n_agents: int) -> tuple[tuple[float, float], ...]:
-    """(mm_loss_prob, mm_loss_prob_deriv) at each p of ``_SCAN_GRID``.
+def _scan_race(n_agents: int) -> tuple[tuple[float, float, float], ...]:
+    """(p, mm_loss_prob, mm_loss_prob_deriv) at each scan point p for n agents.
 
-    They depend on n alone, so a gamma sweep, whose rows share H, computes
-    them once.  One entry is enough: an H sweep changes n on every row.
+    The points are ``_SCAN_GRID`` with p = c/n, c in ``_NP_POINTS``, added
+    inside its first cell (0, 0.05), in increasing order; at n <= 16 none
+    falls there.  The values depend on n alone, so a gamma sweep, whose rows
+    share H, computes them once.  One entry is enough: an H sweep changes n
+    on every row.
     """
+    cell = _SCAN_GRID[1]
+    grid = sorted([*_SCAN_GRID, *(c / n_agents for c in _NP_POINTS if c / n_agents < cell)])
     return tuple(
-        (race.mm_loss_prob(p, n_agents), race.mm_loss_prob_deriv(p, n_agents))
-        for p in _SCAN_GRID
+        (p, race.mm_loss_prob(p, n_agents), race.mm_loss_prob_deriv(p, n_agents))
+        for p in grid
     )
 
 
@@ -213,19 +237,20 @@ def thresholds(params: GameParams) -> Thresholds:
 def _classify(params: GameParams, d: DerivedParams, th: Thresholds) -> SnipingRegime:
     """The regime of params, given its derived quantities and its thresholds.
 
-    Between the thresholds, each descending sign change of du*/dp on a
-    21-point grid brackets a local maximum of u*; ``_root`` locates each on
-    the slope numerator and the best candidate wins.
+    Between the thresholds, each descending sign change of du*/dp on the
+    scan grid of ``_scan_race`` brackets a local maximum of u*; ``_root``
+    locates each on the slope numerator and the best candidate wins.
     """
     n = params.H
     if params.gamma < th.to_probabilistic:
         point = _point(1.0, d, n)
         return SnipingRegime(SURE, 1.0, point.u_star, point.s_star)
     if params.gamma < th.to_no_sniping:
-        slopes = [_slope_kernel(h, dh, d, d.q, n)[0] for h, dh in _scan_race(n)]
+        scan = _scan_race(n)
+        slopes = [_slope_kernel(h, dh, d, d.q, n)[0] for _, h, dh in scan]
         brackets = [
-            (_SCAN_GRID[i], _SCAN_GRID[i + 1], slopes[i], slopes[i + 1])
-            for i in range(20)
+            (scan[i][0], scan[i + 1][0], slopes[i], slopes[i + 1])
+            for i in range(len(scan) - 1)
             if slopes[i] > 0 >= slopes[i + 1]
         ]
         if len(brackets) > 1:

@@ -17,6 +17,9 @@ implementation of, and the tests compare the two:
 * ``mm_loss_prob_0_1_0`` and ``mm_loss_prob_deriv_0_1_0`` -- the two race
   functions as sniplab 0.1.0 computed them, with (1-p)**n and the cutoff at
   n*p = 1; patched into ``race``, they reproduce that version's outputs;
+* ``root_0_2_0`` -- ``transitions._root`` as sniplab 0.1.0 and 0.2.0 ran it,
+  with a midpoint wherever the secant point rounds onto an end; patched into
+  ``transitions`` with no n*p scan points, it reproduces 0.2.0's outputs;
 * ``win_prob_given_entry_mixed_two_urn`` -- the mixed-population win
   probability, conditioning on the market maker's type;
 * ``utility_distribution_enum`` -- a trustworthy agent's stage-utility law by
@@ -162,6 +165,31 @@ def mm_loss_prob_deriv_0_1_0(p: float, n_agents: int) -> float:
     if n * p < 1.0:
         return (n - 1) * sum([w * (1 / ((k + 1) * (k + 2))) for k, w in race._binom_pmf(n - 2, p)])
     return (1.0 - (1.0 - p) ** (n - 1) * (n * p + 1.0 - p)) / (n * p * p)
+
+
+def root_0_2_0(f, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """transitions._root of sniplab 0.2.0: regula falsi with the Illinois step,
+    and the midpoint in place of every secant point that rounds onto an end."""
+    side = 0
+    while True:
+        x = lo + (hi - lo) * (flo / (flo - fhi))
+        if not lo < x < hi:
+            x = lo + (hi - lo) / 2
+            if not lo < x < hi:
+                return hi
+        fx = f(x)
+        if fx > 0:
+            lo, flo = x, fx
+            if side > 0:
+                fhi /= 2
+            side = 1
+        elif fx == 0:
+            return x
+        else:
+            hi, fhi = x, fx
+            if side < 0:
+                flo /= 2
+            side = -1
 
 
 def win_prob_given_entry_mixed_two_urn(p: float, pop: Population) -> float:

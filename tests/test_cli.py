@@ -897,13 +897,14 @@ class TestDeterminism:
         # with numpy 2.4.6; the streams' digests were taken with the writer
         # that formatted each distinct stage once per chunk.  The summary's p
         # and spread are pinned as above, the monitor's come from the
-        # optimiser, as in a default run.  sweep_gamma.csv, sweep_H.csv and
-        # trajectory.csv were taken with the log1p race forms of 0.2.0
+        # optimiser, as in a default run.  sweep_gamma.csv and trajectory.csv
+        # were taken with the log1p race forms of 0.2.0, sweep_H.csv with the
+        # n*p scan points and the next-float probe of 0.3.0
         expected = {
             "analysis.json": "d8fd9641fae7923c62eda84774c85b63a9a80ca2e5440d10cd0384c908f9fff7",
             "payoff_table.csv": "e8273d80e97d9ff85dfcb6ac74c5821443400e70026065cde08f3bc39a8fc890",
             "sweep_gamma.csv": "fe882f04ded698db80a760044dfb7971a3c3de22790c38124752b7e4db8cd577",
-            "sweep_H.csv": "cdd61198c0229bf1a2fe7551e6116ec0425d4068b645bc5d0388d83e623415df",
+            "sweep_H.csv": "f4b96622e0d7648912a4716bd9bd44f56b85bcf51e83e6ea40a8e1eb6dcec302",
             "summary.csv": "e18239c474bb8bcbd7c491ff2d6d74cca0beb9788e018315924ace10976fe1b6",
             "stream_seed1.csv": "97b5fbf01c4556364e0a4f41cb8de1377aebe290d15f3b4932f74c3b23167e1c",
             "stream_seed2.csv": "e8351aeff2985699a2fb0b7ddba2f8ad125396568d15766157ec5d69225ce8a6",
@@ -970,6 +971,45 @@ class TestDeterminism:
                         assert a == b, name
                         continue
                     assert abs(x - y) <= 1e-12 * max(1.0, abs(x)), (name, row_old, row_new)
+
+    def test_outputs_changed_in_0_3_0_stay_near_0_2_0(self, tmp_path, monkeypatch):
+        # Of the files test_non_stream_outputs_are_stable pins, 0.3.0 moved
+        # only sweep_H.csv: the scan points c/H and the next-float probe of
+        # _root change the path of the p* iterates, not the function whose
+        # zero they find.  With 0.2.0's _root and no such points patched in,
+        # the H sweep gives 0.2.0's digest, so the comparison is with 0.2.0's
+        # own output.
+        # Every number must agree to 1e-13 relative.  Both versions stop at
+        # adjacent floats around a sign change of the slope numerator, whose
+        # rounding noise near p* spans up to about 500 ulps of p (5.6e-14
+        # relative, measured between bracket choices at H 2,000-10^6); s* and
+        # u* at p* and the thresholds are better conditioned.  Measured over
+        # 754 rows at H 2,000-10^6: 1.3e-15 on p*, 8.6e-16 on u_opt.
+        argv = ["sweep", *FIG7, "--gamma", "4", "--variable", "H", "--grid",
+                "2000,5000,10000"]
+        old, new = tmp_path / "0.2.0", tmp_path / "0.3.0"
+        with monkeypatch.context() as m:
+            m.setattr(transitions, "_root", oracles.root_0_2_0)
+            m.setattr(transitions, "_NP_POINTS", ())
+            transitions._scan_race.cache_clear()
+            assert run([*argv, "--out", str(old)]) == 0
+        transitions._scan_race.cache_clear()
+        assert run([*argv, "--out", str(new)]) == 0
+        digest = hashlib.sha256((old / "sweep_H.csv").read_bytes()).hexdigest()
+        assert digest == "cdd61198c0229bf1a2fe7551e6116ec0425d4068b645bc5d0388d83e623415df"
+        rows_old = list(csv.reader((old / "sweep_H.csv").open()))
+        rows_new = list(csv.reader((new / "sweep_H.csv").open()))
+        assert rows_old[0] == rows_new[0] and rows_old != rows_new
+        assert len(rows_old) == len(rows_new) == 4
+        for row_old, row_new in zip(rows_old[1:], rows_new[1:]):
+            assert len(row_old) == len(row_new)
+            for a, b in zip(row_old, row_new):
+                try:
+                    x, y = float(a), float(b)
+                except ValueError:
+                    assert a == b
+                    continue
+                assert abs(x - y) <= 1e-13 * abs(x), (row_old, row_new)
 
 
 def _flag(option_strings, dest, type_=None, default=None, required=False):

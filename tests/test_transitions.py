@@ -14,7 +14,13 @@ from sniplab.params import DerivedParams, GameParams, ValidationError, derive
 import oracles
 
 FIG = dict(H=5, alpha=0.45, mu=0.5, delta=0.5)
-SCAN_GRID = [i / 20 for i in range(21)]  # where optimal_sniping scans du*/dp
+SCAN_GRID = [i / 20 for i in range(21)]  # where optimal_sniping scans du*/dp ...
+NP_POINTS = (0.8, 1.0, 2.0, 4.0, 8.0)  # ... with c/H for these c inside (0, 0.05)
+
+
+def scan_grid(h):
+    """The scan points of optimal_sniping at H = h, in increasing order."""
+    return sorted(SCAN_GRID + [c / h for c in NP_POINTS if c / h < SCAN_GRID[1]])
 
 
 def slope_numerator(p, pr):
@@ -282,11 +288,14 @@ class TestSlopeKernel:
         assert len(derived) == 2
         assert len(closed) == 1
         assert len(threshold_qs) == len(set(threshold_qs)) > 0
-        # the scan races each grid point once; the root's slopes lie off the grid
-        assert sorted(p for p in deriv_ps if p in SCAN_GRID) == SCAN_GRID
+        # the scan races each point of the per-H grid once; the root's slopes
+        # lie off the grid
+        grid = scan_grid(2000)
+        assert len(grid) == len(SCAN_GRID) + len(NP_POINTS)
+        assert sorted(p for p in deriv_ps if p in grid) == grid
         assert len(slope_ps) == len(set(slope_ps)) > 0
-        assert set(SCAN_GRID).isdisjoint(slope_ps)
-        assert len(deriv_ps) == len(SCAN_GRID) + len(slope_ps)
+        assert set(grid).isdisjoint(slope_ps)
+        assert len(deriv_ps) == len(grid) + len(slope_ps)
         assert loss_ps.count(row["p_star"]) <= 2
 
     def test_gamma_sweep_races_the_scan_once(self, monkeypatch):
@@ -316,6 +325,39 @@ class TestSlopeKernel:
         assert regime.kind == tr.PROBABILISTIC
         assert 0.75 < h * regime.p_star < 1.0
         assert 0 < len(windows) <= 8
+
+    def test_h_sweep_p_star_work(self, monkeypatch):
+        # over an H sweep at the Fig. 7 rates and gamma 4, where p* lies near
+        # 0.85/H, the scan points c/H bracket p* on the n*p scale: a cold
+        # optimal_sniping takes at most 14 p* slope evaluations (34 on average
+        # and up to 62 when the bracket was [0, 0.05]), and its only binomial
+        # windows are the scan's two race sums at p = 0; every other race
+        # call, the root's iterates included, is a closed form.  Counts, not
+        # timings, so the guard does not depend on the host's speed
+        for h in range(2000, 10001, 500):
+            slope_ps, windows = [], []
+            with monkeypatch.context() as m:
+                m.setattr(tr, "_slope_terms", recording(slope_ps, tr._slope_terms))
+                m.setattr(race, "_binom_pmf", recording(windows, race._binom_pmf, 1))
+                tr._scan_race.cache_clear()
+                regime = tr.optimal_sniping(params(4.0, H=h))
+            assert regime.kind == tr.PROBABILISTIC, h
+            assert 0 < len(slope_ps) <= 14, (h, len(slope_ps))
+            assert windows in ([0.0], [0.0, 0.0]), (h, windows)
+
+    def test_scan_grid_per_h(self):
+        # at H = 5 no point c/H falls inside (0, 0.05): a gamma sweep at the
+        # paper's H scans the 21 points of _SCAN_GRID alone
+        tr._scan_race.cache_clear()
+        assert [p for p, _, _ in tr._scan_race(5)] == list(tr._SCAN_GRID) == SCAN_GRID
+        for h in (16, 17, 160, 161, 2000, 10**6):
+            assert [p for p, _, _ in tr._scan_race(h)] == scan_grid(h), h
+        assert len(scan_grid(16)) == 21 and len(scan_grid(161)) == 26
+        # every point c/H races on the closed forms: n*p rounds to no less
+        # than the cutoff (0.75/H would round below it at H = 5,000)
+        assert 5000 * (0.75 / 5000) < race.CLOSED_FORM_MIN_NP
+        for h in [*range(17, 20_001), 2**31 - 1, 2**53 - 1]:
+            assert min(h * (c / h) for c in tr._NP_POINTS) >= race.CLOSED_FORM_MIN_NP, h
 
     def test_scan_cache_is_keyed_by_h(self):
         # the scan's race values depend on H alone: rows with other rates at
