@@ -17,6 +17,7 @@ manifest as ``sigma_scale``.  The quantities a parameter set must satisfy:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 
@@ -97,9 +98,12 @@ class DerivedParams:
         hi = max(self.alpha_bar, self.mu_bar)
         slack = 4e-16 * hi  # a few ulps: the harmonic mean can round past min
         if not lo - slack <= self.theta_bar <= hi + slack:
+            product = self.alpha_bar * self.mu_bar  # theta_bar's numerator, halved
             raise ValidationError(
-                "theta_bar must lie between alpha_bar and mu_bar "
-                f"(got {self.theta_bar})"
+                f"alpha_bar * mu_bar underflows (got {product}), so theta_bar = "
+                f"{self.theta_bar} does not lie between alpha_bar and mu_bar"
+                if product < sys.float_info.min
+                else f"theta_bar must lie between alpha_bar and mu_bar (got {self.theta_bar})"
             )
         if self.q < 0:
             raise ValidationError(f"q must be >= 0 (got {self.q})")

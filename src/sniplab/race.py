@@ -6,19 +6,19 @@ with probability ``p``; the winner is uniform among the entrants.  This module
 computes
 
 * ``mm_loss_prob(p, n)``       -- the market maker loses the race,
-* ``win_prob_given_entry(p, n)`` -- a racing bandit wins, given he entered,
+* ``mm_loss_prob_deriv(p, n)`` -- its derivative in ``p``,
 
-their derivatives in ``p``, and the generalisations for a population split
-into trustworthy agents (snipe with probability ``p``) and deceptive agents
-(snipe for sure), from both the trustworthy and the deceptive agent's
-viewpoint.
+and the generalisations for a population split into trustworthy agents
+(snipe with probability ``p``) and deceptive agents (snipe for sure), from
+both the trustworthy and the deceptive agent's viewpoint.  Each of the n-1
+bandits is equally likely to be the one who beat the market maker, so a
+given bandit enters and wins with probability mm_loss_prob(p, n) / (n-1).
 
 Closed forms (with N_B counting bandit entrants, L = log1p(-p), -inf at
 p = 1, and y = (n-1) L):
 
-    mm_loss_prob(p, n)         = E[N_B/(1+N_B)] = (expm1(n L) + n p) / (n p)
-    mm_loss_prob_deriv(p, n)   = -(expm1(y) + (n-1) p exp(y)) / (n p^2)
-    win_prob_given_entry(p, n) = E[1/(2+N_B')]  = mm_loss_prob(p, n) / ((n-1) p)
+    mm_loss_prob(p, n)       = E[N_B/(1+N_B)] = (expm1(n L) + n p) / (n p)
+    mm_loss_prob_deriv(p, n) = -(expm1(y) + (n-1) p exp(y)) / (n p^2)
 
 These are ((1-p)^n - (1 - n p)) / (n p) and its derivative with (1-p)^n
 taken as exp(n L): forming (1-p)**n instead amplifies the rounding of 1 - p
@@ -26,14 +26,12 @@ about n times (Goldberg 1991, ACM Comput. Surv. 23:5), which cost up to
 2.8e6 ulps at n*p in [1, 2) for n from 2,000 to 10^6, and 7e15 ulps near
 n = 2**53.  The numerators still cancel for small n*p, and at p = 0 the forms
 are 0/0, so they are used only where n*p >= ``CLOSED_FORM_MIN_NP``.  Below
-that, all four functions are evaluated as the binomial expectations
+that, both functions are evaluated as the binomial expectations
 
-    mm_loss_prob               =      E[N/(1+N)],          N ~ Bin(n-1, p)
-    mm_loss_prob_deriv         =  (n-1) E[1/((1+N)(2+N))], N ~ Bin(n-2, p)
-    win_prob_given_entry       =      E[1/(2+N)],          N ~ Bin(n-2, p)
-    win_prob_given_entry_deriv = -(n-2) E[1/((2+N)(3+N))], N ~ Bin(n-3, p)
+    mm_loss_prob       =      E[N/(1+N)],          N ~ Bin(n-1, p)
+    mm_loss_prob_deriv =  (n-1) E[1/((1+N)(2+N))], N ~ Bin(n-2, p)
 
-(each derivative is m E[f(N+1) - f(N)] of an expectation over Bin(m, p)),
+(the derivative is m E[f(N+1) - f(N)] of an expectation over Bin(m, p)),
 with the mass function built by a ratio recurrence (``_binom_pmf``).  All
 terms of a sum share one sign, so there is no cancellation, and the sums are
 exact at p = 0.  The mixed-population functions are such sums at every p.
@@ -49,9 +47,7 @@ Over 4,000 random (n, p) per band of width 0.05 in n*p, with n log-uniform
 from 2 to 2**53 - 1, the closed forms were within 6.4 and 8.2 ulps at
 n*p >= 3/4, and the sums within 7.1 and 9.3 ulps at n*p in [0.4, 3/4); at
 n*p in [0.7, 3/4) the closed-form derivative reached 10.6 ulps.  The
-measurement is recorded in BENCH_21.json.  win_prob_given_entry_deriv,
-whose closed form subtracts two near-equal products, is the least accurate
-function at the cutoff: 77 ulps at n*p in [3/4, 0.8).
+measurement is recorded in BENCH_21.json.
 
 A sum runs over the weights that can reach it: its upper tail is cut where a
 term falls to 2**-56 of the first term past the mode.  Each dropped term lies
@@ -194,38 +190,6 @@ def mm_loss_prob_deriv(p: float, n_agents: int) -> float:
         return (n - 1) * sum([w * (1 / ((k + 1) * (k + 2))) for k, w in _binom_pmf(n - 2, p)])
     y = (n - 1) * (log1p(-p) if p < 1.0 else -inf)
     return -(expm1(y) + (n - 1) * p * exp(y)) / (n * p * p)
-
-
-def win_prob_given_entry(p: float, n_agents: int) -> float:
-    """Probability a racing bandit wins, conditional on having entered.
-
-    Equals 1/2 at p = 0 (only the market maker to beat, in expectation) and
-    1/n at p = 1 (uniform among all agents); strictly decreasing in between.
-    """
-    _check_p(p)
-    _check_n(n_agents)
-    n = n_agents
-    if n == 2:
-        return 0.5  # a lone entrant always faces exactly the market maker
-    if n * p < CLOSED_FORM_MIN_NP:
-        return sum([w * (1 / (k + 2)) for k, w in _binom_pmf(n - 2, p)])
-    if p == 1.0:
-        return 1.0 / n
-    return mm_loss_prob(p, n) / ((n - 1) * p)
-
-
-def win_prob_given_entry_deriv(p: float, n_agents: int) -> float:
-    """d/dp of win_prob_given_entry; -(n-2)/6 at p = 0, -(n-2)/(n(n-1)) at p = 1."""
-    _check_p(p)
-    _check_n(n_agents)
-    n = n_agents
-    if n == 2:
-        return 0.0
-    if n * p < CLOSED_FORM_MIN_NP:
-        return -(n - 2) * sum([w * (1 / ((k + 2) * (k + 3))) for k, w in _binom_pmf(n - 3, p)])
-    if p == 1.0:
-        return -(n - 2) / (n * (n - 1))
-    return (mm_loss_prob_deriv(p, n) * p - mm_loss_prob(p, n)) / ((n - 1) * p * p)
 
 
 # ---------------------------------------------------------------------------

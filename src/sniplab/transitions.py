@@ -189,14 +189,6 @@ def _scan_race(n_agents: int) -> tuple[tuple[float, float, float], ...]:
     )
 
 
-def indifference_slope(p: float, params: GameParams) -> float:
-    """du*/dp, assembled analytically from the endpoint derivatives."""
-    k, q_ = _slope_terms(p, derive(params), params.H)
-    if abs(q_) < utility.PARALLEL_TOL:
-        raise utility.ParallelLinesError("degenerate utility lines")
-    return k / (q_ * q_)
-
-
 def _no_sniping(d: DerivedParams, params: GameParams) -> float:
     z = 1.0 + d.mu_bar - d.beta * (1.0 - d.mu_bar)
     scale = d.alpha_bar * d.theta_bar  # underflows to 0 at tiny rates

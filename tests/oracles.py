@@ -10,8 +10,9 @@ implementation of, and the tests compare the two:
   one per side of the mode, joined by slicing: the weights, in order, that
   the one-list build must reproduce;
 * ``mm_loss_prob_enum`` and ``win_prob_given_entry_enum`` -- the homogeneous
-  race probabilities as plain binomial expectations, without the closed forms;
-* ``race_reference`` -- the four homogeneous race functions in ``decimal``
+  race probabilities as plain binomial expectations, without the closed forms
+  (p times the second is the package's mm_loss_prob / (n-1));
+* ``race_reference`` -- the two homogeneous race functions in ``decimal``
   arithmetic at 80 or more digits, the exact value that tests/test_race.py
   measures each function's error in ulps against;
 * ``mm_loss_prob_0_1_0`` and ``mm_loss_prob_deriv_0_1_0`` -- the two race
@@ -108,31 +109,32 @@ def mm_loss_prob_enum(p: float, n_agents: int) -> float:
 
 
 def win_prob_given_entry_enum(p: float, n_agents: int) -> float:
-    """Exact binomial-expectation form of win_prob_given_entry, E[1/(2+N)], N~Bin(n-2,p)."""
+    """Probability a racing bandit wins, given he entered: E[1/(2+N)],
+    N~Bin(n-2,p), summed over the full mass function.  p times it is the
+    unconditional win probability, which the package takes as
+    race.mm_loss_prob(p, n) / (n-1)."""
     _check_p(p)
     _check_n(n_agents)
     return full_length_expect(n_agents - 2, p, lambda k: 1 / (k + 2))
 
 
 def race_reference(p: float, n_agents: int, digits: int = 80) -> dict[str, Decimal]:
-    """mm_loss_prob, mm_loss_prob_deriv, win_prob_given_entry and
-    win_prob_given_entry_deriv at (p, n), keyed by name, to ``digits`` digits.
+    """mm_loss_prob and mm_loss_prob_deriv at (p, n), keyed by name, to
+    ``digits`` digits.
 
     The closed forms of race's module docstring with (1-p)^n taken as an
     exact-exponent ``decimal`` power of the float p converted exactly.  The
     working precision adds the digits that the evaluation loses: 1 - p rounded
     to it carries one unit in its last place, which the power multiplies by n
     (len(str(n)) digits), and the numerators cancel to about (n p)^2 of 1,
-    with one more factor n p in the derivative of win_prob_given_entry
-    (3 log10(1/(n p)) digits).  p = 0, where the forms are 0/0, and n = 2,
-    where a lone bandit always faces the market maker, give their exact
-    values.
+    which 3 log10(1/(n p)) digits cover with a factor n p to spare.  p = 0,
+    where the forms are 0/0, gives the exact values.
     """
     _check_p(p)
     _check_n(n_agents)
     n = n_agents
     if p == 0.0:
-        values = [Decimal(0), Decimal(n - 1) / 2, Decimal(1) / 2, -Decimal(n - 2) / 6]
+        h, dh = Decimal(0), Decimal(n - 1) / 2
     else:
         extra = len(str(n)) + 3 * max(0, math.ceil(-math.log10(n * p)))
         with localcontext() as ctx:
@@ -140,14 +142,9 @@ def race_reference(p: float, n_agents: int, digits: int = 80) -> dict[str, Decim
             x, m = Decimal(p), Decimal(n)
             h = ((1 - x) ** n - (1 - m * x)) / (m * x)
             dh = (1 - (1 - x) ** (n - 1) * (m * x + 1 - x)) / (m * x * x)
-            values = [h, dh, h / ((m - 1) * x), (dh * x - h) / ((m - 1) * x * x)]
-    if n == 2:
-        values[2:] = [Decimal(1) / 2, Decimal(0)]
-    names = ("mm_loss_prob", "mm_loss_prob_deriv", "win_prob_given_entry",
-             "win_prob_given_entry_deriv")
     with localcontext() as ctx:
         ctx.prec = digits
-        return {name: +value for name, value in zip(names, values)}
+        return {"mm_loss_prob": +h, "mm_loss_prob_deriv": +dh}
 
 
 def mm_loss_prob_0_1_0(p: float, n_agents: int) -> float:

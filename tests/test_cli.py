@@ -183,6 +183,21 @@ class TestAnalyze:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            # alpha_bar * mu_bar underflows to 0
+            ["--alpha", "0.45", "--mu", "0.5", "--delta", "1e-300"],
+            # ... or to a subnormal, whose lost bits put theta_bar below both
+            ["--alpha", "1e-160", "--mu", "1e-160", "--delta", "0.5"],
+        ],
+    )
+    def test_underflowing_theta_bar_named(self, tmp_path, capsys, rates):
+        argv = ["analyze", "--H", "5", *rates, "--gamma", "3", "--out", str(tmp_path)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: alpha_bar * mu_bar underflows")
+        assert list(tmp_path.iterdir()) == []
+
     def test_underflowing_slope_numerator_gives_one_error_line(self, tmp_path):
         # K(1) underflows to 0 at alpha 1e-320; it used to be taken for
         # "probabilistic sniping already optimal" in a warning before the error
@@ -926,8 +941,9 @@ class TestDeterminism:
     def test_outputs_changed_in_0_2_0_stay_near_0_1_0(self, tmp_path, monkeypatch):
         # Of the files test_non_stream_outputs_are_stable pins, 0.2.0 moved the
         # last bits of these three.  Under the race forms of 0.1.0, patched
-        # in, the commands that write them give 0.1.0's digests, so the
-        # comparison is with 0.1.0's own outputs.
+        # in with the _root and scan grid that 0.1.0 shared with 0.2.0, the
+        # commands that write them give 0.1.0's digests, so the comparison is
+        # with 0.1.0's own outputs.
         # Every number must agree to 1e-12 relative to max(1, |value|).  Where
         # these outputs are read, both versions' race values lie within a few
         # ulps of exact: the H sweep's p* sits at n p ~ 0.85, which 0.1.0
@@ -951,6 +967,8 @@ class TestDeterminism:
         with monkeypatch.context() as m:
             m.setattr(race, "mm_loss_prob", oracles.mm_loss_prob_0_1_0)
             m.setattr(race, "mm_loss_prob_deriv", oracles.mm_loss_prob_deriv_0_1_0)
+            m.setattr(transitions, "_root", oracles.root_0_2_0)
+            m.setattr(transitions, "_NP_POINTS", ())
             transitions._scan_race.cache_clear()
             for argv in commands:
                 assert run([*argv, "--out", str(old)]) == 0, argv[0]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sniplab.params import (
+    DerivedParams,
     GameParams,
     ValidationError,
     derive,
@@ -90,6 +91,16 @@ def test_underflowing_rates_refused_by_derive():
     p = GameParams(H=5, alpha=1e-300, mu=1e-300, delta=1e-30, gamma=2.0)
     with pytest.raises(ValidationError, match="underflow"):
         derive(p)
+
+
+def test_theta_bar_refusal_names_underflow():
+    # a theta_bar outside [alpha_bar, mu_bar] is refused as such, and as an
+    # underflow where alpha_bar * mu_bar is below the smallest normal float
+    rest = dict(beta=0.5, q=1.0, m=0.9)
+    with pytest.raises(ValidationError, match="theta_bar must lie between"):
+        DerivedParams(alpha_bar=0.1, mu_bar=0.2, theta_bar=0.5, **rest)
+    with pytest.raises(ValidationError, match=r"^alpha_bar \* mu_bar underflows \(got 1e-320\)"):
+        DerivedParams(alpha_bar=1e-160, mu_bar=1e-160, theta_bar=1e-161, **rest)
 
 
 @given(valid_params_st)

@@ -24,12 +24,7 @@ def race_sums(n, p):
     the agent count whose sum runs over Bin(n, p) (below CLOSED_FORM_MIN_NP,
     or at every p with it set to inf), and the mixed-population functions at
     H_t = n, H_d 0-3."""
-    values = [
-        race.mm_loss_prob(p, n + 1),
-        race.mm_loss_prob_deriv(p, n + 2),
-        race.win_prob_given_entry(p, n + 2),
-        race.win_prob_given_entry_deriv(p, n + 3),
-    ]
+    values = [race.mm_loss_prob(p, n + 1), race.mm_loss_prob_deriv(p, n + 2)]
     for hd in range(4):
         if n + hd < 3:
             continue
@@ -44,14 +39,12 @@ def race_sums(n, p):
 
 
 def oracle_sums(n, p):
-    """The four homogeneous sums of race_sums, as oracles.full_length_expect
+    """The two homogeneous sums of race_sums, as oracles.full_length_expect
     of f passed as a function."""
     expect = oracles.full_length_expect
     return [
         expect(n, p, lambda k: k / (k + 1)),
         (n + 1) * expect(n, p, lambda k: 1 / ((k + 1) * (k + 2))),
-        expect(n, p, lambda k: 1 / (k + 2)),
-        -(n + 1) * expect(n, p, lambda k: 1 / ((k + 2) * (k + 3))),
     ]
 
 
@@ -92,16 +85,21 @@ class TestHomogeneous:
         assert race.mm_loss_prob_deriv(0.5, 4) == pytest.approx(fd, abs=1e-6)
 
     def test_win_prob_known_points(self):
-        assert race.win_prob_given_entry(1.0, 5) == pytest.approx(0.2, abs=1e-15)
-        assert race.win_prob_given_entry(0.0, 7) == 0.5
-        # N ~ Bin(1, 1/2): E[1/(2+N)] = (1/2)(1/2) + (1/2)(1/3)
-        assert race.win_prob_given_entry(0.5, 3) == pytest.approx(5 / 12, abs=1e-15)
+        # a given bandit enters and wins w.p. p E[1/(2+N)], N ~ Bin(n-2, p),
+        # which the package takes as mm_loss_prob / (n-1)
+        assert race.mm_loss_prob(1.0, 5) / 4 == pytest.approx(0.2, abs=1e-15)
+        assert race.mm_loss_prob(0.0, 7) / 6 == 0.0
+        # N ~ Bin(1, 1/2): (1/2) ((1/2)(1/2) + (1/2)(1/3))
+        assert race.mm_loss_prob(0.5, 3) / 2 == pytest.approx(5 / 24, abs=1e-15)
 
     def test_win_prob_deriv_known_points(self):
-        assert race.win_prob_given_entry_deriv(1.0, 4) == pytest.approx(-1 / 6, abs=1e-15)
-        assert race.win_prob_given_entry_deriv(0.0, 2) == 0.0
-        fd = central_diff(lambda p: race.win_prob_given_entry(p, 6), 0.3)
-        assert race.win_prob_given_entry_deriv(0.3, 6) == pytest.approx(fd, abs=1e-6)
+        # d/dp of p g(p), with g(p) = E[1/(2+N)], is g(0) = 1/2 at p = 0 and
+        # g(1) + g'(1) = 1/n - (n-2)/(n(n-1)) at p = 1; the package takes it as
+        # mm_loss_prob_deriv / (n-1)
+        assert race.mm_loss_prob_deriv(1.0, 4) / 3 == pytest.approx(1 / 12, abs=1e-15)
+        assert race.mm_loss_prob_deriv(0.0, 2) / 1 == 0.5
+        fd = central_diff(lambda p: p * oracles.win_prob_given_entry_enum(p, 6), 0.3)
+        assert race.mm_loss_prob_deriv(0.3, 6) / 5 == pytest.approx(fd, abs=1e-6)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_closed_forms_match_enumeration(self, n):
@@ -110,21 +108,21 @@ class TestHomogeneous:
             assert race.mm_loss_prob(p, n) == pytest.approx(
                 oracles.mm_loss_prob_enum(p, n), abs=1e-12
             )
-            assert race.win_prob_given_entry(p, n) == pytest.approx(
-                oracles.win_prob_given_entry_enum(p, n), abs=1e-12
+            assert race.mm_loss_prob(p, n) / (n - 1) == pytest.approx(
+                p * oracles.win_prob_given_entry_enum(p, n), abs=1e-12
             )
 
     @given(
         st.floats(min_value=1e-9, max_value=1.0),
         st.integers(min_value=2, max_value=12),
     )
-    # the closed form lost four digits to cancellation here
+    # the closed form of mm_loss_prob would lose four digits to cancellation here
     @example(p=1e-6, n=2)
     def test_unconditional_win_identity(self, p, n):
         # p * win_prob == mm_loss / (n - 1): each of the n-1 bandits is equally
         # likely to be the one who beat the market maker
         assert math.isclose(
-            p * race.win_prob_given_entry(p, n),
+            p * oracles.win_prob_given_entry_enum(p, n),
             race.mm_loss_prob(p, n) / (n - 1),
             rel_tol=0,
             abs_tol=1e-12,
@@ -134,25 +132,17 @@ class TestHomogeneous:
     def test_monotonicity(self, n):
         grid = np.linspace(0.001, 1.0, 50)
         loss = [race.mm_loss_prob(float(p), n) for p in grid]
-        win = [race.win_prob_given_entry(float(p), n) for p in grid]
         assert all(b > a for a, b in zip(loss, loss[1:]))
-        if n > 2:
-            assert all(b < a for a, b in zip(win, win[1:]))
         assert all(0 <= v <= (n - 1) / n for v in loss)
-        assert all(1 / n <= v <= 0.5 for v in win)
 
     def test_series_matches_closed_form_near_switch(self):
-        # just above p = 0 both probabilities follow their two-term series
-        # about p = 0, whose remainder is O(n^3 p^3); the evaluation there must
-        # not add cancellation noise on top
+        # just above p = 0 the probability follows its two-term series about
+        # p = 0, whose remainder is O(n^3 p^3); the evaluation there must not
+        # add cancellation noise on top
         for n in (3, 5, 12):
             for p in (2e-6, 5e-6):
                 series_loss = (n - 1) / 2 * p - (n - 1) * (n - 2) / 6 * p * p
                 assert race.mm_loss_prob(p, n) == pytest.approx(series_loss, abs=1e-8)
-                series_win = 0.5 - (n - 2) / 6 * p
-                assert race.win_prob_given_entry(p, n) == pytest.approx(
-                    series_win, abs=1e-8
-                )
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 21, 50])
     def test_exact_near_zero(self, n):
@@ -164,12 +154,7 @@ class TestHomogeneous:
                 race.mm_loss_prob: exact_expect(n - 1, x, lambda k: Fraction(k, k + 1)),
                 race.mm_loss_prob_deriv: (n - 1)
                 * exact_expect(n - 2, x, lambda k: Fraction(1, (k + 1) * (k + 2))),
-                race.win_prob_given_entry: exact_expect(n - 2, x, lambda k: Fraction(1, k + 2)),
             }
-            if n > 2:
-                exact[race.win_prob_given_entry_deriv] = -(n - 2) * exact_expect(
-                    n - 3, x, lambda k: Fraction(1, (k + 2) * (k + 3))
-                )
             for fn, value in exact.items():
                 got = fn(p, n)
                 assert abs(Fraction(got) - value) <= Fraction(1, 10**12) * abs(value), (
@@ -193,7 +178,7 @@ class TestHomogeneous:
                 m.setattr(race, "_binom_pmf", full_length)
                 full = race_sums(n, p)
             assert windowed == full, (n, p)
-            assert windowed[:4] == oracle_sums(n, p), (n, p)
+            assert windowed[:2] == oracle_sums(n, p), (n, p)
 
     def test_upper_tail_is_cut(self):
         # near p* at H in the thousands, only ~18 of ~170 nonzero terms can
@@ -224,7 +209,7 @@ class TestHomogeneous:
         with pytest.raises(ValidationError):
             race.mm_loss_prob(-0.1, 5)
         with pytest.raises(ValidationError):
-            race.win_prob_given_entry(1.2, 5)
+            race.mm_loss_prob_deriv(1.2, 5)
         with pytest.raises(ValidationError):
             race.mm_loss_prob(0.5, 1)
 
@@ -237,22 +222,16 @@ class TestHomogeneous:
 RACE_FUNCTIONS = {
     "mm_loss_prob": race.mm_loss_prob,
     "mm_loss_prob_deriv": race.mm_loss_prob_deriv,
-    "win_prob_given_entry": race.win_prob_given_entry,
-    "win_prob_given_entry_deriv": race.win_prob_given_entry_deriv,
 }
 # the suprema over the valid range of the first-order bounds derived in
 # TestPrecision's docstring, rounded up; in units of u = 2**-53, so in ulps
 CLOSED_FORM_BOUNDS = {
     "mm_loss_prob": 25,
     "mm_loss_prob_deriv": 29,
-    "win_prob_given_entry": 23,
-    "win_prob_given_entry_deriv": 501,
 }
 SUM_BOUNDS = {
     "mm_loss_prob": 48,
     "mm_loss_prob_deriv": 41,
-    "win_prob_given_entry": 42,
-    "win_prob_given_entry_deriv": 42,
 }
 
 
@@ -264,7 +243,7 @@ def ulps_off(got, exact):
 
 
 def closed_form_bounds(p, n):
-    """First-order error bounds, in u, of the four closed forms at (p, n)."""
+    """First-order error bounds, in u, of the two closed forms at (p, n)."""
     log_q = math.log1p(-p) if p < 1.0 else -math.inf
     z, w = n * p, (n - 1) * p
     t, y = n * log_q, (n - 1) * log_q
@@ -274,14 +253,7 @@ def closed_form_bounds(p, n):
     m = 1.0 - ey * (1.0 + w)  # minus the numerator of its derivative
     b_h = (3 * te + 2 * (1 - e) + z) / s + 3
     b_dh = (3 * ye + 2 * (1 - ey) + w * (4 * ey + 3 * ye)) / m + 4
-    h, dh_p = s / z, m / z  # mm_loss_prob and p times its derivative
-    b_dwin = (dh_p * (b_dh + 1) + h * b_h) / (h - dh_p) + 4 if n > 2 else 0.0
-    return {
-        "mm_loss_prob": b_h,
-        "mm_loss_prob_deriv": b_dh,
-        "win_prob_given_entry": b_h + 2 if n > 2 else 0.0,
-        "win_prob_given_entry_deriv": b_dwin,
-    }
+    return {"mm_loss_prob": b_h, "mm_loss_prob_deriv": b_dh}
 
 
 def _running_sum_bound(n, p, f, scaled):
@@ -310,16 +282,10 @@ def _running_sum_bound(n, p, f, scaled):
 
 
 def sum_bounds(p, n):
-    """First-order error bounds, in u, of the four binomial sums at (p, n)."""
+    """First-order error bounds, in u, of the two binomial sums at (p, n)."""
     return {
         "mm_loss_prob": _running_sum_bound(n - 1, p, lambda k: k / (k + 1), 0),
         "mm_loss_prob_deriv": _running_sum_bound(n - 2, p, lambda k: 1 / ((k + 1) * (k + 2)), 1),
-        "win_prob_given_entry": (
-            _running_sum_bound(n - 2, p, lambda k: 1 / (k + 2), 0) if n > 2 else 0.0
-        ),
-        "win_prob_given_entry_deriv": (
-            _running_sum_bound(n - 3, p, lambda k: 1 / ((k + 2) * (k + 3)), 1) if n > 2 else 0.0
-        ),
     }
 
 
@@ -380,16 +346,8 @@ class TestPrecision:
 
         mm_loss_prob_deriv:   (3 |y| e^y + 2 (1 - e^y) + w e^y (4 + 3 |y|)) / M + 4
 
-    win_prob_given_entry divides mm_loss_prob by (n-1) p: + 2.  Its
-    derivative, (p dh - h) / ((n-1) p^2) with h = S/z and p dh = M/z, cancels
-    between two terms that carry the bounds above:
-
-        win_prob_given_entry_deriv:   (p dh (B_dh + 1) + h B_h) / (h - p dh) + 4
-
     Each falls as n p grows, so its supremum over n p >= 3/4 lies at
-    n p = 3/4: 24.8 (at n = 2), 29.0 (as n grows), 22.4 (n = 3) and
-    500.1 (n = 3), stated as 25, 29, 23 and 501.  At n = 2 the win
-    probability and its derivative are exact constants.
+    n p = 3/4: 24.8 (at n = 2) and 29.0 (as n grows), stated as 25 and 29.
 
     Binomial sums.  Each weight is 1.0 at the mode m times |k - m| ratios of
     the recurrence, each with 5 roundings (1 - p, two products, the quotient
@@ -401,16 +359,14 @@ class TestPrecision:
     itself a candidate for the rounded result.  The window's dropped tail,
     a few times 2**-56 of the sum, adds at most u.  These bounds depend on the window, so
     ``sum_bounds`` computes them from it.  For n <= 10^4 and n p < 3/4 they
-    peak below n p = 3/4 at n = 10^4: 47.0, 40.5, 41.4 and 41.6, stated as 48,
-    41, 42 and 42.
+    peak below n p = 3/4 at n = 10^4: 47.0 and 40.5, stated as 48 and 41.
 
     Each test checks, at every drawn (p, n), that the measured error lies
     within the first-order bound there and that the bound lies within the
     stated one.  The errors measured are well inside: over 4,000 random
     (p, n) per band of width 0.05 in n p (see race's module docstring), the
     closed forms of mm_loss_prob and its derivative stayed within 6.4 and
-    8.2 ulps at n p >= 3/4, the sums within 7.1 and 9.3 at n p < 3/4, and
-    win_prob_given_entry_deriv within 77 at n p in [3/4, 0.8).  The
+    8.2 ulps at n p >= 3/4, and the sums within 7.1 and 9.3 at n p < 3/4.  The
     (1-p)**n forms of sniplab 0.1.0 were off by up to 2.8e6 ulps at n p in
     [1, 2) for n from 2,000 to 10^6.
     """
@@ -418,7 +374,7 @@ class TestPrecision:
     @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
     @given(closed_form_arguments())
     @example((0.375, 2))  # n p = 3/4 at the smallest n: the bounds on h peak
-    @example((0.25, 3))  # the win derivative's bound peaks
+    @example((0.25, 3))  # n p = 3/4 at n = 3
     @example((0.75 / (2**53 - 1), 2**53 - 1))
     @example((0.85 / 2000, 2000))  # near p* of the Fig. 7 rates at gamma 4
     @example((1.0, 2**53 - 1))
@@ -452,10 +408,6 @@ class TestPrecision:
                 "mm_loss_prob": exact_expect(n - 1, x, lambda k: Fraction(k, k + 1)),
                 "mm_loss_prob_deriv": (n - 1)
                 * exact_expect(n - 2, x, lambda k: Fraction(1, (k + 1) * (k + 2))),
-                "win_prob_given_entry": exact_expect(n - 2, x, lambda k: Fraction(1, k + 2)),
-                "win_prob_given_entry_deriv": -(n - 2) * exact_expect(
-                    n - 3, x, lambda k: Fraction(1, (k + 2) * (k + 3))
-                ) if n > 2 else Fraction(0),
             }
             reference = oracles.race_reference(p, n)
             for name, value in exact.items():
@@ -494,7 +446,7 @@ class TestMixed:
             race.mm_loss_prob(p, n), abs=1e-12
         )
         assert race.win_prob_given_entry_mixed(p, pop) == pytest.approx(
-            race.win_prob_given_entry(p, n), abs=1e-12
+            oracles.win_prob_given_entry_enum(p, n), abs=1e-12
         )
 
     def test_mm_loss_mixed_known_points(self):
@@ -554,7 +506,7 @@ class TestDeceptiveViewpoint:
                 race.mm_loss_prob(p, 5), abs=1e-12
             )
             assert race.win_prob_given_entry_mixed_deceptive(p, pop) == pytest.approx(
-                race.win_prob_given_entry(p, 5), abs=1e-12
+                oracles.win_prob_given_entry_enum(p, 5), abs=1e-12
             )
 
     def test_sure_sniping_uniform(self):
@@ -597,11 +549,7 @@ class TestDeceptiveViewpoint:
 @settings(max_examples=60)
 def test_derivatives_match_finite_differences(p, n):
     fd_loss = central_diff(lambda x: race.mm_loss_prob(x, n), p)
-    fd_win = central_diff(lambda x: race.win_prob_given_entry(x, n), p)
     assert math.isclose(race.mm_loss_prob_deriv(p, n), fd_loss, rel_tol=0, abs_tol=1e-6)
-    assert math.isclose(
-        race.win_prob_given_entry_deriv(p, n), fd_win, rel_tol=0, abs_tol=1e-6
-    )
 
 
 @given(

@@ -219,7 +219,7 @@ class TestEndpoints:
         pr = params(gamma=3.0)
         d = derive(pr)
         a, b, c, dd = lines(0.4, pr)
-        pg = 0.4 * race.win_prob_given_entry(0.4, pr.H)
+        pg = race.mm_loss_prob(0.4, pr.H) / (pr.H - 1)
         h = race.mm_loss_prob(0.4, pr.H)
         assert a == pytest.approx(d.m * d.beta * pg, abs=1e-14)
         assert b == pytest.approx(-d.alpha_bar * d.q * d.beta * pg, abs=1e-14)
