@@ -3,8 +3,8 @@
 A trustworthy agent's stage utility takes one of nine values (for generic
 spread and risk aversion): 0, -gamma*(2-s), s, -gamma*(1-s), s+1, 2s, 2-s,
 1-s and -gamma*s.  ``utility_distribution`` builds their probabilities from
-the payoff table, weighting each cell's columns by the mixed-population race
-probabilities, and takes each value from ``utility.payoffs``, which the
+the payoff table, weighting each cell's columns by the race outcomes of
+``race.mixed_race``, and takes each value from ``utility.payoffs``, which the
 simulator pays.  An independent enumeration over (event, role, race composition)
 checks it in the tests.
 
@@ -81,10 +81,10 @@ def utility_distribution(
 
     The agent is market maker with probability 1/H and bandit otherwise; the
     other trustworthy agents snipe with probability p, the deceptive ones for
-    sure.  In each race cell the maker's loss column carries mm_loss_prob_mixed
-    and the sniper column p * win_prob_given_entry_mixed.  Support values are
-    ``utility.payoffs``, the utilities the engine pays; values that collide
-    (degenerate s or gamma) are merged.
+    sure.  In each race cell the maker's loss column carries the loss of
+    race.mixed_race(p, pop) and the sniper column p times its win.  Support
+    values are ``utility.payoffs``, the utilities the engine pays; values
+    that collide (degenerate s or gamma) are merged.
     """
     if pop.total != params.H:
         raise ValidationError(f"population of {pop.total} does not match H={params.H}")
@@ -92,8 +92,8 @@ def utility_distribution(
         raise ValidationError(f"spread must lie in [0, 1] (got {s})")
     d = derive(params)
     h = pop.total
-    loss = race.mm_loss_prob_mixed(p, pop)
-    win = p * race.win_prob_given_entry_mixed(p, pop)
+    win, loss = race.mixed_race(p, pop)
+    win *= p
     pairs = []
     for ev, (mm_loses, sniper, mm_wins) in zip(
         utility.PAYOFF_TABLE, utility.payoffs(s, params.gamma)

@@ -7,12 +7,13 @@ computes
 
 * ``mm_loss_prob(p, n)``       -- the market maker loses the race,
 * ``mm_loss_prob_deriv(p, n)`` -- its derivative in ``p``,
+* ``mixed_race(p, pop)``       -- both race outcomes for a population split
+  into trustworthy agents (snipe with probability ``p``) and deceptive
+  agents (snipe for sure).
 
-and the generalisations for a population split into trustworthy agents
-(snipe with probability ``p``) and deceptive agents (snipe for sure), from
-both the trustworthy and the deceptive agent's viewpoint.  Each of the n-1
-bandits is equally likely to be the one who beat the market maker, so a
-given bandit enters and wins with probability mm_loss_prob(p, n) / (n-1).
+Each of the n-1 bandits is equally likely to be the one who beat the market
+maker, so a given bandit enters and wins with probability
+mm_loss_prob(p, n) / (n-1).
 
 Closed forms (with N_B counting bandit entrants, L = log1p(-p), -inf at
 p = 1, and y = (n-1) L):
@@ -34,11 +35,10 @@ that, both functions are evaluated as the binomial expectations
 (the derivative is m E[f(N+1) - f(N)] of an expectation over Bin(m, p)),
 with the mass function built by a ratio recurrence (``_binom_pmf``).  All
 terms of a sum share one sign, so there is no cancellation, and the sums are
-exact at p = 0.  The mixed-population functions are such sums at every p.
-Independent second computations of these quantities, used only as test
-oracles, live in ``tests/oracles.py``; among them is an 80-digit ``decimal``
-reference against which ``tests/test_race.py`` bounds each function's error
-in ulps, with the bounds derived there.
+exact at p = 0.  Independent second computations of these quantities, used
+only as test oracles, live in ``tests/oracles.py``; among them are
+``decimal`` references against which ``tests/test_race.py`` bounds each
+function's error in ulps, with the bounds derived there.
 
 The cutoff is set by that error, not by speed.  It is the smallest multiple
 of 0.05 at which the closed forms' largest error above it is no larger than
@@ -57,6 +57,16 @@ left-to-right addition of ``sum`` (up to Python 3.11) the cut keeps every bit;
 window holds at most about 18 terms.  A closed-form call costs O(1) at any
 n, a sum one term per weight in its window; their timings are recorded in
 BENCH_21.json.
+
+Mixed populations.  A race depends on who else may enter, not on how likely
+the agent it is seen from is to enter.  A deceptive agent in (H_t, H_d) has
+H_t rivals that snipe at p and H_d - 1 that snipe for sure: the rivals of a
+trustworthy agent in (H_t + 1, H_d - 1).  So ``mixed_race``, the trustworthy
+agent's race summed over one window of Bin(H_t - 1, p), serves both, and its
+caller weights the win by the agent's own entry probability, p or 1.  At
+H_d = 0 it gives mm_loss_prob(p, H) and, times p, mm_loss_prob(p, H)/(H-1),
+yet the homogeneous functions stay: ``transitions`` calls them at H in the
+thousands, where their closed forms cost O(1) and a sum one term per weight.
 """
 
 from __future__ import annotations
@@ -192,73 +202,20 @@ def mm_loss_prob_deriv(p: float, n_agents: int) -> float:
     return -(expm1(y) + (n - 1) * p * exp(y)) / (n * p * p)
 
 
-# ---------------------------------------------------------------------------
-# Mixed populations: trustworthy agents snipe with probability p, deceptive
-# agents snipe for sure.  All expectations are exact O(H_t) binomial sums.
-# ---------------------------------------------------------------------------
+def mixed_race(p: float, pop: Population) -> tuple[float, float]:
+    """(win given entry, loss as market maker) of a trustworthy agent in pop.
 
-
-def mm_loss_prob_mixed(p: float, pop: Population) -> float:
-    """Probability a trustworthy market maker loses the race.
-
-    The field is the pop.deceptive sure snipers plus N ~ Bin(H_t - 1, p)
-    trustworthy entrants: E[(H_d + N)/(1 + H_d + N)].
-    """
-    _check_p(p)
-    hd = pop.deceptive
-    return sum(w * (hd + k) / (1 + hd + k) for k, w in _binom_pmf(pop.trustworthy - 1, p))
-
-
-def win_prob_given_entry_mixed(p: float, pop: Population) -> float:
-    """Probability a racing trustworthy bandit wins, given he entered.
-
-    Single-variable form, valid for any H_t >= 1.  Conditional on the bandit
-    racing, the market maker is uniform among the other H-1 agents; whether he
-    was already counted as an entrant decides whether the field grows by one:
+    Its rivals are N ~ Bin(H_t - 1, p) trustworthy entrants and H_d sure
+    snipers; as market maker it loses E[(H_d + N)/(1 + H_d + N)].  As an
+    entered bandit it faces a maker uniform among the other H-1 agents, who
+    may or may not already be among the N, so it wins with probability
 
         (1/(H-1)) * E[ N/(1+N+H_d) + (H_t-1-N)/(2+N+H_d) + H_d/(1+N+H_d) ]
-
-    with N ~ Bin(H_t - 1, p).
-    """
-    _check_p(p)
-    hd = pop.deceptive
-    ht = pop.trustworthy
-    total = sum(
-        w * (k / (1 + k + hd) + (ht - 1 - k) / (2 + k + hd) + hd / (1 + k + hd))
-        for k, w in _binom_pmf(ht - 1, p)
-    )
-    return total / (pop.total - 1)
-
-
-def mm_loss_prob_mixed_deceptive(p: float, pop: Population) -> float:
-    """Probability a deceptive market maker loses the race.
-
-    His field is the other H_d - 1 sure snipers plus N ~ Bin(H_t, p)
-    trustworthy entrants: E[(H_d - 1 + N)/(H_d + N)].
-    """
-    _check_p(p)
-    hd = pop.deceptive
-    if hd < 1:
-        raise ValidationError("deceptive viewpoint needs at least one deceptive agent")
-    return sum(w * (hd - 1 + k) / (hd + k) for k, w in _binom_pmf(pop.trustworthy, p))
-
-
-def win_prob_given_entry_mixed_deceptive(p: float, pop: Population) -> float:
-    """Probability a deceptive bandit wins the race (he always enters).
-
-    Same counting argument as the trustworthy case, with the market maker
-    uniform among the other H-1 agents: trustworthy with weight H_t/(H-1)
-    (field 1 + H_d + Bin(H_t-1, p)), deceptive with weight (H_d-1)/(H-1)
-    (field H_d + Bin(H_t, p)).
     """
     _check_p(p)
     ht, hd = pop.trustworthy, pop.deceptive
-    if hd < 1:
-        raise ValidationError("deceptive viewpoint needs at least one deceptive agent")
-    h_minus_1 = pop.total - 1
-    mm_trusty = sum(w / (1 + hd + k) for k, w in _binom_pmf(ht - 1, p))
-    result = ht / h_minus_1 * mm_trusty
-    if hd >= 2:
-        mm_deceptive = sum(w / (hd + k) for k, w in _binom_pmf(ht, p))
-        result += (hd - 1) / h_minus_1 * mm_deceptive
-    return result
+    pairs = list(_binom_pmf(ht - 1, p))
+    win = sum(w * (k / (1 + k + hd) + (ht - 1 - k) / (2 + k + hd) + hd / (1 + k + hd))
+              for k, w in pairs)
+    loss = sum(w * (hd + k) / (1 + hd + k) for k, w in pairs)
+    return win / (pop.total - 1), loss

@@ -254,22 +254,24 @@ def analytic_mean_utility(
     """Expected per-stage utility of one agent class under the mixed roster.
 
     Combines the class's market-maker and bandit utility lines with the
-    uniform 1/H chance of being selected as market maker.  The trustworthy
-    side uses the mixed race probabilities; the deceptive side uses the
-    analogous probabilities from the deceptive agent's viewpoint (he always
-    races, facing the remaining sure snipers plus binomial trustworthy
-    entrants).
+    uniform 1/H chance of being selected as market maker.  The race is
+    ``race.mixed_race`` of the class's rivals: a trustworthy agent's in pop,
+    and a deceptive agent's in the roster of one more trustworthy and one
+    fewer deceptive agent, whose trustworthy member has the same rivals.  The
+    win is then weighted by the agent's own entry probability, p or 1.
     """
     if pop.total != params.H:
         raise ValidationError(f"population of {pop.total} does not match H={params.H}")
     if agent_class == TRUSTWORTHY:
-        win = p * race.win_prob_given_entry_mixed(p, pop)
-        loss = race.mm_loss_prob_mixed(p, pop)
+        entry, roster = p, pop
     elif agent_class == DECEPTIVE:
-        win = race.win_prob_given_entry_mixed_deceptive(p, pop)
-        loss = race.mm_loss_prob_mixed_deceptive(p, pop)
+        if pop.deceptive < 1:
+            raise ValidationError(f"the roster of {pop.total} has no deceptive agent")
+        entry, roster = 1.0, Population(pop.trustworthy + 1, pop.deceptive - 1)
     else:
         raise ValidationError(f"unknown agent class {agent_class!r}")
+    win, loss = race.mixed_race(p, roster)
+    win *= entry
     d = derive(params)
     a, b, c, dd = utility.endpoint_values(win, loss, d, d.q)
     h = pop.total

@@ -21,8 +21,16 @@ implementation of, and the tests compare the two:
 * ``root_0_2_0`` -- ``transitions._root`` as sniplab 0.1.0 and 0.2.0 ran it,
   with a midpoint wherever the secant point rounds onto an end; patched into
   ``transitions`` with no n*p scan points, it reproduces 0.2.0's outputs;
-* ``win_prob_given_entry_mixed_two_urn`` -- the mixed-population win
-  probability, conditioning on the market maker's type;
+* ``win_prob_given_entry_mixed_two_urn`` -- the win probability of an
+  entered bandit from its rival field, conditioning on the market maker's
+  type; it checks race.mixed_race from a trustworthy and from a deceptive
+  agent's viewpoint;
+* ``win_prob_given_entry_deceptive_0_3_0`` -- a deceptive agent's win
+  probability as sniplab 0.3.0 computed it; patched into the deceptive
+  class's race, it reproduces that version's summary.csv;
+* ``mixed_race_reference`` -- race.mixed_race's two expectations in
+  ``decimal`` arithmetic at 60 or more digits, against which
+  tests/test_race.py bounds its error in ulps;
 * ``utility_distribution_enum`` -- a trustworthy agent's stage-utility law by
   enumeration over (event, role, race composition), without the mixed race
   probabilities;
@@ -189,26 +197,79 @@ def root_0_2_0(f, lo: float, hi: float, flo: float, fhi: float) -> float:
             side = -1
 
 
-def win_prob_given_entry_mixed_two_urn(p: float, pop: Population) -> float:
-    """Two-variable form of win_prob_given_entry_mixed (cross-check).
+def win_prob_given_entry_mixed_two_urn(p: float, at_p: int, sure: int) -> float:
+    """Win probability of a bandit that entered, given its rivals: at_p agents
+    that enter with probability p and ``sure`` that enter for sure; the
+    cross-check on the win of race.mixed_race.
 
-    Conditions on whether the market maker is trustworthy or deceptive and
-    draws the trustworthy entrants separately in each branch; requires
-    H_t >= 2 to be well defined.
+    Conditions on the market maker, uniform among the rivals.  If it is one
+    of the at_p, the field is the bandit, the maker, the ``sure`` snipers and
+    Bin(at_p - 1, p) entrants; if it is a sure sniper, the bandit, the
+    maker, the other sure - 1 and Bin(at_p, p) entrants.  A trustworthy agent
+    in (H_t, H_d) has the rivals (H_t - 1, H_d), a deceptive one
+    (H_t, H_d - 1).  Requires at_p >= 1, so that both urns are defined.
     """
     _check_p(p)
-    ht, hd = pop.trustworthy, pop.deceptive
-    if ht < 2:
-        raise ValidationError(
-            f"two-urn form needs at least 2 trustworthy agents (got {ht})"
-        )
-    h_minus_1 = pop.total - 1
-    mm_trusty = full_length_expect(ht - 2, p, lambda k: 1 / (2 + hd + k))
-    result = (ht - 1) / h_minus_1 * mm_trusty
-    if hd > 0:
-        mm_deceptive = full_length_expect(ht - 1, p, lambda k: 1 / (1 + hd + k))
-        result += hd / h_minus_1 * mm_deceptive
+    if at_p < 1:
+        raise ValidationError(f"two-urn form needs a rival that enters at p (got {at_p})")
+    others = at_p + sure
+    result = at_p / others * full_length_expect(at_p - 1, p, lambda k: 1 / (2 + sure + k))
+    if sure > 0:
+        result += sure / others * full_length_expect(at_p, p, lambda k: 1 / (1 + sure + k))
     return result
+
+
+def win_prob_given_entry_deceptive_0_3_0(p: float, rivals: Population) -> float:
+    """A deceptive agent's win probability as sniplab 0.3.0 computed it, on
+    race._binom_pmf's windows.  ``rivals`` is the roster that
+    simulator.analytic_mean_utility passes to race.mixed_race for that agent:
+    its own roster (H_t, H_d) with one deceptive agent turned trustworthy.
+
+    0.3.0 conditioned on the market maker's type, in (H_t, H_d): trustworthy
+    with weight H_t/(H-1) and field 1 + H_d + Bin(H_t - 1, p), deceptive with
+    weight (H_d - 1)/(H-1) and field H_d + Bin(H_t, p); the operations are
+    0.3.0's, in that order.
+    """
+    ht, hd = rivals.trustworthy - 1, rivals.deceptive + 1
+    h_minus_1 = rivals.total - 1
+    mm_trusty = sum(w / (1 + hd + k) for k, w in race._binom_pmf(ht - 1, p))
+    result = ht / h_minus_1 * mm_trusty
+    if hd >= 2:
+        mm_deceptive = sum(w / (hd + k) for k, w in race._binom_pmf(ht, p))
+        result += (hd - 1) / h_minus_1 * mm_deceptive
+    return result
+
+
+def mixed_race_reference(p: float, pop: Population, digits: int = 60) -> dict[str, Decimal]:
+    """race.mixed_race's win given entry and loss at (p, pop), keyed "win" and
+    "loss", to ``digits`` digits.
+
+    The two expectations of mixed_race's docstring over N ~ Bin(m, p),
+    m = H_t - 1, in ``decimal`` arithmetic with p converted exactly: the mass
+    starts at (1-p)^m at k = 0 and follows the ratio recurrence over all of
+    0..m, with no window and no normalisation.  Each of the m steps rounds
+    at the working precision, which adds len(str(m)) digits to cover them.
+    """
+    _check_p(p)
+    m, hd = pop.trustworthy - 1, pop.deceptive
+    with localcontext() as ctx:
+        ctx.prec = digits + 10 + len(str(m))
+        x = Decimal(p)
+        q = 1 - x
+        if q == 0:
+            mass = [Decimal(0)] * m + [Decimal(1)]
+        else:
+            mass = [q**m]
+            for k in range(m):
+                mass.append(mass[-1] * (m - k) * x / ((k + 1) * q))
+        win = sum(
+            w * (Decimal(k) / (1 + k + hd) + Decimal(m - k) / (2 + k + hd) + Decimal(hd) / (1 + k + hd))
+            for k, w in enumerate(mass)
+        ) / (pop.total - 1)
+        loss = sum(w * (hd + k) / (1 + hd + k) for k, w in enumerate(mass))
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return {"win": +win, "loss": +loss}
 
 
 def utility_distribution_enum(

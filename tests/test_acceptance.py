@@ -319,8 +319,8 @@ def test_criterion_5_probability_closure_and_brute_force():
     p, pop, s = 0.35, Population(3, 1), 0.4
     d = derive(params)
     enum = oracles.utility_distribution_enum(params, p, pop, s)
-    win = p * race.win_prob_given_entry_mixed(p, pop)
-    loss = race.mm_loss_prob_mixed(p, pop)
+    win, loss = race.mixed_race(p, pop)
+    win *= p
     frac = (params.H - 1) / params.H
     full_beta = frac * d.alpha_bar * d.beta * win
     got = enum.probs[enum.index_of(-params.gamma * s)]
@@ -380,7 +380,7 @@ def test_criterion_6_simulator_calibration():
 
     races = run.winners >= 0
     lost = races & (run.winners != run.mm_ids)
-    loss_prob = race.mm_loss_prob_mixed(regime.p_star, pop)
+    loss_prob = race.mixed_race(regime.p_star, pop)[1]
     n_races = int(races.sum())
     se_loss = math.sqrt(loss_prob * (1 - loss_prob) / n_races)
     loss_ok = abs(lost.sum() / n_races - loss_prob) < 4 * se_loss

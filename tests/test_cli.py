@@ -1029,6 +1029,55 @@ class TestDeterminism:
                     continue
                 assert abs(x - y) <= 1e-13 * abs(x), (row_old, row_new)
 
+    def test_summary_changed_in_0_4_0_stays_near_0_3_0(self, tmp_path, monkeypatch):
+        # 0.4.0 moved only the deceptive analytic_mean cells of summary.csv:
+        # race.mixed_race takes a deceptive agent's win in one variable over
+        # its rivals, where 0.3.0 conditioned on the maker's type.  The pinned
+        # summary (H_t 3, H_d 1) kept its bits, so the README simulate is run
+        # here.  With 0.3.0's form patched into the deceptive class's race
+        # alone, it gives 0.3.0's digest (CPython 3.11.7, numpy 2.4.6), so the
+        # comparison is with 0.3.0's own output; 0.4.0's digest pins the new
+        # cell.
+        # Every number must agree to 1e-14 relative.  Each version's win lies
+        # within a few ulps of exact (0.4.0's up to 6.5, 0.3.0's up to 4.7,
+        # against exact rational sums over 2,998 rosters with H_t and H_d up
+        # to 40), so the two differ by under 12 ulps, 2.7e-15 relative; the
+        # analytic mean moves 0.95 times as much, relatively, at this roster.
+        # Measured: 1 ulp, 1.5e-16.
+        argv = ["simulate", "--H", "5", "--alpha", "0.45", "--mu", "0.3", "--delta", "0.5",
+                "--gamma", "3", "--ht", "4", "--hd", "1", "--stages", "2000", "--seeds", "1"]
+        mixed_race, analytic_mean_utility = race.mixed_race, simulator.analytic_mean_utility
+
+        def race_0_3_0(p, rivals):
+            return oracles.win_prob_given_entry_deceptive_0_3_0(p, rivals), mixed_race(p, rivals)[1]
+
+        def analytic_mean_0_3_0(agent_class, *args):
+            with monkeypatch.context() as m:
+                if agent_class == simulator.DECEPTIVE:
+                    m.setattr(race, "mixed_race", race_0_3_0)
+                return analytic_mean_utility(agent_class, *args)
+
+        old, new = tmp_path / "0.3.0", tmp_path / "0.4.0"
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "analytic_mean_utility", analytic_mean_0_3_0)
+            assert run([*argv, "--out", str(old)]) == 0
+        assert run([*argv, "--out", str(new)]) == 0
+        digests = [hashlib.sha256((d / "summary.csv").read_bytes()).hexdigest() for d in (old, new)]
+        assert digests == [
+            "27ed251cc682babb4c00e1384863b1554c8b40dc1446b14e01f0dd666a3c4a79",
+            "f78132f1ff43b288313dc5279b5baf34929e23349d670f2b877211887ab6afaa",
+        ]
+        rows_old = list(csv.DictReader((old / "summary.csv").open()))
+        rows_new = list(csv.DictReader((new / "summary.csv").open()))
+        assert len(rows_old) == len(rows_new) == 5
+        for row_old, row_new in zip(rows_old, rows_new):
+            for field, a in row_old.items():
+                b = row_new[field]
+                if field != "analytic_mean" or row_old["class"] != simulator.DECEPTIVE:
+                    assert a == b, (field, row_old, row_new)
+                else:
+                    assert a != b and abs(float(a) - float(b)) <= 1e-14 * abs(float(a))
+
 
 def _flag(option_strings, dest, type_=None, default=None, required=False):
     return (option_strings, dest, type_, default, required)

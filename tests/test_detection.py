@@ -85,7 +85,7 @@ class TestUtilityDistribution:
         # rejected by the enumeration
         params, p, pop, s = MIX, 0.35, Population(3, 1), 0.4
         d = derive(params)
-        win = p * race.win_prob_given_entry_mixed(p, pop)
+        win = p * race.mixed_race(p, pop)[0]
         full = (params.H - 1) / params.H * d.alpha_bar * d.beta * win
         enum = oracles.utility_distribution_enum(params, p, pop, s)
         idx = enum.index_of(-params.gamma * s)

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import sniplab
 
 SRC = Path(sniplab.__file__).resolve().parent
@@ -31,3 +33,12 @@ def test_every_public_function_is_referenced_in_the_package():
     assert len(defined) > 30  # the scan found the package
     unreferenced = {d for d in defined if d[1] not in referenced} - UNCALLED
     assert not unreferenced, sorted(unreferenced)
+
+
+def test_version_matches_pyproject():
+    # the version is written in two files; a bump must change both
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        version = tomllib.load(handle)["project"]["version"]
+    assert sniplab.__version__ == version

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from sniplab import race
+from sniplab import simulator as sim
 from sniplab import transitions as tr
 from sniplab.params import GameParams, ValidationError
 from sniplab.race import Population
@@ -22,20 +23,19 @@ def central_diff(f, x, step=1e-6):
 def race_sums(n, p):
     """Every binomial sum of race over Bin(n, p): the homogeneous functions at
     the agent count whose sum runs over Bin(n, p) (below CLOSED_FORM_MIN_NP,
-    or at every p with it set to inf), and the mixed-population functions at
-    H_t = n, H_d 0-3."""
+    or at every p with it set to inf), and mixed_race at H_t = n + 1, H_d 0-3,
+    which is also a deceptive agent's race at H_t = n, H_d 1-4."""
     values = [race.mm_loss_prob(p, n + 1), race.mm_loss_prob_deriv(p, n + 2)]
     for hd in range(4):
-        if n + hd < 3:
-            continue
-        pop = Population(n, hd)
-        values += [race.mm_loss_prob_mixed(p, pop), race.win_prob_given_entry_mixed(p, pop)]
-        if hd:
-            values += [
-                race.mm_loss_prob_mixed_deceptive(p, pop),
-                race.win_prob_given_entry_mixed_deceptive(p, pop),
-            ]
+        if n + 1 + hd >= 3:
+            values += race.mixed_race(p, Population(n + 1, hd))
     return values
+
+
+def deceptive_race(p, pop):
+    """A deceptive agent's race in pop: a trustworthy agent's in the roster
+    with one deceptive agent turned trustworthy, which has the same rivals."""
+    return race.mixed_race(p, Population(pop.trustworthy + 1, pop.deceptive - 1))
 
 
 def oracle_sums(n, p):
@@ -201,7 +201,7 @@ class TestHomogeneous:
         assert regime.kind == tr.PROBABILISTIC
         assert 0.0 < regime.p_star < 1e-3 and regime.u_star > 0.0
         p = regime.p_star
-        assert race.mm_loss_prob_mixed(p, Population(5000, 0)) == pytest.approx(
+        assert race.mixed_race(p, Population(5000, 0))[1] == pytest.approx(
             race.mm_loss_prob(p, 5000), rel=1e-12
         )
 
@@ -256,9 +256,10 @@ def closed_form_bounds(p, n):
     return {"mm_loss_prob": b_h, "mm_loss_prob_deriv": b_dh}
 
 
-def _running_sum_bound(n, p, f, scaled):
+def _running_sum_bound(n, p, f, scaled, f_u=2):
     """First-order error bound, in u, of sum(w * f(k)) over race._binom_pmf(n, p),
-    times an integer when scaled, relative to the exact expectation."""
+    times or divided by an integer when scaled, relative to the exact
+    expectation; f_u bounds the relative rounding of each term w * f(k)."""
     pairs = list(race._binom_pmf(n, p))
     mode = min(n, int((n + 1) * p))
     steps = [5.0 * abs(k - mode) for k, _ in pairs]  # recurrence roundings
@@ -277,7 +278,7 @@ def _running_sum_bound(n, p, f, scaled):
     exact = sum(terms)
     if exact == 0.0:
         return 0.0
-    err = sum(t * (a + e_total + 3) for t, a in zip(terms, steps)) + accumulation(terms)
+    err = sum(t * (a + e_total + 1 + f_u) for t, a in zip(terms, steps)) + accumulation(terms)
     return err / exact + 1 + scaled  # + the tail beyond the window, + the scaling
 
 
@@ -286,6 +287,16 @@ def sum_bounds(p, n):
     return {
         "mm_loss_prob": _running_sum_bound(n - 1, p, lambda k: k / (k + 1), 0),
         "mm_loss_prob_deriv": _running_sum_bound(n - 2, p, lambda k: 1 / ((k + 1) * (k + 2)), 1),
+    }
+
+
+def mixed_bounds(p, pop):
+    """First-order error bounds, in u, of mixed_race's win and loss at (p, pop)."""
+    ht, hd = pop.trustworthy, pop.deceptive
+    f_win = lambda k: k / (1 + k + hd) + (ht - 1 - k) / (2 + k + hd) + hd / (1 + k + hd)
+    return {
+        "win": _running_sum_bound(ht - 1, p, f_win, 1, f_u=4),
+        "loss": _running_sum_bound(ht - 1, p, lambda k: (hd + k) / (1 + hd + k), 0),
     }
 
 
@@ -321,9 +332,32 @@ def sum_arguments(draw):
     return p, n
 
 
+@st.composite
+def mixed_arguments(draw):
+    """(p, pop) with m = H_t - 1 from 0 to 9,999, log-uniform, H_d from 0 to
+    60 or, half the time, from 0 to 2 (at H_d = 0 the loss is small at small
+    p), and p at an end of [0, 1], log-uniform down to 1e-300, uniform, or a
+    few ulps from k/m or k/(m+1), where the mode steps."""
+    m = int(10.0 ** draw(st.floats(0.0, 4.0))) - 1
+    hd = draw(st.one_of(st.integers(0, 2), st.integers(0, 60)))
+    pop = Population(m + 1, max(hd, 2 - m))
+    kind = draw(st.sampled_from(["end", "log", "uniform", "near"]))
+    if kind == "end":
+        return draw(st.sampled_from([0.0, 1.0])), pop
+    if kind == "log":
+        return 10.0 ** draw(st.floats(-300.0, 0.0)), pop
+    if kind == "uniform":
+        return draw(st.floats(0.0, 1.0)), pop
+    p = draw(st.integers(0, m)) / max(1, draw(st.sampled_from([m, m + 1])))
+    for _ in range(draw(st.integers(0, 3))):
+        p = math.nextafter(p, draw(st.sampled_from([0.0, 1.0])))
+    return p, pop
+
+
 class TestPrecision:
     """Each homogeneous race function within its stated error bound, in ulps
-    of the exact value from ``oracles.race_reference``.
+    of the exact value from ``oracles.race_reference``, and mixed_race within
+    its derived bound, in ulps of ``oracles.mixed_race_reference``.
 
     The bounds are first-order running-error bounds, in units of
     u = 2**-53: a result within K u relative lies within K ulps.  Each
@@ -360,6 +394,17 @@ class TestPrecision:
     a few times 2**-56 of the sum, adds at most u.  These bounds depend on the window, so
     ``sum_bounds`` computes them from it.  For n <= 10^4 and n p < 3/4 they
     peak below n p = 3/4 at n = 10^4: 47.0 and 40.5, stated as 48 and 41.
+
+    mixed_race's two sums run over one window of Bin(H_t - 1, p) at every p,
+    so ``mixed_bounds`` takes the same running bound.  Its loss term
+    w * (H_d + k) / (1 + H_d + k) rounds twice, 2u as above.  Its win term
+    adds three nonnegative quotients, u each, with two additions, u each of
+    a nonnegative partial sum, so f(k) carries 3u and w f(k) 4u; the
+    division by H - 1 adds u.  Away from the ends of [0, 1] the weights'
+    5 |k - m| u dominates: the bounds grow as the spread of Bin(H_t - 1, p)
+    and reach about 1,220 u at H_t - 1 = 10^4 and p = 1/2.  No constant is
+    stated for them; the test checks each drawn error against the bound
+    there.
 
     Each test checks, at every drawn (p, n), that the measured error lies
     within the first-order bound there and that the bound lies within the
@@ -398,6 +443,39 @@ class TestPrecision:
         for name, bound in sum_bounds(p, n).items():
             err = ulps_off(RACE_FUNCTIONS[name](p, n), exact[name])
             assert err <= bound <= SUM_BOUNDS[name], (name, p, n, err, bound)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(mixed_arguments())
+    @example((0.5, Population(10_001, 0)))  # the bounds peak near p = 1/2
+    @example((0.3, Population(10_001, 60)))
+    @example((0.0, Population(1, 2)))  # H_t - 1 = 0: one term
+    @example((1.0, Population(10_001, 3)))
+    @example((1e-9, Population(101, 0)))  # a loss of about 5e-8
+    def test_mixed_race_within_bounds(self, args):
+        p, pop = args
+        exact = oracles.mixed_race_reference(p, pop)
+        got = dict(zip(("win", "loss"), race.mixed_race(p, pop)))
+        for name, bound in mixed_bounds(p, pop).items():
+            err = ulps_off(got[name], exact[name])
+            assert err <= bound, (name, p, pop, err, bound)
+
+    @pytest.mark.parametrize("pop", [Population(1, 2), Population(3, 0), Population(4, 1),
+                                     Population(9, 5)])
+    def test_mixed_reference_matches_exact_sums(self, pop):
+        # the mixed reference against exact rational expectations
+        ht, hd = pop.trustworthy, pop.deceptive
+        for p in (1e-300, 1e-6, 0.1, 0.375, 0.9, 1.0):
+            x = Fraction(p)
+            exact = {
+                "win": exact_expect(ht - 1, x, lambda k: Fraction(k, 1 + k + hd)
+                                    + Fraction(ht - 1 - k, 2 + k + hd) + Fraction(hd, 1 + k + hd))
+                / (pop.total - 1),
+                "loss": exact_expect(ht - 1, x, lambda k: Fraction(hd + k, 1 + hd + k)),
+            }
+            reference = oracles.mixed_race_reference(p, pop)
+            for name, value in exact.items():
+                got = Fraction(reference[name])
+                assert abs(got - value) <= Fraction(1, 10**58) * abs(value), (name, pop, p)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 12])
     def test_reference_matches_exact_sums(self, n):
@@ -441,39 +519,41 @@ class TestMixed:
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.7, 1.0])
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_reduction_to_homogeneous(self, p, n):
-        pop = Population(n, 0)
-        assert race.mm_loss_prob_mixed(p, pop) == pytest.approx(
-            race.mm_loss_prob(p, n), abs=1e-12
-        )
-        assert race.win_prob_given_entry_mixed(p, pop) == pytest.approx(
-            oracles.win_prob_given_entry_enum(p, n), abs=1e-12
-        )
+        win, loss = race.mixed_race(p, Population(n, 0))
+        assert loss == pytest.approx(race.mm_loss_prob(p, n), abs=1e-12)
+        assert win == pytest.approx(oracles.win_prob_given_entry_enum(p, n), abs=1e-12)
 
     def test_mm_loss_mixed_known_points(self):
         # one sure sniper, no trustworthy entrants: two-way race
-        assert race.mm_loss_prob_mixed(0.0, Population(2, 1)) == pytest.approx(0.5)
-        assert race.mm_loss_prob_mixed(1.0, Population(3, 2)) == pytest.approx(0.8)
+        assert race.mixed_race(0.0, Population(2, 1))[1] == pytest.approx(0.5)
+        assert race.mixed_race(1.0, Population(3, 2))[1] == pytest.approx(0.8)
 
     def test_win_prob_mixed_sure_sniping(self):
         for pop in (Population(3, 1), Population(1, 3), Population(4, 4)):
-            assert race.win_prob_given_entry_mixed(1.0, pop) == pytest.approx(
-                1 / pop.total, abs=1e-12
-            )
-            assert race.mm_loss_prob_mixed(1.0, pop) == pytest.approx(
-                (pop.total - 1) / pop.total, abs=1e-12
-            )
+            win, loss = race.mixed_race(1.0, pop)
+            assert win == pytest.approx(1 / pop.total, abs=1e-12)
+            assert loss == pytest.approx((pop.total - 1) / pop.total, abs=1e-12)
 
     @pytest.mark.parametrize("pop", [Population(2, 1), Population(3, 1),
                                      Population(4, 2), Population(6, 3)])
     def test_two_urn_form_agrees(self, pop):
+        # the two-urn form takes the rival field, so it checks the trustworthy
+        # viewpoint and the deceptive one with its own rival counts
+        two_urn = oracles.win_prob_given_entry_mixed_two_urn
+        ht, hd = pop.trustworthy, pop.deceptive
         for p in np.linspace(0.0, 1.0, 9):
-            assert race.win_prob_given_entry_mixed(float(p), pop) == pytest.approx(
-                oracles.win_prob_given_entry_mixed_two_urn(float(p), pop), abs=1e-12
+            p = float(p)
+            assert race.mixed_race(p, pop)[0] == pytest.approx(
+                two_urn(p, ht - 1, hd), abs=1e-12
+            )
+            assert deceptive_race(p, pop)[0] == pytest.approx(
+                two_urn(p, ht, hd - 1), abs=1e-12
             )
 
     def test_two_urn_needs_two_trustworthy(self):
+        # a trustworthy agent in (1, 2) has no rival that enters at p
         with pytest.raises(ValidationError):
-            oracles.win_prob_given_entry_mixed_two_urn(0.5, Population(1, 2))
+            oracles.win_prob_given_entry_mixed_two_urn(0.5, 0, 2)
 
     def test_win_prob_mixed_monte_carlo(self):
         # simulate the race-composition process seen by a racing trustworthy
@@ -494,7 +574,7 @@ class TestMixed:
         wins = rng.random(n) < 1.0 / field
         estimate = wins.mean()
         se = math.sqrt(estimate * (1 - estimate) / n)
-        assert abs(race.win_prob_given_entry_mixed(p, pop) - estimate) < 3 * se
+        assert abs(race.mixed_race(p, pop)[0] - estimate) < 3 * se
 
 
 class TestDeceptiveViewpoint:
@@ -502,25 +582,20 @@ class TestDeceptiveViewpoint:
         # the lone deceptive market maker faces H-1 probabilistic snipers
         pop = Population(4, 1)
         for p in (0.0, 0.3, 1.0):
-            assert race.mm_loss_prob_mixed_deceptive(p, pop) == pytest.approx(
-                race.mm_loss_prob(p, 5), abs=1e-12
-            )
-            assert race.win_prob_given_entry_mixed_deceptive(p, pop) == pytest.approx(
-                oracles.win_prob_given_entry_enum(p, 5), abs=1e-12
-            )
+            win, loss = deceptive_race(p, pop)
+            assert loss == pytest.approx(race.mm_loss_prob(p, 5), abs=1e-12)
+            assert win == pytest.approx(oracles.win_prob_given_entry_enum(p, 5), abs=1e-12)
 
     def test_sure_sniping_uniform(self):
         for pop in (Population(3, 1), Population(2, 2), Population(3, 3)):
-            assert race.win_prob_given_entry_mixed_deceptive(1.0, pop) == pytest.approx(
-                1 / pop.total, abs=1e-12
-            )
-            assert race.mm_loss_prob_mixed_deceptive(1.0, pop) == pytest.approx(
-                (pop.total - 1) / pop.total, abs=1e-12
-            )
+            win, loss = deceptive_race(1.0, pop)
+            assert win == pytest.approx(1 / pop.total, abs=1e-12)
+            assert loss == pytest.approx((pop.total - 1) / pop.total, abs=1e-12)
 
     def test_requires_deceptive_agent(self):
-        with pytest.raises(ValidationError):
-            race.mm_loss_prob_mixed_deceptive(0.5, Population(4, 0))
+        params = GameParams(H=4, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
+        with pytest.raises(ValidationError, match="no deceptive agent"):
+            sim.analytic_mean_utility(sim.DECEPTIVE, 0.5, 0.5, Population(4, 0), params)
 
     def test_deceptive_monte_carlo(self):
         pop = Population(3, 2)
@@ -538,7 +613,7 @@ class TestDeceptiveViewpoint:
         wins = rng.random(n) < 1.0 / field
         estimate = wins.mean()
         se = math.sqrt(estimate * (1 - estimate) / n)
-        got = race.win_prob_given_entry_mixed_deceptive(p, pop)
+        got = deceptive_race(p, pop)[0]
         assert abs(got - estimate) < 3 * se
 
 
@@ -561,32 +636,30 @@ def test_derivatives_match_finite_differences(p, n):
 @example(ht=1, hd=2, log10_p=0.0)
 @settings(max_examples=100, deadline=None)
 def test_mixed_match_exact_sums(ht, hd, log10_p):
-    # every mixed race probability against an exact rational sum; the win
-    # probabilities by the two-urn route, conditioning on the maker's type
+    # both viewpoints' race probabilities against exact rational sums; the win
+    # probabilities by the two-urn route, conditioning on the maker's type,
+    # and the deceptive agent's in its own roster, not the shifted one
     assume(ht + hd >= 3)
     pop = Population(ht, hd)
     p = 10.0**log10_p
     x = Fraction(p)
     others = pop.total - 1
+    got = dict(zip(("win", "loss"), race.mixed_race(p, pop)))
     exact = {
-        race.mm_loss_prob_mixed: exact_expect(
-            ht - 1, x, lambda k: Fraction(hd + k, 1 + hd + k)
-        ),
-        race.win_prob_given_entry_mixed: (
+        "loss": exact_expect(ht - 1, x, lambda k: Fraction(hd + k, 1 + hd + k)),
+        "win": (
             Fraction(ht - 1, others) * exact_expect(ht - 2, x, lambda k: Fraction(1, 2 + hd + k))
             + Fraction(hd, others) * exact_expect(ht - 1, x, lambda k: Fraction(1, 1 + hd + k))
         ),
     }
     if hd:
-        exact[race.mm_loss_prob_mixed_deceptive] = exact_expect(
-            ht, x, lambda k: Fraction(hd - 1 + k, hd + k)
-        )
-        exact[race.win_prob_given_entry_mixed_deceptive] = (
+        got["deceptive win"], got["deceptive loss"] = deceptive_race(p, pop)
+        exact["deceptive loss"] = exact_expect(ht, x, lambda k: Fraction(hd - 1 + k, hd + k))
+        exact["deceptive win"] = (
             Fraction(ht, others) * exact_expect(ht - 1, x, lambda k: Fraction(1, 1 + hd + k))
             + Fraction(hd - 1, others) * exact_expect(ht, x, lambda k: Fraction(1, hd + k))
         )
-    for fn, value in exact.items():
-        got = fn(p, pop)
-        assert abs(Fraction(got) - value) <= Fraction(1, 10**12) * value, (
-            fn.__name__, got, float(value)
+    for name, value in exact.items():
+        assert abs(Fraction(got[name]) - value) <= Fraction(1, 10**12) * value, (
+            name, got[name], float(value)
         )

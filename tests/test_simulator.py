@@ -264,7 +264,7 @@ class TestEmpiricalFrequencies:
         regime, run = big_run
         races = run.winners >= 0
         lost = races & (run.winners != run.mm_ids)
-        loss_prob = race.mm_loss_prob_mixed(regime.p_star, Population(5, 0))
+        loss_prob = race.mixed_race(regime.p_star, Population(5, 0))[1]
         n = int(races.sum())
         se = math.sqrt(loss_prob * (1 - loss_prob) / n)
         assert abs(lost.sum() / n - loss_prob) < 4 * se

@@ -39,11 +39,11 @@ def event_prob(ev, pr):
 
 def lines(p_snipe, pr):
     """(A, B, C, D) of a trustworthy agent among H trustworthy agents, from the
-    mixed race probabilities, as analytic_mean_utility builds them."""
+    mixed race, as analytic_mean_utility builds them."""
     pop = Population(pr.H, 0)
     d = derive(pr)
-    win = p_snipe * race.win_prob_given_entry_mixed(p_snipe, pop)
-    return endpoint_values(win, race.mm_loss_prob_mixed(p_snipe, pop), d, d.q)
+    win, loss = race.mixed_race(p_snipe, pop)
+    return endpoint_values(p_snipe * win, loss, d, d.q)
 
 
 def line_at(at0, at1, s):
