@@ -9,10 +9,15 @@ directory, runs the command and writes the manifest from the output names the
 command returns.  A ``cmd_*`` function does only its own work and records its
 own inputs in ``resolved``; ``_roster`` and ``_play`` record theirs.
 
-Only ``simulate`` and inline ``monitor`` draw stages, so only they import
-numpy and ``simulator``; ``analyze``, ``sweep`` and ``monitor --stream`` run
-without loading numpy.  Manifests and ``analysis.json`` are strict JSON: a
-non-finite number is refused, never written.
+Each command imports only what it runs, since the import is most of a small
+command's wall time.  Only ``simulate`` and inline ``monitor`` draw stages,
+so only they import numpy and ``simulator``; ``analyze``, ``sweep`` and
+``monitor --stream`` run without loading numpy.  Only ``monitor`` imports
+``detection``.  ``logging`` is imported only where a warning is logged (a
+scan of u* that is not unimodal, an outcome that forces the monitor's
+decision), and the manifest's timestamp comes from ``time``, not
+``datetime``.  Manifests and ``analysis.json`` are strict JSON: a non-finite
+number is refused, never written.
 """
 
 from __future__ import annotations
@@ -25,15 +30,15 @@ import math
 import os
 import shutil
 import sys
+import time
 from contextlib import closing
 from dataclasses import asdict, fields, replace
-from datetime import datetime, timezone
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
-from . import __version__, detection, streams, transitions, utility
+from . import __version__, streams, transitions, utility
 from .params import GameParams, ValidationError, load_config, params_from_config
 from .race import Population
 
@@ -73,13 +78,19 @@ def _resolve_params(args: argparse.Namespace) -> tuple[GameParams, dict]:
     return replace(params, sigma=1.0), resolved
 
 
+def _utc_timestamp() -> str:
+    """Now in ISO 8601 UTC with microseconds, YYYY-MM-DDTHH:MM:SS.ffffff+00:00."""
+    seconds, ns = divmod(time.time_ns(), 1_000_000_000)
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + f".{ns // 1000:06d}+00:00"
+
+
 def _write_manifest(out_dir: Path, command: str, resolved: dict, outputs: list[str]) -> None:
     manifest = {
         "command": command,
         "resolved": resolved,
         "outputs": sorted(outputs),
         "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": _utc_timestamp(),
     }
     if "seeds" in resolved:  # its streams depend on the engine's draw order
         manifest["rng_contract"] = streams.RNG_CONTRACT
@@ -424,6 +435,8 @@ def _check_stream_source(stream: Path, resolved: dict) -> str | None:
 
 def cmd_monitor(args: argparse.Namespace, params: GameParams, resolved: dict,
                 out: Path) -> list[str]:
+    from . import detection
+
     assumed = args.assumed_hd
     if not 1 <= assumed <= params.H - 1:
         raise ValidationError(

@@ -24,7 +24,6 @@ refuses values off the support.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -32,8 +31,6 @@ from typing import Iterable
 from . import race, utility
 from .params import GameParams, ValidationError, derive
 from .race import Population
-
-log = logging.getLogger(__name__)
 
 # Two support points closer than this are the same outcome (merged mass).
 SUPPORT_TOL = 1e-9
@@ -181,10 +178,14 @@ def monitor_stream(
             raise ValidationError(
                 f"stage {t}: utility {u!r} impossible under both hypotheses"
             )
-        if ratio == math.inf:
-            log.warning("outcome %r impossible under H0: forcing rejection", u)
-        elif ratio == -math.inf:
-            log.warning("outcome %r impossible under H1: forcing acceptance", u)
+        if abs(ratio) == math.inf:
+            import logging  # only here: a stream with no forced decision skips its import
+
+            log = logging.getLogger(__name__)
+            if ratio > 0:
+                log.warning("outcome %r impossible under H0: forcing rejection", u)
+            else:
+                log.warning("outcome %r impossible under H1: forcing acceptance", u)
         previous = statistic
         statistic += ratio
         if statistic < lower:

@@ -48,15 +48,12 @@ moved the last bits of p* in 60 and 62 of 400 random settings and saved
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 
 from . import race, utility
 from .params import DerivedParams, GameParams, ValidationError, derive
 from .utility import IndifferencePoint
-
-log = logging.getLogger(__name__)
 
 # An optimised u* at or below this is numerically indistinguishable from the
 # no-sniping payoff of zero, so the regime is classified as no-sniping.
@@ -246,7 +243,9 @@ def _classify(params: GameParams, d: DerivedParams, th: Thresholds) -> SnipingRe
             if slopes[i] > 0 >= slopes[i + 1]
         ]
         if len(brackets) > 1:
-            log.warning(
+            import logging  # only here: the commands that never warn skip its import
+
+            logging.getLogger(__name__).warning(
                 "u*(p) not unimodal for %s: %d descending brackets %s; taking the best",
                 params, len(brackets), [b[:2] for b in brackets],
             )
@@ -283,7 +282,8 @@ def regime_row(params: GameParams, th: Thresholds) -> dict[str, object]:
         "regime": regime.kind,
         "p_star": regime.p_star,
         "s_star": regime.s_star,
-        "u_sure": _point(1.0, d, params.H).u_star,
+        # a sure regime is the point at p = 1 already
+        "u_sure": regime.u_star if regime.kind == SURE else _point(1.0, d, params.H).u_star,
         "u_opt": regime.u_star,
         "gamma_probabilistic": th.to_probabilistic,
         "gamma_no_sniping": th.to_no_sniping,

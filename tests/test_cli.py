@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -773,6 +774,38 @@ class TestNoNumpy:
             assert done.stdout.splitlines()[-1] == "[]", argv[0]
 
 
+class TestColdStart:
+    """A command loads logging, datetime and detection only where it uses them."""
+
+    MODULES = ("datetime", "logging", "sniplab.detection")
+    PROBE = (
+        "import sys; from sniplab import cli; code = cli.main(sys.argv[1:]); "
+        f"print(sorted(m for m in {MODULES!r} if m in sys.modules)); "
+        "sys.exit(code)"
+    )
+
+    def test_commands_load_only_what_they_run(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert run(["simulate", *MIX, "--ht", "4", "--stages", "2000", "--seeds", "1",
+                    "--out", str(sim)]) == 0
+        commands = [
+            (["analyze", *FIG7, "--gamma", "3.5"], []),
+            (["sweep", *FIG7, "--gamma", "3", "--variable", "gamma", "--grid", "1:9:0.05"],
+             []),
+            # a compliant stream: no outcome forces the decision, so nothing is logged
+            (["monitor", *MIX, "--stream", str(sim / "stream_seed1.csv")],
+             ["sniplab.detection"]),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        for i, (argv, loaded) in enumerate(commands):
+            done = subprocess.run(
+                [sys.executable, "-c", self.PROBE, *argv, "--out", str(tmp_path / str(i))],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.splitlines()[-1] == repr(loaded), argv[0]
+
+
 class TestDeterminism:
     def test_simulate_byte_identical(self, tmp_path):
         args = ["simulate", *MIX, "--ht", "3", "--hd", "1", "--stages", "2000",
@@ -849,6 +882,22 @@ class TestDeterminism:
         before = (sim_out / "stream_seed4.csv").read_bytes()
         assert run(argv) == 0
         assert (sim_out / "stream_seed4.csv").read_bytes() == before
+
+    def test_manifest_timestamp_is_utc_with_microseconds(self, tmp_path):
+        start = datetime.now(timezone.utc)
+        assert run(["analyze", *FIG7, "--gamma", "3.5", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "analyze_manifest.json").read_text())
+        stamp = datetime.fromisoformat(manifest["timestamp"])
+        assert stamp.utcoffset() == timedelta(0)
+        assert len(manifest["timestamp"].split(".")[1]) == len("ffffff+00:00")
+        assert abs(stamp - start) < timedelta(minutes=1)
+
+    @pytest.mark.parametrize("ns", [0, 1_700_000_000_000_000_000, 1_700_000_000_123_456_789])
+    def test_timestamp_is_datetime_isoformat(self, monkeypatch, ns):
+        # with microseconds even where they are zero, which isoformat() drops
+        monkeypatch.setattr(cli.time, "time_ns", lambda: ns)
+        expected = datetime.fromtimestamp(0, timezone.utc) + timedelta(microseconds=ns // 1000)
+        assert cli._utc_timestamp() == expected.isoformat(timespec="microseconds")
 
     @pytest.mark.parametrize("contract", [None, 1, 3])
     def test_manifest_from_another_contract_refused(self, tmp_path, contract):

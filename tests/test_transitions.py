@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 from dataclasses import replace
@@ -213,6 +214,24 @@ class TestOptimalSniping:
         assert slope_numerator(p * (1 - 1e-12), pr) > 0
         assert slope_numerator(p * (1 + 1e-12), pr) <= 0
 
+    def test_non_unimodal_scan_warns_once_and_takes_the_best(self, monkeypatch, caplog):
+        # a decoy descending bracket (0.97, 0.99) after the true scan: its ends
+        # carry the race values of p = 0 (slope > 0) and p = 1 (slope < 0), but
+        # du*/dp < 0 inside it, so its root lies at 0.97, below u*(p*)
+        pr = params(3.5)
+        expected = tr.optimal_sniping(pr)
+        scan = tr._scan_race(pr.H)
+        decoy = ((0.97, *scan[0][1:]), (0.99, *scan[-1][1:]))
+        monkeypatch.setattr(tr, "_scan_race", lambda n: scan + decoy)
+        with caplog.at_level(logging.WARNING, logger=tr.__name__):
+            regime = tr.optimal_sniping(pr)
+        warnings = [r.getMessage() for r in caplog.records if r.name == tr.__name__]
+        assert len(warnings) == 1
+        assert "not unimodal" in warnings[0]
+        assert "2 descending brackets" in warnings[0] and "(0.97, 0.99)" in warnings[0]
+        assert regime == expected
+        assert tr.indifference_at(0.97, pr).u_star < regime.u_star
+
     def test_utility_vanishes_at_upper_threshold(self, fig_thresholds):
         gl = fig_thresholds.to_no_sniping
         regime = tr.optimal_sniping(params(gl - 1e-6))
@@ -234,6 +253,18 @@ class TestRegimeSweep:
             assert r["u_opt"] >= r["u_sure"] - 1e-12
             if r["regime"] == tr.SURE:
                 assert r["u_opt"] == pytest.approx(r["u_sure"], abs=1e-12)
+
+
+    def test_sure_row_races_p_one_once(self, monkeypatch):
+        # u_sure is the sure regime's own point, not a second race at p = 1
+        pr = params(1.7575)
+        th = tr.thresholds(pr)  # outside the count: it races p = 1
+        loss_ps = []
+        monkeypatch.setattr(race, "mm_loss_prob", recording(loss_ps, race.mm_loss_prob))
+        row = tr.regime_row(pr, th)
+        assert row["regime"] == tr.SURE
+        assert loss_ps == [1.0]
+        assert row["u_sure"] == row["u_opt"] == tr.indifference_at(1.0, pr).u_star
 
 
 def recording(log, fn, position=0):
