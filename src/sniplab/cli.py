@@ -13,7 +13,8 @@ Each command imports only what it runs, since the import is most of a small
 command's wall time.  Only ``simulate`` and inline ``monitor`` draw stages,
 so only they import numpy and ``simulator``; ``analyze``, ``sweep`` and
 ``monitor --stream`` run without loading numpy.  Only ``monitor`` imports
-``detection``.  ``logging`` is imported only where a warning is logged (a
+``detection``, for the SPRT; its laws and ``simulate``'s analytic means come
+from ``utility``.  ``logging`` is imported only where a warning is logged (a
 scan of u* that is not unimodal, an outcome that forces the monitor's
 decision), and the manifest's timestamp comes from ``time``, not
 ``datetime``.  Manifests and ``analysis.json`` are strict JSON: a non-finite
@@ -359,9 +360,9 @@ def cmd_simulate(args: argparse.Namespace, params: GameParams, resolved: dict,
     resolved.update({"stages": args.stages, "seeds": seeds})
     agents = simulator.compliance_roster(pop, p, spread)
     # the roster's order: trustworthy agents first, then the deceptive ones
-    classes = [simulator.TRUSTWORTHY] * pop.trustworthy + [simulator.DECEPTIVE] * pop.deceptive
+    classes = [utility.TRUSTWORTHY] * pop.trustworthy + [utility.DECEPTIVE] * pop.deceptive
     analytic = {
-        cls: simulator.analytic_mean_utility(cls, p, spread, pop, params)
+        cls: utility.utility_distribution(params, p, pop, spread, cls).mean
         for cls in dict.fromkeys(classes)
     }
     outputs = []
@@ -445,8 +446,8 @@ def cmd_monitor(args: argparse.Namespace, params: GameParams, resolved: dict,
     p, spread = _play(args, params, resolved)
     pop0 = Population(trustworthy=params.H, deceptive=0)
     pop1 = Population(trustworthy=params.H - assumed, deceptive=assumed)
-    dist0 = detection.utility_distribution(params, p, pop0, spread)
-    dist1 = detection.utility_distribution(params, p, pop1, spread)
+    dist0 = utility.utility_distribution(params, p, pop0, spread)
+    dist1 = utility.utility_distribution(params, p, pop1, spread)
     resolved.update({"err1": args.err1, "err2": args.err2, "assumed_hd": assumed,
                      "agent": args.agent})
     note = None

@@ -1,25 +1,18 @@
-"""Per-stage utility distribution of a trustworthy agent and Wald's SPRT.
+"""Wald's sequential probability ratio test on an agent's utility stream.
 
-A trustworthy agent's stage utility takes one of nine values (for generic
-spread and risk aversion): 0, -gamma*(2-s), s, -gamma*(1-s), s+1, 2s, 2-s,
-1-s and -gamma*s.  ``utility_distribution`` builds their probabilities from
-the payoff table, weighting each cell's columns by the race outcomes of
-``race.mixed_race``, and takes each value from ``utility.payoffs``, which the
-simulator pays.  An independent enumeration over (event, role, race composition)
-checks it in the tests.
-
-Knowing the distribution under compliance (no deceptive agents, H0) and under
-a posited number of sure snipers (H1), both on the same support, an agent
-monitors its own utility stream with Wald's sequential probability ratio
-test.  ``monitor_stream`` tabulates log P(u | H1) / P(u | H0) once per support
+Knowing its stage-utility law, ``utility.utility_distribution`` (imported
+here by name), under compliance (no deceptive agents, H0) and under a posited
+number of sure snipers (H1), on one support, an agent monitors its own
+utility stream with Wald's sequential probability ratio test.
+``monitor_stream`` tabulates log P(u | H1) / P(u | H0) once per support
 point (+-inf where only one law allows the outcome), adds the entry of each
 observed utility to a running sum, and stops as soon as the sum leaves the
-interval between the two thresholds derived from the admissible error rates.
-Every utility the engine pays is ``==`` a support point and is looked up in a
-table keyed by the support values; anything else (a stream file's value that
-matches only to ``SUPPORT_TOL``, a value merged into a nearby support point)
-falls back to ``UtilityDistribution.index_of``'s tolerance scan, which also
-refuses values off the support.
+interval between the two thresholds derived from the admissible error
+rates.  Every utility the engine pays is ``==`` a support point and is
+looked up in a table keyed by the support values; anything else (a stream
+file's value that matches only to ``SUPPORT_TOL``, a value merged into a
+nearby support point) falls back to ``UtilityDistribution.index_of``'s
+tolerance scan, which also refuses values off the support.
 """
 
 from __future__ import annotations
@@ -28,12 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import race, utility
-from .params import GameParams, ValidationError, derive
-from .race import Population
-
-# Two support points closer than this are the same outcome (merged mass).
-SUPPORT_TOL = 1e-9
+from .params import ValidationError
+from .utility import UtilityDistribution, utility_distribution  # noqa: F401 (re-exported)
 
 CONTINUE = "continue"
 ACCEPT_H0 = "accept_h0"
@@ -41,69 +30,6 @@ REJECT_H0 = "reject_h0"
 UNDECIDED = "undecided"
 
 _MISS = object()  # a utility that is not exactly a support point
-
-
-@dataclass(frozen=True)
-class UtilityDistribution:
-    """Discrete utility distribution on a merged, sorted support."""
-
-    support: tuple[float, ...]
-    probs: tuple[float, ...]
-
-    def index_of(self, u: float) -> int:
-        """Index of the support point matching u to SUPPORT_TOL."""
-        for i, v in enumerate(self.support):
-            if abs(v - u) <= SUPPORT_TOL:
-                return i
-        raise ValidationError(
-            f"utility {u!r} matches no support point of the monitored game"
-        )
-
-
-def _merged(pairs: Iterable[tuple[float, float]]) -> UtilityDistribution:
-    merged: list[tuple[float, float]] = []
-    for value, prob in sorted(pairs):
-        if merged and abs(merged[-1][0] - value) <= SUPPORT_TOL:
-            merged[-1] = (merged[-1][0], merged[-1][1] + prob)
-        else:
-            merged.append((value, prob))
-    support, probs = zip(*merged)
-    return UtilityDistribution(support=support, probs=probs)
-
-
-def utility_distribution(
-    params: GameParams, p: float, pop: Population, s: float
-) -> UtilityDistribution:
-    """Stage-utility distribution of a trustworthy agent, from PAYOFF_TABLE.
-
-    The agent is market maker with probability 1/H and bandit otherwise; the
-    other trustworthy agents snipe with probability p, the deceptive ones for
-    sure.  In each race cell the maker's loss column carries the loss of
-    race.mixed_race(p, pop) and the sniper column p times its win.  Support
-    values are ``utility.payoffs``, the utilities the engine pays; values
-    that collide (degenerate s or gamma) are merged.
-    """
-    if pop.total != params.H:
-        raise ValidationError(f"population of {pop.total} does not match H={params.H}")
-    if not 0.0 <= s <= 1.0:
-        raise ValidationError(f"spread must lie in [0, 1] (got {s})")
-    d = derive(params)
-    h = pop.total
-    win, loss = race.mixed_race(p, pop)
-    win *= p
-    pairs = []
-    for ev, (mm_loses, sniper, mm_wins) in zip(
-        utility.PAYOFF_TABLE, utility.payoffs(s, params.gamma)
-    ):
-        pe = utility.first_event_prob(ev, d) * utility.second_event_prob(ev.second, d)
-        lose, snipe = (loss, win) if ev.has_race else (0.0, 0.0)
-        pairs += [
-            (mm_loses, pe / h * lose),
-            (mm_wins, pe / h * (1.0 - lose)),
-            (sniper, pe * (h - 1) / h * snipe),
-            (0.0, pe * (h - 1) / h * (1.0 - snipe)),
-        ]
-    return _merged(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -62,11 +62,12 @@ Mixed populations.  A race depends on who else may enter, not on how likely
 the agent it is seen from is to enter.  A deceptive agent in (H_t, H_d) has
 H_t rivals that snipe at p and H_d - 1 that snipe for sure: the rivals of a
 trustworthy agent in (H_t + 1, H_d - 1).  So ``mixed_race``, the trustworthy
-agent's race summed over one window of Bin(H_t - 1, p), serves both, and its
-caller weights the win by the agent's own entry probability, p or 1.  At
-H_d = 0 it gives mm_loss_prob(p, H) and, times p, mm_loss_prob(p, H)/(H-1),
-yet the homogeneous functions stay: ``transitions`` calls them at H in the
-thousands, where their closed forms cost O(1) and a sum one term per weight.
+agent's race summed over one window of Bin(H_t - 1, p), serves both, and
+``utility.utility_distribution`` weights the win by the agent's own entry
+probability, p or 1.  At H_d = 0 it gives mm_loss_prob(p, H) and, times p,
+mm_loss_prob(p, H)/(H-1), yet the homogeneous functions stay: ``transitions``
+calls them at H in the thousands, where their closed forms cost O(1) and a
+sum one term per weight.
 """
 
 from __future__ import annotations

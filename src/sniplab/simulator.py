@@ -3,7 +3,8 @@
 Every stage is one traversal of the sequential game tree, starting from a zero
 position: a market maker is selected, a trigger event arrives, at most one
 further event falls inside the race window, the race (if any) is resolved and
-per-agent utilities are assigned from the payoff table.
+per-agent utilities are assigned from the payoff table.  The engine only
+draws; the analytic class means are ``utility.utility_distribution``'s.
 
 Reproducibility, RNG contract 2 (``streams.RNG_CONTRACT``): every stage
 consumes exactly H + 4 doubles from ``Generator.random``, one row of an
@@ -59,13 +60,11 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import race, utility
+from . import utility
 from .params import GameParams, ValidationError, derive
 from .race import Population
 from .streams import _HEADER
 
-TRUSTWORTHY = "trustworthy"
-DECEPTIVE = "deceptive"
 # Stages per chunk: _FIRST_CHUNK first, doubling up to _CHUNK_STAGES.  Speed
 # constants, not part of the contract: a sequential test usually stops after a
 # few hundred stages of a fresh stream, so it draws little past its decision.
@@ -246,36 +245,6 @@ def compliance_roster(
     for sure); everyone advertises the same spread."""
     trusty, rogue = AgentConfig(p, spread), AgentConfig(1.0, spread)
     return (trusty,) * pop.trustworthy + (rogue,) * pop.deceptive
-
-
-def analytic_mean_utility(
-    agent_class: str, p: float, s: float, pop: Population, params: GameParams
-) -> float:
-    """Expected per-stage utility of one agent class under the mixed roster.
-
-    Combines the class's market-maker and bandit utility lines with the
-    uniform 1/H chance of being selected as market maker.  The race is
-    ``race.mixed_race`` of the class's rivals: a trustworthy agent's in pop,
-    and a deceptive agent's in the roster of one more trustworthy and one
-    fewer deceptive agent, whose trustworthy member has the same rivals.  The
-    win is then weighted by the agent's own entry probability, p or 1.
-    """
-    if pop.total != params.H:
-        raise ValidationError(f"population of {pop.total} does not match H={params.H}")
-    if agent_class == TRUSTWORTHY:
-        entry, roster = p, pop
-    elif agent_class == DECEPTIVE:
-        if pop.deceptive < 1:
-            raise ValidationError(f"the roster of {pop.total} has no deceptive agent")
-        entry, roster = 1.0, Population(pop.trustworthy + 1, pop.deceptive - 1)
-    else:
-        raise ValidationError(f"unknown agent class {agent_class!r}")
-    win, loss = race.mixed_race(p, roster)
-    win *= entry
-    d = derive(params)
-    a, b, c, dd = utility.endpoint_values(win, loss, d, d.q)
-    h = pop.total
-    return ((c * (1.0 - s) + dd * s) + (h - 1) * (a * (1.0 - s) + b * s)) / h
 
 
 # Rows keyed per chunk of a write: a bound on its memory, not on its work.

@@ -1,4 +1,4 @@
-"""Per-event payoff table, expected-utility lines and the point of indifference.
+"""Payoff table, stage-utility law, expected-utility lines and indifference.
 
 A stage is labelled by a two-event code: the trigger (NG/NB = good/bad news,
 LA/LB = liquidity trader on ask/bid) followed by the event inside the race
@@ -17,13 +17,16 @@ the sniper, -(1-s), and gains on the liquidity trader's, 1+s; the cell nets
 per-trade reading puts the sure-to-probabilistic threshold at 2.51502 instead
 of 2.60384 for alpha=0.45, mu=0.5, delta=0.5, H=5 (tests/test_acceptance.py).
 
+``utility_distribution`` is the one law of an agent's stage utility in a
+roster, for either class: its ``mean`` is the analytic mean that
+``simulate`` reports, and ``detection``'s SPRT compares two such laws.
+
 Expected utilities for both roles are affine in the spread s, so they are
 summarised by their endpoints: the bandit line runs from A = E U_B(0) to
 B = E U_B(1), the market-maker line from C = E U_M(0) to D = E U_M(1).
 ``endpoint_values`` gives them as the plain tuple (A, B, C, D), the one form
-of the lines: ``indifference`` intersects them, the slope kernel of
-``transitions`` differentiates them and ``simulator.analytic_mean_utility``
-evaluates them at a spread.  An event's probability is
+of the lines: ``indifference`` intersects them and the slope kernel of
+``transitions`` differentiates them.  An event's probability is
 ``first_event_prob(ev, d) * second_event_prob(ev.second, d)``.
 """
 
@@ -31,8 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
+from . import race
 from .params import DerivedParams, GameParams, ValidationError, derive
+from .race import Population
 
 # Utility expressions as coefficients on (1, s, gamma, gamma*s).
 Expr = tuple[float, float, float, float]
@@ -125,6 +131,101 @@ def second_event_prob(second: str, d: DerivedParams) -> float:
 
 def first_event_prob(ev: EventSpec, d: DerivedParams) -> float:
     return d.beta / 2 if ev.has_race else (1.0 - d.beta) / 2
+
+
+# ---------------------------------------------------------------------------
+# Stage-utility law
+# ---------------------------------------------------------------------------
+
+TRUSTWORTHY = "trustworthy"
+DECEPTIVE = "deceptive"
+
+# Two support points closer than this are the same outcome (merged mass).
+SUPPORT_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class UtilityDistribution:
+    """Discrete utility distribution on a merged, sorted support."""
+
+    support: tuple[float, ...]
+    probs: tuple[float, ...]
+
+    @property
+    def mean(self) -> float:
+        """Sum of value times probability over the support, in its order (sum
+        adds left to right up to Python 3.11)."""
+        return sum(value * prob for value, prob in zip(self.support, self.probs))
+
+    def index_of(self, u: float) -> int:
+        """Index of the support point matching u to SUPPORT_TOL."""
+        for i, v in enumerate(self.support):
+            if abs(v - u) <= SUPPORT_TOL:
+                return i
+        raise ValidationError(
+            f"utility {u!r} matches no support point of the monitored game"
+        )
+
+
+def _merged(pairs: Iterable[tuple[float, float]]) -> UtilityDistribution:
+    """Law of (utility, probability) pairs: masses added in ascending order of
+    (utility, probability), points within SUPPORT_TOL merged into the lowest.
+    Grouped by utility, not sorted as one list: a list of 80 pairs fragmented
+    the C heap (7 MB more peak RSS in a third of campaign benchmark runs)."""
+    groups: dict[float, list[float]] = {}
+    for value, prob in pairs:
+        groups.setdefault(value, []).append(prob)
+    merged: list[tuple[float, float]] = []
+    for value in sorted(groups):
+        for prob in sorted(groups[value]):
+            if merged and abs(merged[-1][0] - value) <= SUPPORT_TOL:
+                merged[-1] = (merged[-1][0], merged[-1][1] + prob)
+            else:
+                merged.append((value, prob))
+    support, probs = zip(*merged)
+    return UtilityDistribution(support=support, probs=probs)
+
+
+def utility_distribution(params: GameParams, p: float, pop: Population, s: float,
+                         agent_class: str = TRUSTWORTHY) -> UtilityDistribution:
+    """Stage-utility law of an agent of agent_class in pop, from PAYOFF_TABLE.
+
+    The agent is market maker with probability 1/H and bandit otherwise; the
+    trustworthy agents snipe with probability p, the deceptive ones for sure.
+    Its race is ``race.mixed_race`` of its rivals, which a deceptive agent
+    shares with a trustworthy one in the roster of one more trustworthy and
+    one fewer deceptive agent.  A race cell's maker-loss column carries the
+    loss, its sniper column the win times the agent's entry probability, p
+    or 1.  Support values are ``payoffs``, the utilities the engine pays;
+    values that collide (degenerate s or gamma) are merged.
+    """
+    if pop.total != params.H:
+        raise ValidationError(f"population of {pop.total} does not match H={params.H}")
+    if not 0.0 <= s <= 1.0:
+        raise ValidationError(f"spread must lie in [0, 1] (got {s})")
+    if agent_class == TRUSTWORTHY:
+        entry, rivals = p, pop
+    elif agent_class == DECEPTIVE:
+        if pop.deceptive < 1:
+            raise ValidationError(f"the roster of {pop.total} has no deceptive agent")
+        entry, rivals = 1.0, Population(pop.trustworthy + 1, pop.deceptive - 1)
+    else:
+        raise ValidationError(f"unknown agent class {agent_class!r}")
+    d = derive(params)
+    h = pop.total
+    win, loss = race.mixed_race(p, rivals)
+    win *= entry
+
+    def pairs() -> Iterator[tuple[float, float]]:
+        for ev, (mm_loses, sniper, mm_wins) in zip(PAYOFF_TABLE, payoffs(s, params.gamma)):
+            pe = first_event_prob(ev, d) * second_event_prob(ev.second, d)
+            lose, snipe = (loss, win) if ev.has_race else (0.0, 0.0)
+            yield mm_loses, pe / h * lose
+            yield mm_wins, pe / h * (1.0 - lose)
+            yield sniper, pe * (h - 1) / h * snipe
+            yield 0.0, pe * (h - 1) / h * (1.0 - snipe)
+
+    return _merged(pairs())
 
 
 # ---------------------------------------------------------------------------

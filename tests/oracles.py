@@ -31,7 +31,13 @@ implementation of, and the tests compare the two:
 * ``mixed_race_reference`` -- race.mixed_race's two expectations in
   ``decimal`` arithmetic at 60 or more digits, against which
   tests/test_race.py bounds its error in ulps;
-* ``utility_distribution_enum`` -- a trustworthy agent's stage-utility law by
+* ``analytic_mean_0_4_0`` -- a class's mean stage utility as sniplab 0.4.0
+  computed it, from the utility lines; patched into ``utility``, it
+  reproduces the summary.csv of 0.3.0 and 0.4.0;
+* ``utility_mean_reference`` -- the mean of ``utility.utility_distribution``
+  in exact rational arithmetic, against which tests/test_utility.py bounds
+  ``UtilityDistribution.mean``;
+* ``utility_distribution_enum`` -- a class's stage-utility law by
   enumeration over (event, role, race composition), without the mixed race
   probabilities;
 * ``slope_numerator`` -- the slope numerator N'Q - NQ' assembled as it was
@@ -49,12 +55,13 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 from sniplab import race, utility
-from sniplab.detection import UtilityDistribution, _merged
 from sniplab.params import GameParams, ValidationError, derive
 from sniplab.race import Population, _check_n, _check_p
 from sniplab.transitions import _root
+from sniplab.utility import DECEPTIVE, TRUSTWORTHY, UtilityDistribution, _merged
 
 
 def full_length_pmf(n: int, p: float) -> list[float]:
@@ -222,7 +229,7 @@ def win_prob_given_entry_mixed_two_urn(p: float, at_p: int, sure: int) -> float:
 def win_prob_given_entry_deceptive_0_3_0(p: float, rivals: Population) -> float:
     """A deceptive agent's win probability as sniplab 0.3.0 computed it, on
     race._binom_pmf's windows.  ``rivals`` is the roster that
-    simulator.analytic_mean_utility passes to race.mixed_race for that agent:
+    utility.utility_distribution passes to race.mixed_race for that agent:
     its own roster (H_t, H_d) with one deceptive agent turned trustworthy.
 
     0.3.0 conditioned on the market maker's type, in (H_t, H_d): trustworthy
@@ -272,25 +279,94 @@ def mixed_race_reference(p: float, pop: Population, digits: int = 60) -> dict[st
         return {"win": +win, "loss": +loss}
 
 
+def rivals_of(agent_class: str, p: float, pop: Population) -> tuple[int, int, float]:
+    """(rivals that enter at p, rivals that enter for sure, own entry
+    probability) of an agent of agent_class in pop: its race is
+    race.mixed_race's in Population(at_p + 1, sure)."""
+    if agent_class == TRUSTWORTHY:
+        return pop.trustworthy - 1, pop.deceptive, p
+    if agent_class == DECEPTIVE and pop.deceptive >= 1:
+        return pop.trustworthy, pop.deceptive - 1, 1.0
+    raise ValidationError(f"no {agent_class!r} agent in {pop}")
+
+
+def analytic_mean_0_4_0(
+    agent_class: str, p: float, s: float, pop: Population, params: GameParams
+) -> float:
+    """simulator.analytic_mean_utility of sniplab 0.4.0: the class's
+    market-maker and bandit utility lines at spread s, weighted by the uniform
+    1/H chance of being selected as market maker, with the race of
+    utility.utility_distribution."""
+    if pop.total != params.H:
+        raise ValidationError(f"population of {pop.total} does not match H={params.H}")
+    at_p, sure, entry = rivals_of(agent_class, p, pop)
+    win, loss = race.mixed_race(p, Population(at_p + 1, sure))
+    win *= entry
+    d = derive(params)
+    a, b, c, dd = utility.endpoint_values(win, loss, d, d.q)
+    h = pop.total
+    return ((c * (1.0 - s) + dd * s) + (h - 1) * (a * (1.0 - s) + b * s)) / h
+
+
+def utility_mean_reference(
+    params: GameParams, p: float, pop: Population, s: float, agent_class: str = TRUSTWORTHY
+) -> Fraction:
+    """Exact mean stage utility of an agent of agent_class in pop.
+
+    The sum over PAYOFF_TABLE of each cell's probability times its expected
+    utility, in ``Fraction`` arithmetic: the derived alpha_bar, mu_bar and
+    beta, the spread, gamma and p are taken as the exact rationals of their
+    floats, each utility expression is evaluated exactly, and the race is
+    ``mixed_race_reference`` of the agent's rivals, 60 digits taken as exact.
+    """
+    at_p, sure, entry = rivals_of(agent_class, p, pop)
+    exact = mixed_race_reference(p, Population(at_p + 1, sure))
+    win, loss = Fraction(exact["win"]) * Fraction(entry), Fraction(exact["loss"])
+    d = derive(params)
+    alpha_bar, mu_bar, beta = Fraction(d.alpha_bar), Fraction(d.mu_bar), Fraction(d.beta)
+    x, g = Fraction(s), Fraction(params.gamma)
+    h = pop.total
+
+    def value(expr: utility.Expr) -> Fraction:
+        c0, cs, cg, cgs = expr
+        return c0 + cs * x + cg * g + cgs * g * x
+
+    total = Fraction(0)
+    for ev in utility.PAYOFF_TABLE:
+        first = beta / 2 if ev.has_race else (1 - beta) / 2
+        second = {"NG": alpha_bar, "NB": alpha_bar, "LA": mu_bar, "LB": mu_bar}.get(
+            ev.second, 1 - 2 * (alpha_bar + mu_bar)
+        )
+        if ev.has_race:
+            maker = loss * value(ev.mm_if_loses) + (1 - loss) * value(ev.mm_if_wins)
+            total += first * second * (maker + (h - 1) * win * value(ev.sniper)) / h
+        else:
+            total += first * second * value(ev.mm_if_loses) / h
+    return total
+
+
 def utility_distribution_enum(
-    params: GameParams, p: float, pop: Population, s: float
+    params: GameParams, p: float, pop: Population, s: float, agent_class: str = TRUSTWORTHY
 ) -> UtilityDistribution:
-    """Brute-force distribution by enumeration over (event, role, composition).
+    """Brute-force law of an agent of agent_class, by enumeration over
+    (event, role, composition).
 
     Uses only the payoff table, the event probabilities and binomial entry
     counts; independent of the closed probability expressions and of the
-    mixed race-probability functions.
+    mixed race-probability functions.  The agent's rivals are at_p agents
+    that enter with probability p and ``sure`` that enter for sure: (H_t - 1,
+    H_d) for a trustworthy agent, which itself enters at p, and (H_t,
+    H_d - 1) for a deceptive one, which enters for sure.
     """
     if pop.total != params.H:
         raise ValidationError(f"population of {pop.total} does not match H={params.H}")
+    at_p, sure, entry = rivals_of(agent_class, p, pop)
     d = derive(params)
     h = pop.total
-    ht, hd = pop.trustworthy, pop.deceptive
     gamma = params.gamma
     pairs: list[tuple[float, float]] = []
-    entry_as_mm = full_length_pmf(ht - 1, p)
-    entry_mm_trusty = full_length_pmf(ht - 2, p) if ht >= 2 else []
-    entry_mm_rogue = entry_as_mm
+    entry_as_mm = full_length_pmf(at_p, p)
+    entry_mm_trusty = full_length_pmf(at_p - 1, p) if at_p >= 1 else []
     for ev in utility.PAYOFF_TABLE:
         pe = utility.first_event_prob(ev, d) * utility.second_event_prob(ev.second, d)
         mm_lose = utility.evaluate(ev.mm_if_loses, s, gamma)
@@ -300,24 +376,25 @@ def utility_distribution_enum(
             continue
         snip = utility.evaluate(ev.sniper, s, gamma)
         mm_win = utility.evaluate(ev.mm_if_wins, s, gamma)
-        # as market maker: field is hd sure snipers + Bin(ht-1, p)
+        # as market maker: the field is the sure rivals + Bin(at_p, p)
         for k, w in enumerate(entry_as_mm):
-            field = 1 + hd + k
+            field = 1 + sure + k
             pairs.append((mm_lose, pe / h * w * (field - 1) / field))
             pairs.append((mm_win, pe / h * w / field))
-        # as bandit: enter with probability p, then the market maker is
-        # trustworthy or deceptive and the rest of the field is binomial
-        pairs.append((0.0, pe * (h - 1) / h * (1.0 - p)))
-        if ht >= 2:
-            branch = pe * (h - 1) / h * p * (ht - 1) / (h - 1)
+        # as bandit: enter with the own entry probability, then the market
+        # maker is one of the rivals at p or a sure one, and the rest of the
+        # field is binomial
+        pairs.append((0.0, pe * (h - 1) / h * (1.0 - entry)))
+        if at_p >= 1:
+            branch = pe * (h - 1) / h * entry * at_p / (h - 1)
             for k, w in enumerate(entry_mm_trusty):
-                field = 2 + hd + k
+                field = 2 + sure + k
                 pairs.append((snip, branch * w / field))
                 pairs.append((0.0, branch * w * (field - 1) / field))
-        if hd >= 1:
-            branch = pe * (h - 1) / h * p * hd / (h - 1)
-            for k, w in enumerate(entry_mm_rogue):
-                field = 2 + (hd - 1) + k
+        if sure >= 1:
+            branch = pe * (h - 1) / h * entry * sure / (h - 1)
+            for k, w in enumerate(entry_as_mm):
+                field = 2 + (sure - 1) + k
                 pairs.append((snip, branch * w / field))
                 pairs.append((0.0, branch * w * (field - 1) / field))
     return _merged(pairs)

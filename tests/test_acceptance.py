@@ -37,6 +37,7 @@ from test_transitions import slope
 
 FIG7_RATES = dict(H=5, alpha=0.45, mu=0.5, delta=0.5)
 CANDIDATE_RATES = dict(alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
+CLASSES = (utility.TRUSTWORTHY, utility.DECEPTIVE)
 
 # sure-to-probabilistic threshold at the Fig. 7 rates, per-cell convention
 GAMMA_PROBABILISTIC = 2.60384
@@ -302,17 +303,19 @@ def test_criterion_5_probability_closure_and_brute_force():
             for ev in utility.PAYOFF_TABLE
         )
         worst_events = max(worst_events, abs(total - 1.0))
-        dist = det.utility_distribution(params, p, pop, s)
-        worst_dist = max(worst_dist, abs(sum(dist.probs) - 1.0))
+        for cls in CLASSES[: 1 + (pop.deceptive > 0)]:
+            dist = utility.utility_distribution(params, p, pop, s, cls)
+            worst_dist = max(worst_dist, abs(sum(dist.probs) - 1.0))
     worst_brute = 0.0
     for _ in range(150):
         params, p, pop, s = _random_setup(rng)
-        closed = det.utility_distribution(params, p, pop, s)
-        enum = oracles.utility_distribution_enum(params, p, pop, s)
-        worst_brute = max(
-            worst_brute,
-            max(abs(a - b) for a, b in zip(closed.probs, enum.probs)),
-        )
+        for cls in CLASSES[: 1 + (pop.deceptive > 0)]:
+            closed = utility.utility_distribution(params, p, pop, s, cls)
+            enum = oracles.utility_distribution_enum(params, p, pop, s, cls)
+            worst_brute = max(
+                worst_brute,
+                max(abs(a - b) for a, b in zip(closed.probs, enum.probs)),
+            )
 
     # the two disputed probability cells, resolved by the enumeration
     params = GameParams(H=4, **CANDIDATE_RATES)
@@ -386,7 +389,7 @@ def test_criterion_6_simulator_calibration():
     loss_ok = abs(lost.sum() / n_races - loss_prob) < 4 * se_loss
 
     big = sim.run_repeated(agents, params, 1_000_000, seed=20240817)
-    dist = det.utility_distribution(params, regime.p_star, pop, regime.s_star)
+    dist = utility.utility_distribution(params, regime.p_star, pop, regime.s_star)
     values, counts = np.unique(big.utilities[:, 0], return_counts=True)
     observed = np.zeros(len(dist.support))
     for value, count in zip(values, counts):
@@ -408,6 +411,29 @@ def test_criterion_6_simulator_calibration():
     assert ok
 
 
+def dilemma_payoffs(params):
+    """(T, R, P, S) of the stage game at params, from the stage-utility law.
+
+    At the optimal regime's (p*, s*): R is a trustworthy agent's mean when
+    all H play p*, T a deceptive agent's mean when it alone snipes for sure,
+    and S a trustworthy agent's mean beside it; P is u*(1), everyone sniping
+    for sure at s*(1).  A deviator's mean is linear in its own entry
+    probability, so sure sniping is its best deviation.
+    """
+    regime = tr.optimal_sniping(params)
+    mixed = Population(params.H - 1, 1)
+
+    def mean(pop, cls):
+        return utility.utility_distribution(params, regime.p_star, pop, regime.s_star, cls).mean
+
+    return (
+        mean(mixed, utility.DECEPTIVE),
+        mean(Population(params.H, 0), utility.TRUSTWORTHY),
+        tr.indifference_at(1.0, params).u_star,
+        mean(mixed, utility.TRUSTWORTHY),
+    )
+
+
 def test_criterion_7_deceptive_agent_effect():
     t0 = time.perf_counter()
     params = GameParams(H=5, **CANDIDATE_RATES)
@@ -424,12 +450,9 @@ def test_criterion_7_deceptive_agent_effect():
     separation_ok = all(z >= 5 for z in separations)
     ordering_ok = all(means[4] > means[i] for i in range(4))
 
-    u_t = sim.analytic_mean_utility(
-        sim.TRUSTWORTHY, regime.p_star, regime.s_star, pop, params
-    )
-    u_d = sim.analytic_mean_utility(
-        sim.DECEPTIVE, regime.p_star, regime.s_star, pop, params
-    )
+    # the laws' means: criterion 10's S and T at these rates, which this run
+    # cross-checks
+    u_d, _, _, u_t = dilemma_payoffs(params)
     agree_t = all(abs(means[i] - u_t) < 4 * ses[i] for i in range(4))
     agree_d = abs(means[4] - u_d) < 4 * ses[4]
 
@@ -440,9 +463,9 @@ def test_criterion_7_deceptive_agent_effect():
         cand = GameParams(H=h, **CANDIDATE_RATES)
         cand_regime = tr.optimal_sniping(cand)
         cand_pop = Population(h - 1, 1)
-        cand_ut = sim.analytic_mean_utility(
-            sim.TRUSTWORTHY, cand_regime.p_star, cand_regime.s_star, cand_pop, cand
-        )
+        cand_ut = utility.utility_distribution(
+            cand, cand_regime.p_star, cand_pop, cand_regime.s_star
+        ).mean
         matched_u = abs(cand_regime.u_star - 0.015) <= 5e-4
         matched_t = abs(cand_ut - (-0.0016)) <= 5e-4
         search_report.append(
@@ -470,8 +493,8 @@ def test_criterion_8_sprt_error_rates():
     params = GameParams(H=4, **CANDIDATE_RATES)
     regime = tr.optimal_sniping(params)
     err = 0.05
-    dist0 = det.utility_distribution(params, regime.p_star, Population(4, 0), regime.s_star)
-    dist1 = det.utility_distribution(params, regime.p_star, Population(3, 1), regime.s_star)
+    dist0 = utility.utility_distribution(params, regime.p_star, Population(4, 0), regime.s_star)
+    dist1 = utility.utility_distribution(params, regime.p_star, Population(3, 1), regime.s_star)
 
     def replicate(pop, seed):
         agents = sim.compliance_roster(pop, regime.p_star, regime.s_star)
@@ -547,5 +570,51 @@ def test_criterion_9_determinism(tmp_path):
         ok,
         f"simulate reruns byte-identical: {same}; manifest-driven rerun "
         f"byte-identical: {rerun_same}; sweep reruns byte-identical: {sweep_same}",
+    )
+    assert ok
+
+
+def test_criterion_10_prisoners_dilemma():
+    # Between the thresholds the stage game is an H-player prisoner's
+    # dilemma: T > R > P > S, and one deviator lowers total welfare,
+    # H R > T + (H-1) S.  Checked on 40 gamma values strictly inside the
+    # probabilistic regime at four rate sets; below it everyone snipes for
+    # sure and the four payoffs coincide.  Criterion 7's run cross-checks T
+    # and S by simulation.
+    t0 = time.perf_counter()
+    rate_sets = [FIG7_RATES] + [
+        dict(H=h, **{k: v for k, v in CANDIDATE_RATES.items() if k != "gamma"})
+        for h in (4, 50, 2000)
+    ]
+    held, rows, sure_equal, sure_rows = 0, 0, 0, 0
+    summary = []
+    for rates in rate_sets:
+        base = GameParams(gamma=3.0, **rates)
+        th = tr.thresholds(base)
+        inside = np.linspace(th.to_probabilistic, th.to_no_sniping, 42)[1:-1]
+        for gamma in inside:
+            params = replace(base, gamma=float(gamma))
+            t_, r, p, s = dilemma_payoffs(params)
+            rows += 1
+            held += (tr.optimal_sniping(params).kind == tr.PROBABILISTIC
+                     and t_ > r > p > s and params.H * r > t_ + (params.H - 1) * s)
+        for gamma in np.linspace(1.0, th.to_probabilistic, 5)[:-1]:
+            params = replace(base, gamma=float(gamma))
+            payoffs = dilemma_payoffs(params)
+            sure_rows += 1
+            sure_equal += tr.optimal_sniping(params).kind == tr.SURE and all(
+                math.isclose(x, payoffs[1], rel_tol=1e-12, abs_tol=1e-15) for x in payoffs
+            )
+        t_, r, p, s = dilemma_payoffs(replace(base, gamma=float(inside[len(inside) // 2])))
+        summary.append(f"H={rates['H']}: T={t_:.4f} R={r:.4f} P={p:.4f} S={s:.4f}")
+    elapsed = time.perf_counter() - t0
+    ok = held == rows and sure_equal == sure_rows
+    report(
+        10,
+        ok,
+        f"T > R > P > S and H R > T + (H-1) S on {held} of {rows} probabilistic "
+        f"rows; T = R = P = S on {sure_equal} of {sure_rows} sure rows; mid-regime: "
+        + " | ".join(summary)
+        + f"; runtime={elapsed:.2f}s",
     )
     assert ok

@@ -8,18 +8,29 @@ import subprocess
 import sys
 import tempfile
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sniplab import cli, race, simulator, streams, transitions
+from sniplab import cli, race, simulator, streams, transitions, utility
 from sniplab.params import GameParams, ValidationError
+from sniplab.race import Population
 
 import oracles
+from test_utility import mean_error_bound
 
 FIG7 = ["--H", "5", "--alpha", "0.45", "--mu", "0.5", "--delta", "0.5"]
 MIX = ["--H", "4", "--alpha", "0.45", "--mu", "0.3", "--delta", "0.5", "--gamma", "3"]
+# the README simulate, at 2,000 stages and one seed
+README_SIMULATE = ["simulate", "--H", "5", "--alpha", "0.45", "--mu", "0.3", "--delta", "0.5",
+                   "--gamma", "3", "--ht", "4", "--hd", "1", "--stages", "2000", "--seeds", "1"]
+# the simulate that test_non_stream_outputs_are_stable pins
+PINNED_SIMULATE = ["simulate", *MIX, "--ht", "3", "--hd", "1", "--stages", "2000",
+                   "--seeds", "1,2", "--p", "0.2035691573361233",
+                   "--spread", "0.6064860601438494"]
 
 
 def run(argv):
@@ -775,7 +786,8 @@ class TestNoNumpy:
 
 
 class TestColdStart:
-    """A command loads logging, datetime and detection only where it uses them."""
+    """A command loads logging, datetime and detection only where it uses them,
+    or, for datetime, where numpy does."""
 
     MODULES = ("datetime", "logging", "sniplab.detection")
     PROBE = (
@@ -795,6 +807,12 @@ class TestColdStart:
             # a compliant stream: no outcome forces the decision, so nothing is logged
             (["monitor", *MIX, "--stream", str(sim / "stream_seed1.csv")],
              ["sniplab.detection"]),
+            # the stage-drawing commands load numpy, which imports datetime;
+            # simulate's analytic means come from utility, not detection
+            (["simulate", *MIX, "--ht", "4", "--stages", "2000", "--seeds", "1"],
+             ["datetime"]),
+            (["monitor", *MIX, "--ht", "4", "--stages", "2000", "--seeds", "1"],
+             ["datetime", "sniplab.detection"]),
         ]
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         for i, (argv, loaded) in enumerate(commands):
@@ -963,13 +981,14 @@ class TestDeterminism:
         # and spread are pinned as above, the monitor's come from the
         # optimiser, as in a default run.  sweep_gamma.csv and trajectory.csv
         # were taken with the log1p race forms of 0.2.0, sweep_H.csv with the
-        # n*p scan points and the next-float probe of 0.3.0
+        # n*p scan points and the next-float probe of 0.3.0, summary.csv with
+        # the analytic means of 0.5.0, the means of the stage-utility law
         expected = {
             "analysis.json": "d8fd9641fae7923c62eda84774c85b63a9a80ca2e5440d10cd0384c908f9fff7",
             "payoff_table.csv": "e8273d80e97d9ff85dfcb6ac74c5821443400e70026065cde08f3bc39a8fc890",
             "sweep_gamma.csv": "fe882f04ded698db80a760044dfb7971a3c3de22790c38124752b7e4db8cd577",
             "sweep_H.csv": "f4b96622e0d7648912a4716bd9bd44f56b85bcf51e83e6ea40a8e1eb6dcec302",
-            "summary.csv": "e18239c474bb8bcbd7c491ff2d6d74cca0beb9788e018315924ace10976fe1b6",
+            "summary.csv": "e1e66446b84eb7d84bc180b71c10a442f7ad882a8f1341a3d1044550b67757af",
             "stream_seed1.csv": "97b5fbf01c4556364e0a4f41cb8de1377aebe290d15f3b4932f74c3b23167e1c",
             "stream_seed2.csv": "e8351aeff2985699a2fb0b7ddba2f8ad125396568d15766157ec5d69225ce8a6",
             "trajectory.csv": "5de0108f3c4dca9b2271718e90170855f9f7a8280a89388c82f02634786ddec7",
@@ -978,8 +997,7 @@ class TestDeterminism:
             ["analyze", *FIG7, "--gamma", "3.5"],
             ["sweep", *FIG7, "--gamma", "3", "--variable", "gamma", "--grid", "1.5:8:0.5"],
             ["sweep", *FIG7, "--gamma", "4", "--variable", "H", "--grid", "2000,5000,10000"],
-            ["simulate", *MIX, "--ht", "3", "--hd", "1", "--stages", "2000", "--seeds", "1,2",
-             "--p", "0.2035691573361233", "--spread", "0.6064860601438494"],
+            PINNED_SIMULATE,
             ["monitor", *MIX, "--ht", "3", "--hd", "1", "--stages", "20000", "--seeds", "5",
              "--agent", "2"],
         ]:
@@ -1083,34 +1101,32 @@ class TestDeterminism:
         # race.mixed_race takes a deceptive agent's win in one variable over
         # its rivals, where 0.3.0 conditioned on the maker's type.  The pinned
         # summary (H_t 3, H_d 1) kept its bits, so the README simulate is run
-        # here.  With 0.3.0's form patched into the deceptive class's race
-        # alone, it gives 0.3.0's digest (CPython 3.11.7, numpy 2.4.6), so the
-        # comparison is with 0.3.0's own output; 0.4.0's digest pins the new
-        # cell.
+        # here.  With 0.4.0's analytic mean (oracles.analytic_mean_0_4_0)
+        # patched in, it gives 0.4.0's digest, and with 0.3.0's form also
+        # patched into the deceptive class's race, 0.3.0's (CPython 3.11.7,
+        # numpy 2.4.6), so the comparison is with each version's own output.
         # Every number must agree to 1e-14 relative.  Each version's win lies
         # within a few ulps of exact (0.4.0's up to 6.5, 0.3.0's up to 4.7,
         # against exact rational sums over 2,998 rosters with H_t and H_d up
         # to 40), so the two differ by under 12 ulps, 2.7e-15 relative; the
         # analytic mean moves 0.95 times as much, relatively, at this roster.
         # Measured: 1 ulp, 1.5e-16.
-        argv = ["simulate", "--H", "5", "--alpha", "0.45", "--mu", "0.3", "--delta", "0.5",
-                "--gamma", "3", "--ht", "4", "--hd", "1", "--stages", "2000", "--seeds", "1"]
-        mixed_race, analytic_mean_utility = race.mixed_race, simulator.analytic_mean_utility
+        mixed_race = race.mixed_race
 
         def race_0_3_0(p, rivals):
             return oracles.win_prob_given_entry_deceptive_0_3_0(p, rivals), mixed_race(p, rivals)[1]
 
-        def analytic_mean_0_3_0(agent_class, *args):
+        def law_0_3_0(params, p, pop, s, agent_class):
             with monkeypatch.context() as m:
-                if agent_class == simulator.DECEPTIVE:
+                if agent_class == utility.DECEPTIVE:
                     m.setattr(race, "mixed_race", race_0_3_0)
-                return analytic_mean_utility(agent_class, *args)
+                return law_0_4_0(params, p, pop, s, agent_class)
 
         old, new = tmp_path / "0.3.0", tmp_path / "0.4.0"
-        with monkeypatch.context() as m:
-            m.setattr(simulator, "analytic_mean_utility", analytic_mean_0_3_0)
-            assert run([*argv, "--out", str(old)]) == 0
-        assert run([*argv, "--out", str(new)]) == 0
+        for out, law in ((old, law_0_3_0), (new, law_0_4_0)):
+            with monkeypatch.context() as m:
+                m.setattr(utility, "utility_distribution", law)
+                assert run([*README_SIMULATE, "--out", str(out)]) == 0
         digests = [hashlib.sha256((d / "summary.csv").read_bytes()).hexdigest() for d in (old, new)]
         assert digests == [
             "27ed251cc682babb4c00e1384863b1554c8b40dc1446b14e01f0dd666a3c4a79",
@@ -1122,10 +1138,65 @@ class TestDeterminism:
         for row_old, row_new in zip(rows_old, rows_new):
             for field, a in row_old.items():
                 b = row_new[field]
-                if field != "analytic_mean" or row_old["class"] != simulator.DECEPTIVE:
+                if field != "analytic_mean" or row_old["class"] != utility.DECEPTIVE:
                     assert a == b, (field, row_old, row_new)
                 else:
                     assert a != b and abs(float(a) - float(b)) <= 1e-14 * abs(float(a))
+
+    @pytest.mark.parametrize("argv, digests", [
+        (README_SIMULATE,
+         ["f78132f1ff43b288313dc5279b5baf34929e23349d670f2b877211887ab6afaa",
+          "17b45ecdd23e6abe217ebd031ce1aabe5aec3a6b1772199205ca5b2a9d7cb31c"]),
+        (PINNED_SIMULATE,
+         ["e18239c474bb8bcbd7c491ff2d6d74cca0beb9788e018315924ace10976fe1b6",
+          "e1e66446b84eb7d84bc180b71c10a442f7ad882a8f1341a3d1044550b67757af"]),
+    ], ids=["readme", "pinned"])
+    def test_summary_changed_in_0_5_0_stays_near_0_4_0(self, tmp_path, monkeypatch, argv,
+                                                        digests):
+        # 0.5.0 takes analytic_mean as the mean of the class's stage-utility
+        # law, utility.utility_distribution, where 0.4.0 evaluated the
+        # utility lines; only the analytic_mean cells move.  With 0.4.0's
+        # form patched in, simulate gives 0.4.0's digest (CPython 3.11.7,
+        # numpy 2.4.6); 0.5.0's digest pins the new cells.  Each cell of
+        # either version lies within the bound that test_utility's
+        # TestMeanPrecision derives for the law's mean, of the exact mean.
+        # Measured at the README simulate: the trustworthy cell moved from
+        # 6.8 to 2.8 ulps off exact, the deceptive one from 2.7 to 0.7.
+        old, new = tmp_path / "0.4.0", tmp_path / "0.5.0"
+        with monkeypatch.context() as m:
+            m.setattr(utility, "utility_distribution", law_0_4_0)
+            assert run([*argv, "--out", str(old)]) == 0
+        assert run([*argv, "--out", str(new)]) == 0
+        assert [hashlib.sha256((d / "summary.csv").read_bytes()).hexdigest()
+                for d in (old, new)] == digests
+        resolved = json.loads((new / "simulate_manifest.json").read_text())["resolved"]
+        params = GameParams(**{f: resolved[f] for f in ("H", "alpha", "mu", "delta", "gamma")})
+        pop = Population(resolved["ht"], resolved["hd"])
+        p, s = resolved["p"], resolved["spread"]
+        rows_old = list(csv.DictReader((old / "summary.csv").open()))
+        rows_new = list(csv.DictReader((new / "summary.csv").open()))
+        assert len(rows_old) == len(rows_new) > 0
+        moved = set()
+        for row_old, row_new in zip(rows_old, rows_new):
+            for field, a in row_old.items():
+                b = row_new[field]
+                if field != "analytic_mean":
+                    assert a == b, (field, row_old, row_new)
+                    continue
+                cls = row_old["class"]
+                exact = oracles.utility_mean_reference(params, p, pop, s, cls)
+                bound = mean_error_bound(params, p, pop, s, cls)
+                for cell in (a, b):
+                    assert float(abs(Fraction(float(cell)) - exact)) <= bound, (cls, cell)
+                if a != b:
+                    moved.add(cls)
+        assert moved  # the pin above would hold with no cell moved otherwise
+
+
+def law_0_4_0(params, p, pop, s, agent_class):
+    """A stand-in for utility.utility_distribution whose mean is sniplab
+    0.4.0's analytic mean, the only part of the law that simulate reads."""
+    return SimpleNamespace(mean=oracles.analytic_mean_0_4_0(agent_class, p, s, pop, params))
 
 
 def _flag(option_strings, dest, type_=None, default=None, required=False):

@@ -12,6 +12,7 @@ from sniplab.race import Population
 import oracles
 
 MIX = GameParams(H=4, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
+CLASSES = (utility.TRUSTWORTHY, utility.DECEPTIVE)
 
 
 def random_setup(rng):
@@ -36,29 +37,36 @@ class TestUtilityDistribution:
         rng = np.random.default_rng(101)
         for _ in range(1000):
             params, p, pop, s = random_setup(rng)
-            dist = det.utility_distribution(params, p, pop, s)
+            dist = utility.utility_distribution(params, p, pop, s)
             assert math.isclose(sum(dist.probs), 1.0, rel_tol=0, abs_tol=1e-12)
             assert all(prob >= 0 for prob in dist.probs)
 
     def test_nine_support_points_generic(self):
-        dist = det.utility_distribution(MIX, 0.3, Population(3, 1), 0.37)
+        dist = utility.utility_distribution(MIX, 0.3, Population(3, 1), 0.37)
         assert len(dist.support) == 9
 
     def test_degenerate_support_merged(self):
         # s = 1/2 collides s with 1-s, s+1 with 2-s, and -gamma*s with
         # -gamma*(1-s): nine values fold into six
-        dist = det.utility_distribution(MIX, 0.3, Population(3, 1), 0.5)
+        dist = utility.utility_distribution(MIX, 0.3, Population(3, 1), 0.5)
         assert len(dist.support) == 6
         assert math.isclose(sum(dist.probs), 1.0, rel_tol=0, abs_tol=1e-12)
 
     def test_matches_enumeration(self):
+        # both classes' laws, the deceptive one wherever the roster has one
         rng = np.random.default_rng(202)
         for _ in range(120):
             params, p, pop, s = random_setup(rng)
-            closed = det.utility_distribution(params, p, pop, s)
-            enum = oracles.utility_distribution_enum(params, p, pop, s)
-            assert closed.support == pytest.approx(enum.support, abs=1e-12)
-            assert closed.probs == pytest.approx(enum.probs, abs=1e-10)
+            for cls in CLASSES[: 1 + (pop.deceptive > 0)]:
+                closed = utility.utility_distribution(params, p, pop, s, cls)
+                enum = oracles.utility_distribution_enum(params, p, pop, s, cls)
+                assert closed.support == pytest.approx(enum.support, abs=1e-12)
+                assert closed.probs == pytest.approx(enum.probs, abs=1e-10)
+
+    def test_detection_names_the_law(self):
+        # one law, in utility; detection imports its names for the monitor
+        assert det.utility_distribution is utility.utility_distribution
+        assert det.UtilityDistribution is utility.UtilityDistribution
 
     def test_support_holds_every_paid_utility_exactly(self):
         # the engine pays utility.payoffs and the law is built on them: the law
@@ -68,13 +76,13 @@ class TestUtilityDistribution:
             params, p, pop, s = random_setup(rng)
             agents = sim.compliance_roster(pop, p, s)
             run = sim.run_repeated(agents, params, 1024, seed=int(rng.integers(2**32)))
-            support = det.utility_distribution(params, p, pop, s).support
+            support = utility.utility_distribution(params, p, pop, s).support
             paid = set(np.unique(run.utilities).tolist())
             assert paid <= set(support), (params, p, pop, s, paid - set(support))
             table = utility.payoffs(s, params.gamma)
             merged = []
             for value in sorted({0.0, *(v for row in table for v in row)}):
-                if not merged or value - merged[-1] > det.SUPPORT_TOL:
+                if not merged or value - merged[-1] > utility.SUPPORT_TOL:
                     merged.append(value)
             assert support == tuple(merged)
             engine, want = sim._stage_law(tuple(agents), params)[4], np.array(table)
@@ -98,7 +106,7 @@ class TestUtilityDistribution:
         # P(v) = (H-1)/H * g(1) * sum of P(event) over events paying v
         params = GameParams(H=5, alpha=0.45, mu=0.5, delta=0.5, gamma=2.0)
         s = 0.4
-        dist = det.utility_distribution(params, 1.0, Population(5, 0), s)
+        dist = utility.utility_distribution(params, 1.0, Population(5, 0), s)
         g = race.mm_loss_prob(1.0, params.H) / (params.H - 1)  # mm_loss_prob / ((H-1) p) at p = 1
         d = derive(params)
         expected: dict[float, float] = {}
@@ -118,8 +126,9 @@ class TestUtilityDistribution:
             )
 
     def test_population_mismatch(self):
-        with pytest.raises(ValidationError):
-            det.utility_distribution(MIX, 0.5, Population(4, 1), 0.5)
+        for cls in CLASSES:
+            with pytest.raises(ValidationError):
+                utility.utility_distribution(MIX, 0.5, Population(4, 1), 0.5, cls)
 
 
 class TestSprtThresholds:
@@ -180,8 +189,8 @@ def scan_fold(stream, dist0, dist1, err_i, err_ii):
 @pytest.fixture(scope="module")
 def dists():
     regime = tr.optimal_sniping(MIX)
-    d0 = det.utility_distribution(MIX, regime.p_star, Population(4, 0), regime.s_star)
-    d1 = det.utility_distribution(MIX, regime.p_star, Population(3, 1), regime.s_star)
+    d0 = utility.utility_distribution(MIX, regime.p_star, Population(4, 0), regime.s_star)
+    d1 = utility.utility_distribution(MIX, regime.p_star, Population(3, 1), regime.s_star)
     return regime, d0, d1
 
 
@@ -205,8 +214,8 @@ class TestSprtStep:
         # must end the test at once, and symmetrically for an outcome only
         # the null allows
         s = 0.4
-        d0 = det.utility_distribution(MIX, 0.0, Population(4, 0), s)
-        d1 = det.utility_distribution(MIX, 0.5, Population(3, 1), s)
+        d0 = utility.utility_distribution(MIX, 0.0, Population(4, 0), s)
+        d1 = utility.utility_distribution(MIX, 0.5, Population(3, 1), s)
         cases = [(d0, d1, det.REJECT_H0, math.inf, "H0: forcing rejection"),
                  (d1, d0, det.ACCEPT_H0, -math.inf, "H1: forcing acceptance")]
         for null, alt, decision, statistic, message in cases:
@@ -223,14 +232,14 @@ class TestSprtStep:
     def test_impossible_under_both_hypotheses(self):
         # a monitored agent that never snipes cannot earn a sniper's utility
         s = 0.4
-        d0 = det.utility_distribution(MIX, 0.0, Population(4, 0), s)
-        d1 = det.utility_distribution(MIX, 0.0, Population(3, 1), s)
+        d0 = utility.utility_distribution(MIX, 0.0, Population(4, 0), s)
+        d1 = utility.utility_distribution(MIX, 0.0, Population(3, 1), s)
         with pytest.raises(ValidationError, match="stage 2: .* impossible under both"):
             det.monitor_stream([0.0, 2.0 - s], d0, d1, 0.05, 0.05)
 
     def test_laws_on_different_supports_refused(self):
-        d0 = det.utility_distribution(MIX, 0.3, Population(4, 0), 0.4)
-        d1 = det.utility_distribution(MIX, 0.3, Population(3, 1), 0.37)
+        d0 = utility.utility_distribution(MIX, 0.3, Population(4, 0), 0.4)
+        d1 = utility.utility_distribution(MIX, 0.3, Population(3, 1), 0.37)
         stream = iter([0.0])
         with pytest.raises(ValidationError, match="one support"):
             det.monitor_stream(stream, d0, d1, 0.05, 0.05)
@@ -323,8 +332,8 @@ class TestMonitorStream:
             if k % 2:
                 s = edges[k // 2 % 4]
             h0, h1 = Population(params.H, 0), Population(params.H - 1, 1)
-            d0 = det.utility_distribution(params, p, h0, s)
-            d1 = det.utility_distribution(params, p, h1, s)
+            d0 = utility.utility_distribution(params, p, h0, s)
+            d1 = utility.utility_distribution(params, p, h1, s)
             agents = sim.compliance_roster(pop, p, s)
             run = sim.run_repeated(agents, params, 300, seed=int(rng.integers(2**32)))
             stream = run.utilities[:, 0] + rng.choice(
@@ -372,7 +381,7 @@ class TestMonitorStream:
         def no_scan(self, u):
             raise AssertionError(f"index_of scanned for {u!r}")
 
-        monkeypatch.setattr(det.UtilityDistribution, "index_of", no_scan)
+        monkeypatch.setattr(utility.UtilityDistribution, "index_of", no_scan)
         agents = sim.compliance_roster(pop, regime.p_star, regime.s_star)
         rng = np.random.default_rng(12)
         stages = islice(sim.stage_stream(agents, MIX, rng), 2000)

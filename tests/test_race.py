@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from sniplab import race
-from sniplab import simulator as sim
 from sniplab import transitions as tr
+from sniplab import utility
 from sniplab.params import GameParams, ValidationError
 from sniplab.race import Population
 
@@ -595,7 +595,7 @@ class TestDeceptiveViewpoint:
     def test_requires_deceptive_agent(self):
         params = GameParams(H=4, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
         with pytest.raises(ValidationError, match="no deceptive agent"):
-            sim.analytic_mean_utility(sim.DECEPTIVE, 0.5, 0.5, Population(4, 0), params)
+            utility.utility_distribution(params, 0.5, Population(4, 0), 0.5, utility.DECEPTIVE)
 
     def test_deceptive_monte_carlo(self):
         pop = Population(3, 2)

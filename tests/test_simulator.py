@@ -271,18 +271,21 @@ class TestEmpiricalFrequencies:
 
 
 class TestAnalyticMeanUtility:
+    """The mean of utility.utility_distribution, which simulate reports as
+    analytic_mean, against u* and the engine."""
+
     def test_homogeneous_reduction_to_indifference(self):
         regime = tr.optimal_sniping(FIG7)
-        got = sim.analytic_mean_utility(
-            sim.TRUSTWORTHY, regime.p_star, regime.s_star, Population(5, 0), FIG7
-        )
+        got = utility.utility_distribution(
+            FIG7, regime.p_star, Population(5, 0), regime.s_star, utility.TRUSTWORTHY
+        ).mean
         assert got == pytest.approx(regime.u_star, abs=1e-12)
 
     def test_sure_sniping_reduction(self):
         point = tr.indifference_at(1.0, FIG7)
-        got = sim.analytic_mean_utility(
-            sim.TRUSTWORTHY, 1.0, point.s_star, Population(5, 0), FIG7
-        )
+        got = utility.utility_distribution(
+            FIG7, 1.0, Population(5, 0), point.s_star, utility.TRUSTWORTHY
+        ).mean
         assert got == pytest.approx(point.u_star, abs=1e-12)
 
     def test_simulation_agreement_mixed(self):
@@ -293,19 +296,17 @@ class TestAnalyticMeanUtility:
         run = sim.run_repeated(agents, MIX, 100_000, seed=11)
         means = run.utilities.mean(axis=0)
         ses = run.utilities.std(axis=0, ddof=1) / math.sqrt(len(run.utilities))
-        u_t = sim.analytic_mean_utility(
-            sim.TRUSTWORTHY, regime.p_star, regime.s_star, pop, MIX
-        )
-        u_d = sim.analytic_mean_utility(
-            sim.DECEPTIVE, regime.p_star, regime.s_star, pop, MIX
+        u_t, u_d = (
+            utility.utility_distribution(MIX, regime.p_star, pop, regime.s_star, cls).mean
+            for cls in (utility.TRUSTWORTHY, utility.DECEPTIVE)
         )
         for i in range(3):
             assert abs(means[i] - u_t) < 3 * ses[i]
         assert abs(means[3] - u_d) < 3 * ses[3]
 
     def test_unknown_class(self):
-        with pytest.raises(ValidationError):
-            sim.analytic_mean_utility("rogue", 0.5, 0.5, Population(4, 1), FIG7)
+        with pytest.raises(ValidationError, match="unknown agent class"):
+            utility.utility_distribution(FIG7, 0.5, Population(4, 1), 0.5, "rogue")
 
 
 def reference_write_stream_csv(path, run):

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sniplab import race, simulator, utility
+from sniplab import race, utility
 from sniplab.params import GameParams, ValidationError, derive
 from sniplab.race import Population
 from sniplab.utility import (
@@ -19,6 +21,7 @@ from sniplab.utility import (
 )
 
 import oracles
+from test_race import mixed_bounds
 
 FIG_PARAMS = dict(H=5, alpha=0.45, mu=0.5, delta=0.5)
 
@@ -39,7 +42,7 @@ def event_prob(ev, pr):
 
 def lines(p_snipe, pr):
     """(A, B, C, D) of a trustworthy agent among H trustworthy agents, from the
-    mixed race, as analytic_mean_utility builds them."""
+    mixed race with the win weighted by p, as utility_distribution weights it."""
     pop = Population(pr.H, 0)
     d = derive(pr)
     win, loss = race.mixed_race(p_snipe, pop)
@@ -264,9 +267,9 @@ class TestEndpoints:
         assert hi[3] < lo[3]
 
     def test_population_mismatch(self):
-        for cls in (simulator.TRUSTWORTHY, simulator.DECEPTIVE):
-            with pytest.raises(ValidationError):
-                simulator.analytic_mean_utility(cls, 0.5, 0.5, Population(3, 0), params())
+        for cls in (utility.TRUSTWORTHY, utility.DECEPTIVE):
+            with pytest.raises(ValidationError, match="does not match"):
+                utility.utility_distribution(params(), 0.5, Population(3, 0), 0.5, cls)
 
 
 class TestIndifference:
@@ -344,3 +347,116 @@ class TestCsvExport:
         assert by_event["LB-NG"]["u_mm_loses"] == "1+s"
         total = sum(r["prob_first"] * r["prob_second"] for r in rows)
         assert total == pytest.approx(1.0, abs=1e-14)
+
+
+U = 2.0**-53
+
+
+def mean_error_bound(pr, p, pop, s, agent_class):
+    """First-order bound on the error of utility_distribution(...).mean
+    against oracles.utility_mean_reference: (31 + e) u A, with e and A as in
+    TestMeanPrecision."""
+    at_p, sure, entry = oracles.rivals_of(agent_class, p, pop)
+    rivals = Population(at_p + 1, sure)
+    e = max(1.0, *mixed_bounds(p, rivals).values())
+    win, loss = race.mixed_race(p, rivals)
+    d, h, g = derive(pr), pop.total, pr.gamma
+
+    def size(expr):  # M(v): the utility with its terms' magnitudes added
+        c0, cs, cg, cgs = expr
+        return abs(c0) + abs(cs) * s + abs(cg) * g + abs(cgs) * g * s
+
+    a = 0.0
+    for ev in PAYOFF_TABLE:
+        first = d.beta / 2 if ev.has_race else (1 - d.beta) / 2
+        second = 1.0 if ev.second == "NO" else second_event_prob(ev.second, d)
+        pe = first * second
+        if ev.has_race:
+            a += pe / h * (size(ev.mm_if_loses) * loss + size(ev.mm_if_wins))
+            a += pe * (h - 1) / h * size(ev.sniper) * win * entry
+        else:
+            a += pe / h * size(ev.mm_if_loses)
+    return (31 + e) * U * a
+
+
+class TestMeanPrecision:
+    """UtilityDistribution.mean within a derived bound of the exact mean.
+
+    The exact mean is oracles.utility_mean_reference: the derived params,
+    s, gamma and p as exact rationals, the race from mixed_race_reference.
+    The bound is first order, in u = 2**-53; each +, -, * and / rounds with
+    relative error at most u, and the small integers are exact.
+
+    A bound of the form K u sum |v| q cannot hold with a constant K, as
+    three differences of rounded terms cancel: -gamma*(1-s), formed as
+    -gamma + gamma*s, is off by up to u gamma however small it is;
+    1 - 2 (alpha_bar + mu_bar), the probability of no second event, by up to
+    u; and 1 - loss, of the race's few-ulp error in a loss near 1.  So each
+    is measured by its magnitude: M(v) = |c0| + |cs| s + |cg| gamma +
+    |cgs| gamma s for a utility with coefficients (c0, cs, cg, cgs), 1 for
+    the other two and for 1 - win.  A is the sum over the law's cells of
+    M(v) times the cell's probability with those magnitudes, and A >= sum
+    |v| q.  Counting the roundings on the way to each term:
+
+    * a utility rounds at most twice (c0 + cs s, or gamma s and the sum), so
+      is within 2u M(v);
+    * a cell's probability pe/H or pe (H-1)/H carries 3u (the first event's
+      1 - beta, the second's u of magnitude 1, and the product) and 1u or
+      2u for the scaling, 5u at most;
+    * the race value carries e u, the larger of mixed_race's running bounds
+      on its win and its loss (test_race.mixed_bounds), and the win 1u more
+      for the entry weight p; 1 - loss and 1 - win are within
+      (e + 1) u of magnitude 1; the product with the cell's probability
+      adds u;
+    * merging sums at most 14 probabilities into one nonzero support point
+      (10 in general, 14 at s = 1/2, where s meets 1 - s): 13u, since each
+      addition of nonnegative terms rounds by u of the sum;
+    * the product v q adds u, and the mean's left-to-right sum of at most
+      nine products 8u of sum |v| q <= A.
+
+    In all, 2 + 5 + (e + 1) + 1 + 13 + 1 + 8 = 31 + e.  The bound takes the
+    law's points as exact sums: two payoffs that differ but lie within
+    SUPPORT_TOL would be merged at one of their values, so each draw checks
+    that the support has one point per distinct payoff.
+
+    Measured over 5,779 laws (3,000 rosters drawn as below, both classes):
+    the mean was at most 7.6 u sum |v| q off, and at most 0.057 of the
+    bound; A reached 19 sum |v| q.  sniplab 0.4.0's form from the utility
+    lines (oracles.analytic_mean_0_4_0) was at most 6.3 u sum |v| q off; the
+    law's mean was the closer in 2,156 laws, the old form in 2,484, and
+    1,139 were ties.  Neither form is the more accurate in general.
+    """
+
+    CASES = [
+        (GameParams(H=5, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0), 0.2035691573361233,
+         Population(4, 1), 0.6064860601438494),
+        (GameParams(H=4, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0), 1.0, Population(2, 2), 0.5),
+        (GameParams(H=40, alpha=1.5, mu=0.2, delta=0.55, gamma=7.9), 0.0, Population(1, 39), 1.0),
+        (GameParams(H=3, alpha=0.05, mu=0.05, delta=9.0, gamma=1.0), 0.5, Population(2, 1), 0.0),
+    ]
+
+    @staticmethod
+    def _check(pr, p, pop, s):
+        values = {v for row in utility.payoffs(s, pr.gamma) for v in row} | {0.0}
+        for cls in (utility.TRUSTWORTHY, utility.DECEPTIVE)[: 1 + (pop.deceptive > 0)]:
+            law = utility.utility_distribution(pr, p, pop, s, cls)
+            assert len(law.support) == len(values)  # no two payoffs merged inexactly
+            exact = oracles.utility_mean_reference(pr, p, pop, s, cls)
+            err = float(abs(Fraction(law.mean) - exact))
+            assert err <= mean_error_bound(pr, p, pop, s, cls), (pr, p, pop, s, cls, err)
+
+    @pytest.mark.parametrize("case", CASES, ids=["readme", "sure-half", "no-entry", "quiet"])
+    def test_mean_at_edges(self, case):
+        self._check(*case)
+
+    def test_mean_within_bound_on_random_rosters(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(300):
+            h = int(rng.integers(3, 41))
+            hd = int(rng.integers(0, h))
+            alpha, mu = rng.uniform(0.05, 2.0, size=2)
+            pr = GameParams(H=h, alpha=float(alpha), mu=float(mu),
+                            delta=float(rng.uniform(0.1, 0.9) / (alpha + mu)),
+                            gamma=float(rng.uniform(1.0, 8.0)))
+            self._check(pr, float(rng.uniform(0, 1)), Population(h - hd, hd),
+                        float(rng.uniform(0, 1)))
