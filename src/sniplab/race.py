@@ -27,36 +27,28 @@ about n times (Goldberg 1991, ACM Comput. Surv. 23:5), which cost up to
 2.8e6 ulps at n*p in [1, 2) for n from 2,000 to 10^6, and 7e15 ulps near
 n = 2**53.  The numerators still cancel for small n*p, and at p = 0 the forms
 are 0/0, so they are used only where n*p >= ``CLOSED_FORM_MIN_NP``.  Below
-that, both functions are evaluated as the binomial expectations
+that, both functions are the alternating series that the binomial theorem
+gives for the same forms (``_series``), with first terms (n-1) p/2 and (n-1)/2:
 
-    mm_loss_prob       =      E[N/(1+N)],          N ~ Bin(n-1, p)
-    mm_loss_prob_deriv =  (n-1) E[1/((1+N)(2+N))], N ~ Bin(n-2, p)
+    mm_loss_prob       = sum_{k>=2} (-1)^k C(n,k)/n p^(k-1)
+    mm_loss_prob_deriv = sum_{k>=2} (-1)^k C(n,k) (k-1)/n p^(k-2)
 
-(the derivative is m E[f(N+1) - f(N)] of an expectation over Bin(m, p)),
-with the mass function built by a ratio recurrence (``_binom_pmf``).  All
-terms of a sum share one sign, so there is no cancellation, and the sums are
-exact at p = 0.  Independent second computations of these quantities, used
-only as test oracles, live in ``tests/oracles.py``; among them are
-``decimal`` references against which ``tests/test_race.py`` bounds each
-function's error in ulps, with the bounds derived there.
+A term's ratio to the last, -(n-k) p/(k+1) and k/(k-1) times that, has size
+r below n*p/3 and 2 n*p/3, so under the cutoff sum |t| / |sum t| <= 1/(1-r)^2
+is at most 1.8 and 4.  A series stops where a term falls to 2**-56 of the
+first (an alternating tail is smaller than its first term), after at most 17
+terms, and adds them smallest first; p = 0 gives the exact 0 and (n-1)/2.
+``tests/test_race.py`` derives each function's error bound in ulps and checks
+it against a ``decimal`` reference in ``tests/oracles.py``.
 
-The cutoff is set by that error, not by speed.  It is the smallest multiple
-of 0.05 at which the closed forms' largest error above it is no larger than
-the sums' largest error below it, for mm_loss_prob and its derivative alike.
-Over 4,000 random (n, p) per band of width 0.05 in n*p, with n log-uniform
-from 2 to 2**53 - 1, the closed forms were within 6.4 and 8.2 ulps at
-n*p >= 3/4, and the sums within 7.1 and 9.3 ulps at n*p in [0.4, 3/4); at
-n*p in [0.7, 3/4) the closed-form derivative reached 10.6 ulps.  The
-measurement is recorded in BENCH_21.json.
-
-A sum runs over the weights that can reach it: its upper tail is cut where a
-term falls to 2**-56 of the first term past the mode.  Each dropped term lies
-below half an ulp of every running sum it would join, so under the plain
-left-to-right addition of ``sum`` (up to Python 3.11) the cut keeps every bit;
-``_binom_pmf`` gives the argument.  Below the cutoff the mode is 0 and a
-window holds at most about 18 terms.  A closed-form call costs O(1) at any
-n, a sum one term per weight in its window; their timings are recorded in
-BENCH_21.json.
+The cutoff is set by speed, not by error.  Over 4,000 random (n, p) per band
+of width 0.05 in n*p, n log-uniform from 2 to 2**53 - 1, the series stayed
+within 1.78 and 2.51 ulps up to n*p = 1.05, the closed forms within 6.49 and
+7.53 at n*p >= 3/4.  But a series costs one step per term (1.0-1.8 us at
+n = 5, 2.8-6.8 us at n = 2,000, against 0.3-0.8 us for a closed form), and
+at a cutoff of 1.05 the p* iterates of an H sweep, at n*p near 0.85, took
+the series: its rows took 1.6 times as long, and p* moved in its last bits
+(BENCH_27.json).
 
 Mixed populations.  A race depends on who else may enter, not on how likely
 the agent it is seen from is to enter.  A deceptive agent in (H_t, H_d) has
@@ -66,8 +58,7 @@ agent's race summed over one window of Bin(H_t - 1, p), serves both, and
 ``utility.utility_distribution`` weights the win by the agent's own entry
 probability, p or 1.  At H_d = 0 it gives mm_loss_prob(p, H) and, times p,
 mm_loss_prob(p, H)/(H-1), yet the homogeneous functions stay: ``transitions``
-calls them at H in the thousands, where their closed forms cost O(1) and a
-sum one term per weight.
+calls them at H in the thousands, where a sum costs one term per weight.
 """
 
 from __future__ import annotations
@@ -78,12 +69,8 @@ from math import exp, expm1, inf, log1p
 from .params import ValidationError
 
 # Below this expected number of bandit entrants the closed forms' numerators
-# cancel until they are less accurate than the binomial sums, which are
-# evaluated instead.  Set from the errors against a decimal reference (see the
-# module docstring), not from the workload: at n*p >= 3/4 the closed forms of
-# mm_loss_prob and its derivative are within 25 and 29 ulps by the
-# first-order bounds derived in tests/test_race.py, and were measured within
-# 6.4 and 8.2; the sums' bounds below are 48 and 41 ulps.
+# cancel and the alternating series are evaluated.  The series are the more
+# accurate, but the closed forms cost O(1) (see the module docstring).
 CLOSED_FORM_MIN_NP = 0.75
 
 
@@ -137,17 +124,18 @@ def _binom_pmf(n: int, p: float) -> enumerate:
     side from the mode down, reversed in place, then the upper side.  The
     lower side stops at the first term that underflows to 0.  The upper side
     stops at the first term at or below 2**-56 of w[mode+1], the first term
-    past the mode.  Every sum over the weights, taken in order of k by plain
-    left-to-right float addition, keeps every bit under that cut:
+    past the mode (at n*p < 1 a window holds at most about 18 terms).  Every
+    sum over the weights, in order of k by plain left-to-right float
+    addition, keeps every bit under that cut:
 
     * past the mode the terms only fall, and they are added last;
     * the normalising total is >= 1 by then (it holds the mode's 1.0), and
       each dropped term is at most 2**-56 w[mode+1] <= 2**-56, under half an
       ulp of it;
     * an expectation sum of w * f(k) by then holds w[mode+1] f(mode+1), and
-      each caller's f has 0 <= f(k) <= 2 f(mode+1) beyond the mode, so each
-      dropped product is at most 2**-55 of the sum, and half an ulp of a
-      positive normal float S exceeds 2**-54 S.  (A nonzero dropped term
+      mixed_race's summands f have 0 <= f(k) <= 2 f(mode+1) beyond the mode,
+      so each dropped product is at most 2**-55 of the sum, and half an ulp
+      of a positive normal float S exceeds 2**-54 S.  (A nonzero dropped term
       needs w[mode+2] > 0, and w[mode+2] <= w[mode+1]**2, so S is far from
       subnormal.)
 
@@ -178,6 +166,17 @@ def _binom_pmf(n: int, p: float) -> enumerate:
     return enumerate([x / total for x in w], start)
 
 
+def _series(t: float, n: int, p: float, deriv: bool) -> float:
+    """The series of the module docstring from its k = 2 term t."""
+    terms, cut = [t], t * 2.0**-56
+    for k in range(2, n):
+        t *= (k - n) * p * k / (k * k - 1) if deriv else (k - n) * p / (k + 1)
+        if -cut <= t <= cut:
+            break
+        terms.append(t)
+    return sum(terms[::-1])
+
+
 def mm_loss_prob(p: float, n_agents: int) -> float:
     """Probability the market maker loses the race against Bin(n-1, p) entrants.
 
@@ -188,7 +187,7 @@ def mm_loss_prob(p: float, n_agents: int) -> float:
     n = n_agents
     z = n * p
     if z < CLOSED_FORM_MIN_NP:
-        return sum([w * (k / (k + 1)) for k, w in _binom_pmf(n - 1, p)])
+        return _series((n - 1) * p / 2, n, p, False)
     return (expm1(n * (log1p(-p) if p < 1.0 else -inf)) + z) / z
 
 
@@ -198,7 +197,7 @@ def mm_loss_prob_deriv(p: float, n_agents: int) -> float:
     _check_n(n_agents)
     n = n_agents
     if n * p < CLOSED_FORM_MIN_NP:
-        return (n - 1) * sum([w * (1 / ((k + 1) * (k + 2))) for k, w in _binom_pmf(n - 2, p)])
+        return _series((n - 1) / 2, n, p, True)
     y = (n - 1) * (log1p(-p) if p < 1.0 else -inf)
     return -(expm1(y) + (n - 1) * p * exp(y)) / (n * p * p)
 

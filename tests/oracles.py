@@ -18,6 +18,10 @@ implementation of, and the tests compare the two:
 * ``mm_loss_prob_0_1_0`` and ``mm_loss_prob_deriv_0_1_0`` -- the two race
   functions as sniplab 0.1.0 computed them, with (1-p)**n and the cutoff at
   n*p = 1; patched into ``race``, they reproduce that version's outputs;
+* ``mm_loss_prob_0_5_0`` and ``mm_loss_prob_deriv_0_5_0`` -- the two race
+  functions as sniplab 0.2.0 to 0.5.0 computed them, with binomial sums over
+  ``race._binom_pmf``'s windows below n*p = 0.75; patched into ``race``, they
+  reproduce those versions' outputs;
 * ``root_0_2_0`` -- ``transitions._root`` as sniplab 0.1.0 and 0.2.0 ran it,
   with a midpoint wherever the secant point rounds onto an end; patched into
   ``transitions`` with no n*p scan points, it reproduces 0.2.0's outputs;
@@ -177,6 +181,31 @@ def mm_loss_prob_deriv_0_1_0(p: float, n_agents: int) -> float:
     if n * p < 1.0:
         return (n - 1) * sum([w * (1 / ((k + 1) * (k + 2))) for k, w in race._binom_pmf(n - 2, p)])
     return (1.0 - (1.0 - p) ** (n - 1) * (n * p + 1.0 - p)) / (n * p * p)
+
+
+def mm_loss_prob_0_5_0(p: float, n_agents: int) -> float:
+    """race.mm_loss_prob of sniplab 0.2.0 to 0.5.0: the binomial sum
+    E[N/(1+N)], N ~ Bin(n-1, p), below n*p = 0.75, and the log1p closed form
+    at and above."""
+    _check_p(p)
+    _check_n(n_agents)
+    n = n_agents
+    z = n * p
+    if z < 0.75:
+        return sum([w * (k / (k + 1)) for k, w in race._binom_pmf(n - 1, p)])
+    return (math.expm1(n * (math.log1p(-p) if p < 1.0 else -math.inf)) + z) / z
+
+
+def mm_loss_prob_deriv_0_5_0(p: float, n_agents: int) -> float:
+    """race.mm_loss_prob_deriv of sniplab 0.2.0 to 0.5.0: (n-1) E[1/((1+N)(2+N))],
+    N ~ Bin(n-2, p), below n*p = 0.75, and the closed form at and above."""
+    _check_p(p)
+    _check_n(n_agents)
+    n = n_agents
+    if n * p < 0.75:
+        return (n - 1) * sum([w * (1 / ((k + 1) * (k + 2))) for k, w in race._binom_pmf(n - 2, p)])
+    y = (n - 1) * (math.log1p(-p) if p < 1.0 else -math.inf)
+    return -(math.expm1(y) + (n - 1) * p * math.exp(y)) / (n * p * p)
 
 
 def root_0_2_0(f, lo: float, hi: float, flo: float, fhi: float) -> float:

@@ -31,6 +31,33 @@ README_SIMULATE = ["simulate", "--H", "5", "--alpha", "0.45", "--mu", "0.3", "--
 PINNED_SIMULATE = ["simulate", *MIX, "--ht", "3", "--hd", "1", "--stages", "2000",
                    "--seeds", "1,2", "--p", "0.2035691573361233",
                    "--spread", "0.6064860601438494"]
+# the commands whose outputs test_non_stream_outputs_are_stable pins
+PINNED_COMMANDS = [
+    ["analyze", *FIG7, "--gamma", "3.5"],
+    ["sweep", *FIG7, "--gamma", "3", "--variable", "gamma", "--grid", "1.5:8:0.5"],
+    ["sweep", *FIG7, "--gamma", "4", "--variable", "H", "--grid", "2000,5000,10000"],
+    PINNED_SIMULATE,
+    ["monitor", *MIX, "--ht", "3", "--hd", "1", "--stages", "20000", "--seeds", "5",
+     "--agent", "2"],
+]
+# digests of every output of PINNED_COMMANDS, streams included, taken on
+# CPython 3.11.7 with numpy 2.4.6; the streams' digests were taken with the
+# writer that formatted each distinct stage once per chunk.  The summary's p
+# and spread are pinned, the monitor's come from the optimiser, as in a
+# default run.  trajectory.csv was taken with the log1p race forms of 0.2.0,
+# sweep_H.csv with the n*p scan points and the next-float probe of 0.3.0,
+# summary.csv with the analytic means of 0.5.0, the means of the stage-utility
+# law, and sweep_gamma.csv with the race series of 0.6.0 below the cutoff
+PINNED_DIGESTS = {
+    "analysis.json": "d8fd9641fae7923c62eda84774c85b63a9a80ca2e5440d10cd0384c908f9fff7",
+    "payoff_table.csv": "e8273d80e97d9ff85dfcb6ac74c5821443400e70026065cde08f3bc39a8fc890",
+    "sweep_gamma.csv": "37f422ca7c530ed308b4c3ab51e6583830d279a0ccfc0107d4333e7565ad5445",
+    "sweep_H.csv": "f4b96622e0d7648912a4716bd9bd44f56b85bcf51e83e6ea40a8e1eb6dcec302",
+    "summary.csv": "e1e66446b84eb7d84bc180b71c10a442f7ad882a8f1341a3d1044550b67757af",
+    "stream_seed1.csv": "97b5fbf01c4556364e0a4f41cb8de1377aebe290d15f3b4932f74c3b23167e1c",
+    "stream_seed2.csv": "e8351aeff2985699a2fb0b7ddba2f8ad125396568d15766157ec5d69225ce8a6",
+    "trajectory.csv": "5de0108f3c4dca9b2271718e90170855f9f7a8280a89388c82f02634786ddec7",
+}
 
 
 def run(argv):
@@ -975,34 +1002,9 @@ class TestDeterminism:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     def test_non_stream_outputs_are_stable(self, tmp_path):
-        # digests of every output, streams included, taken on CPython 3.11.7
-        # with numpy 2.4.6; the streams' digests were taken with the writer
-        # that formatted each distinct stage once per chunk.  The summary's p
-        # and spread are pinned as above, the monitor's come from the
-        # optimiser, as in a default run.  sweep_gamma.csv and trajectory.csv
-        # were taken with the log1p race forms of 0.2.0, sweep_H.csv with the
-        # n*p scan points and the next-float probe of 0.3.0, summary.csv with
-        # the analytic means of 0.5.0, the means of the stage-utility law
-        expected = {
-            "analysis.json": "d8fd9641fae7923c62eda84774c85b63a9a80ca2e5440d10cd0384c908f9fff7",
-            "payoff_table.csv": "e8273d80e97d9ff85dfcb6ac74c5821443400e70026065cde08f3bc39a8fc890",
-            "sweep_gamma.csv": "fe882f04ded698db80a760044dfb7971a3c3de22790c38124752b7e4db8cd577",
-            "sweep_H.csv": "f4b96622e0d7648912a4716bd9bd44f56b85bcf51e83e6ea40a8e1eb6dcec302",
-            "summary.csv": "e1e66446b84eb7d84bc180b71c10a442f7ad882a8f1341a3d1044550b67757af",
-            "stream_seed1.csv": "97b5fbf01c4556364e0a4f41cb8de1377aebe290d15f3b4932f74c3b23167e1c",
-            "stream_seed2.csv": "e8351aeff2985699a2fb0b7ddba2f8ad125396568d15766157ec5d69225ce8a6",
-            "trajectory.csv": "5de0108f3c4dca9b2271718e90170855f9f7a8280a89388c82f02634786ddec7",
-        }
-        for argv in [
-            ["analyze", *FIG7, "--gamma", "3.5"],
-            ["sweep", *FIG7, "--gamma", "3", "--variable", "gamma", "--grid", "1.5:8:0.5"],
-            ["sweep", *FIG7, "--gamma", "4", "--variable", "H", "--grid", "2000,5000,10000"],
-            PINNED_SIMULATE,
-            ["monitor", *MIX, "--ht", "3", "--hd", "1", "--stages", "20000", "--seeds", "5",
-             "--agent", "2"],
-        ]:
+        for argv in PINNED_COMMANDS:
             assert run([*argv, "--out", str(tmp_path)]) == 0, argv[0]
-        for name, digest in expected.items():
+        for name, digest in PINNED_DIGESTS.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_outputs_changed_in_0_2_0_stay_near_0_1_0(self, tmp_path, monkeypatch):
@@ -1062,8 +1064,9 @@ class TestDeterminism:
         # only sweep_H.csv: the scan points c/H and the next-float probe of
         # _root change the path of the p* iterates, not the function whose
         # zero they find.  With 0.2.0's _root and no such points patched in,
-        # the H sweep gives 0.2.0's digest, so the comparison is with 0.2.0's
-        # own output.
+        # and the race forms that 0.2.0 kept until 0.6.0 (0.2.0's iterates
+        # race below the cutoff), the H sweep gives 0.2.0's digest, so the
+        # comparison is with 0.2.0's own output.
         # Every number must agree to 1e-13 relative.  Both versions stop at
         # adjacent floats around a sign change of the slope numerator, whose
         # rounding noise near p* spans up to about 500 ulps of p (5.6e-14
@@ -1074,6 +1077,8 @@ class TestDeterminism:
                 "2000,5000,10000"]
         old, new = tmp_path / "0.2.0", tmp_path / "0.3.0"
         with monkeypatch.context() as m:
+            m.setattr(race, "mm_loss_prob", oracles.mm_loss_prob_0_5_0)
+            m.setattr(race, "mm_loss_prob_deriv", oracles.mm_loss_prob_deriv_0_5_0)
             m.setattr(transitions, "_root", oracles.root_0_2_0)
             m.setattr(transitions, "_NP_POINTS", ())
             transitions._scan_race.cache_clear()
@@ -1095,6 +1100,60 @@ class TestDeterminism:
                     assert a == b
                     continue
                 assert abs(x - y) <= 1e-13 * abs(x), (row_old, row_new)
+
+    def test_sweep_changed_in_0_6_0_stays_near_0_5_0(self, tmp_path, monkeypatch):
+        # 0.6.0 takes the homogeneous race below race.CLOSED_FORM_MIN_NP as
+        # alternating series, where 0.5.0 summed binomial windows.  Of the
+        # files test_non_stream_outputs_are_stable pins, only sweep_gamma.csv
+        # moved: the p* iterates of the gamma sweep at H = 5 race below the
+        # cutoff.  With 0.5.0's forms patched in, every pinned command gives
+        # 0.5.0's digests, sweep_gamma.csv's own and every other file's
+        # pinned one (CPython 3.11.7, numpy 2.4.6), so the comparison is with
+        # 0.5.0's own output.  The 641-row sweep of snipbench's gamma-sweep
+        # is compared as well.
+        # Every number must agree to 1e-13 relative, the p* noise floor of
+        # test_outputs_changed_in_0_3_0_stay_near_0_2_0, and every regime
+        # must stay.  Both versions' race values lie within a few ulps of
+        # exact below the cutoff, and p*, where the slope is flat, moves by
+        # more than they do; u_opt moves most, relatively, where it nears 0
+        # at the no-sniping threshold.  Measured on the 641 rows (210 moved):
+        # 5.3e-15 on p*, 1.8e-14 on u_opt, 2.1e-16 on s*.
+        sweeps = [
+            PINNED_COMMANDS[1],
+            ["sweep", *FIG7, "--gamma", "3", "--variable", "gamma", "--grid", "1.0:9.0:0.0125"],
+        ]
+
+        def sweep_rows(argv, out):
+            assert run([*argv, "--out", str(out)]) == 0
+            return list(csv.DictReader((out / "sweep_gamma.csv").open()))
+
+        with monkeypatch.context() as m:
+            m.setattr(race, "mm_loss_prob", oracles.mm_loss_prob_0_5_0)
+            m.setattr(race, "mm_loss_prob_deriv", oracles.mm_loss_prob_deriv_0_5_0)
+            transitions._scan_race.cache_clear()
+            for argv in PINNED_COMMANDS:
+                assert run([*argv, "--out", str(tmp_path / "0.5.0")]) == 0, argv[0]
+            digests = {name: hashlib.sha256((tmp_path / "0.5.0" / name).read_bytes()).hexdigest()
+                       for name in PINNED_DIGESTS}
+            old = [sweep_rows(argv, tmp_path / f"0.5.0-{i}") for i, argv in enumerate(sweeps)]
+        assert digests == {
+            **PINNED_DIGESTS,
+            "sweep_gamma.csv": "fe882f04ded698db80a760044dfb7971a3c3de22790c38124752b7e4db8cd577",
+        }
+        transitions._scan_race.cache_clear()
+        new = [sweep_rows(argv, tmp_path / f"0.6.0-{i}") for i, argv in enumerate(sweeps)]
+        for rows_old, rows_new in zip(old, new):
+            assert rows_old != rows_new and len(rows_old) == len(rows_new)
+            for row_old, row_new in zip(rows_old, rows_new):
+                assert row_old.keys() == row_new.keys()
+                for field, a in row_old.items():
+                    b = row_new[field]
+                    try:
+                        x, y = float(a), float(b)
+                    except ValueError:
+                        assert a == b, (row_old, row_new)
+                        continue
+                    assert abs(x - y) <= 1e-13 * abs(x), (field, row_old, row_new)
 
     def test_summary_changed_in_0_4_0_stays_near_0_3_0(self, tmp_path, monkeypatch):
         # 0.4.0 moved only the deceptive analytic_mean cells of summary.csv:

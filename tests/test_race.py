@@ -20,12 +20,10 @@ def central_diff(f, x, step=1e-6):
     return (f(x + step) - f(x - step)) / (2 * step)
 
 
-def race_sums(n, p):
-    """Every binomial sum of race over Bin(n, p): the homogeneous functions at
-    the agent count whose sum runs over Bin(n, p) (below CLOSED_FORM_MIN_NP,
-    or at every p with it set to inf), and mixed_race at H_t = n + 1, H_d 0-3,
-    which is also a deceptive agent's race at H_t = n, H_d 1-4."""
-    values = [race.mm_loss_prob(p, n + 1), race.mm_loss_prob_deriv(p, n + 2)]
+def mixed_sums(n, p):
+    """Every binomial sum of race over Bin(n, p): mixed_race at H_t = n + 1,
+    H_d 0-3, which is also a deceptive agent's race at H_t = n, H_d 1-4."""
+    values = []
     for hd in range(4):
         if n + 1 + hd >= 3:
             values += race.mixed_race(p, Population(n + 1, hd))
@@ -38,14 +36,14 @@ def deceptive_race(p, pop):
     return race.mixed_race(p, Population(pop.trustworthy + 1, pop.deceptive - 1))
 
 
-def oracle_sums(n, p):
-    """The two homogeneous sums of race_sums, as oracles.full_length_expect
-    of f passed as a function."""
-    expect = oracles.full_length_expect
-    return [
-        expect(n, p, lambda k: k / (k + 1)),
-        (n + 1) * expect(n, p, lambda k: 1 / ((k + 1) * (k + 2))),
-    ]
+def mixed_summands(n, hd):
+    """mixed_race's win and loss summands f(k) at H_t = n + 1 and H_d = hd,
+    on k = 0..n as a numpy array each, in mixed_race's float operations."""
+    k = np.arange(n + 1, dtype=float)
+    return {
+        "win": k / (1 + k + hd) + (n - k) / (2 + k + hd) + hd / (1 + k + hd),
+        "loss": (hd + k) / (1 + hd + k),
+    }
 
 
 def exact_expect(m, p, f):
@@ -164,25 +162,30 @@ class TestHomogeneous:
     @pytest.mark.parametrize("n", [1, 3, 10, 100, 1000, 10_000])
     def test_windowed_sum_matches_full_length(self, n, monkeypatch):
         # the window drops only upper-tail terms below half an ulp of every
-        # running sum (see race._binom_pmf), so every bit is kept; and the
-        # homogeneous sums, f written inline, are those of f as a function
+        # running sum (see race._binom_pmf), so mixed_race, its one caller,
+        # keeps every bit; that needs 0 <= f(k) <= 2 f(mode+1) beyond the
+        # mode for each summand f, checked here on all of mode+1..n
         rng = random.Random(n)
         fixed = (0.0, 1e-9, 1e-6, 0.1 / n, 0.5 / n, 0.85 / n, 0.9 / n, 2.0 / n, 0.3, 0.9, 1.0)
-        band = tuple(rng.random() / n for _ in range(4))  # n*p < 1, where the sums run
-        monkeypatch.setattr(race, "CLOSED_FORM_MIN_NP", math.inf)  # sums at every p
+        band = tuple(rng.random() / n for _ in range(4))  # n*p < 1
         for p in fixed + band:
             p = min(p, 1.0)
-            windowed = race_sums(n, p)
+            windowed = mixed_sums(n, p)
             with monkeypatch.context() as m:
                 full_length = lambda size, prob: enumerate(oracles.full_length_pmf(size, prob))
                 m.setattr(race, "_binom_pmf", full_length)
-                full = race_sums(n, p)
+                full = mixed_sums(n, p)
             assert windowed == full, (n, p)
-            assert windowed[:2] == oracle_sums(n, p), (n, p)
+            mode = min(n, int((n + 1) * p))
+            for hd in range(4):
+                for name, f in mixed_summands(n, hd).items():
+                    beyond = f[mode + 1:]
+                    assert np.all(beyond >= 0) and np.all(beyond <= 2 * f[min(n, mode + 1)]), (
+                        n, p, hd, name)
 
     def test_upper_tail_is_cut(self):
-        # near p* at H in the thousands, only ~18 of ~170 nonzero terms can
-        # reach a float sum
+        # for mixed_race at H_t in the thousands and H_t p about 0.85, only
+        # ~18 of ~170 nonzero terms can reach a float sum
         assert len(list(race._binom_pmf(9999, 0.85e-4))) <= 25
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -229,9 +232,9 @@ CLOSED_FORM_BOUNDS = {
     "mm_loss_prob": 25,
     "mm_loss_prob_deriv": 29,
 }
-SUM_BOUNDS = {
-    "mm_loss_prob": 48,
-    "mm_loss_prob_deriv": 41,
+SERIES_BOUNDS = {
+    "mm_loss_prob": 5,
+    "mm_loss_prob_deriv": 8,
 }
 
 
@@ -282,12 +285,32 @@ def _running_sum_bound(n, p, f, scaled, f_u=2):
     return err / exact + 1 + scaled  # + the tail beyond the window, + the scaling
 
 
-def sum_bounds(p, n):
-    """First-order error bounds, in u, of the two binomial sums at (p, n)."""
-    return {
-        "mm_loss_prob": _running_sum_bound(n - 1, p, lambda k: k / (k + 1), 0),
-        "mm_loss_prob_deriv": _running_sum_bound(n - 2, p, lambda k: 1 / ((k + 1) * (k + 2)), 1),
-    }
+def _series_bound(p, n, deriv):
+    """First-order error bound, in u, of race's series for mm_loss_prob (deriv
+    false) or its derivative at (p, n), relative to the exact value."""
+    t = (n - 1) / 2 if deriv else (n - 1) * p / 2
+    terms, cut = [t], t * 2.0**-56
+    for k in range(2, n):  # the terms as race forms them
+        t *= (k - n) * p * k / (k * k - 1) if deriv else (k - n) * p / (k + 1)
+        if -cut <= t <= cut:
+            break
+        terms.append(t)
+    if terms[0] == 0.0:
+        return 0.0  # p = 0: h is the exact 0
+    first, step = (0, 4) if deriv else (1, 3)  # roundings of the first term, of each ratio
+    err = sum(abs(t) * (first + step * j) for j, t in enumerate(terms))
+    total = 0.0
+    for j, t in enumerate(reversed(terms)):  # the additions, smallest first
+        total += t
+        if j:
+            err += min(abs(total), abs(t) * 2.0**53)
+    return (err + abs(terms[0]) / 8) / abs(total)  # + the tail, under 2**-56 of the first
+
+
+def series_bounds(p, n):
+    """First-order error bounds, in u, of the two series at (p, n)."""
+    return {"mm_loss_prob": _series_bound(p, n, False),
+            "mm_loss_prob_deriv": _series_bound(p, n, True)}
 
 
 def mixed_bounds(p, pop):
@@ -316,10 +339,13 @@ def closed_form_arguments(draw):
 
 
 @st.composite
-def sum_arguments(draw):
-    """(p, n) with n from 2 to 10,000 and n*p < 3/4: p = 0, p log-uniform down
-    to 1e-300, or n*p uniform on [0.5, 3/4), where the sums' bounds peak."""
-    n = draw(st.integers(2, 10_000))
+def series_arguments(draw):
+    """(p, n) with n from 2 to 2**53 - 1, log-uniform, and n*p < 3/4: p = 0,
+    p log-uniform down to 1e-300, or n*p uniform on [0.5, 3/4), where the
+    series' bounds peak."""
+    n = min(2**53 - 1, max(2, int(2.0 ** draw(st.floats(1.0, 53.0)))))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 2**53 - 1))
     kind = draw(st.sampled_from(["zero", "log", "top"]))
     if kind == "zero":
         return 0.0, n
@@ -383,37 +409,49 @@ class TestPrecision:
     Each falls as n p grows, so its supremum over n p >= 3/4 lies at
     n p = 3/4: 24.8 (at n = 2) and 29.0 (as n grows), stated as 25 and 29.
 
-    Binomial sums.  Each weight is 1.0 at the mode m times |k - m| ratios of
-    the recurrence, each with 5 roundings (1 - p, two products, the quotient
-    and the running product): 5 |k - m| u.  The normalising total adds its
-    weighted error and its accumulation, the division by it u, f(k) and the
-    product w f(k) 2u, and the scaled sums u for the factor n - 1 or n - 2.
-    Plain left-to-right addition makes each step's error at most
-    min(u S_j, t_j) for partial sum S_j and term t_j, since the old sum is
-    itself a candidate for the rounded result.  The window's dropped tail,
-    a few times 2**-56 of the sum, adds at most u.  These bounds depend on the window, so
-    ``sum_bounds`` computes them from it.  For n <= 10^4 and n p < 3/4 they
-    peak below n p = 3/4 at n = 10^4: 47.0 and 40.5, stated as 48 and 41.
+    Series, below the cutoff: race sums t_k = (-1)^k C(n,k)/n p^(k-1) for
+    mm_loss_prob and (-1)^k C(n,k) (k-1)/n p^(k-2) for its derivative over
+    k >= 2.  The first term (n-1) p/2 rounds once and (n-1)/2 is exact;
+    each later term is the last times a ratio with 3 roundings ((k-n) p,
+    the quotient by k+1 and the product) or 4 (one more factor k), so t_k
+    carries 1 + 3 (k-2) u or 4 (k-2) u.  The terms are added smallest
+    first.  Plain left-to-right addition makes each step's error at most
+    min(u |S_j|, |t_j|) for partial sum S_j and term t_j, since the old sum
+    is itself a candidate for the rounded result.  The tail past the cut,
+    under the first dropped term, is at most 2**-56 of the first.  These
+    bounds depend on the terms, so ``series_bounds`` computes them from
+    them.  The size of the ratio is below r = n p/3 for mm_loss_prob and
+    2 n p/3 for its derivative, below 1/4 and 1/2 under the cutoff; the
+    terms alternate and fall, so sum |t| / |sum t| <= 1/(1-r)^2 and no
+    sum cancels much.  With |t_k| <= r^(k-2) t_2 this gives at most 5.5
+    and 20.3 at r = 1/4 and 1/2; the bounds computed from the terms peak
+    at n p just below 3/4 as n grows: 4.54 and 7.82, stated as 5 and 8.
 
-    mixed_race's two sums run over one window of Bin(H_t - 1, p) at every p,
-    so ``mixed_bounds`` takes the same running bound.  Its loss term
-    w * (H_d + k) / (1 + H_d + k) rounds twice, 2u as above.  Its win term
-    adds three nonnegative quotients, u each, with two additions, u each of
-    a nonnegative partial sum, so f(k) carries 3u and w f(k) 4u; the
-    division by H - 1 adds u.  Away from the ends of [0, 1] the weights'
-    5 |k - m| u dominates: the bounds grow as the spread of Bin(H_t - 1, p)
-    and reach about 1,220 u at H_t - 1 = 10^4 and p = 1/2.  No constant is
-    stated for them; the test checks each drawn error against the bound
-    there.
+    mixed_race's two sums run over one window of Bin(H_t - 1, p) at every p.
+    Each weight is 1.0 at the mode m times |k - m| ratios of the recurrence,
+    each with 5 roundings (1 - p, two products, the quotient and the running
+    product): 5 |k - m| u.  The normalising total adds its weighted error
+    and its accumulation, the division by it u, and the window's dropped
+    tail, a few times 2**-56 of the sum, at most u; ``_running_sum_bound``
+    adds them up.  Its loss term w * (H_d + k) / (1 + H_d + k) rounds twice,
+    2u.  Its win term adds three nonnegative quotients, u each, with two
+    additions, u each of a nonnegative partial sum, so f(k) carries 3u and
+    w f(k) 4u; the division by H - 1 adds u.  Away from the ends of [0, 1]
+    the weights' 5 |k - m| u dominates: the bounds grow as the spread of
+    Bin(H_t - 1, p) and reach about 1,220 u at H_t - 1 = 10^4 and p = 1/2.
+    No constant is stated for them; the test checks each drawn error against
+    the bound there.
 
     Each test checks, at every drawn (p, n), that the measured error lies
     within the first-order bound there and that the bound lies within the
     stated one.  The errors measured are well inside: over 4,000 random
-    (p, n) per band of width 0.05 in n p (see race's module docstring), the
-    closed forms of mm_loss_prob and its derivative stayed within 6.4 and
-    8.2 ulps at n p >= 3/4, and the sums within 7.1 and 9.3 at n p < 3/4.  The
-    (1-p)**n forms of sniplab 0.1.0 were off by up to 2.8e6 ulps at n p in
-    [1, 2) for n from 2,000 to 10^6.
+    (p, n) per band of width 0.05 in n p, n log-uniform from 2 to
+    2**53 - 1 (BENCH_27.json), the closed forms of mm_loss_prob and its
+    derivative stayed within 6.49 and 7.53 ulps at n p in [3/4, 1.05), and
+    the series within 1.65 and 1.63 at n p < 3/4, where the binomial sums
+    of sniplab 0.2.0 to 0.5.0 reached 6.8 and 9.24.  The (1-p)**n forms of
+    sniplab 0.1.0 were off by up to 2.8e6 ulps at n p in [1, 2) for n from
+    2,000 to 10^6.
     """
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
@@ -432,17 +470,42 @@ class TestPrecision:
             assert err <= bound <= CLOSED_FORM_BOUNDS[name], (name, p, n, err, bound)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
-    @given(sum_arguments())
-    @example((math.nextafter(0.75, 0.0) / 10_000, 10_000))  # the sums' bounds peak
+    @given(series_arguments())
+    # the series' bounds peak
+    @example((math.nextafter(0.75, 0.0) / (2**53 - 1), 2**53 - 1))
     @example((1e-300, 3))
-    @example((0.0, 10_000))
+    @example((0.0, 2**53 - 1))
+    @example((0.3, 2))  # one term
     def test_sums_within_bounds(self, args):
         p, n = args
         assert n * p < race.CLOSED_FORM_MIN_NP
         exact = oracles.race_reference(p, n)
-        for name, bound in sum_bounds(p, n).items():
+        for name, bound in series_bounds(p, n).items():
             err = ulps_off(RACE_FUNCTIONS[name](p, n), exact[name])
-            assert err <= bound <= SUM_BOUNDS[name], (name, p, n, err, bound)
+            assert err <= bound <= SERIES_BOUNDS[name], (name, p, n, err, bound)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 13, 2000, 10**4, 10**9, 2**40 + 1, 2**53 - 1])
+    def test_series_meets_closed_form_at_cutoff(self, n, monkeypatch):
+        # at the last p below the cutoff and the first at it, the series and
+        # the closed forms agree within the sum of their bounds, so the
+        # switch between them adds no step beyond their stated errors
+        at = race.CLOSED_FORM_MIN_NP / n
+        while n * at < race.CLOSED_FORM_MIN_NP:
+            at = math.nextafter(at, 1.0)
+        while n * math.nextafter(at, 0.0) >= race.CLOSED_FORM_MIN_NP:
+            at = math.nextafter(at, 0.0)
+        below = math.nextafter(at, 0.0)
+        for p in (below, at):
+            forms = {}
+            for form, cutoff in (("series", math.inf), ("closed", 0.0)):
+                monkeypatch.setattr(race, "CLOSED_FORM_MIN_NP", cutoff)
+                forms[form] = {name: fn(p, n) for name, fn in RACE_FUNCTIONS.items()}
+            monkeypatch.undo()
+            for name, bound in series_bounds(p, n).items():
+                bound += closed_form_bounds(p, n)[name]
+                got = forms["series"][name]
+                err = abs(Fraction(got) - Fraction(forms["closed"][name])) / Fraction(math.ulp(got))
+                assert err <= bound, (name, n, p, float(err), bound)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(mixed_arguments())

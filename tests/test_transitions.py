@@ -275,10 +275,20 @@ def recording(log, fn, position=0):
     return wrapper
 
 
+def below_cutoff(log, fn):
+    """A homogeneous race function fn, appending p to log on every call with
+    n*p below race.CLOSED_FORM_MIN_NP, where it sums a series."""
+    def wrapper(p, n_agents):
+        if n_agents * p < race.CLOSED_FORM_MIN_NP:
+            log.append(p)
+        return fn(p, n_agents)
+    return wrapper
+
+
 class TestSlopeKernel:
     def test_kernel_is_the_reference_assembly_bit_for_bit(self):
         # the float kernel against a fresh derive, endpoint_values and the
-        # derivative terms, by ==: at p = 0 and 1, n*p < 1 (binomial sums) and
+        # derivative terms, by ==: at p = 0 and 1, n*p < 1 (the series) and
         # any p, and in gamma through the sure-to-probabilistic threshold
         # H log-uniform on 3..10,000, gamma on [1, 60], (alpha + mu) delta < 1
         rng = random.Random(2024)
@@ -352,35 +362,41 @@ class TestSlopeKernel:
     def test_large_h_p_star_builds_few_windows(self, h, monkeypatch):
         # near p* at H in the thousands n p is about 0.85, above
         # race.CLOSED_FORM_MIN_NP, so the root's iterates take the closed
-        # forms: a cold optimal_sniping builds at most 8 binomial windows,
-        # where a cutoff at n p = 1 built 23-39.  Counts, not timings, so the
-        # guard does not depend on the host's speed
-        windows = []
-        monkeypatch.setattr(race, "_binom_pmf", recording(windows, race._binom_pmf))
+        # forms: a cold optimal_sniping makes at most 8 race calls below the
+        # cutoff, which cost one step per series term, where a cutoff at
+        # n p = 1 made 23-39.  Counts, not timings, so the guard does not
+        # depend on the host's speed
+        series = []
+        monkeypatch.setattr(race, "mm_loss_prob", below_cutoff(series, race.mm_loss_prob))
+        monkeypatch.setattr(race, "mm_loss_prob_deriv",
+                            below_cutoff(series, race.mm_loss_prob_deriv))
         tr._scan_race.cache_clear()
         regime = tr.optimal_sniping(GameParams(H=h, alpha=0.45, mu=0.5, delta=0.5, gamma=4.0))
         assert regime.kind == tr.PROBABILISTIC
         assert 0.75 < h * regime.p_star < 1.0
-        assert 0 < len(windows) <= 8
+        assert 0 < len(series) <= 8
 
     def test_h_sweep_p_star_work(self, monkeypatch):
         # over an H sweep at the Fig. 7 rates and gamma 4, where p* lies near
         # 0.85/H, the scan points c/H bracket p* on the n*p scale: a cold
         # optimal_sniping takes at most 14 p* slope evaluations (34 on average
-        # and up to 62 when the bracket was [0, 0.05]), and its only binomial
-        # windows are the scan's two race sums at p = 0; every other race
-        # call, the root's iterates included, is a closed form.  Counts, not
-        # timings, so the guard does not depend on the host's speed
+        # and up to 62 when the bracket was [0, 0.05]), and its only race
+        # calls below race.CLOSED_FORM_MIN_NP are the scan's two at p = 0;
+        # every other race call, the root's iterates included, is a closed
+        # form.  Counts, not timings, so the guard does not depend on the
+        # host's speed
         for h in range(2000, 10001, 500):
-            slope_ps, windows = [], []
+            slope_ps, series = [], []
             with monkeypatch.context() as m:
                 m.setattr(tr, "_slope_terms", recording(slope_ps, tr._slope_terms))
-                m.setattr(race, "_binom_pmf", recording(windows, race._binom_pmf, 1))
+                m.setattr(race, "mm_loss_prob", below_cutoff(series, race.mm_loss_prob))
+                m.setattr(race, "mm_loss_prob_deriv",
+                          below_cutoff(series, race.mm_loss_prob_deriv))
                 tr._scan_race.cache_clear()
                 regime = tr.optimal_sniping(params(4.0, H=h))
             assert regime.kind == tr.PROBABILISTIC, h
             assert 0 < len(slope_ps) <= 14, (h, len(slope_ps))
-            assert windows in ([0.0], [0.0, 0.0]), (h, windows)
+            assert series in ([0.0], [0.0, 0.0]), (h, series)
 
     def test_scan_grid_per_h(self):
         # at H = 5 no point c/H falls inside (0, 0.05): a gamma sweep at the
