@@ -544,11 +544,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "monitor" and not args.stream and args.ht is None:
         parser.error("monitor needs --stream or --ht for an inline simulation")
-    made = []  # the directories this run makes, innermost first
+    made = None  # the outermost directory this run makes
     try:
         params, resolved = _resolve_params(args)
         out = Path(args.out)
-        made = [d for d in (out.resolve(), *out.resolve().parents) if not d.exists()]
+        missing = out.resolve()
+        while not missing.exists():  # the root exists, so this ends
+            made, missing = missing, missing.parent
         out.mkdir(parents=True, exist_ok=True)
         outputs = args.func(args, params, resolved, out)
         _write_manifest(out, args.command, resolved, outputs)
@@ -559,8 +561,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - runtime failures get exit code 1
         print(f"runtime error: {exc}", file=sys.stderr)
         code = EXIT_RUNTIME
-    if made:  # a failed run leaves no directory of its own behind
-        shutil.rmtree(made[-1], ignore_errors=True)
+    if made is not None:  # a failed run leaves no directory of its own behind
+        shutil.rmtree(made, ignore_errors=True)
     return code
 
 

@@ -5,21 +5,20 @@ quote while each of the other agents (bandits) independently joins the race
 with probability ``p``; the winner is uniform among the entrants.  This module
 computes
 
-* ``mm_loss_prob(p, n)``       -- the market maker loses the race,
-* ``mm_loss_prob_deriv(p, n)`` -- its derivative in ``p``,
-* ``mixed_race(p, pop)``       -- both race outcomes for a population split
-  into trustworthy agents (snipe with probability ``p``) and deceptive
-  agents (snipe for sure).
+* ``mm_loss(p, n)``     -- (h, h'): the market maker loses the race, and
+  the derivative in ``p``, sharing their checks, n*p and log1p(-p);
+* ``mixed_race(p, pop)`` -- both race outcomes for a population split into
+  trustworthy agents (snipe with probability ``p``) and deceptive agents
+  (snipe for sure).
 
 Each of the n-1 bandits is equally likely to be the one who beat the market
-maker, so a given bandit enters and wins with probability
-mm_loss_prob(p, n) / (n-1).
+maker, so a given bandit enters and wins with probability h / (n-1).
 
 Closed forms (with N_B counting bandit entrants, L = log1p(-p), -inf at
 p = 1, and y = (n-1) L):
 
-    mm_loss_prob(p, n)       = E[N_B/(1+N_B)] = (expm1(n L) + n p) / (n p)
-    mm_loss_prob_deriv(p, n) = -(expm1(y) + (n-1) p exp(y)) / (n p^2)
+    h  = E[N_B/(1+N_B)] = (expm1(n L) + n p) / (n p)
+    h' = -(expm1(y) + (n-1) p exp(y)) / (n p^2)
 
 These are ((1-p)^n - (1 - n p)) / (n p) and its derivative with (1-p)^n
 taken as exp(n L): forming (1-p)**n instead amplifies the rounding of 1 - p
@@ -27,19 +26,19 @@ about n times (Goldberg 1991, ACM Comput. Surv. 23:5), which cost up to
 2.8e6 ulps at n*p in [1, 2) for n from 2,000 to 10^6, and 7e15 ulps near
 n = 2**53.  The numerators still cancel for small n*p, and at p = 0 the forms
 are 0/0, so they are used only where n*p >= ``CLOSED_FORM_MIN_NP``.  Below
-that, both functions are the alternating series that the binomial theorem
-gives for the same forms (``_series``), with first terms (n-1) p/2 and (n-1)/2:
+that, h and h' are the alternating series that the binomial theorem gives
+for the same forms (``_series``), with first terms (n-1) p/2 and (n-1)/2:
 
-    mm_loss_prob       = sum_{k>=2} (-1)^k C(n,k)/n p^(k-1)
-    mm_loss_prob_deriv = sum_{k>=2} (-1)^k C(n,k) (k-1)/n p^(k-2)
+    h  = sum_{k>=2} (-1)^k C(n,k)/n p^(k-1)
+    h' = sum_{k>=2} (-1)^k C(n,k) (k-1)/n p^(k-2)
 
 A term's ratio to the last, -(n-k) p/(k+1) and k/(k-1) times that, has size
 r below n*p/3 and 2 n*p/3, so under the cutoff sum |t| / |sum t| <= 1/(1-r)^2
 is at most 1.8 and 4.  A series stops where a term falls to 2**-56 of the
 first (an alternating tail is smaller than its first term), after at most 17
 terms, and adds them smallest first; p = 0 gives the exact 0 and (n-1)/2.
-``tests/test_race.py`` derives each function's error bound in ulps and checks
-it against a ``decimal`` reference in ``tests/oracles.py``.
+``tests/test_race.py`` derives the error bounds of h and h' in ulps and checks
+them against a ``decimal`` reference in ``tests/oracles.py``.
 
 The cutoff is set by speed, not by error.  Over 4,000 random (n, p) per band
 of width 0.05 in n*p, n log-uniform from 2 to 2**53 - 1, the series stayed
@@ -56,9 +55,9 @@ H_t rivals that snipe at p and H_d - 1 that snipe for sure: the rivals of a
 trustworthy agent in (H_t + 1, H_d - 1).  So ``mixed_race``, the trustworthy
 agent's race summed over one window of Bin(H_t - 1, p), serves both, and
 ``utility.utility_distribution`` weights the win by the agent's own entry
-probability, p or 1.  At H_d = 0 it gives mm_loss_prob(p, H) and, times p,
-mm_loss_prob(p, H)/(H-1), yet the homogeneous functions stay: ``transitions``
-calls them at H in the thousands, where a sum costs one term per weight.
+probability, p or 1.  At H_d = 0 it gives h of mm_loss(p, H) and, times p,
+h/(H-1), yet the homogeneous function stays: ``transitions`` calls it at H in
+the thousands, where a sum costs one term per weight.
 """
 
 from __future__ import annotations
@@ -177,29 +176,20 @@ def _series(t: float, n: int, p: float, deriv: bool) -> float:
     return sum(terms[::-1])
 
 
-def mm_loss_prob(p: float, n_agents: int) -> float:
-    """Probability the market maker loses the race against Bin(n-1, p) entrants.
-
-    Equals 0 at p = 0 and (n-1)/n at p = 1; strictly increasing in between.
-    """
-    _check_p(p)
-    _check_n(n_agents)
+def mm_loss(p: float, n_agents: int) -> tuple[float, float]:
+    """(h, h'): the market maker loses the race against Bin(n-1, p) entrants
+    with probability h, 0 at p = 0 and (n-1)/n at p = 1 and increasing in
+    between; h' = dh/dp is (n-1)/2 at p = 0 and 1/n at p = 1."""
+    if not (0.0 <= p <= 1.0 and n_agents >= 2):  # one test on the valid path
+        _check_p(p)
+        _check_n(n_agents)
     n = n_agents
     z = n * p
     if z < CLOSED_FORM_MIN_NP:
-        return _series((n - 1) * p / 2, n, p, False)
-    return (expm1(n * (log1p(-p) if p < 1.0 else -inf)) + z) / z
-
-
-def mm_loss_prob_deriv(p: float, n_agents: int) -> float:
-    """d/dp of mm_loss_prob; (n-1)/2 at p = 0, 1/n at p = 1."""
-    _check_p(p)
-    _check_n(n_agents)
-    n = n_agents
-    if n * p < CLOSED_FORM_MIN_NP:
-        return _series((n - 1) / 2, n, p, True)
-    y = (n - 1) * (log1p(-p) if p < 1.0 else -inf)
-    return -(expm1(y) + (n - 1) * p * exp(y)) / (n * p * p)
+        return _series((n - 1) * p / 2, n, p, False), _series((n - 1) / 2, n, p, True)
+    log_q = log1p(-p) if p < 1.0 else -inf
+    y = (n - 1) * log_q
+    return (expm1(n * log_q) + z) / z, -(expm1(y) + (n - 1) * p * exp(y)) / (n * p * p)
 
 
 def mixed_race(p: float, pop: Population) -> tuple[float, float]:

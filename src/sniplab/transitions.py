@@ -33,9 +33,13 @@ an H sweep at 2,000-10,000, and bracketed no p*).
 Both zeros in this module, p* and K(gamma), are found by one bracketed
 root-finder, ``_root``: regula falsi with the Illinois step, run to float
 precision, with a next-float probe where the secant point rounds onto an end
-of the bracket.  Each evaluation is float arithmetic on h = mm_loss_prob(p,
-n) and its derivative (``_slope_kernel``); K(gamma)'s race values are fixed,
-while a p* step makes its two race calls.  The scan's race values depend on n
+of the bracket.  Each evaluation is one call of a ``utility.slope_kernel``,
+built once per ``derive`` and n: float arithmetic on (h, h') = race.mm_loss(p,
+n).  K(gamma)'s race values are fixed, while a p* step makes one race call.
+K is bracketed by [1, max(2, to_no_sniping)], and the upper end doubles
+until K is negative there; over the rows of an H sweep at the Fig. 7 rates
+and gamma 4 this takes 15.1 K evaluations, against 21.2 on [1, 10
+to_no_sniping] (BENCH_29.json).  The scan's race values depend on n
 alone: ``_scan_race`` computes them once per n and keeps those of the last n.
 So the rows of a gamma sweep, which share H, scan by kernel arithmetic alone
 and race only their p* steps and points of indifference.  An H sweep gives
@@ -135,43 +139,19 @@ def _root(f, lo: float, hi: float, flo: float, fhi: float) -> float:
             side = -1
 
 
-def _point(p: float, d: DerivedParams, n_agents: int) -> IndifferencePoint:
-    """Point of indifference of the homogeneous game at sniping probability p."""
-    h = race.mm_loss_prob(p, n_agents)  # the market maker loses the race
-    return utility.indifference(*utility.endpoint_values(h / (n_agents - 1), h, d, d.q))
+def _point(kernel, gamma: float, p: float) -> IndifferencePoint:
+    """Point of indifference on the lines of a ``utility.slope_kernel``."""
+    return utility.indifference(*kernel(gamma, p, lines=True))
 
 
 def indifference_at(p: float, params: GameParams) -> IndifferencePoint:
     """Point of indifference (s*(p), u*(p)) for the homogeneous game."""
-    return _point(p, derive(params), params.H)
-
-
-def _slope_kernel(h: float, dh: float, d: DerivedParams, q: float,
-                  n_agents: int) -> tuple[float, float]:
-    """N'Q - NQ' and Q from h = mm_loss_prob(p, n), dh = mm_loss_prob_deriv(p, n)
-    and the excess risk aversion q, in float arithmetic alone."""
-    dwin = dh / (n_agents - 1)  # (p*g(p))'
-    a, b, c, dd = utility.endpoint_values(h / (n_agents - 1), h, d, q)
-    da = d.m * d.beta * dwin
-    db = -d.alpha_bar * q * d.beta * dwin
-    dc = -d.beta * (d.m * (q + 1) - d.mu_bar * q) * dh
-    dD = -d.alpha_bar * q * d.beta * dh
-    n = a * dd - b * c
-    q_ = (a - c) + (dd - b)
-    dn = da * dd + a * dD - db * c - b * dc
-    dq = da - dc + dD - db
-    return dn * q_ - n * dq, q_
-
-
-def _slope_terms(p: float, d: DerivedParams, n_agents: int) -> tuple[float, float]:
-    """N'(p)Q(p) - N(p)Q'(p), which shares the sign of du*/dp, and Q(p)."""
-    h = race.mm_loss_prob(p, n_agents)
-    return _slope_kernel(h, race.mm_loss_prob_deriv(p, n_agents), d, d.q, n_agents)
+    return _point(utility.slope_kernel(derive(params), params.H), params.gamma, p)
 
 
 @functools.lru_cache(maxsize=1)
 def _scan_race(n_agents: int) -> tuple[tuple[float, float, float], ...]:
-    """(p, mm_loss_prob, mm_loss_prob_deriv) at each scan point p for n agents.
+    """(p, h, h') of race.mm_loss at each scan point p for n agents.
 
     The points are ``_SCAN_GRID`` with p = c/n, c in ``_NP_POINTS``, added
     inside its first cell (0, 0.05), in increasing order; at n <= 16 none
@@ -181,10 +161,7 @@ def _scan_race(n_agents: int) -> tuple[tuple[float, float, float], ...]:
     """
     cell = _SCAN_GRID[1]
     grid = sorted([*_SCAN_GRID, *(c / n_agents for c in _NP_POINTS if c / n_agents < cell)])
-    return tuple(
-        (p, race.mm_loss_prob(p, n_agents), race.mm_loss_prob_deriv(p, n_agents))
-        for p in grid
-    )
+    return tuple((p, *race.mm_loss(p, n_agents)) for p in grid)
 
 
 def _no_sniping(d: DerivedParams, params: GameParams) -> float:
@@ -204,19 +181,21 @@ def thresholds(params: GameParams) -> Thresholds:
     to_probabilistic is the unique gamma >= 1 at which the p = 1 slope
     numerator K(gamma) = N'(1)Q(1) - N(1)Q'(1) crosses zero; K is evaluated
     numerically rather than through expanded cubic coefficients, and the
-    search is bracketed by ten times to_no_sniping.  K(1) > 0 over the valid
-    parameters (tests/test_transitions.py draws them from H up to 10**6 and
-    rates down to 1e-12); a K(1) that underflows to zero is refused.
+    search is bracketed by to_no_sniping (see the module docstring).  K(1) > 0
+    over the valid parameters (tests/test_transitions.py draws them from H up
+    to 10**6 and rates down to 1e-12); a K(1) that underflows to zero is
+    refused.
     """
     d, n = derive(params), params.H
     no_sniping = _no_sniping(d, params)
-    # the race values at p = 1 do not depend on gamma; gamma - 1.0 has the
-    # bits of derive(replace(params, gamma=gamma)).q
-    h, dh = race.mm_loss_prob(1.0, n), race.mm_loss_prob_deriv(1.0, n)
-    k = lambda g: _slope_kernel(h, dh, d, g - 1.0, n)[0]
+    # K is the kernel at p = 1 as a function of gamma: the race values do not
+    # depend on gamma, and the kernel's gamma - 1.0 has the bits of
+    # derive(replace(params, gamma=gamma)).q
+    h, dh = race.mm_loss(1.0, n)
+    k = functools.partial(utility.slope_kernel(d, n), p=1.0, h=h, dh=dh)
     if not (k_lo := k(1.0)) > 0:
         raise ValidationError(f"K(1) = {k_lo} is not positive (underflow) for {params}")
-    hi = max(2.0, 10.0 * no_sniping)
+    hi = max(2.0, no_sniping)
     while (k_hi := k(hi)) >= 0:
         hi *= 2.0
         if hi > 1e9:
@@ -224,20 +203,21 @@ def thresholds(params: GameParams) -> Thresholds:
     return Thresholds(_root(k, 1.0, hi, k_lo, k_hi), no_sniping)
 
 
-def _classify(params: GameParams, d: DerivedParams, th: Thresholds) -> SnipingRegime:
-    """The regime of params, given its derived quantities and its thresholds.
+def _classify(params: GameParams, kernel, th: Thresholds) -> SnipingRegime:
+    """The regime of params, given its ``utility.slope_kernel`` and its
+    thresholds.
 
     Between the thresholds, each descending sign change of du*/dp on the
     scan grid of ``_scan_race`` brackets a local maximum of u*; ``_root``
     locates each on the slope numerator and the best candidate wins.
     """
-    n = params.H
-    if params.gamma < th.to_probabilistic:
-        point = _point(1.0, d, n)
+    n, gamma = params.H, params.gamma
+    if gamma < th.to_probabilistic:
+        point = _point(kernel, gamma, 1.0)
         return SnipingRegime(SURE, 1.0, point.u_star, point.s_star)
-    if params.gamma < th.to_no_sniping:
+    if gamma < th.to_no_sniping:
         scan = _scan_race(n)
-        slopes = [_slope_kernel(h, dh, d, d.q, n)[0] for _, h, dh in scan]
+        slopes = [kernel(gamma, p, h, dh) for p, h, dh in scan]
         brackets = [
             (scan[i][0], scan[i + 1][0], slopes[i], slopes[i + 1])
             for i in range(len(scan) - 1)
@@ -252,18 +232,19 @@ def _classify(params: GameParams, d: DerivedParams, th: Thresholds) -> SnipingRe
             )
         # without a sign change (gamma within rounding of a threshold) the
         # maximum lies at an end of [0, 1]
-        slope = lambda p: _slope_terms(p, d, n)[0]
+        slope = functools.partial(kernel, gamma)
         roots = [_root(slope, *b) for b in brackets] or [0.0, 1.0]
-        p_star, point = max(((p, _point(p, d, n)) for p in roots), key=lambda c: c[1].u_star)
+        p_star, point = max(((p, _point(kernel, gamma, p)) for p in roots),
+                            key=lambda c: c[1].u_star)
         if point.u_star > PLAYABLE_TOL:
             return SnipingRegime(PROBABILISTIC, p_star, point.u_star, point.s_star)
-    point = _point(0.0, d, n)
+    point = _point(kernel, gamma, 0.0)
     return SnipingRegime(NO_SNIPING, 0.0, 0.0, point.s_star)
 
 
 def optimal_sniping(params: GameParams) -> SnipingRegime:
     """Classify the regime and, when probabilistic, find argmax_p u*(p)."""
-    return _classify(params, derive(params), thresholds(params))
+    return _classify(params, utility.slope_kernel(derive(params), params.H), thresholds(params))
 
 
 def regime_row(params: GameParams, th: Thresholds) -> dict[str, object]:
@@ -276,15 +257,16 @@ def regime_row(params: GameParams, th: Thresholds) -> dict[str, object]:
     params only in gamma: the thresholds do not depend on gamma, so a sweep
     over gamma computes them once.
     """
-    d = derive(params)
-    regime = _classify(params, d, th)
+    kernel = utility.slope_kernel(derive(params), params.H)
+    regime = _classify(params, kernel, th)
     return {
         "gamma": params.gamma,
         "regime": regime.kind,
         "p_star": regime.p_star,
         "s_star": regime.s_star,
         # a sure regime is the point at p = 1 already
-        "u_sure": regime.u_star if regime.kind == SURE else _point(1.0, d, params.H).u_star,
+        "u_sure": (regime.u_star if regime.kind == SURE
+                   else _point(kernel, params.gamma, 1.0).u_star),
         "u_opt": regime.u_star,
         "gamma_probabilistic": th.to_probabilistic,
         "gamma_no_sniping": th.to_no_sniping,

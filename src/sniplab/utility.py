@@ -24,9 +24,9 @@ roster, for either class: its ``mean`` is the analytic mean that
 Expected utilities for both roles are affine in the spread s, so they are
 summarised by their endpoints: the bandit line runs from A = E U_B(0) to
 B = E U_B(1), the market-maker line from C = E U_M(0) to D = E U_M(1).
-``endpoint_values`` gives them as the plain tuple (A, B, C, D), the one form
-of the lines: ``indifference`` intersects them and the slope kernel of
-``transitions`` differentiates them.  An event's probability is
+``slope_kernel`` writes A..D and their p-derivatives once, the one form of
+the lines: it returns the slope of u* that ``transitions`` finds roots on, or
+(A, B, C, D), which ``indifference`` intersects.  An event's probability is
 ``first_event_prob(ev, d) * second_event_prob(ev.second, d)``.
 """
 
@@ -233,23 +233,41 @@ def utility_distribution(params: GameParams, p: float, pop: Population, s: float
 # ---------------------------------------------------------------------------
 
 
-def endpoint_values(
-    win_unconditional: float, mm_loss: float, d: DerivedParams, q: float
-) -> tuple[float, float, float, float]:
-    """(A, B, C, D) from the two race probabilities at excess risk aversion q
-    (d.q at d's own gamma; nothing else in d depends on gamma).
+def slope_kernel(d: DerivedParams, n_agents: int):
+    """kernel(gamma, p, h=None, dh=None, lines=False) of the homogeneous game.
 
-    win_unconditional is the agent's unconditional per-race win probability
-    (entry probability times conditional win probability); mm_loss is the
-    probability the market maker he might become would lose the race.
+    With h, dh = race.mm_loss(p, n_agents) unless given, and q = gamma - 1.0
+    (d.q's bits at d's gamma; nothing else in d depends on gamma), it returns
+    N'Q - NQ' of u* = N/Q, N = A*D - B*C, Q = (A - C) + (D - B), with
+    ``indifference``'s operations; or (A, B, C, D) if lines.  The win is
+    h/(n-1), each bandit being as likely to have beaten the market maker.
+    d's fields and the products free of h, dh and q are formed once.
     """
-    factor = d.beta * win_unconditional
-    return (
-        d.m * factor,
-        -d.alpha_bar * q * factor,
-        -(q * d.theta_bar + d.beta * (d.m * (q + 1) - d.mu_bar * q) * mm_loss),
-        (1.0 + d.mu_bar) - d.beta * (d.m + d.alpha_bar * q * mm_loss),
-    )
+    m, beta, alpha_bar, mu_bar, theta_bar = d.m, d.beta, d.alpha_bar, d.mu_bar, d.theta_bar
+    m_beta, one_mu = m * beta, 1.0 + mu_bar
+    bandits = n_agents - 1
+
+    def kernel(gamma: float, p: float, h: float | None = None, dh: float | None = None,
+               lines: bool = False):
+        if h is None:
+            h, dh = race.mm_loss(p, n_agents)
+        q = gamma - 1.0
+        aq = alpha_bar * q
+        bx = beta * (m * (q + 1) - mu_bar * q)
+        factor = beta * (h / bandits)
+        a = m * factor
+        b = -aq * factor
+        c = -(q * theta_bar + bx * h)
+        dd = one_mu - beta * (m + aq * h)
+        if lines:
+            return a, b, c, dd
+        dwin, naqb = dh / bandits, -aq * beta  # dwin = (p*g(p))'
+        da, db, dc, dD = m_beta * dwin, naqb * dwin, -bx * dh, naqb * dh
+        num = a * dd - b * c
+        den = (a - c) + (dd - b)
+        return (da * dd + a * dD - db * c - b * dc) * den - num * (da - dc + dD - db)
+
+    return kernel
 
 
 class ParallelLinesError(ValidationError):

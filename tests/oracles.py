@@ -22,6 +22,20 @@ implementation of, and the tests compare the two:
   functions as sniplab 0.2.0 to 0.5.0 computed them, with binomial sums over
   ``race._binom_pmf``'s windows below n*p = 0.75; patched into ``race``, they
   reproduce those versions' outputs;
+* ``mm_loss_prob_0_6_0`` and ``mm_loss_prob_deriv_0_6_0`` -- the two race
+  functions as sniplab 0.6.0 computed them, each with its own checks, n*p,
+  log1p(-p) and cutoff branch; ``race.mm_loss`` must give their bits;
+* ``mm_loss_of`` -- a stand-in for ``race.mm_loss`` made of two such
+  functions; patched into ``race``, it puts an old version's race forms in
+  every race call of ``transitions``;
+* ``endpoint_values_0_6_0`` and ``slope_kernel_0_6_0`` -- the utility lines
+  and the slope kernel as sniplab 0.3.0 to 0.6.0 assembled them, from any
+  two race probabilities and a separate endpoint call;
+  ``utility.slope_kernel`` must give their bits;
+* ``thresholds_0_6_0`` -- ``transitions.thresholds`` of sniplab 0.6.0, which
+  bracketed K(gamma) by [1, 10 to_no_sniping]; ``slope_kernel_error`` bounds
+  the rounding error of the kernel, from which tests/test_cli.py derives how
+  far 0.7.0's to_probabilistic may lie from it;
 * ``root_0_2_0`` -- ``transitions._root`` as sniplab 0.1.0 and 0.2.0 ran it,
   with a midpoint wherever the secant point rounds onto an end; patched into
   ``transitions`` with no n*p scan points, it reproduces 0.2.0's outputs;
@@ -46,10 +60,11 @@ implementation of, and the tests compare the two:
   probabilities;
 * ``slope_numerator`` -- the slope numerator N'Q - NQ' assembled as it was
   before ``transitions`` evaluated it from two race values: a fresh
-  ``derive``, then ``utility.endpoint_values`` at ``d.q``, then the
+  ``derive``, then ``endpoint_values_0_6_0`` at ``d.q``, then the
   derivative terms; the package's kernel must give the same bits;
 * ``gamma_to_probabilistic_by_reference`` -- the sure-to-probabilistic
-  threshold by the package's bracket and root-finder on that reference;
+  threshold by the package's bracket, [1, max(2, to_no_sniping)], and
+  root-finder on that reference;
 * ``gamma_to_no_sniping_by_slope`` -- the no-sniping threshold as the root of
   the p = 0 slope, against its closed form ``Thresholds.to_no_sniping``.
 """
@@ -62,9 +77,9 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from sniplab import race, utility
-from sniplab.params import GameParams, ValidationError, derive
+from sniplab.params import DerivedParams, GameParams, ValidationError, derive
 from sniplab.race import Population, _check_n, _check_p
-from sniplab.transitions import _root
+from sniplab.transitions import Thresholds, _no_sniping, _root
 from sniplab.utility import DECEPTIVE, TRUSTWORTHY, UtilityDistribution, _merged
 
 
@@ -208,6 +223,137 @@ def mm_loss_prob_deriv_0_5_0(p: float, n_agents: int) -> float:
     return -(math.expm1(y) + (n - 1) * p * math.exp(y)) / (n * p * p)
 
 
+def mm_loss_prob_0_6_0(p: float, n_agents: int) -> float:
+    """race.mm_loss_prob of sniplab 0.6.0: the alternating series below
+    n*p = race.CLOSED_FORM_MIN_NP and the log1p closed form at and above."""
+    _check_p(p)
+    _check_n(n_agents)
+    n = n_agents
+    z = n * p
+    if z < race.CLOSED_FORM_MIN_NP:
+        return race._series((n - 1) * p / 2, n, p, False)
+    return (math.expm1(n * (math.log1p(-p) if p < 1.0 else -math.inf)) + z) / z
+
+
+def mm_loss_prob_deriv_0_6_0(p: float, n_agents: int) -> float:
+    """race.mm_loss_prob_deriv of sniplab 0.6.0, as mm_loss_prob_0_6_0."""
+    _check_p(p)
+    _check_n(n_agents)
+    n = n_agents
+    if n * p < race.CLOSED_FORM_MIN_NP:
+        return race._series((n - 1) / 2, n, p, True)
+    y = (n - 1) * (math.log1p(-p) if p < 1.0 else -math.inf)
+    return -(math.expm1(y) + (n - 1) * p * math.exp(y)) / (n * p * p)
+
+
+def mm_loss_of(loss, deriv):
+    """A function of (p, n) -> (loss(p, n), deriv(p, n)), the shape of
+    race.mm_loss, from two race functions of an old version."""
+    return lambda p, n_agents: (loss(p, n_agents), deriv(p, n_agents))
+
+
+def endpoint_values_0_6_0(
+    win_unconditional: float, mm_loss: float, d: DerivedParams, q: float
+) -> tuple[float, float, float, float]:
+    """utility.endpoint_values of sniplab 0.3.0 to 0.6.0: (A, B, C, D) from the
+    agent's unconditional win and the market maker's loss at excess risk
+    aversion q."""
+    factor = d.beta * win_unconditional
+    return (
+        d.m * factor,
+        -d.alpha_bar * q * factor,
+        -(q * d.theta_bar + d.beta * (d.m * (q + 1) - d.mu_bar * q) * mm_loss),
+        (1.0 + d.mu_bar) - d.beta * (d.m + d.alpha_bar * q * mm_loss),
+    )
+
+
+def slope_kernel_0_6_0(h: float, dh: float, d: DerivedParams, q: float,
+                       n_agents: int) -> tuple[float, float]:
+    """transitions._slope_kernel of sniplab 0.3.0 to 0.6.0: N'Q - NQ' and Q
+    from h, its p-derivative dh and the excess risk aversion q."""
+    dwin = dh / (n_agents - 1)  # (p*g(p))'
+    a, b, c, dd = endpoint_values_0_6_0(h / (n_agents - 1), h, d, q)
+    da = d.m * d.beta * dwin
+    db = -d.alpha_bar * q * d.beta * dwin
+    dc = -d.beta * (d.m * (q + 1) - d.mu_bar * q) * dh
+    dD = -d.alpha_bar * q * d.beta * dh
+    n = a * dd - b * c
+    q_ = (a - c) + (dd - b)
+    dn = da * dd + a * dD - db * c - b * dc
+    dq = da - dc + dD - db
+    return dn * q_ - n * dq, q_
+
+
+def thresholds_0_6_0(params: GameParams) -> Thresholds:
+    """transitions.thresholds of sniplab 0.6.0: K(gamma) on
+    slope_kernel_0_6_0 at p = 1, bracketed by [1, max(2, 10 to_no_sniping)]
+    and then doubled."""
+    d, n = derive(params), params.H
+    no_sniping = _no_sniping(d, params)
+    h, dh = mm_loss_prob_0_6_0(1.0, n), mm_loss_prob_deriv_0_6_0(1.0, n)
+    k = lambda g: slope_kernel_0_6_0(h, dh, d, g - 1.0, n)[0]
+    if not (k_lo := k(1.0)) > 0:
+        raise ValidationError(f"K(1) = {k_lo} is not positive (underflow) for {params}")
+    hi = max(2.0, 10.0 * no_sniping)
+    while (k_hi := k(hi)) >= 0:
+        hi *= 2.0
+        if hi > 1e9:
+            raise ValidationError("sure-to-probabilistic threshold not bracketed")
+    return Thresholds(_root(k, 1.0, hi, k_lo, k_hi), no_sniping)
+
+
+def slope_kernel_error(gamma: float, h: float, dh: float, d: DerivedParams,
+                       n_agents: int) -> float:
+    """A bound on |fl(K) - K| for the slope numerator K of
+    utility.slope_kernel at (gamma, h, dh), K taken in exact arithmetic on
+    the same float inputs.
+
+    A running error bound (Higham 2002, sec. 3.3) over the kernel's
+    operations in their order: each value carries a bound e on its distance
+    from the exact value, a product x*y adds |x| e_y + |y| e_x + e_x e_y, a
+    sum e_x + e_y, a quotient by the exact n - 1 e_x/(n - 1), and every
+    rounding u/(1 - u) of the rounded result, u = 2**-53.  The inputs, and
+    q = gamma - 1.0 (exact for 1 <= gamma < 2**53), carry no error.
+    """
+    u = 2.0**-53 / (1 - 2.0**-53)
+
+    def mul(x, y):
+        v = x[0] * y[0]
+        return v, abs(x[0]) * y[1] + abs(y[0]) * x[1] + x[1] * y[1] + u * abs(v)
+
+    def add(x, y, sign=1.0):
+        v = x[0] + sign * y[0]
+        return v, x[1] + y[1] + u * abs(v)
+
+    def neg(x):
+        return -x[0], x[1]
+
+    exact = lambda v: (v, 0.0)  # noqa: E731
+    bandits = n_agents - 1
+    m, beta, alpha_bar = exact(d.m), exact(d.beta), exact(d.alpha_bar)
+    mu_bar, theta_bar = exact(d.mu_bar), exact(d.theta_bar)
+    q = exact(gamma - 1.0)
+    win = (h / bandits, u * abs(h / bandits))
+    dwin = (dh / bandits, u * abs(dh / bandits))
+    hh, dhh = exact(h), exact(dh)
+    m_beta = mul(m, beta)
+    aq = mul(alpha_bar, q)
+    bx = mul(beta, add(mul(m, add(q, exact(1.0))), mul(mu_bar, q), -1.0))
+    factor = mul(beta, win)
+    a = mul(m, factor)
+    b = mul(neg(aq), factor)
+    c = neg(add(mul(q, theta_bar), mul(bx, hh)))
+    dd = add(add(exact(1.0), mu_bar), mul(beta, add(m, mul(aq, hh))), -1.0)
+    naqb = mul(neg(aq), beta)
+    da, db = mul(m_beta, dwin), mul(naqb, dwin)
+    dc, dD = mul(neg(bx), dhh), mul(naqb, dhh)
+    num = add(mul(a, dd), mul(b, c), -1.0)
+    den = add(add(a, c, -1.0), add(dd, b, -1.0))
+    dnum = add(add(add(mul(da, dd), mul(a, dD)), mul(db, c), -1.0), mul(b, dc), -1.0)
+    dden = add(add(add(da, dc, -1.0), dD), db, -1.0)
+    return add(mul(dnum, den), mul(num, dden), -1.0)[1]
+
+
 def root_0_2_0(f, lo: float, hi: float, flo: float, fhi: float) -> float:
     """transitions._root of sniplab 0.2.0: regula falsi with the Illinois step,
     and the midpoint in place of every secant point that rounds onto an end."""
@@ -332,7 +478,7 @@ def analytic_mean_0_4_0(
     win, loss = race.mixed_race(p, Population(at_p + 1, sure))
     win *= entry
     d = derive(params)
-    a, b, c, dd = utility.endpoint_values(win, loss, d, d.q)
+    a, b, c, dd = endpoint_values_0_6_0(win, loss, d, d.q)
     h = pop.total
     return ((c * (1.0 - s) + dd * s) + (h - 1) * (a * (1.0 - s) + b * s)) / h
 
@@ -430,13 +576,12 @@ def utility_distribution_enum(
 
 
 def slope_numerator(p: float, params: GameParams) -> float:
-    """N'(p)Q(p) - N(p)Q'(p) at params, from a fresh derive and the endpoints
-    from utility.endpoint_values at d.q."""
+    """N'(p)Q(p) - N(p)Q'(p) at params, from race.mm_loss, a fresh derive and
+    the endpoints from endpoint_values_0_6_0 at d.q."""
     d, n = derive(params), params.H
-    dh = race.mm_loss_prob_deriv(p, n)
+    h, dh = race.mm_loss(p, n)
     dwin = dh / (n - 1)  # (p*g(p))'
-    h = race.mm_loss_prob(p, n)
-    a, b, c, dd = utility.endpoint_values(h / (n - 1), h, d, d.q)
+    a, b, c, dd = endpoint_values_0_6_0(h / (n - 1), h, d, d.q)
     da = d.m * d.beta * dwin
     db = -d.alpha_bar * d.q * d.beta * dwin
     dc = -d.beta * (d.m * (d.q + 1) - d.mu_bar * d.q) * dh
@@ -461,7 +606,7 @@ def gamma_to_probabilistic_by_reference(params: GameParams, no_sniping: float) -
     k = slope_numerator_in_gamma(params)
     if k(1.0) <= 0:
         return 1.0
-    hi = max(2.0, 10.0 * no_sniping)
+    hi = max(2.0, no_sniping)
     while k(hi) >= 0:
         hi *= 2.0
         if hi > 1e9:

@@ -166,14 +166,14 @@ def test_criterion_2_closed_form_enumeration_equivalence():
             # against p E[1/(2+N)] by enumeration
             worst = max(
                 worst,
-                abs(race.mm_loss_prob(p, n) - oracles.mm_loss_prob_enum(p, n)),
+                abs(race.mm_loss(p, n)[0] - oracles.mm_loss_prob_enum(p, n)),
                 abs(
-                    race.mm_loss_prob(p, n) / (n - 1)
+                    race.mm_loss(p, n)[0] / (n - 1)
                     - p * oracles.win_prob_given_entry_enum(p, n)
                 ),
             )
-        assert race.mm_loss_prob(0.0, n) == 0.0
-        assert race.mm_loss_prob(1.0, n) == (n - 1) / n
+        assert race.mm_loss(0.0, n)[0] == 0.0
+        assert race.mm_loss(1.0, n)[0] == (n - 1) / n
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 1.0
     report(
@@ -192,10 +192,8 @@ def test_criterion_3_derivative_checks():
     for n in range(2, 11):
         for p in np.linspace(0.01, 0.99, 25):
             p = float(p)
-            fd_loss = (
-                race.mm_loss_prob(p + step, n) - race.mm_loss_prob(p - step, n)
-            ) / (2 * step)
-            worst_race = max(worst_race, abs(race.mm_loss_prob_deriv(p, n) - fd_loss))
+            fd_loss = (race.mm_loss(p + step, n)[0] - race.mm_loss(p - step, n)[0]) / (2 * step)
+            worst_race = max(worst_race, abs(race.mm_loss(p, n)[1] - fd_loss))
     worst_slope = 0.0
     for gamma in (1.5, 2.6, 3.5, 5.0, 7.0):
         params = fig7(gamma)
@@ -209,11 +207,10 @@ def test_criterion_3_derivative_checks():
     th = tr.thresholds(fig7(2.0))
     slope_at_gk = slope(1.0, fig7(th.to_probabilistic))
     gl_params = fig7(th.to_no_sniping)
-    gl_d, n = derive(gl_params), gl_params.H
-    h0 = race.mm_loss_prob(0.0, n)
-    a, b, c, dd = utility.endpoint_values(h0 / (n - 1), h0, gl_d, gl_d.q)
+    kernel = utility.slope_kernel(derive(gl_params), gl_params.H)
+    a, b, c, dd = kernel(gl_params.gamma, 0.0, lines=True)
     q0 = (a - c) + (dd - b)
-    nprime0 = tr._slope_terms(0.0, gl_d, n)[0] / q0
+    nprime0 = kernel(gl_params.gamma, 0.0) / q0
     elapsed = time.perf_counter() - t0
     ok = (
         worst_race < 1e-6

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sniplab import cli, race, simulator, streams, transitions, utility
-from sniplab.params import GameParams, ValidationError
+from sniplab.params import GameParams, ValidationError, derive
 from sniplab.race import Population
 
 import oracles
@@ -1034,8 +1035,8 @@ class TestDeterminism:
         ]
         old, new = tmp_path / "0.1.0", tmp_path / "0.2.0"
         with monkeypatch.context() as m:
-            m.setattr(race, "mm_loss_prob", oracles.mm_loss_prob_0_1_0)
-            m.setattr(race, "mm_loss_prob_deriv", oracles.mm_loss_prob_deriv_0_1_0)
+            m.setattr(race, "mm_loss", oracles.mm_loss_of(oracles.mm_loss_prob_0_1_0,
+                                                         oracles.mm_loss_prob_deriv_0_1_0))
             m.setattr(transitions, "_root", oracles.root_0_2_0)
             m.setattr(transitions, "_NP_POINTS", ())
             transitions._scan_race.cache_clear()
@@ -1077,8 +1078,8 @@ class TestDeterminism:
                 "2000,5000,10000"]
         old, new = tmp_path / "0.2.0", tmp_path / "0.3.0"
         with monkeypatch.context() as m:
-            m.setattr(race, "mm_loss_prob", oracles.mm_loss_prob_0_5_0)
-            m.setattr(race, "mm_loss_prob_deriv", oracles.mm_loss_prob_deriv_0_5_0)
+            m.setattr(race, "mm_loss", oracles.mm_loss_of(oracles.mm_loss_prob_0_5_0,
+                                                         oracles.mm_loss_prob_deriv_0_5_0))
             m.setattr(transitions, "_root", oracles.root_0_2_0)
             m.setattr(transitions, "_NP_POINTS", ())
             transitions._scan_race.cache_clear()
@@ -1128,8 +1129,8 @@ class TestDeterminism:
             return list(csv.DictReader((out / "sweep_gamma.csv").open()))
 
         with monkeypatch.context() as m:
-            m.setattr(race, "mm_loss_prob", oracles.mm_loss_prob_0_5_0)
-            m.setattr(race, "mm_loss_prob_deriv", oracles.mm_loss_prob_deriv_0_5_0)
+            m.setattr(race, "mm_loss", oracles.mm_loss_of(oracles.mm_loss_prob_0_5_0,
+                                                         oracles.mm_loss_prob_deriv_0_5_0))
             transitions._scan_race.cache_clear()
             for argv in PINNED_COMMANDS:
                 assert run([*argv, "--out", str(tmp_path / "0.5.0")]) == 0, argv[0]
@@ -1154,6 +1155,56 @@ class TestDeterminism:
                         assert a == b, (row_old, row_new)
                         continue
                     assert abs(x - y) <= 1e-13 * abs(x), (field, row_old, row_new)
+
+    def test_thresholds_changed_in_0_7_0_stay_near_0_6_0(self, tmp_path, monkeypatch):
+        # 0.7.0 brackets K(gamma) = N'(1)Q(1) - N(1)Q'(1) by [1, max(2,
+        # to_no_sniping)] before it doubles, where 0.6.0 took [1, max(2,
+        # 10 to_no_sniping)]; the root-finder's iterates, and with them the
+        # last bits of to_probabilistic, may move.  No pinned file moved: with
+        # 0.6.0's thresholds patched in, every pinned command gives the
+        # pinned digests.
+        with monkeypatch.context() as m:
+            m.setattr(transitions, "thresholds", oracles.thresholds_0_6_0)
+            for argv in PINNED_COMMANDS:
+                assert run([*argv, "--out", str(tmp_path)]) == 0, argv[0]
+        for name, digest in PINNED_DIGESTS.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        # Both versions stop where the float kernel changes sign, and the
+        # kernel's bits are 0.6.0's (test_race_and_kernel_match_0_6_0_bit_
+        # for_bit).  With E a bound on the kernel's rounding error
+        # (oracles.slope_kernel_error) at the roots A < B, K(A) <= E and
+        # K(B-) >= -E for the exact K of the same inputs, so B - A is at most
+        # 2E / s plus an ulp, with s the least |K'| between them.  K is
+        # concave to the right of 1, so the secant just left of A bounds s
+        # from below, less the error of its two values.  Measured: 817 of
+        # these 2,000 settings moved, by a median of 5 ulps and at most 1,365
+        # (at rates near 1e-12, where K is flat against its noise), never
+        # past 5.6 % of the bound; at rates 0.01-2, 75 of 2,000 moved, by at
+        # most 5 ulps.
+        rng = random.Random(2907)
+        moved = 0
+        for _ in range(2000):
+            h = min(2**53 - 1, int(math.exp(rng.uniform(math.log(3), math.log(2**53)))))
+            alpha, mu = 10.0 ** rng.uniform(-12, 1), 10.0 ** rng.uniform(-12, 1)
+            pr = GameParams(H=h, alpha=alpha, mu=mu,
+                            delta=10.0 ** rng.uniform(-6, -0.001) / (alpha + mu), gamma=3.0)
+            new = transitions.thresholds(pr).to_probabilistic
+            old = oracles.thresholds_0_6_0(pr).to_probabilistic
+            if new == old:
+                continue
+            moved += 1
+            a, b = min(new, old), max(new, old)
+            d = derive(pr)
+            h1, dh1 = race.mm_loss(1.0, h)
+            kernel = utility.slope_kernel(d, h)
+            k = lambda g: kernel(g, p=1.0, h=h1, dh=dh1)  # noqa: E731
+            err = lambda g: oracles.slope_kernel_error(g, h1, dh1, d, h)  # noqa: E731
+            e = max(err(g) for g in (a, math.nextafter(b, 0.0)))
+            left, right = a * (1 - 2e-6), a * (1 - 1e-6)
+            s = (k(left) - k(right) - err(left) - err(right)) / (right - left)
+            assert s > 0, pr
+            assert b - a <= 2 * e / s + math.ulp(b), (pr, a, b, e, s)
+        assert moved > 0
 
     def test_summary_changed_in_0_4_0_stays_near_0_3_0(self, tmp_path, monkeypatch):
         # 0.4.0 moved only the deceptive analytic_mean cells of summary.csv:

@@ -107,7 +107,7 @@ class TestUtilityDistribution:
         params = GameParams(H=5, alpha=0.45, mu=0.5, delta=0.5, gamma=2.0)
         s = 0.4
         dist = utility.utility_distribution(params, 1.0, Population(5, 0), s)
-        g = race.mm_loss_prob(1.0, params.H) / (params.H - 1)  # mm_loss_prob / ((H-1) p) at p = 1
+        g = race.mm_loss(1.0, params.H)[0] / (params.H - 1)  # mm_loss_prob / ((H-1) p) at p = 1
         d = derive(params)
         expected: dict[float, float] = {}
         for ev in utility.PAYOFF_TABLE:

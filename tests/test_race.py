@@ -16,6 +16,16 @@ from sniplab.race import Population
 import oracles
 
 
+def mm_loss_prob(p, n_agents):
+    """h of race.mm_loss: the market maker loses the race."""
+    return race.mm_loss(p, n_agents)[0]
+
+
+def mm_loss_prob_deriv(p, n_agents):
+    """h' of race.mm_loss: the derivative of h in p."""
+    return race.mm_loss(p, n_agents)[1]
+
+
 def central_diff(f, x, step=1e-6):
     return (f(x + step) - f(x - step)) / (2 * step)
 
@@ -71,42 +81,42 @@ def pmf_arguments(draw):
 
 class TestHomogeneous:
     def test_mm_loss_known_points(self):
-        assert race.mm_loss_prob(1.0, 5) == pytest.approx(0.8, abs=1e-15)
-        assert race.mm_loss_prob(0.0, 5) == 0.0
+        assert mm_loss_prob(1.0, 5) == pytest.approx(0.8, abs=1e-15)
+        assert mm_loss_prob(0.0, 5) == 0.0
         # one opponent enters w.p. 1/2 and then wins a two-way race w.p. 1/2
-        assert race.mm_loss_prob(0.5, 2) == pytest.approx(0.25, abs=1e-15)
+        assert mm_loss_prob(0.5, 2) == pytest.approx(0.25, abs=1e-15)
 
     def test_mm_loss_deriv_known_points(self):
-        assert race.mm_loss_prob_deriv(1.0, 5) == pytest.approx(0.2, abs=1e-15)
-        assert race.mm_loss_prob_deriv(0.0, 5) == pytest.approx(2.0, abs=1e-15)
-        fd = central_diff(lambda p: race.mm_loss_prob(p, 4), 0.5)
-        assert race.mm_loss_prob_deriv(0.5, 4) == pytest.approx(fd, abs=1e-6)
+        assert mm_loss_prob_deriv(1.0, 5) == pytest.approx(0.2, abs=1e-15)
+        assert mm_loss_prob_deriv(0.0, 5) == pytest.approx(2.0, abs=1e-15)
+        fd = central_diff(lambda p: mm_loss_prob(p, 4), 0.5)
+        assert mm_loss_prob_deriv(0.5, 4) == pytest.approx(fd, abs=1e-6)
 
     def test_win_prob_known_points(self):
         # a given bandit enters and wins w.p. p E[1/(2+N)], N ~ Bin(n-2, p),
         # which the package takes as mm_loss_prob / (n-1)
-        assert race.mm_loss_prob(1.0, 5) / 4 == pytest.approx(0.2, abs=1e-15)
-        assert race.mm_loss_prob(0.0, 7) / 6 == 0.0
+        assert mm_loss_prob(1.0, 5) / 4 == pytest.approx(0.2, abs=1e-15)
+        assert mm_loss_prob(0.0, 7) / 6 == 0.0
         # N ~ Bin(1, 1/2): (1/2) ((1/2)(1/2) + (1/2)(1/3))
-        assert race.mm_loss_prob(0.5, 3) / 2 == pytest.approx(5 / 24, abs=1e-15)
+        assert mm_loss_prob(0.5, 3) / 2 == pytest.approx(5 / 24, abs=1e-15)
 
     def test_win_prob_deriv_known_points(self):
         # d/dp of p g(p), with g(p) = E[1/(2+N)], is g(0) = 1/2 at p = 0 and
         # g(1) + g'(1) = 1/n - (n-2)/(n(n-1)) at p = 1; the package takes it as
         # mm_loss_prob_deriv / (n-1)
-        assert race.mm_loss_prob_deriv(1.0, 4) / 3 == pytest.approx(1 / 12, abs=1e-15)
-        assert race.mm_loss_prob_deriv(0.0, 2) / 1 == 0.5
+        assert mm_loss_prob_deriv(1.0, 4) / 3 == pytest.approx(1 / 12, abs=1e-15)
+        assert mm_loss_prob_deriv(0.0, 2) / 1 == 0.5
         fd = central_diff(lambda p: p * oracles.win_prob_given_entry_enum(p, 6), 0.3)
-        assert race.mm_loss_prob_deriv(0.3, 6) / 5 == pytest.approx(fd, abs=1e-6)
+        assert mm_loss_prob_deriv(0.3, 6) / 5 == pytest.approx(fd, abs=1e-6)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_closed_forms_match_enumeration(self, n):
         for p in np.linspace(0.0, 1.0, 11):
             p = float(p)
-            assert race.mm_loss_prob(p, n) == pytest.approx(
+            assert mm_loss_prob(p, n) == pytest.approx(
                 oracles.mm_loss_prob_enum(p, n), abs=1e-12
             )
-            assert race.mm_loss_prob(p, n) / (n - 1) == pytest.approx(
+            assert mm_loss_prob(p, n) / (n - 1) == pytest.approx(
                 p * oracles.win_prob_given_entry_enum(p, n), abs=1e-12
             )
 
@@ -121,7 +131,7 @@ class TestHomogeneous:
         # likely to be the one who beat the market maker
         assert math.isclose(
             p * oracles.win_prob_given_entry_enum(p, n),
-            race.mm_loss_prob(p, n) / (n - 1),
+            mm_loss_prob(p, n) / (n - 1),
             rel_tol=0,
             abs_tol=1e-12,
         )
@@ -129,7 +139,7 @@ class TestHomogeneous:
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
     def test_monotonicity(self, n):
         grid = np.linspace(0.001, 1.0, 50)
-        loss = [race.mm_loss_prob(float(p), n) for p in grid]
+        loss = [mm_loss_prob(float(p), n) for p in grid]
         assert all(b > a for a, b in zip(loss, loss[1:]))
         assert all(0 <= v <= (n - 1) / n for v in loss)
 
@@ -140,7 +150,7 @@ class TestHomogeneous:
         for n in (3, 5, 12):
             for p in (2e-6, 5e-6):
                 series_loss = (n - 1) / 2 * p - (n - 1) * (n - 2) / 6 * p * p
-                assert race.mm_loss_prob(p, n) == pytest.approx(series_loss, abs=1e-8)
+                assert mm_loss_prob(p, n) == pytest.approx(series_loss, abs=1e-8)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 21, 50])
     def test_exact_near_zero(self, n):
@@ -149,8 +159,8 @@ class TestHomogeneous:
         for p in (1e-6, 1.01e-6, 3e-6, 1e-5, 1e-4, 1e-3, 1e-2):
             x = Fraction(p)
             exact = {
-                race.mm_loss_prob: exact_expect(n - 1, x, lambda k: Fraction(k, k + 1)),
-                race.mm_loss_prob_deriv: (n - 1)
+                mm_loss_prob: exact_expect(n - 1, x, lambda k: Fraction(k, k + 1)),
+                mm_loss_prob_deriv: (n - 1)
                 * exact_expect(n - 2, x, lambda k: Fraction(1, (k + 1) * (k + 2))),
             }
             for fn, value in exact.items():
@@ -205,16 +215,16 @@ class TestHomogeneous:
         assert 0.0 < regime.p_star < 1e-3 and regime.u_star > 0.0
         p = regime.p_star
         assert race.mixed_race(p, Population(5000, 0))[1] == pytest.approx(
-            race.mm_loss_prob(p, 5000), rel=1e-12
+            mm_loss_prob(p, 5000), rel=1e-12
         )
 
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
-            race.mm_loss_prob(-0.1, 5)
+            mm_loss_prob(-0.1, 5)
         with pytest.raises(ValidationError):
-            race.mm_loss_prob_deriv(1.2, 5)
+            mm_loss_prob_deriv(1.2, 5)
         with pytest.raises(ValidationError):
-            race.mm_loss_prob(0.5, 1)
+            mm_loss_prob(0.5, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +233,8 @@ class TestHomogeneous:
 # ---------------------------------------------------------------------------
 
 RACE_FUNCTIONS = {
-    "mm_loss_prob": race.mm_loss_prob,
-    "mm_loss_prob_deriv": race.mm_loss_prob_deriv,
+    "mm_loss_prob": mm_loss_prob,
+    "mm_loss_prob_deriv": mm_loss_prob_deriv,
 }
 # the suprema over the valid range of the first-order bounds derived in
 # TestPrecision's docstring, rounded up; in units of u = 2**-53, so in ulps
@@ -583,7 +593,7 @@ class TestMixed:
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_reduction_to_homogeneous(self, p, n):
         win, loss = race.mixed_race(p, Population(n, 0))
-        assert loss == pytest.approx(race.mm_loss_prob(p, n), abs=1e-12)
+        assert loss == pytest.approx(mm_loss_prob(p, n), abs=1e-12)
         assert win == pytest.approx(oracles.win_prob_given_entry_enum(p, n), abs=1e-12)
 
     def test_mm_loss_mixed_known_points(self):
@@ -646,7 +656,7 @@ class TestDeceptiveViewpoint:
         pop = Population(4, 1)
         for p in (0.0, 0.3, 1.0):
             win, loss = deceptive_race(p, pop)
-            assert loss == pytest.approx(race.mm_loss_prob(p, 5), abs=1e-12)
+            assert loss == pytest.approx(mm_loss_prob(p, 5), abs=1e-12)
             assert win == pytest.approx(oracles.win_prob_given_entry_enum(p, 5), abs=1e-12)
 
     def test_sure_sniping_uniform(self):
@@ -686,8 +696,8 @@ class TestDeceptiveViewpoint:
 )
 @settings(max_examples=60)
 def test_derivatives_match_finite_differences(p, n):
-    fd_loss = central_diff(lambda x: race.mm_loss_prob(x, n), p)
-    assert math.isclose(race.mm_loss_prob_deriv(p, n), fd_loss, rel_tol=0, abs_tol=1e-6)
+    fd_loss = central_diff(lambda x: mm_loss_prob(x, n), p)
+    assert math.isclose(mm_loss_prob_deriv(p, n), fd_loss, rel_tol=0, abs_tol=1e-6)
 
 
 @given(

@@ -26,13 +26,16 @@ def scan_grid(h):
 
 def slope_numerator(p, pr):
     """N'(p)Q(p) - N(p)Q'(p) at pr, which shares the sign of du*/dp."""
-    return tr._slope_terms(p, derive(pr), pr.H)[0]
+    return utility.slope_kernel(derive(pr), pr.H)(pr.gamma, p)
 
 
 def slope(p, pr):
-    """du*/dp at pr, as (N'Q - NQ')/Q^2 from the kernel that decides p*."""
-    k, q = tr._slope_terms(p, derive(pr), pr.H)
-    return k / (q * q)
+    """du*/dp at pr, as (N'Q - NQ')/Q^2 from the kernel that decides p*, with
+    Q = (A - C) + (D - B) from the kernel's lines."""
+    kernel = utility.slope_kernel(derive(pr), pr.H)
+    a, b, c, dd = kernel(pr.gamma, p, lines=True)
+    q = (a - c) + (dd - b)
+    return kernel(pr.gamma, p) / (q * q)
 
 
 def params(gamma, **overrides):
@@ -63,8 +66,7 @@ class TestSlope:
         pr = params(3.0)
         point = tr.indifference_at(0.0, pr)
         assert point.u_star == pytest.approx(0.0, abs=1e-15)
-        d = derive(pr)
-        _, _, c, dd = utility.endpoint_values(0.0, race.mm_loss_prob(0.0, pr.H), d, d.q)
+        _, _, c, dd = utility.slope_kernel(derive(pr), pr.H)(pr.gamma, 0.0, lines=True)
         assert point.s_star == pytest.approx(-c / (dd - c), abs=1e-12)
 
 
@@ -108,11 +110,11 @@ class TestThresholds:
         alpha, mu = 10.0**log_alpha, 10.0**log_mu
         pr = GameParams(H=h, alpha=alpha, mu=mu, delta=10.0**log_latency / (alpha + mu),
                         gamma=1.0)
-        h1, dh1 = race.mm_loss_prob(1.0, h), race.mm_loss_prob_deriv(1.0, h)
-        assert tr._slope_kernel(h1, dh1, derive(pr), 0.0, h)[0] > 0
+        h1, dh1 = race.mm_loss(1.0, h)
+        assert utility.slope_kernel(derive(pr), h)(1.0, 1.0, h1, dh1) > 0
 
     def test_non_positive_slope_numerator_refused(self, monkeypatch):
-        monkeypatch.setattr(tr, "_slope_kernel", lambda *args: (0.0, 1.0))
+        monkeypatch.setattr(utility, "slope_kernel", lambda d, n: lambda *args, **kw: 0.0)
         with pytest.raises(ValidationError, match=r"K\(1\) = 0.0 is not positive"):
             tr.thresholds(params(3.0))
 
@@ -260,7 +262,7 @@ class TestRegimeSweep:
         pr = params(1.7575)
         th = tr.thresholds(pr)  # outside the count: it races p = 1
         loss_ps = []
-        monkeypatch.setattr(race, "mm_loss_prob", recording(loss_ps, race.mm_loss_prob))
+        monkeypatch.setattr(race, "mm_loss", recording(loss_ps, race.mm_loss))
         row = tr.regime_row(pr, th)
         assert row["regime"] == tr.SURE
         assert loss_ps == [1.0]
@@ -275,9 +277,39 @@ def recording(log, fn, position=0):
     return wrapper
 
 
+def recording_kernels(log, factory):
+    """utility.slope_kernel, whose kernels append (args, kwargs) to log on
+    every call."""
+    def build(d, n_agents):
+        kernel = factory(d, n_agents)
+
+        def recorded(*args, **kwargs):
+            log.append((args, kwargs))
+            return kernel(*args, **kwargs)
+        return recorded
+    return build
+
+
+def kernel_calls(log):
+    """The p of each kernel call in log, by kind: "K" a K(gamma) step at p = 1
+    (its gamma instead), "scan" a scan point, "root" a p* step and "point" a
+    point of indifference."""
+    kinds = {"K": [], "scan": [], "root": [], "point": []}
+    for args, kwargs in log:
+        if "h" in kwargs:
+            assert kwargs["p"] == 1.0 and len(args) == 1
+            kinds["K"].append(args[0])
+        elif kwargs:
+            assert kwargs == {"lines": True} and len(args) == 2
+            kinds["point"].append(args[1])
+        else:
+            kinds["scan" if len(args) == 4 else "root"].append(args[1])
+    return kinds
+
+
 def below_cutoff(log, fn):
-    """A homogeneous race function fn, appending p to log on every call with
-    n*p below race.CLOSED_FORM_MIN_NP, where it sums a series."""
+    """race.mm_loss, appending p to log on every call with n*p below
+    race.CLOSED_FORM_MIN_NP, where it sums the series."""
     def wrapper(p, n_agents):
         if n_agents * p < race.CLOSED_FORM_MIN_NP:
             log.append(p)
@@ -300,12 +332,47 @@ class TestSlopeKernel:
                 gamma = 1.0 + 59.0 * rng.random() ** 2
                 settings.append(GameParams(H=h, alpha=alpha, mu=mu, delta=delta, gamma=gamma))
         for pr in settings:
-            d, n = derive(pr), pr.H
+            kernel, n = utility.slope_kernel(derive(pr), pr.H), pr.H
             for p in (0.0, 1.0, 0.85 / n, rng.random() / n, rng.random()):
-                assert tr._slope_terms(p, d, n)[0] == oracles.slope_numerator(p, pr), (pr, p)
+                assert kernel(pr.gamma, p) == oracles.slope_numerator(p, pr), (pr, p)
             th = tr.thresholds(pr)
             reference = oracles.gamma_to_probabilistic_by_reference(pr, th.to_no_sniping)
             assert th.to_probabilistic == reference, pr
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(st.data(), st.floats(-12.0, 1.0), st.floats(-12.0, 1.0), st.floats(-6.0, -0.001),
+           st.floats(1.0, 60.0))
+    def test_race_and_kernel_match_0_6_0_bit_for_bit(self, data, log_alpha, log_mu,
+                                                      log_latency, gamma):
+        # race.mm_loss gives the bits of 0.6.0's two race functions, and the
+        # kernel those of 0.6.0's endpoint_values and _slope_kernel: at p = 0,
+        # p = 1, the floats on either side of the cutoff and anywhere, at the
+        # row's gamma and, at p = 1, at any gamma of K's search
+        n = data.draw(st.one_of(st.integers(2, 2**53 - 1),
+                                st.floats(1.0, 53.0).map(lambda e: max(2, int(2.0**e)))))
+        at = race.CLOSED_FORM_MIN_NP / n
+        while n * at < race.CLOSED_FORM_MIN_NP:
+            at = math.nextafter(at, 1.0)
+        while n * math.nextafter(at, 0.0) >= race.CLOSED_FORM_MIN_NP:
+            at = math.nextafter(at, 0.0)
+        p = data.draw(st.sampled_from([0.0, 1.0, math.nextafter(at, 0.0), min(at, 1.0),
+                                       data.draw(st.floats(0.0, 1.0))]))
+        alpha, mu = 10.0**log_alpha, 10.0**log_mu
+        pr = GameParams(H=3, alpha=alpha, mu=mu, delta=10.0**log_latency / (alpha + mu),
+                        gamma=gamma)
+        d = derive(pr)  # d does not depend on H
+        bits = lambda values: [float(v).hex() for v in values]  # noqa: E731
+        old = oracles.mm_loss_prob_0_6_0(p, n), oracles.mm_loss_prob_deriv_0_6_0(p, n)
+        assert bits(race.mm_loss(p, n)) == bits(old)
+        h, dh = old
+        kernel = utility.slope_kernel(d, n)
+        assert bits([kernel(gamma, p)]) == bits([oracles.slope_kernel_0_6_0(h, dh, d, d.q, n)[0]])
+        lines = oracles.endpoint_values_0_6_0(h / (n - 1), h, d, d.q)
+        assert bits(kernel(gamma, p, lines=True)) == bits(lines)
+        h1, dh1 = race.mm_loss(1.0, n)
+        g = data.draw(st.floats(1.0, 1e9))
+        assert bits([kernel(g, p=1.0, h=h1, dh=dh1)]) == bits(
+            [oracles.slope_kernel_0_6_0(h1, dh1, d, g - 1.0, n)[0]])
 
     def test_probabilistic_row_work_counts(self, monkeypatch):
         # counts that host noise cannot move, over one h-sweep row at H = 2,000:
@@ -313,50 +380,55 @@ class TestSlopeKernel:
         # scan's race values once per grid point, each root slope once per p,
         # p* raced twice
         pr = GameParams(H=2000, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
-        built, derived, closed, kernel_qs, slope_ps = [], [], [], [], []
-        loss_ps, deriv_ps = [], []
+        built, derived, closed, calls, race_ps = [], [], [], [], []
         for cls in (GameParams, DerivedParams):
             monkeypatch.setattr(cls, "__post_init__", recording(built, cls.__post_init__))
         monkeypatch.setattr(tr, "derive", recording(derived, derive))
         monkeypatch.setattr(tr, "_no_sniping", recording(closed, tr._no_sniping))
-        monkeypatch.setattr(tr, "_slope_kernel", recording(kernel_qs, tr._slope_kernel, 3))
-        monkeypatch.setattr(tr, "_slope_terms", recording(slope_ps, tr._slope_terms))
-        monkeypatch.setattr(race, "mm_loss_prob", recording(loss_ps, race.mm_loss_prob))
-        monkeypatch.setattr(race, "mm_loss_prob_deriv",
-                            recording(deriv_ps, race.mm_loss_prob_deriv))
+        monkeypatch.setattr(utility, "slope_kernel", recording_kernels(calls, utility.slope_kernel))
+        monkeypatch.setattr(race, "mm_loss", recording(race_ps, race.mm_loss))
         th = tr.thresholds(pr)
-        threshold_qs = list(kernel_qs)  # K(gamma) takes q = gamma - 1
-        del deriv_ps[:]  # thresholds races p = 1 for K(gamma)
+        threshold = kernel_calls(calls)
+        assert race_ps == [1.0]  # K(gamma)'s race values, made once
+        del calls[:], race_ps[:]
         tr._scan_race.cache_clear()  # an earlier test may have scanned H = 2,000
         row = tr.regime_row(pr, th)
         assert row["regime"] == tr.PROBABILISTIC
+        kinds = kernel_calls(calls)
         # thresholds and regime_row
         assert [type(obj).__name__ for obj in built] == ["DerivedParams"] * 2
         assert len(derived) == 2
         assert len(closed) == 1
-        assert len(threshold_qs) == len(set(threshold_qs)) > 0
+        assert len(threshold["K"]) == len(set(threshold["K"])) > 0
+        assert threshold["scan"] == threshold["root"] == threshold["point"] == []
+        assert kinds["K"] == []
         # the scan races each point of the per-H grid once; the root's slopes
-        # lie off the grid
+        # lie off the grid; each point of indifference races its own p
         grid = scan_grid(2000)
         assert len(grid) == len(SCAN_GRID) + len(NP_POINTS)
-        assert sorted(p for p in deriv_ps if p in grid) == grid
-        assert len(slope_ps) == len(set(slope_ps)) > 0
-        assert set(grid).isdisjoint(slope_ps)
-        assert len(deriv_ps) == len(grid) + len(slope_ps)
-        assert loss_ps.count(row["p_star"]) <= 2
+        assert kinds["scan"] == grid
+        assert sorted(p for p in race_ps if p in grid and p != 1.0) == grid[:-1]
+        assert len(kinds["root"]) == len(set(kinds["root"])) > 0
+        assert set(grid).isdisjoint(kinds["root"])
+        assert kinds["point"] == [row["p_star"], 1.0]
+        assert len(race_ps) == len(grid) + len(kinds["root"]) + len(kinds["point"])
+        assert race_ps.count(row["p_star"]) <= 2
 
     def test_gamma_sweep_races_the_scan_once(self, monkeypatch):
         # 20 probabilistic rows at one H race the 21 scan points once in all,
-        # not once per row (420 calls)
+        # not once per row (420 calls); each row's points of indifference, at
+        # p* and at p = 1, race their own p
         pr = params(3.0)
         th = tr.thresholds(pr)  # outside the count: it races p = 1
-        deriv_ps = []
-        monkeypatch.setattr(race, "mm_loss_prob_deriv",
-                            recording(deriv_ps, race.mm_loss_prob_deriv))
+        race_ps, calls = [], []
+        monkeypatch.setattr(race, "mm_loss", recording(race_ps, race.mm_loss))
+        monkeypatch.setattr(utility, "slope_kernel", recording_kernels(calls, utility.slope_kernel))
         tr._scan_race.cache_clear()
         rows = [tr.regime_row(replace(pr, gamma=3.0 + 0.2 * i), th) for i in range(20)]
         assert {row["regime"] for row in rows} == {tr.PROBABILISTIC}
-        assert sum(p in SCAN_GRID for p in deriv_ps) == 21
+        points = kernel_calls(calls)["point"]
+        assert points.count(1.0) == 20
+        assert sum(p in SCAN_GRID for p in race_ps) - sum(p in SCAN_GRID for p in points) == 21
 
     @pytest.mark.parametrize("h", [2000, 5000, 10000])
     def test_large_h_p_star_builds_few_windows(self, h, monkeypatch):
@@ -367,9 +439,7 @@ class TestSlopeKernel:
         # n p = 1 made 23-39.  Counts, not timings, so the guard does not
         # depend on the host's speed
         series = []
-        monkeypatch.setattr(race, "mm_loss_prob", below_cutoff(series, race.mm_loss_prob))
-        monkeypatch.setattr(race, "mm_loss_prob_deriv",
-                            below_cutoff(series, race.mm_loss_prob_deriv))
+        monkeypatch.setattr(race, "mm_loss", below_cutoff(series, race.mm_loss))
         tr._scan_race.cache_clear()
         regime = tr.optimal_sniping(GameParams(H=h, alpha=0.45, mu=0.5, delta=0.5, gamma=4.0))
         assert regime.kind == tr.PROBABILISTIC
@@ -381,22 +451,54 @@ class TestSlopeKernel:
         # 0.85/H, the scan points c/H bracket p* on the n*p scale: a cold
         # optimal_sniping takes at most 14 p* slope evaluations (34 on average
         # and up to 62 when the bracket was [0, 0.05]), and its only race
-        # calls below race.CLOSED_FORM_MIN_NP are the scan's two at p = 0;
-        # every other race call, the root's iterates included, is a closed
-        # form.  Counts, not timings, so the guard does not depend on the
-        # host's speed
+        # call below race.CLOSED_FORM_MIN_NP is the scan's at p = 0; every
+        # other race call, the root's iterates included, is a closed form.
+        # Counts, not timings, so the guard does not depend on the host's
+        # speed
         for h in range(2000, 10001, 500):
-            slope_ps, series = [], []
+            calls, series = [], []
             with monkeypatch.context() as m:
-                m.setattr(tr, "_slope_terms", recording(slope_ps, tr._slope_terms))
-                m.setattr(race, "mm_loss_prob", below_cutoff(series, race.mm_loss_prob))
-                m.setattr(race, "mm_loss_prob_deriv",
-                          below_cutoff(series, race.mm_loss_prob_deriv))
+                m.setattr(utility, "slope_kernel", recording_kernels(calls, utility.slope_kernel))
+                m.setattr(race, "mm_loss", below_cutoff(series, race.mm_loss))
                 tr._scan_race.cache_clear()
                 regime = tr.optimal_sniping(params(4.0, H=h))
             assert regime.kind == tr.PROBABILISTIC, h
+            slope_ps = kernel_calls(calls)["root"]
             assert 0 < len(slope_ps) <= 14, (h, len(slope_ps))
-            assert series in ([0.0], [0.0, 0.0]), (h, series)
+            assert series == [0.0], (h, series)
+
+    def test_h_sweep_threshold_work(self, monkeypatch):
+        # K(gamma) is bracketed by [1, max(2, to_no_sniping)], where 0.6.0 took
+        # [1, 10 to_no_sniping]: over the 16 rows H = 2,000-9,500 of an H
+        # sweep at the Fig. 7 rates and gamma 4, a threshold takes 15.1 K
+        # evaluations on average (241 in all), against 21.2 (339) with the
+        # wider bracket.  A row makes 52.2 kernel calls, its two points of
+        # indifference included, and 38.1 race calls, each of h and h' at
+        # once (835 and 610 in all); 0.6.0 made 56.3 slope kernel calls and
+        # 74.3 race calls, 38.1 of h and 36.1 of h'.  Counts, not timings,
+        # so the guard does not depend on the host's speed
+        k_steps, old_steps, kernels, races = [], [], [], []
+        for h in range(2000, 9501, 500):
+            pr = params(4.0, H=h)
+            calls, race_ps = [], []
+            with monkeypatch.context() as m:
+                m.setattr(utility, "slope_kernel", recording_kernels(calls, utility.slope_kernel))
+                m.setattr(race, "mm_loss", recording(race_ps, race.mm_loss))
+                tr._scan_race.cache_clear()
+                row = tr.regime_row(pr, tr.thresholds(pr))
+            assert row["regime"] == tr.PROBABILISTIC, h
+            k_steps.append(len(kernel_calls(calls)["K"]))
+            kernels.append(len(calls))
+            races.append(len(race_ps))
+            old = []
+            with monkeypatch.context() as m:
+                m.setattr(oracles, "slope_kernel_0_6_0",
+                          recording(old, oracles.slope_kernel_0_6_0, 3))
+                oracles.thresholds_0_6_0(pr)
+            old_steps.append(len(old))
+        assert sum(old_steps) == 339
+        assert sum(k_steps) <= 241 and max(k_steps) < min(old_steps)
+        assert sum(kernels) <= 835 and sum(races) <= 610
 
     def test_scan_grid_per_h(self):
         # at H = 5 no point c/H falls inside (0, 0.05): a gamma sweep at the

@@ -12,7 +12,6 @@ from sniplab.utility import (
     PAYOFF_TABLE,
     ParallelLinesError,
     bandit_zero_crossing,
-    endpoint_values,
     evaluate,
     first_event_prob,
     indifference,
@@ -41,12 +40,11 @@ def event_prob(ev, pr):
 
 
 def lines(p_snipe, pr):
-    """(A, B, C, D) of a trustworthy agent among H trustworthy agents, from the
-    mixed race with the win weighted by p, as utility_distribution weights it."""
-    pop = Population(pr.H, 0)
-    d = derive(pr)
-    win, loss = race.mixed_race(p_snipe, pop)
-    return endpoint_values(p_snipe * win, loss, d, d.q)
+    """(A, B, C, D) of a trustworthy agent among H trustworthy agents: the
+    lines of utility.slope_kernel at the market maker's loss from the mixed
+    race, of which each of the H - 1 bandits wins an equal share."""
+    loss = race.mixed_race(p_snipe, Population(pr.H, 0))[1]
+    return utility.slope_kernel(derive(pr), pr.H)(pr.gamma, p_snipe, h=loss, lines=True)
 
 
 def line_at(at0, at1, s):
@@ -222,8 +220,8 @@ class TestEndpoints:
         pr = params(gamma=3.0)
         d = derive(pr)
         a, b, c, dd = lines(0.4, pr)
-        pg = race.mm_loss_prob(0.4, pr.H) / (pr.H - 1)
-        h = race.mm_loss_prob(0.4, pr.H)
+        pg = race.mm_loss(0.4, pr.H)[0] / (pr.H - 1)
+        h = race.mm_loss(0.4, pr.H)[0]
         assert a == pytest.approx(d.m * d.beta * pg, abs=1e-14)
         assert b == pytest.approx(-d.alpha_bar * d.q * d.beta * pg, abs=1e-14)
         assert c == pytest.approx(
