@@ -239,7 +239,7 @@ def _parse_grid(spec: str) -> list[float]:
 
 def cmd_analyze(args: argparse.Namespace, params: GameParams, resolved: dict,
                 out: Path) -> list[str]:
-    row = transitions.regime_row(params, transitions.thresholds(params))
+    row = transitions.regime_rows(params)(params.gamma)
     probabilistic = row["regime"] == transitions.PROBABILISTIC
     report = _require_finite({
         "gamma_probabilistic": row["gamma_probabilistic"],
@@ -284,10 +284,7 @@ def cmd_sweep(args: argparse.Namespace, params: GameParams, resolved: dict,
 
     elif variable == "gamma":
         fields = ["gamma", *regime_fields]
-        th = transitions.thresholds(params)  # they do not depend on gamma
-
-        def row_of(gamma: float) -> dict:
-            return transitions.regime_row(replace(params, gamma=gamma), th)
+        row_of = transitions.regime_rows(params)
 
     elif variable in ("alpha", "mu", "delta", "H"):
         fields = [variable, "gamma_probabilistic", "gamma_no_sniping", *regime_fields]
@@ -297,7 +294,7 @@ def cmd_sweep(args: argparse.Namespace, params: GameParams, resolved: dict,
             integral = variable == "H" and value.is_integer()
             setting = {variable: int(value) if integral else value}
             trial = replace(params, **setting)
-            return setting | transitions.regime_row(trial, transitions.thresholds(trial))
+            return setting | transitions.regime_rows(trial)(trial.gamma)
 
     else:
         raise ValidationError(f"unknown sweep variable {variable!r}")

@@ -25,6 +25,13 @@ class ValidationError(ValueError):
     """A parameter set or argument violates a model invariant."""
 
 
+def check_gamma(gamma: float) -> None:
+    """GameParams' rule for gamma, which a sweep over gamma applies to each
+    value without building a GameParams."""
+    if not 1 <= gamma < math.inf:
+        raise ValidationError(f"gamma must be finite and >= 1 (got {gamma})")
+
+
 @dataclass(frozen=True)
 class GameParams:
     """Primitive parameters of the stage game.
@@ -55,8 +62,7 @@ class GameParams:
             raise ValidationError(f"mu must be finite and positive (got {self.mu})")
         if not 0 < self.delta < math.inf:
             raise ValidationError(f"delta must be finite and positive (got {self.delta})")
-        if not 1 <= self.gamma < math.inf:
-            raise ValidationError(f"gamma must be finite and >= 1 (got {self.gamma})")
+        check_gamma(self.gamma)
         if not 0 < self.sigma < math.inf:
             raise ValidationError(f"sigma must be finite and positive (got {self.sigma})")
         load = (self.alpha + self.mu) * self.delta

@@ -37,6 +37,12 @@ r below n*p/3 and 2 n*p/3, so under the cutoff sum |t| / |sum t| <= 1/(1-r)^2
 is at most 1.8 and 4.  A series stops where a term falls to 2**-56 of the
 first (an alternating tail is smaller than its first term), after at most 17
 terms, and adds them smallest first; p = 0 gives the exact 0 and (n-1)/2.
+``_series`` forms both in one loop, which shares (k-n) p between them and
+stops each series at its own cut.  The ratios' extra factors k/(k-1)
+multiply out to j at the j-th term, so each term of h', relative to its
+first, is j >= 2 times the term of h taken the same way (a margin that the
+few ulps of their rounding cannot close): h stops no later than h', and the
+loop ends where h' stops.
 ``tests/test_race.py`` derives the error bounds of h and h' in ulps and checks
 them against a ``decimal`` reference in ``tests/oracles.py``.
 
@@ -165,15 +171,25 @@ def _binom_pmf(n: int, p: float) -> enumerate:
     return enumerate([x / total for x in w], start)
 
 
-def _series(t: float, n: int, p: float, deriv: bool) -> float:
-    """The series of the module docstring from its k = 2 term t."""
-    terms, cut = [t], t * 2.0**-56
+def _series(n: int, p: float) -> tuple[float, float]:
+    """(h, h'): the two series of the module docstring, from one loop."""
+    t, u = (n - 1) * p / 2, (n - 1) / 2
+    h_terms, dh_terms = [t], [u]
+    t_cut, u_cut = t * 2.0**-56, u * 2.0**-56
+    h_open = True
     for k in range(2, n):
-        t *= (k - n) * p * k / (k * k - 1) if deriv else (k - n) * p / (k + 1)
-        if -cut <= t <= cut:
-            break
-        terms.append(t)
-    return sum(terms[::-1])
+        r = (k - n) * p
+        if h_open:
+            t *= r / (k + 1)
+            if -t_cut <= t <= t_cut:
+                h_open = False
+            else:
+                h_terms.append(t)
+        u *= r * k / (k * k - 1)
+        if -u_cut <= u <= u_cut:
+            break  # h has stopped too
+        dh_terms.append(u)
+    return sum(h_terms[::-1]), sum(dh_terms[::-1])
 
 
 def mm_loss(p: float, n_agents: int) -> tuple[float, float]:
@@ -186,7 +202,7 @@ def mm_loss(p: float, n_agents: int) -> tuple[float, float]:
     n = n_agents
     z = n * p
     if z < CLOSED_FORM_MIN_NP:
-        return _series((n - 1) * p / 2, n, p, False), _series((n - 1) / 2, n, p, True)
+        return _series(n, p)
     log_q = log1p(-p) if p < 1.0 else -inf
     y = (n - 1) * log_q
     return (expm1(n * log_q) + z) / z, -(expm1(y) + (n - 1) * p * exp(y)) / (n * p * p)

@@ -33,31 +33,41 @@ an H sweep at 2,000-10,000, and bracketed no p*).
 Both zeros in this module, p* and K(gamma), are found by one bracketed
 root-finder, ``_root``: regula falsi with the Illinois step, run to float
 precision, with a next-float probe where the secant point rounds onto an end
-of the bracket.  Each evaluation is one call of a ``utility.slope_kernel``,
-built once per ``derive`` and n: float arithmetic on (h, h') = race.mm_loss(p,
-n).  K(gamma)'s race values are fixed, while a p* step makes one race call.
-K is bracketed by [1, max(2, to_no_sniping)], and the upper end doubles
-until K is negative there; over the rows of an H sweep at the Fig. 7 rates
-and gamma 4 this takes 15.1 K evaluations, against 21.2 on [1, 10
-to_no_sniping] (BENCH_29.json).  The scan's race values depend on n
-alone: ``_scan_race`` computes them once per n and keeps those of the last n.
-So the rows of a gamma sweep, which share H, scan by kernel arithmetic alone
-and race only their p* steps and points of indifference.  An H sweep gives
-every row a new n, so its rows race the scan every time.  The timings of
-these steps are recorded in BENCH_21.json and BENCH_22.json.  The iterates
-are part of the output: an Anderson-Bjorck step in place of the Illinois one
-moved the last bits of p* in 60 and 62 of 400 random settings and saved
-0.2-2.9 % of the evaluations, so that step was not taken.
+of the bracket.  Each evaluation is one call of a ``utility.slope_kernel``
+bound to a gamma: float arithmetic on (h, h') = race.mm_loss(p, n).  The
+kernel is built once per ``derive`` and n, and bound once per gamma, so
+K(gamma) binds every step, a row once.  K(gamma)'s race values are fixed,
+while a p* step makes one race call.  K is bracketed by
+[1, max(2, to_no_sniping)], and the upper end doubles until K is negative
+there; over the rows of an H sweep at the Fig. 7 rates and gamma 4 this
+takes 15.1 K evaluations, against 21.2 on [1, 10 to_no_sniping]
+(BENCH_29.json).
+
+``regime_rows`` gives the rows of a sweep over gamma: one ``derive``, one
+kernel and one ``thresholds`` serve them all, and each row binds the kernel
+to its gamma.  An H, rate or ``analyze`` row is such a sweep's one row, so
+its thresholds and classification share a derive and a kernel too.  The
+race values at p = 1 that K(gamma) uses serve every point of indifference at
+p = 1, and the scan's entry at p = 0 every point at p = 0.  The scan's race
+values depend on n alone: ``_scan_race`` computes them once per n and keeps
+those of the last n.  So the rows of a gamma sweep, which share H, scan by
+kernel arithmetic alone and race only their p* steps and the points at p*.
+An H sweep gives every row a new n, so its rows race the scan every time.
+The timings of these steps are recorded in BENCH_21.json, BENCH_22.json and
+BENCH_30.json.  The iterates are part of the output: an Anderson-Bjorck step
+in place of the Illinois one moved the last bits of p* in 60 and 62 of 400
+random settings and saved 0.2-2.9 % of the evaluations, so that step was not
+taken.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import race, utility
-from .params import DerivedParams, GameParams, ValidationError, derive
+from .params import DerivedParams, GameParams, ValidationError, check_gamma, derive
 from .utility import IndifferencePoint
 
 # An optimised u* at or below this is numerically indistinguishable from the
@@ -139,14 +149,16 @@ def _root(f, lo: float, hi: float, flo: float, fhi: float) -> float:
             side = -1
 
 
-def _point(kernel, gamma: float, p: float) -> IndifferencePoint:
-    """Point of indifference on the lines of a ``utility.slope_kernel``."""
-    return utility.indifference(*kernel(gamma, p, lines=True))
+def _point(kernel, p: float, h: float | None = None,
+           dh: float | None = None) -> IndifferencePoint:
+    """Point of indifference on the lines of a bound ``utility.slope_kernel``,
+    at the race values h, dh of p if given."""
+    return utility.indifference(*kernel(p, h, dh, lines=True))
 
 
 def indifference_at(p: float, params: GameParams) -> IndifferencePoint:
     """Point of indifference (s*(p), u*(p)) for the homogeneous game."""
-    return _point(utility.slope_kernel(derive(params), params.H), params.gamma, p)
+    return _point(utility.slope_kernel(derive(params), params.H)(params.gamma), p)
 
 
 @functools.lru_cache(maxsize=1)
@@ -173,8 +185,18 @@ def _no_sniping(d: DerivedParams, params: GameParams) -> float:
     return 1.0 + math.sqrt(ratio)
 
 
-def thresholds(params: GameParams) -> Thresholds:
-    """Both risk-aversion thresholds, from one ``derive`` of params.
+def _shared(params: GameParams):
+    """(d, bind, one) of params: d = derive(params), bind its
+    ``utility.slope_kernel`` and one = (1.0, h, h') its race values at p = 1,
+    which K(gamma) and the point of indifference at p = 1 share."""
+    d, n = derive(params), params.H
+    return d, utility.slope_kernel(d, n), (1.0, *race.mm_loss(1.0, n))
+
+
+def thresholds(params: GameParams, shared=None) -> Thresholds:
+    """Both risk-aversion thresholds, from one ``derive`` of params, or from
+    ``_shared(params)`` if given: a caller that classifies params too passes
+    it, so that both share one derive and one kernel.
 
     ``Thresholds.to_no_sniping`` is the module's closed form; where it
     overflows, a ValidationError is raised before K is searched.
@@ -186,13 +208,12 @@ def thresholds(params: GameParams) -> Thresholds:
     to 10**6 and rates down to 1e-12); a K(1) that underflows to zero is
     refused.
     """
-    d, n = derive(params), params.H
+    d, bind, (_, h, dh) = shared or _shared(params)
     no_sniping = _no_sniping(d, params)
     # K is the kernel at p = 1 as a function of gamma: the race values do not
-    # depend on gamma, and the kernel's gamma - 1.0 has the bits of
+    # depend on gamma, and bind's gamma - 1.0 has the bits of
     # derive(replace(params, gamma=gamma)).q
-    h, dh = race.mm_loss(1.0, n)
-    k = functools.partial(utility.slope_kernel(d, n), p=1.0, h=h, dh=dh)
+    k = lambda g: bind(g)(1.0, h, dh)
     if not (k_lo := k(1.0)) > 0:
         raise ValidationError(f"K(1) = {k_lo} is not positive (underflow) for {params}")
     hi = max(2.0, no_sniping)
@@ -203,21 +224,22 @@ def thresholds(params: GameParams) -> Thresholds:
     return Thresholds(_root(k, 1.0, hi, k_lo, k_hi), no_sniping)
 
 
-def _classify(params: GameParams, kernel, th: Thresholds) -> SnipingRegime:
-    """The regime of params, given its ``utility.slope_kernel`` and its
+def _classify(params: GameParams, gamma: float, kernel, one, th: Thresholds) -> SnipingRegime:
+    """The regime of params at risk aversion gamma, given its
+    ``utility.slope_kernel`` bound at gamma, its race values at p = 1 and its
     thresholds.
 
     Between the thresholds, each descending sign change of du*/dp on the
     scan grid of ``_scan_race`` brackets a local maximum of u*; ``_root``
-    locates each on the slope numerator and the best candidate wins.
+    locates each on the slope numerator and the best candidate wins.  The
+    points at p = 1 and p = 0 take their race values from one and the scan.
     """
-    n, gamma = params.H, params.gamma
     if gamma < th.to_probabilistic:
-        point = _point(kernel, gamma, 1.0)
+        point = _point(kernel, *one)
         return SnipingRegime(SURE, 1.0, point.u_star, point.s_star)
+    scan = _scan_race(params.H)
     if gamma < th.to_no_sniping:
-        scan = _scan_race(n)
-        slopes = [kernel(gamma, p, h, dh) for p, h, dh in scan]
+        slopes = [kernel(p, h, dh) for p, h, dh in scan]
         brackets = [
             (scan[i][0], scan[i + 1][0], slopes[i], slopes[i + 1])
             for i in range(len(scan) - 1)
@@ -228,46 +250,58 @@ def _classify(params: GameParams, kernel, th: Thresholds) -> SnipingRegime:
 
             logging.getLogger(__name__).warning(
                 "u*(p) not unimodal for %s: %d descending brackets %s; taking the best",
-                params, len(brackets), [b[:2] for b in brackets],
+                replace(params, gamma=gamma), len(brackets), [b[:2] for b in brackets],
             )
-        # without a sign change (gamma within rounding of a threshold) the
-        # maximum lies at an end of [0, 1]
-        slope = functools.partial(kernel, gamma)
-        roots = [_root(slope, *b) for b in brackets] or [0.0, 1.0]
-        p_star, point = max(((p, _point(kernel, gamma, p)) for p in roots),
+        # each candidate is (p,), raced at its point, or (p, h, h'); without a
+        # sign change (gamma within rounding of a threshold) the maximum lies
+        # at an end of [0, 1]
+        candidates = [(_root(kernel, *b),) for b in brackets] or [scan[0], one]
+        p_star, point = max(((c[0], _point(kernel, *c)) for c in candidates),
                             key=lambda c: c[1].u_star)
         if point.u_star > PLAYABLE_TOL:
             return SnipingRegime(PROBABILISTIC, p_star, point.u_star, point.s_star)
-    point = _point(kernel, gamma, 0.0)
+    point = _point(kernel, *scan[0])
     return SnipingRegime(NO_SNIPING, 0.0, 0.0, point.s_star)
 
 
 def optimal_sniping(params: GameParams) -> SnipingRegime:
     """Classify the regime and, when probabilistic, find argmax_p u*(p)."""
-    return _classify(params, utility.slope_kernel(derive(params), params.H), thresholds(params))
+    shared = _shared(params)
+    _, bind, one = shared
+    return _classify(params, params.gamma, bind(params.gamma), one, thresholds(params, shared))
 
 
-def regime_row(params: GameParams, th: Thresholds) -> dict[str, object]:
-    """Classify params against its thresholds: one row of a regime sweep.
+def regime_rows(params: GameParams):
+    """row(gamma): one row of a regime sweep over gamma, at params' other
+    fields.
 
     Columns: gamma, regime, p_star (see ``SnipingRegime``), s_star,
     u_sure = u*(1), u_opt, the utility of the optimal regime, and the two
-    thresholds gamma_probabilistic and gamma_no_sniping.  ``th`` must be
-    ``thresholds(params)``, or those of a parameter set that differs from
-    params only in gamma: the thresholds do not depend on gamma, so a sweep
-    over gamma computes them once.
+    thresholds gamma_probabilistic and gamma_no_sniping.  The thresholds do
+    not depend on gamma, and neither do the slope kernel's products of the
+    rates, so every row shares one ``derive``, one kernel and one
+    ``thresholds``; a row checks its gamma by ``GameParams``' rule and binds
+    the kernel to it.  ``regime_rows(params)(params.gamma)`` is the row of
+    params itself.
     """
-    kernel = utility.slope_kernel(derive(params), params.H)
-    regime = _classify(params, kernel, th)
-    return {
-        "gamma": params.gamma,
-        "regime": regime.kind,
-        "p_star": regime.p_star,
-        "s_star": regime.s_star,
-        # a sure regime is the point at p = 1 already
-        "u_sure": (regime.u_star if regime.kind == SURE
-                   else _point(kernel, params.gamma, 1.0).u_star),
-        "u_opt": regime.u_star,
-        "gamma_probabilistic": th.to_probabilistic,
-        "gamma_no_sniping": th.to_no_sniping,
-    }
+    shared = _shared(params)
+    _, bind, one = shared
+    th = thresholds(params, shared)
+
+    def row(gamma: float) -> dict[str, object]:
+        check_gamma(gamma)
+        kernel = bind(gamma)
+        regime = _classify(params, gamma, kernel, one, th)
+        return {
+            "gamma": gamma,
+            "regime": regime.kind,
+            "p_star": regime.p_star,
+            "s_star": regime.s_star,
+            # a sure regime is the point at p = 1 already
+            "u_sure": regime.u_star if regime.kind == SURE else _point(kernel, *one).u_star,
+            "u_opt": regime.u_star,
+            "gamma_probabilistic": th.to_probabilistic,
+            "gamma_no_sniping": th.to_no_sniping,
+        }
+
+    return row

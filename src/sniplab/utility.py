@@ -24,16 +24,19 @@ roster, for either class: its ``mean`` is the analytic mean that
 Expected utilities for both roles are affine in the spread s, so they are
 summarised by their endpoints: the bandit line runs from A = E U_B(0) to
 B = E U_B(1), the market-maker line from C = E U_M(0) to D = E U_M(1).
-``slope_kernel`` writes A..D and their p-derivatives once, the one form of
-the lines: it returns the slope of u* that ``transitions`` finds roots on, or
-(A, B, C, D), which ``indifference`` intersects.  An event's probability is
-``first_event_prob(ev, d) * second_event_prob(ev.second, d)``.
+``slope_kernel(d, n)(gamma)`` is the one form of the lines: a kernel that
+writes A..D and their p-derivatives once and returns the slope of u* that
+``transitions`` finds roots on, or (A, B, C, D), which ``indifference``
+intersects.  Its products of d alone are formed once per ``derive`` and n,
+those of gamma alone once per gamma, so a gamma sweep builds one.  An event's
+probability is ``first_event_prob(ev, d) * second_event_prob(ev.second, d)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MethodType
 from typing import Iterable, Iterator
 
 from . import race
@@ -234,40 +237,49 @@ def utility_distribution(params: GameParams, p: float, pop: Population, s: float
 
 
 def slope_kernel(d: DerivedParams, n_agents: int):
-    """kernel(gamma, p, h=None, dh=None, lines=False) of the homogeneous game.
+    """bind(gamma) -> kernel(p, h=None, dh=None, lines=False) of the
+    homogeneous game.
 
     With h, dh = race.mm_loss(p, n_agents) unless given, and q = gamma - 1.0
-    (d.q's bits at d's gamma; nothing else in d depends on gamma), it returns
-    N'Q - NQ' of u* = N/Q, N = A*D - B*C, Q = (A - C) + (D - B), with
+    (d.q's bits at d's gamma; nothing else in d depends on gamma), a kernel
+    returns N'Q - NQ' of u* = N/Q, N = A*D - B*C, Q = (A - C) + (D - B), with
     ``indifference``'s operations; or (A, B, C, D) if lines.  The win is
     h/(n-1), each bandit being as likely to have beaten the market maker.
-    d's fields and the products free of h, dh and q are formed once.
+    d's fields and the products free of h, dh and q are formed once per
+    slope_kernel; q and the products of q alone once per bind.  bind gives
+    them to the kernel as its first argument, by a method
+    (``types.MethodType``) rather than a closure: K(gamma) binds a new gamma
+    at every step, and a method is the cheaper of the two to make.
     """
     m, beta, alpha_bar, mu_bar, theta_bar = d.m, d.beta, d.alpha_bar, d.mu_bar, d.theta_bar
     m_beta, one_mu = m * beta, 1.0 + mu_bar
     bandits = n_agents - 1
 
-    def kernel(gamma: float, p: float, h: float | None = None, dh: float | None = None,
-               lines: bool = False):
+    def kernel(of_q: tuple[float, ...], p: float, h: float | None = None,
+               dh: float | None = None, lines: bool = False):
         if h is None:
             h, dh = race.mm_loss(p, n_agents)
-        q = gamma - 1.0
-        aq = alpha_bar * q
-        bx = beta * (m * (q + 1) - mu_bar * q)
+        aq, naq, bx, q_theta, naqb = of_q
         factor = beta * (h / bandits)
         a = m * factor
-        b = -aq * factor
-        c = -(q * theta_bar + bx * h)
+        b = naq * factor
+        c = -(q_theta + bx * h)
         dd = one_mu - beta * (m + aq * h)
         if lines:
             return a, b, c, dd
-        dwin, naqb = dh / bandits, -aq * beta  # dwin = (p*g(p))'
+        dwin = dh / bandits  # (p*g(p))'
         da, db, dc, dD = m_beta * dwin, naqb * dwin, -bx * dh, naqb * dh
         num = a * dd - b * c
         den = (a - c) + (dd - b)
         return (da * dd + a * dD - db * c - b * dc) * den - num * (da - dc + dD - db)
 
-    return kernel
+    def bind(gamma: float):
+        q = gamma - 1.0
+        aq = alpha_bar * q
+        bx = beta * (m * (q + 1) - mu_bar * q)
+        return MethodType(kernel, (aq, -aq, bx, q * theta_bar, -aq * beta))
+
+    return bind
 
 
 class ParallelLinesError(ValidationError):
@@ -287,7 +299,7 @@ class IndifferencePoint:
 
 
 def indifference(a: float, b: float, c: float, d: float) -> IndifferencePoint:
-    """Intersection of the lines from endpoint_values' (A, B, C, D): both roles
+    """Intersection of the lines (A, B, C, D) of a ``slope_kernel``: both roles
     earn u_star at spread s_star."""
     denom = (a - c) + (d - b)
     if abs(denom) < PARALLEL_TOL:

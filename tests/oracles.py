@@ -32,6 +32,13 @@ implementation of, and the tests compare the two:
   and the slope kernel as sniplab 0.3.0 to 0.6.0 assembled them, from any
   two race probabilities and a separate endpoint call;
   ``utility.slope_kernel`` must give their bits;
+* ``series_0_7_0`` -- ``race._series`` of sniplab 0.6.0 and 0.7.0, one call
+  per series; the one-loop form must give their bits;
+* ``slope_kernel_0_7_0``, ``thresholds_0_7_0`` and ``regime_row_0_7_0`` --
+  the kernel, thresholds and regime row of sniplab 0.7.0, which built a
+  GameParams, a ``derive`` and a kernel for every row of a gamma sweep and
+  formed q's products at every kernel call; the sweep's shared kernel must
+  give their rows bit for bit;
 * ``thresholds_0_6_0`` -- ``transitions.thresholds`` of sniplab 0.6.0, which
   bracketed K(gamma) by [1, 10 to_no_sniping]; ``slope_kernel_error`` bounds
   the rounding error of the kernel, from which tests/test_cli.py derives how
@@ -71,6 +78,7 @@ implementation of, and the tests compare the two:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -79,7 +87,8 @@ from fractions import Fraction
 from sniplab import race, utility
 from sniplab.params import DerivedParams, GameParams, ValidationError, derive
 from sniplab.race import Population, _check_n, _check_p
-from sniplab.transitions import Thresholds, _no_sniping, _root
+from sniplab.transitions import (NO_SNIPING, PLAYABLE_TOL, PROBABILISTIC, SURE, Thresholds,
+                                  _no_sniping, _root, _scan_race)
 from sniplab.utility import DECEPTIVE, TRUSTWORTHY, UtilityDistribution, _merged
 
 
@@ -223,6 +232,19 @@ def mm_loss_prob_deriv_0_5_0(p: float, n_agents: int) -> float:
     return -(math.expm1(y) + (n - 1) * p * math.exp(y)) / (n * p * p)
 
 
+def series_0_7_0(t: float, n: int, p: float, deriv: bool) -> float:
+    """race._series of sniplab 0.6.0 and 0.7.0: the series of h, or of h' if
+    deriv, from its k = 2 term t; a race call summed the two one after the
+    other.  ``race._series`` must give their bits from one loop."""
+    terms, cut = [t], t * 2.0**-56
+    for k in range(2, n):
+        t *= (k - n) * p * k / (k * k - 1) if deriv else (k - n) * p / (k + 1)
+        if -cut <= t <= cut:
+            break
+        terms.append(t)
+    return sum(terms[::-1])
+
+
 def mm_loss_prob_0_6_0(p: float, n_agents: int) -> float:
     """race.mm_loss_prob of sniplab 0.6.0: the alternating series below
     n*p = race.CLOSED_FORM_MIN_NP and the log1p closed form at and above."""
@@ -231,7 +253,7 @@ def mm_loss_prob_0_6_0(p: float, n_agents: int) -> float:
     n = n_agents
     z = n * p
     if z < race.CLOSED_FORM_MIN_NP:
-        return race._series((n - 1) * p / 2, n, p, False)
+        return series_0_7_0((n - 1) * p / 2, n, p, False)
     return (math.expm1(n * (math.log1p(-p) if p < 1.0 else -math.inf)) + z) / z
 
 
@@ -241,7 +263,7 @@ def mm_loss_prob_deriv_0_6_0(p: float, n_agents: int) -> float:
     _check_n(n_agents)
     n = n_agents
     if n * p < race.CLOSED_FORM_MIN_NP:
-        return race._series((n - 1) / 2, n, p, True)
+        return series_0_7_0((n - 1) / 2, n, p, True)
     y = (n - 1) * (math.log1p(-p) if p < 1.0 else -math.inf)
     return -(math.expm1(y) + (n - 1) * p * math.exp(y)) / (n * p * p)
 
@@ -300,6 +322,92 @@ def thresholds_0_6_0(params: GameParams) -> Thresholds:
         if hi > 1e9:
             raise ValidationError("sure-to-probabilistic threshold not bracketed")
     return Thresholds(_root(k, 1.0, hi, k_lo, k_hi), no_sniping)
+
+
+def slope_kernel_0_7_0(d: DerivedParams, n_agents: int):
+    """utility.slope_kernel of sniplab 0.7.0: kernel(gamma, p, h=None, dh=None,
+    lines=False), which formed q and its products at every call."""
+    m, beta, alpha_bar, mu_bar, theta_bar = d.m, d.beta, d.alpha_bar, d.mu_bar, d.theta_bar
+    m_beta, one_mu = m * beta, 1.0 + mu_bar
+    bandits = n_agents - 1
+
+    def kernel(gamma, p, h=None, dh=None, lines=False):
+        if h is None:
+            h, dh = race.mm_loss(p, n_agents)
+        q = gamma - 1.0
+        aq = alpha_bar * q
+        bx = beta * (m * (q + 1) - mu_bar * q)
+        factor = beta * (h / bandits)
+        a = m * factor
+        b = -aq * factor
+        c = -(q * theta_bar + bx * h)
+        dd = one_mu - beta * (m + aq * h)
+        if lines:
+            return a, b, c, dd
+        dwin, naqb = dh / bandits, -aq * beta
+        da, db, dc, dD = m_beta * dwin, naqb * dwin, -bx * dh, naqb * dh
+        num = a * dd - b * c
+        den = (a - c) + (dd - b)
+        return (da * dd + a * dD - db * c - b * dc) * den - num * (da - dc + dD - db)
+
+    return kernel
+
+
+def thresholds_0_7_0(params: GameParams) -> Thresholds:
+    """transitions.thresholds of sniplab 0.7.0: K(gamma) on
+    slope_kernel_0_7_0 at p = 1 through a keyword partial, bracketed by
+    [1, max(2, to_no_sniping)] and then doubled."""
+    d, n = derive(params), params.H
+    no_sniping = _no_sniping(d, params)
+    h, dh = race.mm_loss(1.0, n)
+    k = functools.partial(slope_kernel_0_7_0(d, n), p=1.0, h=h, dh=dh)
+    if not (k_lo := k(1.0)) > 0:
+        raise ValidationError(f"K(1) = {k_lo} is not positive (underflow) for {params}")
+    hi = max(2.0, no_sniping)
+    while (k_hi := k(hi)) >= 0:
+        hi *= 2.0
+        if hi > 1e9:
+            raise ValidationError("sure-to-probabilistic threshold not bracketed")
+    return Thresholds(_root(k, 1.0, hi, k_lo, k_hi), no_sniping)
+
+
+def regime_row_0_7_0(params: GameParams, th: Thresholds) -> dict[str, object]:
+    """transitions.regime_row of sniplab 0.7.0, with its _classify: a fresh
+    derive and slope_kernel_0_7_0 for every row, and the points at p = 1
+    and p = 0 raced anew; the warning on a scan that is not unimodal is
+    left out."""
+    kernel = slope_kernel_0_7_0(derive(params), params.H)
+    gamma = params.gamma
+    point = lambda p: utility.indifference(*kernel(gamma, p, lines=True))  # noqa: E731
+    if gamma < th.to_probabilistic:
+        kind, p_star, at = SURE, 1.0, point(1.0)
+    else:
+        kind = NO_SNIPING
+        if gamma < th.to_no_sniping:
+            scan = _scan_race(params.H)
+            slopes = [kernel(gamma, p, h, dh) for p, h, dh in scan]
+            brackets = [
+                (scan[i][0], scan[i + 1][0], slopes[i], slopes[i + 1])
+                for i in range(len(scan) - 1)
+                if slopes[i] > 0 >= slopes[i + 1]
+            ]
+            slope = functools.partial(kernel, gamma)
+            roots = [_root(slope, *b) for b in brackets] or [0.0, 1.0]
+            p_star, at = max(((p, point(p)) for p in roots), key=lambda c: c[1].u_star)
+            if at.u_star > PLAYABLE_TOL:
+                kind = PROBABILISTIC
+        if kind == NO_SNIPING:
+            p_star, at = 0.0, utility.IndifferencePoint(point(0.0).s_star, 0.0)
+    return {
+        "gamma": gamma,
+        "regime": kind,
+        "p_star": p_star,
+        "s_star": at.s_star,
+        "u_sure": at.u_star if kind == SURE else point(1.0).u_star,
+        "u_opt": at.u_star,
+        "gamma_probabilistic": th.to_probabilistic,
+        "gamma_no_sniping": th.to_no_sniping,
+    }
 
 
 def slope_kernel_error(gamma: float, h: float, dh: float, d: DerivedParams,

@@ -207,10 +207,10 @@ def test_criterion_3_derivative_checks():
     th = tr.thresholds(fig7(2.0))
     slope_at_gk = slope(1.0, fig7(th.to_probabilistic))
     gl_params = fig7(th.to_no_sniping)
-    kernel = utility.slope_kernel(derive(gl_params), gl_params.H)
-    a, b, c, dd = kernel(gl_params.gamma, 0.0, lines=True)
+    kernel = utility.slope_kernel(derive(gl_params), gl_params.H)(gl_params.gamma)
+    a, b, c, dd = kernel(0.0, lines=True)
     q0 = (a - c) + (dd - b)
-    nprime0 = kernel(gl_params.gamma, 0.0) / q0
+    nprime0 = kernel(0.0) / q0
     elapsed = time.perf_counter() - t0
     ok = (
         worst_race < 1e-6

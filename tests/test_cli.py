@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sniplab import cli, race, simulator, streams, transitions, utility
-from sniplab.params import GameParams, ValidationError, derive
+from sniplab.params import DerivedParams, GameParams, ValidationError, derive
 from sniplab.race import Population
 
 import oracles
@@ -294,6 +294,31 @@ class TestSweep:
         assert [r["gamma"] for r in rows] == ["1.5", "3.0", "4.5", "6.0", "7.5", "9.0"]
         assert rows[0]["regime"] == "sure"
         assert rows[-1]["regime"] == "no_sniping"
+
+    def test_gamma_sweep_derives_once_whatever_its_rows(self, tmp_path, monkeypatch):
+        # a gamma sweep derives once and builds one slope kernel for all its
+        # rows, and checks each gamma without a GameParams: the work that
+        # does not depend on gamma does not grow with the grid (0.7.0 made a
+        # GameParams, a derive and a kernel per row, 641 of each here)
+        counts = []
+        for grid in ("3", "1.5:8:0.5", "1.0:9.0:0.0125"):
+            built, kernels = [], []
+            with monkeypatch.context() as m:
+                for cls in (GameParams, DerivedParams):
+                    post_init = cls.__post_init__
+                    m.setattr(cls, "__post_init__",
+                              lambda obj, post_init=post_init: built.append(obj) or post_init(obj))
+                slope_kernel = utility.slope_kernel
+                m.setattr(utility, "slope_kernel",
+                          lambda d, n: kernels.append(d) or slope_kernel(d, n))
+                assert run(["sweep", *FIG7, "--gamma", "3", "--variable", "gamma", "--grid", grid,
+                            "--out", str(tmp_path / grid)]) == 0
+            rows = len(read_rows(tmp_path / grid / "sweep_gamma.csv"))
+            counts.append((rows, sorted(type(obj).__name__ for obj in built), len(kernels)))
+        assert [rows for rows, _, _ in counts] == [1, 14, 641]
+        # the resolved GameParams and its sigma-rescaled copy, then one derive
+        assert {(tuple(names), k) for _, names, k in counts} == {
+            (("DerivedParams", "GameParams", "GameParams"), 1)}
 
     def test_alpha_sweep_skips_invalid(self, tmp_path, capsys):
         out = tmp_path / "s"
@@ -1162,9 +1187,11 @@ class TestDeterminism:
         # 10 to_no_sniping)]; the root-finder's iterates, and with them the
         # last bits of to_probabilistic, may move.  No pinned file moved: with
         # 0.6.0's thresholds patched in, every pinned command gives the
-        # pinned digests.
+        # pinned digests.  (The commands pass thresholds the derive, kernel
+        # and race values at p = 1 that they share; 0.6.0's makes its own.)
         with monkeypatch.context() as m:
-            m.setattr(transitions, "thresholds", oracles.thresholds_0_6_0)
+            m.setattr(transitions, "thresholds",
+                      lambda params, shared=None: oracles.thresholds_0_6_0(params))
             for argv in PINNED_COMMANDS:
                 assert run([*argv, "--out", str(tmp_path)]) == 0, argv[0]
         for name, digest in PINNED_DIGESTS.items():
@@ -1196,8 +1223,8 @@ class TestDeterminism:
             a, b = min(new, old), max(new, old)
             d = derive(pr)
             h1, dh1 = race.mm_loss(1.0, h)
-            kernel = utility.slope_kernel(d, h)
-            k = lambda g: kernel(g, p=1.0, h=h1, dh=dh1)  # noqa: E731
+            bind = utility.slope_kernel(d, h)
+            k = lambda g: bind(g)(1.0, h1, dh1)  # noqa: E731
             err = lambda g: oracles.slope_kernel_error(g, h1, dh1, d, h)  # noqa: E731
             e = max(err(g) for g in (a, math.nextafter(b, 0.0)))
             left, right = a * (1 - 2e-6), a * (1 - 1e-6)

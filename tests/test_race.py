@@ -369,6 +369,19 @@ def series_arguments(draw):
 
 
 @st.composite
+def series_domain(draw):
+    """(p, n) with n from 2 to 2**53 - 1, or from 2 to 64, and p uniform on
+    [0, 3/(4n)), 0 or subnormal: every p that mm_loss takes to the series."""
+    n = draw(st.one_of(st.integers(2, 64), st.integers(2, 2**53 - 1)))
+    c = st.floats(0.0, race.CLOSED_FORM_MIN_NP, exclude_max=True)
+    p = draw(st.one_of(c.map(lambda c: c / n), st.floats(0.0, 2.2250738585072014e-308),
+                       st.just(0.0)))
+    while n * p >= race.CLOSED_FORM_MIN_NP:
+        p = math.nextafter(p, 0.0)
+    return p, n
+
+
+@st.composite
 def mixed_arguments(draw):
     """(p, pop) with m = H_t - 1 from 0 to 9,999, log-uniform, H_d from 0 to
     60 or, half the time, from 0 to 2 (at H_d = 0 the loss is small at small
@@ -493,6 +506,23 @@ class TestPrecision:
         for name, bound in series_bounds(p, n).items():
             err = ulps_off(RACE_FUNCTIONS[name](p, n), exact[name])
             assert err <= bound <= SERIES_BOUNDS[name], (name, p, n, err, bound)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+    @given(st.one_of(series_arguments(), series_domain()))
+    @example((0.0, 2))
+    @example((5e-324, 5))  # the least subnormal p: h underflows at its first term
+    @example((2.2250738585072014e-308, 3))
+    @example((math.nextafter(0.75, 0.0) / (2**53 - 1), 2**53 - 1))
+    @example((math.nextafter(0.25, 0.0), 3))
+    def test_one_loop_series_is_the_two_call_form(self, args):
+        # race._series forms h and h' in one loop, which shares (k - n) p and
+        # stops each series at its own cut; it gives the bits of 0.7.0's two
+        # calls (oracles.series_0_7_0), over the whole domain of the series
+        p, n = args
+        assert n * p < race.CLOSED_FORM_MIN_NP
+        old = (oracles.series_0_7_0((n - 1) * p / 2, n, p, False),
+               oracles.series_0_7_0((n - 1) / 2, n, p, True))
+        assert [v.hex() for v in race._series(n, p)] == [v.hex() for v in old], (p, n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 13, 2000, 10**4, 10**9, 2**40 + 1, 2**53 - 1])
     def test_series_meets_closed_form_at_cutoff(self, n, monkeypatch):

@@ -26,16 +26,16 @@ def scan_grid(h):
 
 def slope_numerator(p, pr):
     """N'(p)Q(p) - N(p)Q'(p) at pr, which shares the sign of du*/dp."""
-    return utility.slope_kernel(derive(pr), pr.H)(pr.gamma, p)
+    return utility.slope_kernel(derive(pr), pr.H)(pr.gamma)(p)
 
 
 def slope(p, pr):
     """du*/dp at pr, as (N'Q - NQ')/Q^2 from the kernel that decides p*, with
     Q = (A - C) + (D - B) from the kernel's lines."""
-    kernel = utility.slope_kernel(derive(pr), pr.H)
-    a, b, c, dd = kernel(pr.gamma, p, lines=True)
+    kernel = utility.slope_kernel(derive(pr), pr.H)(pr.gamma)
+    a, b, c, dd = kernel(p, lines=True)
     q = (a - c) + (dd - b)
-    return kernel(pr.gamma, p) / (q * q)
+    return kernel(p) / (q * q)
 
 
 def params(gamma, **overrides):
@@ -66,7 +66,7 @@ class TestSlope:
         pr = params(3.0)
         point = tr.indifference_at(0.0, pr)
         assert point.u_star == pytest.approx(0.0, abs=1e-15)
-        _, _, c, dd = utility.slope_kernel(derive(pr), pr.H)(pr.gamma, 0.0, lines=True)
+        _, _, c, dd = utility.slope_kernel(derive(pr), pr.H)(pr.gamma)(0.0, lines=True)
         assert point.s_star == pytest.approx(-c / (dd - c), abs=1e-12)
 
 
@@ -111,10 +111,11 @@ class TestThresholds:
         pr = GameParams(H=h, alpha=alpha, mu=mu, delta=10.0**log_latency / (alpha + mu),
                         gamma=1.0)
         h1, dh1 = race.mm_loss(1.0, h)
-        assert utility.slope_kernel(derive(pr), h)(1.0, 1.0, h1, dh1) > 0
+        assert utility.slope_kernel(derive(pr), h)(1.0)(1.0, h1, dh1) > 0
 
     def test_non_positive_slope_numerator_refused(self, monkeypatch):
-        monkeypatch.setattr(utility, "slope_kernel", lambda d, n: lambda *args, **kw: 0.0)
+        monkeypatch.setattr(utility, "slope_kernel",
+                            lambda d, n: lambda gamma: lambda *args, **kw: 0.0)
         with pytest.raises(ValidationError, match=r"K\(1\) = 0.0 is not positive"):
             tr.thresholds(params(3.0))
 
@@ -233,6 +234,15 @@ class TestOptimalSniping:
         assert "2 descending brackets" in warnings[0] and "(0.97, 0.99)" in warnings[0]
         assert regime == expected
         assert tr.indifference_at(0.97, pr).u_star < regime.u_star
+        # a gamma sweep's row names its own gamma, not the sweep's
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger=tr.__name__):
+            row = tr.regime_rows(params(3.0))(3.5)
+        warnings = [r.getMessage() for r in caplog.records if r.name == tr.__name__]
+        assert len(warnings) == 1 and "(0.97, 0.99)" in warnings[0]
+        assert f"not unimodal for {pr!r}:" in warnings[0] and "gamma=3.0" not in warnings[0]
+        assert (row["regime"], row["p_star"], row["u_opt"]) == (
+            expected.kind, expected.p_star, expected.u_star)
 
     def test_utility_vanishes_at_upper_threshold(self, fig_thresholds):
         gl = fig_thresholds.to_no_sniping
@@ -243,8 +253,7 @@ class TestOptimalSniping:
 class TestRegimeSweep:
     def test_sweep_structure(self):
         gammas = [1.5, 2.0, 3.0, 4.0, 5.5, 7.0, 8.0, 9.0]
-        th = tr.thresholds(params(3.0))
-        rows = [tr.regime_row(params(g), th) for g in gammas]
+        rows = list(map(tr.regime_rows(params(3.0)), gammas))
         assert [r["gamma"] for r in rows] == gammas
         assert rows[0]["regime"] == tr.SURE
         assert rows[-1]["regime"] == tr.NO_SNIPING
@@ -257,15 +266,39 @@ class TestRegimeSweep:
                 assert r["u_opt"] == pytest.approx(r["u_sure"], abs=1e-12)
 
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(3, 10**4), st.floats(0.01, 2.0), st.floats(0.01, 2.0),
+           st.floats(0.01, 0.998), st.floats(0.0, 1.0),
+           st.lists(st.floats(-1e-9, 1e-9), min_size=4, max_size=12))
+    def test_shared_kernel_rows_are_0_7_0_rows(self, h, alpha, mu, load, phase, offsets):
+        # the rows of one shared kernel, bound to each gamma, against 0.7.0's
+        # per-row path (a GameParams, a derive and a kernel per row), bit for
+        # bit, on a random grid through both thresholds and at gammas within
+        # 1e-9 of each
+        pr = GameParams(H=h, alpha=alpha, mu=mu, delta=load / (alpha + mu), gamma=3.0)
+        th = oracles.thresholds_0_7_0(pr)
+        near = [t + o for t in (th.to_probabilistic, th.to_no_sniping) for o in [0.0, *offsets]]
+        step = 1.5 * th.to_no_sniping / 40
+        gammas = [1.0 + step * (i + phase) for i in range(40)] + near
+        row = tr.regime_rows(pr)
+        hexed = lambda r: {k: v.hex() if isinstance(v, float) else v  # noqa: E731
+                           for k, v in r.items()}
+        for gamma in gammas:
+            old = oracles.regime_row_0_7_0(replace(pr, gamma=gamma), th)
+            assert hexed(row(gamma)) == hexed(old), gamma
+
     def test_sure_row_races_p_one_once(self, monkeypatch):
-        # u_sure is the sure regime's own point, not a second race at p = 1
+        # u_sure is the sure regime's own point, whose race values at p = 1
+        # are those K(gamma) made for the thresholds, and the scan is not
+        # built: one race call in all
         pr = params(1.7575)
-        th = tr.thresholds(pr)  # outside the count: it races p = 1
         loss_ps = []
         monkeypatch.setattr(race, "mm_loss", recording(loss_ps, race.mm_loss))
-        row = tr.regime_row(pr, th)
+        tr._scan_race.cache_clear()
+        row = tr.regime_rows(pr)(pr.gamma)
         assert row["regime"] == tr.SURE
         assert loss_ps == [1.0]
+        assert tr._scan_race.cache_info().currsize == 0
         assert row["u_sure"] == row["u_opt"] == tr.indifference_at(1.0, pr).u_star
 
 
@@ -278,32 +311,37 @@ def recording(log, fn, position=0):
 
 
 def recording_kernels(log, factory):
-    """utility.slope_kernel, whose kernels append (args, kwargs) to log on
-    every call."""
+    """utility.slope_kernel, whose kernels append (gamma, args, kwargs) to log
+    on every call."""
     def build(d, n_agents):
-        kernel = factory(d, n_agents)
+        bind = factory(d, n_agents)
 
-        def recorded(*args, **kwargs):
-            log.append((args, kwargs))
-            return kernel(*args, **kwargs)
-        return recorded
+        def bound(gamma):
+            kernel = bind(gamma)
+
+            def recorded(*args, **kwargs):
+                log.append((gamma, args, kwargs))
+                return kernel(*args, **kwargs)
+            return recorded
+        return bound
     return build
 
 
-def kernel_calls(log):
+def kernel_calls(log, gammas):
     """The p of each kernel call in log, by kind: "K" a K(gamma) step at p = 1
     (its gamma instead), "scan" a scan point, "root" a p* step and "point" a
-    point of indifference."""
+    point of indifference; gammas are the rows', and a call bound to any
+    other gamma is a K step."""
     kinds = {"K": [], "scan": [], "root": [], "point": []}
-    for args, kwargs in log:
-        if "h" in kwargs:
-            assert kwargs["p"] == 1.0 and len(args) == 1
-            kinds["K"].append(args[0])
+    for gamma, args, kwargs in log:
+        if gamma not in gammas:
+            assert args[0] == 1.0 and len(args) == 3 and not kwargs
+            kinds["K"].append(gamma)
         elif kwargs:
-            assert kwargs == {"lines": True} and len(args) == 2
-            kinds["point"].append(args[1])
+            assert kwargs == {"lines": True} and len(args) in (1, 3)
+            kinds["point"].append(args[0])
         else:
-            kinds["scan" if len(args) == 4 else "root"].append(args[1])
+            kinds["scan" if len(args) == 3 else "root"].append(args[0])
     return kinds
 
 
@@ -332,9 +370,9 @@ class TestSlopeKernel:
                 gamma = 1.0 + 59.0 * rng.random() ** 2
                 settings.append(GameParams(H=h, alpha=alpha, mu=mu, delta=delta, gamma=gamma))
         for pr in settings:
-            kernel, n = utility.slope_kernel(derive(pr), pr.H), pr.H
+            kernel, n = utility.slope_kernel(derive(pr), pr.H)(pr.gamma), pr.H
             for p in (0.0, 1.0, 0.85 / n, rng.random() / n, rng.random()):
-                assert kernel(pr.gamma, p) == oracles.slope_numerator(p, pr), (pr, p)
+                assert kernel(p) == oracles.slope_numerator(p, pr), (pr, p)
             th = tr.thresholds(pr)
             reference = oracles.gamma_to_probabilistic_by_reference(pr, th.to_no_sniping)
             assert th.to_probabilistic == reference, pr
@@ -365,70 +403,74 @@ class TestSlopeKernel:
         old = oracles.mm_loss_prob_0_6_0(p, n), oracles.mm_loss_prob_deriv_0_6_0(p, n)
         assert bits(race.mm_loss(p, n)) == bits(old)
         h, dh = old
-        kernel = utility.slope_kernel(d, n)
-        assert bits([kernel(gamma, p)]) == bits([oracles.slope_kernel_0_6_0(h, dh, d, d.q, n)[0]])
+        bind = utility.slope_kernel(d, n)
+        assert bits([bind(gamma)(p)]) == bits([oracles.slope_kernel_0_6_0(h, dh, d, d.q, n)[0]])
         lines = oracles.endpoint_values_0_6_0(h / (n - 1), h, d, d.q)
-        assert bits(kernel(gamma, p, lines=True)) == bits(lines)
+        assert bits(bind(gamma)(p, lines=True)) == bits(lines)
         h1, dh1 = race.mm_loss(1.0, n)
         g = data.draw(st.floats(1.0, 1e9))
-        assert bits([kernel(g, p=1.0, h=h1, dh=dh1)]) == bits(
+        assert bits([bind(g)(1.0, h1, dh1)]) == bits(
             [oracles.slope_kernel_0_6_0(h1, dh1, d, g - 1.0, n)[0]])
 
     def test_probabilistic_row_work_counts(self, monkeypatch):
         # counts that host noise cannot move, over one h-sweep row at H = 2,000:
-        # one derive per entry point, the no-sniping closed form once, the
-        # scan's race values once per grid point, each root slope once per p,
-        # p* raced twice
+        # one derive and one kernel for the thresholds and the row, the
+        # no-sniping closed form once, K's race values at p = 1 once (the
+        # point at p = 1 shares them), the scan's race values once per grid
+        # point, each root slope once per p, p* raced twice
         pr = GameParams(H=2000, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
-        built, derived, closed, calls, race_ps = [], [], [], [], []
+        built, derived, closed, kernels, calls, race_ps = [], [], [], [], [], []
         for cls in (GameParams, DerivedParams):
             monkeypatch.setattr(cls, "__post_init__", recording(built, cls.__post_init__))
         monkeypatch.setattr(tr, "derive", recording(derived, derive))
         monkeypatch.setattr(tr, "_no_sniping", recording(closed, tr._no_sniping))
-        monkeypatch.setattr(utility, "slope_kernel", recording_kernels(calls, utility.slope_kernel))
+        monkeypatch.setattr(utility, "slope_kernel",
+                            recording(kernels, recording_kernels(calls, utility.slope_kernel)))
         monkeypatch.setattr(race, "mm_loss", recording(race_ps, race.mm_loss))
-        th = tr.thresholds(pr)
-        threshold = kernel_calls(calls)
-        assert race_ps == [1.0]  # K(gamma)'s race values, made once
-        del calls[:], race_ps[:]
         tr._scan_race.cache_clear()  # an earlier test may have scanned H = 2,000
-        row = tr.regime_row(pr, th)
+        row = tr.regime_rows(pr)(pr.gamma)
         assert row["regime"] == tr.PROBABILISTIC
-        kinds = kernel_calls(calls)
-        # thresholds and regime_row
-        assert [type(obj).__name__ for obj in built] == ["DerivedParams"] * 2
-        assert len(derived) == 2
-        assert len(closed) == 1
-        assert len(threshold["K"]) == len(set(threshold["K"])) > 0
-        assert threshold["scan"] == threshold["root"] == threshold["point"] == []
-        assert kinds["K"] == []
+        kinds = kernel_calls(calls, {pr.gamma})
+        assert [type(obj).__name__ for obj in built] == ["DerivedParams"]
+        assert len(derived) == len(kernels) == len(closed) == 1
+        assert len(kinds["K"]) == len(set(kinds["K"])) > 0
         # the scan races each point of the per-H grid once; the root's slopes
-        # lie off the grid; each point of indifference races its own p
+        # lie off the grid; the point at p* races its own p
         grid = scan_grid(2000)
         assert len(grid) == len(SCAN_GRID) + len(NP_POINTS)
         assert kinds["scan"] == grid
-        assert sorted(p for p in race_ps if p in grid and p != 1.0) == grid[:-1]
+        assert race_ps[0] == 1.0 and sorted(race_ps[1:len(grid) + 1]) == grid
         assert len(kinds["root"]) == len(set(kinds["root"])) > 0
         assert set(grid).isdisjoint(kinds["root"])
         assert kinds["point"] == [row["p_star"], 1.0]
-        assert len(race_ps) == len(grid) + len(kinds["root"]) + len(kinds["point"])
+        assert len(race_ps) == 1 + len(grid) + len(kinds["root"]) + 1
         assert race_ps.count(row["p_star"]) <= 2
 
     def test_gamma_sweep_races_the_scan_once(self, monkeypatch):
         # 20 probabilistic rows at one H race the 21 scan points once in all,
-        # not once per row (420 calls); each row's points of indifference, at
-        # p* and at p = 1, race their own p
+        # not once per row (420 calls); each row's point at p* races its own
+        # p, and its u_sure point takes K(gamma)'s race values at p = 1
         pr = params(3.0)
-        th = tr.thresholds(pr)  # outside the count: it races p = 1
+        gammas = [3.0 + 0.2 * i for i in range(20)]
         race_ps, calls = [], []
         monkeypatch.setattr(race, "mm_loss", recording(race_ps, race.mm_loss))
         monkeypatch.setattr(utility, "slope_kernel", recording_kernels(calls, utility.slope_kernel))
         tr._scan_race.cache_clear()
-        rows = [tr.regime_row(replace(pr, gamma=3.0 + 0.2 * i), th) for i in range(20)]
+        rows = list(map(tr.regime_rows(pr), gammas))
         assert {row["regime"] for row in rows} == {tr.PROBABILISTIC}
-        points = kernel_calls(calls)["point"]
+        points = kernel_calls(calls, set(gammas))["point"]
         assert points.count(1.0) == 20
-        assert sum(p in SCAN_GRID for p in race_ps) - sum(p in SCAN_GRID for p in points) == 21
+        assert sum(p in SCAN_GRID for p in race_ps) == 22  # the scan's and K's at p = 1
+        # over the 641 rows of a gamma sweep through both thresholds, the
+        # only race calls at p = 0 and p = 1 are K's and the scan's: the sure
+        # rows' points, the probabilistic rows' u_sure and the no-sniping
+        # rows' points read their race values from them (0.7.0 made 643 at
+        # p = 1 and 95 at p = 0)
+        del race_ps[:]
+        tr._scan_race.cache_clear()
+        rows = list(map(tr.regime_rows(pr), (1.0 + 0.0125 * i for i in range(641))))
+        assert {row["regime"] for row in rows} == {tr.SURE, tr.PROBABILISTIC, tr.NO_SNIPING}
+        assert [p for p in race_ps if p in (0.0, 1.0)] == [1.0, 0.0, 1.0]
 
     @pytest.mark.parametrize("h", [2000, 5000, 10000])
     def test_large_h_p_star_builds_few_windows(self, h, monkeypatch):
@@ -463,7 +505,7 @@ class TestSlopeKernel:
                 tr._scan_race.cache_clear()
                 regime = tr.optimal_sniping(params(4.0, H=h))
             assert regime.kind == tr.PROBABILISTIC, h
-            slope_ps = kernel_calls(calls)["root"]
+            slope_ps = kernel_calls(calls, {4.0})["root"]
             assert 0 < len(slope_ps) <= 14, (h, len(slope_ps))
             assert series == [0.0], (h, series)
 
@@ -473,10 +515,11 @@ class TestSlopeKernel:
         # sweep at the Fig. 7 rates and gamma 4, a threshold takes 15.1 K
         # evaluations on average (241 in all), against 21.2 (339) with the
         # wider bracket.  A row makes 52.2 kernel calls, its two points of
-        # indifference included, and 38.1 race calls, each of h and h' at
-        # once (835 and 610 in all); 0.6.0 made 56.3 slope kernel calls and
-        # 74.3 race calls, 38.1 of h and 36.1 of h'.  Counts, not timings,
-        # so the guard does not depend on the host's speed
+        # indifference included, and 37.1 race calls, each of h and h' at
+        # once (835 and 594 in all; 0.7.0 made 610, racing p = 1 again for
+        # u_sure); 0.6.0 made 56.3 slope kernel calls and 74.3 race calls,
+        # 38.1 of h and 36.1 of h'.  Counts, not timings, so the guard does
+        # not depend on the host's speed
         k_steps, old_steps, kernels, races = [], [], [], []
         for h in range(2000, 9501, 500):
             pr = params(4.0, H=h)
@@ -485,9 +528,9 @@ class TestSlopeKernel:
                 m.setattr(utility, "slope_kernel", recording_kernels(calls, utility.slope_kernel))
                 m.setattr(race, "mm_loss", recording(race_ps, race.mm_loss))
                 tr._scan_race.cache_clear()
-                row = tr.regime_row(pr, tr.thresholds(pr))
+                row = tr.regime_rows(pr)(pr.gamma)
             assert row["regime"] == tr.PROBABILISTIC, h
-            k_steps.append(len(kernel_calls(calls)["K"]))
+            k_steps.append(len(kernel_calls(calls, {pr.gamma})["K"]))
             kernels.append(len(calls))
             races.append(len(race_ps))
             old = []
@@ -498,7 +541,7 @@ class TestSlopeKernel:
             old_steps.append(len(old))
         assert sum(old_steps) == 339
         assert sum(k_steps) <= 241 and max(k_steps) < min(old_steps)
-        assert sum(kernels) <= 835 and sum(races) <= 610
+        assert sum(kernels) <= 835 and sum(races) <= 594
 
     def test_scan_grid_per_h(self):
         # at H = 5 no point c/H falls inside (0, 0.05): a gamma sweep at the
@@ -526,12 +569,11 @@ class TestSlopeKernel:
         cases = []
         for pr in settings:
             th = tr.thresholds(pr)
-            mid = (th.to_probabilistic + th.to_no_sniping) / 2
-            cases.append((replace(pr, gamma=mid), th))
+            cases.append(replace(pr, gamma=(th.to_probabilistic + th.to_no_sniping) / 2))
         tr._scan_race.cache_clear()
-        rows = [tr.regime_row(pr, th) for pr, th in cases]
+        rows = [tr.regime_rows(pr)(pr.gamma) for pr in cases]
         assert tr._scan_race.cache_info()[:2] == (1, 3)  # (hits, misses): H 5, 5, 7, 5
         assert {row["regime"] for row in rows} == {tr.PROBABILISTIC}
-        for (pr, th), row in zip(cases, rows):
+        for pr, row in zip(cases, rows):
             tr._scan_race.cache_clear()
-            assert tr.regime_row(pr, th) == row, pr
+            assert tr.regime_rows(pr)(pr.gamma) == row, pr

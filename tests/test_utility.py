@@ -44,7 +44,7 @@ def lines(p_snipe, pr):
     lines of utility.slope_kernel at the market maker's loss from the mixed
     race, of which each of the H - 1 bandits wins an equal share."""
     loss = race.mixed_race(p_snipe, Population(pr.H, 0))[1]
-    return utility.slope_kernel(derive(pr), pr.H)(pr.gamma, p_snipe, h=loss, lines=True)
+    return utility.slope_kernel(derive(pr), pr.H)(pr.gamma)(p_snipe, h=loss, lines=True)
 
 
 def line_at(at0, at1, s):
