@@ -14,11 +14,11 @@ command's wall time.  Only ``simulate`` and inline ``monitor`` draw stages,
 so only they import numpy and ``simulator``; ``analyze``, ``sweep`` and
 ``monitor --stream`` run without loading numpy.  Only ``monitor`` imports
 ``detection``, for the SPRT; its laws and ``simulate``'s analytic means come
-from ``utility``.  ``logging`` is imported only where a warning is logged (a
-scan of u* that is not unimodal, an outcome that forces the monitor's
-decision), and the manifest's timestamp comes from ``time``, not
-``datetime``.  Manifests and ``analysis.json`` are strict JSON: a non-finite
-number is refused, never written.
+from ``utility``.  ``logging`` is imported only where a warning is logged
+(an outcome that forces the monitor's decision), and the manifest's
+timestamp comes from ``time``, not ``datetime``.  Manifests and
+``analysis.json`` are strict JSON: a non-finite number is refused, never
+written.
 """
 
 from __future__ import annotations

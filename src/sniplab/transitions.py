@@ -16,67 +16,65 @@ defines two thresholds in the risk aversion gamma:
   crosses zero (the tests find that root numerically as a check on the
   closed form).
 
-Between the two thresholds ``optimal_sniping`` scans the sign of du*/dp on a
-grid of [0, 1] and takes p* as the zero of the analytic slope numerator
-N'(p)Q(p) - N(p)Q'(p) inside each descending sign change, guarding against
-non-unimodal surprises.  The grid is ``_SCAN_GRID``, 21 points 0.05 apart,
-with the points p = c/n, c in ``_NP_POINTS``, added inside its first cell
-(0, 0.05).  At H in the thousands p* lies near 0.85/n, so those points
-bracket it on the n*p scale, where the first cell alone is about 600 times
-too wide at H = 10^4; at n <= 16 none falls inside the cell, and the grid is
-``_SCAN_GRID`` alone.  Every c is at least ``race.CLOSED_FORM_MIN_NP``, so
-the points and the root's iterates between them race on the O(1) closed
-forms rather than on the series below the cutoff; points below it cost more
-time than they save (c = 0.5 added two series calls and 4-8 % to each row of
-an H sweep at 2,000-10,000, and bracketed no p*).
+Between the thresholds u* has one interior maximum, at the zero p* of the
+slope numerator N'(p)Q(p) - N(p)Q'(p).  In exact arithmetic: A..D are affine
+in h = race.mm_loss(p, n)[0], which strictly increases on [0, 1], so the
+numerator is h'(p) P(h) with P = N_h Q - N Q_h quadratic in h.  P > 0 at
+p = 0 (gamma below to_no_sniping) and P < 0 at p = 1 (above
+to_probabilistic), and a quadratic with opposite signs at two points has
+exactly one root between them.  tests/test_transitions.py checks the one sign
+change in floats on a fine grid over the valid parameter space.  So
+``optimal_sniping`` bisects a fixed grid, keeping slope(lo) > 0 >= slope(hi),
+down to the one cell where the sign changes, the cell a scan of every point
+would find; where the two ends give no bracket (gamma within rounding of a
+threshold), the better end of [0, 1] is taken.  The grid is ``_SCAN_GRID``,
+21 points 0.05 apart, with p = c/n, c in ``_NP_POINTS``, added inside its
+first cell (0, 0.05): at H in the thousands p* lies near 0.85/n, and that
+cell is about 600 times too wide at H = 10^4 (at n <= 16 no c/n falls in
+it).  Every c is at least ``race.CLOSED_FORM_MIN_NP``, so the points and the
+root's iterates between them race on the O(1) closed forms; c = 0.5 added two
+series calls and 4-8 % to each row of an H sweep at 2,000-10,000, and
+bracketed no p*.
 
-Both zeros in this module, p* and K(gamma), are found by one bracketed
-root-finder, ``_root``: regula falsi with the Illinois step, run to float
-precision, with a next-float probe where the secant point rounds onto an end
-of the bracket.  Each evaluation is one call of a ``utility.slope_kernel``
-bound to a gamma: float arithmetic on (h, h') = race.mm_loss(p, n).  The
-kernel is built once per ``derive`` and n, and bound once per gamma, so
-K(gamma) binds every step, a row once.  K(gamma)'s race values are fixed,
-while a p* step makes one race call.  K is bracketed by
-[1, max(2, to_no_sniping)], and the upper end doubles until K is negative
-there; over the rows of an H sweep at the Fig. 7 rates and gamma 4 this
-takes 15.1 K evaluations, against 21.2 on [1, 10 to_no_sniping]
-(BENCH_29.json).
+Both zeros, p* and K(gamma), are found by one root-finder, ``_root``: regula
+falsi with the Illinois step to float precision, with a next-float probe
+where the secant point rounds onto an end of the bracket.  Each evaluation is
+one call of a ``utility.slope_kernel`` built once per ``derive`` and n and
+bound to a gamma: float arithmetic on (h, h') = race.mm_loss(p, n), one race
+call per p* step.  K is bracketed by [1, max(2, to_no_sniping)], whose upper
+end doubles until K < 0 there (15.1 K evaluations per row of an H sweep at
+the Fig. 7 rates and gamma 4, against 21.2 on [1, 10 to_no_sniping];
+BENCH_29.json).
 
 ``regime_rows`` gives the rows of a sweep over gamma: one ``derive``, one
 kernel and one ``thresholds`` serve them all, and each row binds the kernel
-to its gamma.  An H, rate or ``analyze`` row is such a sweep's one row, so
-its thresholds and classification share a derive and a kernel too.  The
-race values at p = 1 that K(gamma) uses serve every point of indifference at
-p = 1, and the scan's entry at p = 0 every point at p = 0.  The scan's race
-values depend on n alone: ``_scan_race`` computes them once per n and keeps
-those of the last n.  So the rows of a gamma sweep, which share H, scan by
-kernel arithmetic alone and race only their p* steps and the points at p*.
-An H sweep gives every row a new n, so its rows race the scan every time.
-The timings of these steps are recorded in BENCH_21.json, BENCH_22.json and
-BENCH_30.json.  The iterates are part of the output: an Anderson-Bjorck step
-in place of the Illinois one moved the last bits of p* in 60 and 62 of 400
-random settings and saved 0.2-2.9 % of the evaluations, so that step was not
-taken.
+to its gamma; an H, rate or ``analyze`` row is such a sweep's one row.  K's
+race values at p = 1 serve every point at p = 1 and the bisection's upper
+end.  ``_scan_race`` keeps the grid's race values for the last n, each raced
+when a bisection first asks for it, so a gamma sweep races each grid point
+at most once, and an H-sweep row races p = 0 and about five of its 26 points
+(BENCH_31.json; timings in BENCH_21.json, BENCH_22.json and BENCH_30.json).
+The iterates are part of the output: an Anderson-Bjorck step in place of the
+Illinois one moved the last bits of p* in 60 and 62 of 400 random settings
+and saved 0.2-2.9 % of the evaluations, so that step was not taken.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import race, utility
 from .params import DerivedParams, GameParams, ValidationError, check_gamma, derive
-from .utility import IndifferencePoint
 
 # An optimised u* at or below this is numerically indistinguishable from the
 # no-sniping payoff of zero, so the regime is classified as no-sniping.
 PLAYABLE_TOL = 1e-12
 
-# du*/dp is scanned for sign changes on these points of [0, 1] ...
+# p* is bracketed by bisection over these points of [0, 1] ...
 _SCAN_GRID = tuple(i / 20 for i in range(21))
-# ... and on p = c/n for these c, where c/n < 0.05 (see the module docstring);
+# ... and p = c/n for these c, where c/n < 0.05 (see the module docstring);
 # each c must be at least race.CLOSED_FORM_MIN_NP
 _NP_POINTS = (0.8, 1.0, 2.0, 4.0, 8.0)
 
@@ -150,30 +148,27 @@ def _root(f, lo: float, hi: float, flo: float, fhi: float) -> float:
 
 
 def _point(kernel, p: float, h: float | None = None,
-           dh: float | None = None) -> IndifferencePoint:
-    """Point of indifference on the lines of a bound ``utility.slope_kernel``,
-    at the race values h, dh of p if given."""
-    return utility.indifference(*kernel(p, h, dh, lines=True))
+           dh: float | None = None) -> tuple[float, float]:
+    """(s*, u*) of the point of indifference on the lines of a bound
+    ``utility.slope_kernel``, at the race values h, dh of p if given."""
+    return utility.intersection(*kernel(p, h, dh, lines=True))
 
 
-def indifference_at(p: float, params: GameParams) -> IndifferencePoint:
+def indifference_at(p: float, params: GameParams) -> utility.IndifferencePoint:
     """Point of indifference (s*(p), u*(p)) for the homogeneous game."""
-    return _point(utility.slope_kernel(derive(params), params.H)(params.gamma), p)
+    kernel = utility.slope_kernel(derive(params), params.H)(params.gamma)
+    return utility.indifference(*kernel(p, lines=True))
 
 
 @functools.lru_cache(maxsize=1)
-def _scan_race(n_agents: int) -> tuple[tuple[float, float, float], ...]:
-    """(p, h, h') of race.mm_loss at each scan point p for n agents.
-
-    The points are ``_SCAN_GRID`` with p = c/n, c in ``_NP_POINTS``, added
-    inside its first cell (0, 0.05), in increasing order; at n <= 16 none
-    falls there.  The values depend on n alone, so a gamma sweep, whose rows
-    share H, computes them once.  One entry is enough: an H sweep changes n
-    on every row.
-    """
+def _scan_race(n_agents: int) -> tuple[list[float], list]:
+    """(grid, raced) for n agents: ``_SCAN_GRID`` with the points c/n, c in
+    ``_NP_POINTS``, inside its first cell, in increasing order; and a list
+    that holds each point's (p, h, h') once a bisection has raced it.  One
+    entry: a gamma sweep shares H, and an H sweep changes n on every row."""
     cell = _SCAN_GRID[1]
     grid = sorted([*_SCAN_GRID, *(c / n_agents for c in _NP_POINTS if c / n_agents < cell)])
-    return tuple((p, *race.mm_loss(p, n_agents)) for p in grid)
+    return grid, [None] * len(grid)
 
 
 def _no_sniping(d: DerivedParams, params: GameParams) -> float:
@@ -224,51 +219,50 @@ def thresholds(params: GameParams, shared=None) -> Thresholds:
     return Thresholds(_root(k, 1.0, hi, k_lo, k_hi), no_sniping)
 
 
-def _classify(params: GameParams, gamma: float, kernel, one, th: Thresholds) -> SnipingRegime:
-    """The regime of params at risk aversion gamma, given its
-    ``utility.slope_kernel`` bound at gamma, its race values at p = 1 and its
-    thresholds.
-
-    Between the thresholds, each descending sign change of du*/dp on the
-    scan grid of ``_scan_race`` brackets a local maximum of u*; ``_root``
-    locates each on the slope numerator and the best candidate wins.  The
-    points at p = 1 and p = 0 take their race values from one and the scan.
-    """
+def _classify(params: GameParams, gamma: float, kernel, one,
+              th: Thresholds) -> tuple[str, float, float, float]:
+    """(kind, p_star, u_star, s_star), ``SnipingRegime``'s fields, of params at
+    risk aversion gamma, given its ``utility.slope_kernel`` bound at gamma,
+    its race values one at p = 1 and its thresholds.  Between the thresholds
+    the bisection of the module docstring brackets p* for ``_root``."""
     if gamma < th.to_probabilistic:
-        point = _point(kernel, *one)
-        return SnipingRegime(SURE, 1.0, point.u_star, point.s_star)
-    scan = _scan_race(params.H)
-    if gamma < th.to_no_sniping:
-        slopes = [kernel(p, h, dh) for p, h, dh in scan]
-        brackets = [
-            (scan[i][0], scan[i + 1][0], slopes[i], slopes[i + 1])
-            for i in range(len(scan) - 1)
-            if slopes[i] > 0 >= slopes[i + 1]
-        ]
-        if len(brackets) > 1:
-            import logging  # only here: the commands that never warn skip its import
+        s_star, u_star = _point(kernel, *one)
+        return SURE, 1.0, u_star, s_star
+    grid, raced = _scan_race(params.H)
 
-            logging.getLogger(__name__).warning(
-                "u*(p) not unimodal for %s: %d descending brackets %s; taking the best",
-                replace(params, gamma=gamma), len(brackets), [b[:2] for b in brackets],
-            )
-        # each candidate is (p,), raced at its point, or (p, h, h'); without a
-        # sign change (gamma within rounding of a threshold) the maximum lies
-        # at an end of [0, 1]
-        candidates = [(_root(kernel, *b),) for b in brackets] or [scan[0], one]
-        p_star, point = max(((c[0], _point(kernel, *c)) for c in candidates),
-                            key=lambda c: c[1].u_star)
-        if point.u_star > PLAYABLE_TOL:
-            return SnipingRegime(PROBABILISTIC, p_star, point.u_star, point.s_star)
-    point = _point(kernel, *scan[0])
-    return SnipingRegime(NO_SNIPING, 0.0, 0.0, point.s_star)
+    def at(i: int) -> tuple[float, float, float]:
+        if raced[i] is None:
+            raced[i] = (grid[i], *race.mm_loss(grid[i], params.H))
+        return raced[i]
+
+    if gamma < th.to_no_sniping:
+        lo, hi = 0, len(grid) - 1
+        flo, fhi = kernel(*at(lo)), kernel(*one)
+        if flo > 0 >= fhi:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if (f := kernel(*at(mid))) > 0:
+                    lo, flo = mid, f
+                else:
+                    hi, fhi = mid, f
+            p_star = _root(kernel, grid[lo], grid[hi], flo, fhi)
+            s_star, u_star = _point(kernel, p_star)
+        else:
+            # no sign change (gamma within rounding of a threshold): the
+            # maximum lies at an end of [0, 1], p = 0 where the two tie
+            ends = [(0.0, *_point(kernel, *at(0))), (1.0, *_point(kernel, *one))]
+            p_star, s_star, u_star = max(ends, key=lambda end: end[2])
+        if u_star > PLAYABLE_TOL:
+            return PROBABILISTIC, p_star, u_star, s_star
+    return NO_SNIPING, 0.0, 0.0, _point(kernel, *at(0))[0]
 
 
 def optimal_sniping(params: GameParams) -> SnipingRegime:
     """Classify the regime and, when probabilistic, find argmax_p u*(p)."""
     shared = _shared(params)
     _, bind, one = shared
-    return _classify(params, params.gamma, bind(params.gamma), one, thresholds(params, shared))
+    return SnipingRegime(*_classify(params, params.gamma, bind(params.gamma), one,
+                                    thresholds(params, shared)))
 
 
 def regime_rows(params: GameParams):
@@ -291,15 +285,15 @@ def regime_rows(params: GameParams):
     def row(gamma: float) -> dict[str, object]:
         check_gamma(gamma)
         kernel = bind(gamma)
-        regime = _classify(params, gamma, kernel, one, th)
+        kind, p_star, u_star, s_star = _classify(params, gamma, kernel, one, th)
         return {
             "gamma": gamma,
-            "regime": regime.kind,
-            "p_star": regime.p_star,
-            "s_star": regime.s_star,
+            "regime": kind,
+            "p_star": p_star,
+            "s_star": s_star,
             # a sure regime is the point at p = 1 already
-            "u_sure": regime.u_star if regime.kind == SURE else _point(kernel, *one).u_star,
-            "u_opt": regime.u_star,
+            "u_sure": u_star if kind == SURE else _point(kernel, *one)[1],
+            "u_opt": u_star,
             "gamma_probabilistic": th.to_probabilistic,
             "gamma_no_sniping": th.to_no_sniping,
         }

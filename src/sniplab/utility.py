@@ -26,10 +26,11 @@ summarised by their endpoints: the bandit line runs from A = E U_B(0) to
 B = E U_B(1), the market-maker line from C = E U_M(0) to D = E U_M(1).
 ``slope_kernel(d, n)(gamma)`` is the one form of the lines: a kernel that
 writes A..D and their p-derivatives once and returns the slope of u* that
-``transitions`` finds roots on, or (A, B, C, D), which ``indifference``
-intersects.  Its products of d alone are formed once per ``derive`` and n,
-those of gamma alone once per gamma, so a gamma sweep builds one.  An event's
-probability is ``first_event_prob(ev, d) * second_event_prob(ev.second, d)``.
+``transitions`` finds roots on, or (A, B, C, D), whose crossing
+``intersection`` finds.  Its products of d alone are formed once per
+``derive`` and n, those of gamma alone once per gamma, so a gamma sweep builds
+one.  An event's probability is
+``first_event_prob(ev, d) * second_event_prob(ev.second, d)``.
 """
 
 from __future__ import annotations
@@ -298,15 +299,20 @@ class IndifferencePoint:
     u_star: float
 
 
-def indifference(a: float, b: float, c: float, d: float) -> IndifferencePoint:
-    """Intersection of the lines (A, B, C, D) of a ``slope_kernel``: both roles
-    earn u_star at spread s_star."""
+def intersection(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """(s_star, u_star) where the lines (A, B, C, D) of a ``slope_kernel``
+    cross: both roles earn u_star at spread s_star."""
     denom = (a - c) + (d - b)
     if abs(denom) < PARALLEL_TOL:
         raise ParallelLinesError(
             f"utility lines are parallel to within {PARALLEL_TOL}"
         )
-    return IndifferencePoint(s_star=(a - c) / denom, u_star=(a * d - b * c) / denom)
+    return (a - c) / denom, (a * d - b * c) / denom
+
+
+def indifference(a: float, b: float, c: float, d: float) -> IndifferencePoint:
+    """``intersection`` of the lines (A, B, C, D) as an IndifferencePoint."""
+    return IndifferencePoint(*intersection(a, b, c, d))
 
 
 def bandit_zero_crossing(params: GameParams) -> float:

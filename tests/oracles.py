@@ -34,11 +34,12 @@ implementation of, and the tests compare the two:
   ``utility.slope_kernel`` must give their bits;
 * ``series_0_7_0`` -- ``race._series`` of sniplab 0.6.0 and 0.7.0, one call
   per series; the one-loop form must give their bits;
-* ``slope_kernel_0_7_0``, ``thresholds_0_7_0`` and ``regime_row_0_7_0`` --
-  the kernel, thresholds and regime row of sniplab 0.7.0, which built a
-  GameParams, a ``derive`` and a kernel for every row of a gamma sweep and
-  formed q's products at every kernel call; the sweep's shared kernel must
-  give their rows bit for bit;
+* ``slope_kernel_0_7_0``, ``thresholds_0_7_0``, ``scan_0_7_0`` and
+  ``regime_row_0_7_0`` -- the kernel, thresholds, scan and regime row of
+  sniplab 0.7.0, which built a GameParams, a ``derive`` and a kernel for
+  every row of a gamma sweep, formed q's products at every kernel call and
+  raced every point of its 21 + 5-point scan; the sweep's shared kernel and
+  bisection must give their rows bit for bit;
 * ``thresholds_0_6_0`` -- ``transitions.thresholds`` of sniplab 0.6.0, which
   bracketed K(gamma) by [1, 10 to_no_sniping]; ``slope_kernel_error`` bounds
   the rounding error of the kernel, from which tests/test_cli.py derives how
@@ -88,7 +89,7 @@ from sniplab import race, utility
 from sniplab.params import DerivedParams, GameParams, ValidationError, derive
 from sniplab.race import Population, _check_n, _check_p
 from sniplab.transitions import (NO_SNIPING, PLAYABLE_TOL, PROBABILISTIC, SURE, Thresholds,
-                                  _no_sniping, _root, _scan_race)
+                                  _no_sniping, _root)
 from sniplab.utility import DECEPTIVE, TRUSTWORTHY, UtilityDistribution, _merged
 
 
@@ -371,11 +372,21 @@ def thresholds_0_7_0(params: GameParams) -> Thresholds:
     return Thresholds(_root(k, 1.0, hi, k_lo, k_hi), no_sniping)
 
 
+def scan_0_7_0(n_agents: int) -> list[tuple[float, float, float]]:
+    """(p, h, h') of race.mm_loss at every point of the scan of sniplab 0.3.0
+    to 0.7.0: 21 points 0.05 apart, with p = c/n for c in 0.8, 1, 2, 4 and 8
+    added inside the first cell (0, 0.05), in increasing order."""
+    grid = [i / 20 for i in range(21)]
+    grid += [c / n_agents for c in (0.8, 1.0, 2.0, 4.0, 8.0) if c / n_agents < grid[1]]
+    return [(p, *race.mm_loss(p, n_agents)) for p in sorted(grid)]
+
+
 def regime_row_0_7_0(params: GameParams, th: Thresholds) -> dict[str, object]:
     """transitions.regime_row of sniplab 0.7.0, with its _classify: a fresh
-    derive and slope_kernel_0_7_0 for every row, and the points at p = 1
-    and p = 0 raced anew; the warning on a scan that is not unimodal is
-    left out."""
+    derive and slope_kernel_0_7_0 for every row, the slope at every point of
+    ``scan_0_7_0`` and a root in every descending sign change, and the points
+    at p = 1 and p = 0 raced anew; the warning on a scan that is not unimodal
+    is left out."""
     kernel = slope_kernel_0_7_0(derive(params), params.H)
     gamma = params.gamma
     point = lambda p: utility.indifference(*kernel(gamma, p, lines=True))  # noqa: E731
@@ -384,7 +395,7 @@ def regime_row_0_7_0(params: GameParams, th: Thresholds) -> dict[str, object]:
     else:
         kind = NO_SNIPING
         if gamma < th.to_no_sniping:
-            scan = _scan_race(params.H)
+            scan = scan_0_7_0(params.H)
             slopes = [kernel(gamma, p, h, dh) for p, h, dh in scan]
             brackets = [
                 (scan[i][0], scan[i + 1][0], slopes[i], slopes[i + 1])

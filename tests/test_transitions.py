@@ -1,11 +1,10 @@
-import logging
 import math
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from sniplab import race
 from sniplab import transitions as tr
@@ -22,6 +21,19 @@ NP_POINTS = (0.8, 1.0, 2.0, 4.0, 8.0)  # ... with c/H for these c inside (0, 0.0
 def scan_grid(h):
     """The scan points of optimal_sniping at H = h, in increasing order."""
     return sorted(SCAN_GRID + [c / h for c in NP_POINTS if c / h < SCAN_GRID[1]])
+
+
+def bisection_path(grid, p_star):
+    """The grid indices at which a bisection of grid, from its two ends,
+    takes the slope on its way to the cell of p_star: the cell whose lower
+    end lies below p_star and whose upper end does not."""
+    cell = max(i for i, p in enumerate(grid) if p < p_star)
+    lo, hi, path = 0, len(grid) - 1, []
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        path.append(mid)
+        lo, hi = (mid, hi) if mid <= cell else (lo, mid)
+    return path
 
 
 def slope_numerator(p, pr):
@@ -217,32 +229,41 @@ class TestOptimalSniping:
         assert slope_numerator(p * (1 - 1e-12), pr) > 0
         assert slope_numerator(p * (1 + 1e-12), pr) <= 0
 
-    def test_non_unimodal_scan_warns_once_and_takes_the_best(self, monkeypatch, caplog):
-        # a decoy descending bracket (0.97, 0.99) after the true scan: its ends
-        # carry the race values of p = 0 (slope > 0) and p = 1 (slope < 0), but
-        # du*/dp < 0 inside it, so its root lies at 0.97, below u*(p*)
-        pr = params(3.5)
-        expected = tr.optimal_sniping(pr)
-        scan = tr._scan_race(pr.H)
-        decoy = ((0.97, *scan[0][1:]), (0.99, *scan[-1][1:]))
-        monkeypatch.setattr(tr, "_scan_race", lambda n: scan + decoy)
-        with caplog.at_level(logging.WARNING, logger=tr.__name__):
-            regime = tr.optimal_sniping(pr)
-        warnings = [r.getMessage() for r in caplog.records if r.name == tr.__name__]
-        assert len(warnings) == 1
-        assert "not unimodal" in warnings[0]
-        assert "2 descending brackets" in warnings[0] and "(0.97, 0.99)" in warnings[0]
-        assert regime == expected
-        assert tr.indifference_at(0.97, pr).u_star < regime.u_star
-        # a gamma sweep's row names its own gamma, not the sweep's
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger=tr.__name__):
-            row = tr.regime_rows(params(3.0))(3.5)
-        warnings = [r.getMessage() for r in caplog.records if r.name == tr.__name__]
-        assert len(warnings) == 1 and "(0.97, 0.99)" in warnings[0]
-        assert f"not unimodal for {pr!r}:" in warnings[0] and "gamma=3.0" not in warnings[0]
-        assert (row["regime"], row["p_star"], row["u_opt"]) == (
-            expected.kind, expected.p_star, expected.u_star)
+    # no explain phase: tracing every line of a failing example took minutes
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150,
+              phases=[Phase.explicit, Phase.generate, Phase.shrink])
+    @given(st.floats(math.log(3), math.log(1e7)), st.floats(-6.0, 0.5), st.floats(-6.0, 0.5),
+           st.floats(1e-6, 0.998),
+           st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    min_size=1, max_size=4))
+    def test_slope_changes_sign_once_and_rows_are_full_scan_rows(self, log_h, log_alpha,
+                                                                 log_mu, load, fractions):
+        # u*(p) is unimodal between the thresholds (the module docstring
+        # derives it): on a fine grid of p the slope numerator is > 0 up to
+        # one point and <= 0 after it, so the bisection's cell is the scan's,
+        # and every row equals the row of 0.7.0's full 21 + 5-point scan bit
+        # for bit; at gammas strictly between the thresholds and within
+        # 1e-12 of each
+        h = max(3, round(math.exp(log_h)))
+        alpha, mu = 10.0**log_alpha, 10.0**log_mu
+        pr = GameParams(H=h, alpha=alpha, mu=mu, delta=load / (alpha + mu), gamma=3.0)
+        th = oracles.thresholds_0_7_0(pr)
+        lo, hi = th.to_probabilistic, th.to_no_sniping
+        gammas = [lo + f * (hi - lo) for f in fractions]
+        gammas += [g for t in (lo, hi) for g in (t - 1e-12, t + 1e-12) if g >= 1.0]
+        fine = sorted({*np.linspace(0.0, 1.0, 201).tolist(),
+                       *np.logspace(-9.0, math.log10(0.05), 60).tolist(),
+                       *(c / h for c in np.linspace(0.05, 40.0, 60).tolist() if c / h < 1.0)})
+        race_values = [(p, *race.mm_loss(p, h)) for p in fine]
+        row = tr.regime_rows(pr)
+        hexed = lambda r: {k: v.hex() if isinstance(v, float) else v  # noqa: E731
+                           for k, v in r.items()}
+        for gamma in gammas:
+            kernel = utility.slope_kernel(derive(pr), h)(gamma)
+            signs = [kernel(*values) > 0 for values in race_values]
+            assert signs == sorted(signs, reverse=True), (pr, gamma)
+            old = oracles.regime_row_0_7_0(replace(pr, gamma=gamma), th)
+            assert hexed(row(gamma)) == hexed(old), (pr, gamma)
 
     def test_utility_vanishes_at_upper_threshold(self, fig_thresholds):
         gl = fig_thresholds.to_no_sniping
@@ -416,8 +437,9 @@ class TestSlopeKernel:
         # counts that host noise cannot move, over one h-sweep row at H = 2,000:
         # one derive and one kernel for the thresholds and the row, the
         # no-sniping closed form once, K's race values at p = 1 once (the
-        # point at p = 1 shares them), the scan's race values once per grid
-        # point, each root slope once per p, p* raced twice
+        # bisection's upper end and the point at p = 1 share them), the grid's
+        # race values at p = 0 and at each bisection step once, each root
+        # slope once per p, p* raced twice
         pr = GameParams(H=2000, alpha=0.45, mu=0.3, delta=0.5, gamma=3.0)
         built, derived, closed, kernels, calls, race_ps = [], [], [], [], [], []
         for cls in (GameParams, DerivedParams):
@@ -427,29 +449,34 @@ class TestSlopeKernel:
         monkeypatch.setattr(utility, "slope_kernel",
                             recording(kernels, recording_kernels(calls, utility.slope_kernel)))
         monkeypatch.setattr(race, "mm_loss", recording(race_ps, race.mm_loss))
-        tr._scan_race.cache_clear()  # an earlier test may have scanned H = 2,000
+        tr._scan_race.cache_clear()  # an earlier test may have raced H = 2,000
         row = tr.regime_rows(pr)(pr.gamma)
         assert row["regime"] == tr.PROBABILISTIC
         kinds = kernel_calls(calls, {pr.gamma})
         assert [type(obj).__name__ for obj in built] == ["DerivedParams"]
         assert len(derived) == len(kernels) == len(closed) == 1
         assert len(kinds["K"]) == len(set(kinds["K"])) > 0
-        # the scan races each point of the per-H grid once; the root's slopes
-        # lie off the grid; the point at p* races its own p
+        # the grid's slopes are its ends, then the bisection's steps toward
+        # the cell of p*: 5 of the 24 inner points; the root's slopes lie off
+        # the grid; the point at p* races its own p
         grid = scan_grid(2000)
         assert len(grid) == len(SCAN_GRID) + len(NP_POINTS)
-        assert kinds["scan"] == grid
-        assert race_ps[0] == 1.0 and sorted(race_ps[1:len(grid) + 1]) == grid
+        steps = [grid[i] for i in bisection_path(grid, row["p_star"])]
+        assert len(steps) == 5
+        assert kinds["scan"] == [0.0, 1.0, *steps]
+        assert race_ps[:len(steps) + 2] == [1.0, 0.0, *steps]
         assert len(kinds["root"]) == len(set(kinds["root"])) > 0
         assert set(grid).isdisjoint(kinds["root"])
         assert kinds["point"] == [row["p_star"], 1.0]
-        assert len(race_ps) == 1 + len(grid) + len(kinds["root"]) + 1
+        assert len(race_ps) == 2 + len(steps) + len(kinds["root"]) + 1
         assert race_ps.count(row["p_star"]) <= 2
 
     def test_gamma_sweep_races_the_scan_once(self, monkeypatch):
-        # 20 probabilistic rows at one H race the 21 scan points once in all,
-        # not once per row (420 calls); each row's point at p* races its own
-        # p, and its u_sure point takes K(gamma)'s race values at p = 1
+        # 20 probabilistic rows at one H race each grid point at most once in
+        # all: p = 0 and the union of the rows' bisection steps, 11 of the 21
+        # points (the full scan raced all 21 once, and 420 calls once per
+        # row); p = 1 is K(gamma)'s; each row's point at p* races its own p,
+        # and its u_sure point takes K(gamma)'s race values at p = 1
         pr = params(3.0)
         gammas = [3.0 + 0.2 * i for i in range(20)]
         race_ps, calls = [], []
@@ -460,17 +487,22 @@ class TestSlopeKernel:
         assert {row["regime"] for row in rows} == {tr.PROBABILISTIC}
         points = kernel_calls(calls, set(gammas))["point"]
         assert points.count(1.0) == 20
-        assert sum(p in SCAN_GRID for p in race_ps) == 22  # the scan's and K's at p = 1
-        # over the 641 rows of a gamma sweep through both thresholds, the
-        # only race calls at p = 0 and p = 1 are K's and the scan's: the sure
-        # rows' points, the probabilistic rows' u_sure and the no-sniping
-        # rows' points read their race values from them (0.7.0 made 643 at
-        # p = 1 and 95 at p = 0)
+        steps = {SCAN_GRID[i] for row in rows for i in bisection_path(SCAN_GRID, row["p_star"])}
+        raced = [p for p in race_ps if p in SCAN_GRID]
+        assert sorted(raced) == sorted({0.0, 1.0, *steps}) and len(raced) == 12
+        # over the 641 rows of a gamma sweep through both thresholds, each
+        # grid point is raced once, and the only race calls at p = 0
+        # and p = 1 are K's and the grid's: the sure rows' points, the
+        # probabilistic rows' u_sure and the bisection's upper end take K's
+        # race values at p = 1, and the no-sniping rows' points the grid's
+        # at p = 0 (0.7.0 made 643 at p = 1 and 95 at p = 0)
         del race_ps[:]
         tr._scan_race.cache_clear()
         rows = list(map(tr.regime_rows(pr), (1.0 + 0.0125 * i for i in range(641))))
         assert {row["regime"] for row in rows} == {tr.SURE, tr.PROBABILISTIC, tr.NO_SNIPING}
-        assert [p for p in race_ps if p in (0.0, 1.0)] == [1.0, 0.0, 1.0]
+        assert [p for p in race_ps if p in (0.0, 1.0)] == [1.0, 0.0]
+        raced = [p for p in race_ps if p in SCAN_GRID]
+        assert sorted(raced) == SCAN_GRID  # p = 1 by K, every other point once
 
     @pytest.mark.parametrize("h", [2000, 5000, 10000])
     def test_large_h_p_star_builds_few_windows(self, h, monkeypatch):
@@ -514,12 +546,15 @@ class TestSlopeKernel:
         # [1, 10 to_no_sniping]: over the 16 rows H = 2,000-9,500 of an H
         # sweep at the Fig. 7 rates and gamma 4, a threshold takes 15.1 K
         # evaluations on average (241 in all), against 21.2 (339) with the
-        # wider bracket.  A row makes 52.2 kernel calls, its two points of
-        # indifference included, and 37.1 race calls, each of h and h' at
-        # once (835 and 594 in all; 0.7.0 made 610, racing p = 1 again for
-        # u_sure); 0.6.0 made 56.3 slope kernel calls and 74.3 race calls,
-        # 38.1 of h and 36.1 of h'.  Counts, not timings, so the guard does
-        # not depend on the host's speed
+        # wider bracket.  A row makes 33.2 kernel calls, its two points of
+        # indifference included, and 17.1 race calls, each of h and h' at
+        # once (531 and 274 in all): the bisection takes the slope at p = 0,
+        # at p = 1 from K's race values and at 5 of the 24 inner grid points,
+        # where the full scan of 0.7.0 took all 26 (835 and 594; 610 race
+        # calls before u_sure shared K's race values at p = 1); 0.6.0 made
+        # 56.3 slope kernel calls and 74.3 race calls, 38.1 of h and 36.1 of
+        # h'.  Counts, not timings, so the guard does not depend on the
+        # host's speed
         k_steps, old_steps, kernels, races = [], [], [], []
         for h in range(2000, 9501, 500):
             pr = params(4.0, H=h)
@@ -541,15 +576,18 @@ class TestSlopeKernel:
             old_steps.append(len(old))
         assert sum(old_steps) == 339
         assert sum(k_steps) <= 241 and max(k_steps) < min(old_steps)
-        assert sum(kernels) <= 835 and sum(races) <= 594
+        assert sum(kernels) <= 531 and sum(races) <= 274
 
     def test_scan_grid_per_h(self):
         # at H = 5 no point c/H falls inside (0, 0.05): a gamma sweep at the
-        # paper's H scans the 21 points of _SCAN_GRID alone
+        # paper's H bisects the 21 points of _SCAN_GRID alone; a new grid
+        # holds no race values until a bisection asks for them
         tr._scan_race.cache_clear()
-        assert [p for p, _, _ in tr._scan_race(5)] == list(tr._SCAN_GRID) == SCAN_GRID
+        assert tr._scan_race(5) == (SCAN_GRID, [None] * 21)
+        assert list(tr._SCAN_GRID) == SCAN_GRID
         for h in (16, 17, 160, 161, 2000, 10**6):
-            assert [p for p, _, _ in tr._scan_race(h)] == scan_grid(h), h
+            grid, raced = tr._scan_race(h)
+            assert grid == scan_grid(h) and raced == [None] * len(grid), h
         assert len(scan_grid(16)) == 21 and len(scan_grid(161)) == 26
         # every point c/H races on the closed forms: n*p rounds to no less
         # than the cutoff (0.75/H would round below it at H = 5,000)
