@@ -47,13 +47,15 @@ the Fig. 7 rates and gamma 4, against 21.2 on [1, 10 to_no_sniping];
 BENCH_29.json).
 
 ``regime_rows`` gives the rows of a sweep over gamma: one ``derive``, one
-kernel and one ``thresholds`` serve them all, and each row binds the kernel
-to its gamma; an H, rate or ``analyze`` row is such a sweep's one row.  K's
-race values at p = 1 serve every point at p = 1 and the bisection's upper
-end.  ``_scan_race`` keeps the grid's race values for the last n, each raced
-when a bisection first asks for it, so a gamma sweep races each grid point
-at most once, and an H-sweep row races p = 0 and about five of its 26 points
-(BENCH_31.json; timings in BENCH_21.json, BENCH_22.json and BENCH_30.json).
+kernel, one ``thresholds`` and one grid serve them all, and each row binds
+the kernel to its gamma; an H, rate or ``analyze`` row, and
+``optimal_sniping``, are such a sweep's one row.  K's race values at p = 1
+serve every point at p = 1 and the bisection's upper end.  The sweep races
+a grid point when a bisection first asks for it and keeps its values, so a
+gamma sweep races each grid point at most once, and an H-sweep row races
+p = 0 and about five of its 26 points (BENCH_31.json; timings in
+BENCH_21.json, BENCH_22.json and BENCH_30.json).  Nothing is kept between
+sweeps.
 The iterates are part of the output: an Anderson-Bjorck step in place of the
 Illinois one moved the last bits of p* in 60 and 62 of 400 random settings
 and saved 0.2-2.9 % of the evaluations, so that step was not taken.
@@ -61,7 +63,6 @@ and saved 0.2-2.9 % of the evaluations, so that step was not taken.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -157,18 +158,14 @@ def _point(kernel, p: float, h: float | None = None,
 def indifference_at(p: float, params: GameParams) -> utility.IndifferencePoint:
     """Point of indifference (s*(p), u*(p)) for the homogeneous game."""
     kernel = utility.slope_kernel(derive(params), params.H)(params.gamma)
-    return utility.indifference(*kernel(p, lines=True))
+    return utility.IndifferencePoint(*_point(kernel, p))
 
 
-@functools.lru_cache(maxsize=1)
-def _scan_race(n_agents: int) -> tuple[list[float], list]:
-    """(grid, raced) for n agents: ``_SCAN_GRID`` with the points c/n, c in
-    ``_NP_POINTS``, inside its first cell, in increasing order; and a list
-    that holds each point's (p, h, h') once a bisection has raced it.  One
-    entry: a gamma sweep shares H, and an H sweep changes n on every row."""
+def _grid(n_agents: int) -> list[float]:
+    """The bisection's grid for n agents: ``_SCAN_GRID`` with the points c/n,
+    c in ``_NP_POINTS``, inside its first cell, in increasing order."""
     cell = _SCAN_GRID[1]
-    grid = sorted([*_SCAN_GRID, *(c / n_agents for c in _NP_POINTS if c / n_agents < cell)])
-    return grid, [None] * len(grid)
+    return sorted([*_SCAN_GRID, *(c / n_agents for c in _NP_POINTS if c / n_agents < cell)])
 
 
 def _no_sniping(d: DerivedParams, params: GameParams) -> float:
@@ -219,22 +216,16 @@ def thresholds(params: GameParams, shared=None) -> Thresholds:
     return Thresholds(_root(k, 1.0, hi, k_lo, k_hi), no_sniping)
 
 
-def _classify(params: GameParams, gamma: float, kernel, one,
-              th: Thresholds) -> tuple[str, float, float, float]:
-    """(kind, p_star, u_star, s_star), ``SnipingRegime``'s fields, of params at
-    risk aversion gamma, given its ``utility.slope_kernel`` bound at gamma,
-    its race values one at p = 1 and its thresholds.  Between the thresholds
-    the bisection of the module docstring brackets p* for ``_root``."""
+def _classify(gamma: float, kernel, one, th: Thresholds, grid: list[float],
+              at) -> tuple[str, float, float, float]:
+    """(kind, p_star, u_star, s_star), ``SnipingRegime``'s fields, at risk
+    aversion gamma, given the ``utility.slope_kernel`` bound at gamma, the
+    race values one at p = 1, the thresholds, and a sweep's ``_grid`` with
+    at(i), the (p, h, h') of its point i.  Between the thresholds the
+    bisection of the module docstring brackets p* for ``_root``."""
     if gamma < th.to_probabilistic:
         s_star, u_star = _point(kernel, *one)
         return SURE, 1.0, u_star, s_star
-    grid, raced = _scan_race(params.H)
-
-    def at(i: int) -> tuple[float, float, float]:
-        if raced[i] is None:
-            raced[i] = (grid[i], *race.mm_loss(grid[i], params.H))
-        return raced[i]
-
     if gamma < th.to_no_sniping:
         lo, hi = 0, len(grid) - 1
         flo, fhi = kernel(*at(lo)), kernel(*one)
@@ -258,11 +249,10 @@ def _classify(params: GameParams, gamma: float, kernel, one,
 
 
 def optimal_sniping(params: GameParams) -> SnipingRegime:
-    """Classify the regime and, when probabilistic, find argmax_p u*(p)."""
-    shared = _shared(params)
-    _, bind, one = shared
-    return SnipingRegime(*_classify(params, params.gamma, bind(params.gamma), one,
-                                    thresholds(params, shared)))
+    """Classify the regime and, when probabilistic, find argmax_p u*(p): the
+    row of params in ``regime_rows``."""
+    row = regime_rows(params)(params.gamma)
+    return SnipingRegime(row["regime"], row["p_star"], row["u_opt"], row["s_star"])
 
 
 def regime_rows(params: GameParams):
@@ -273,19 +263,27 @@ def regime_rows(params: GameParams):
     u_sure = u*(1), u_opt, the utility of the optimal regime, and the two
     thresholds gamma_probabilistic and gamma_no_sniping.  The thresholds do
     not depend on gamma, and neither do the slope kernel's products of the
-    rates, so every row shares one ``derive``, one kernel and one
-    ``thresholds``; a row checks its gamma by ``GameParams``' rule and binds
-    the kernel to it.  ``regime_rows(params)(params.gamma)`` is the row of
-    params itself.
+    rates or the grid's race values, so every row shares one ``derive``, one
+    kernel, one ``thresholds`` and one ``_grid``, whose points are raced when
+    a row first asks for them; a row checks its gamma by ``GameParams``' rule
+    and binds the kernel to it.  ``regime_rows(params)(params.gamma)`` is the
+    row of params itself.
     """
     shared = _shared(params)
     _, bind, one = shared
     th = thresholds(params, shared)
+    grid = _grid(params.H)
+    raced = [None] * len(grid)
+
+    def at(i: int) -> tuple[float, float, float]:
+        if raced[i] is None:
+            raced[i] = (grid[i], *race.mm_loss(grid[i], params.H))
+        return raced[i]
 
     def row(gamma: float) -> dict[str, object]:
         check_gamma(gamma)
         kernel = bind(gamma)
-        kind, p_star, u_star, s_star = _classify(params, gamma, kernel, one, th)
+        kind, p_star, u_star, s_star = _classify(gamma, kernel, one, th, grid, at)
         return {
             "gamma": gamma,
             "regime": kind,

@@ -244,7 +244,7 @@ def slope_kernel(d: DerivedParams, n_agents: int):
     With h, dh = race.mm_loss(p, n_agents) unless given, and q = gamma - 1.0
     (d.q's bits at d's gamma; nothing else in d depends on gamma), a kernel
     returns N'Q - NQ' of u* = N/Q, N = A*D - B*C, Q = (A - C) + (D - B), with
-    ``indifference``'s operations; or (A, B, C, D) if lines.  The win is
+    ``intersection``'s operations; or (A, B, C, D) if lines.  The win is
     h/(n-1), each bandit being as likely to have beaten the market maker.
     d's fields and the products free of h, dh and q are formed once per
     slope_kernel; q and the products of q alone once per bind.  bind gives
@@ -308,11 +308,6 @@ def intersection(a: float, b: float, c: float, d: float) -> tuple[float, float]:
             f"utility lines are parallel to within {PARALLEL_TOL}"
         )
     return (a - c) / denom, (a * d - b * c) / denom
-
-
-def indifference(a: float, b: float, c: float, d: float) -> IndifferencePoint:
-    """``intersection`` of the lines (A, B, C, D) as an IndifferencePoint."""
-    return IndifferencePoint(*intersection(a, b, c, d))
 
 
 def bandit_zero_crossing(params: GameParams) -> float:

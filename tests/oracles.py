@@ -389,7 +389,8 @@ def regime_row_0_7_0(params: GameParams, th: Thresholds) -> dict[str, object]:
     is left out."""
     kernel = slope_kernel_0_7_0(derive(params), params.H)
     gamma = params.gamma
-    point = lambda p: utility.indifference(*kernel(gamma, p, lines=True))  # noqa: E731
+    point = lambda p: utility.IndifferencePoint(  # noqa: E731
+        *utility.intersection(*kernel(gamma, p, lines=True)))
     if gamma < th.to_probabilistic:
         kind, p_star, at = SURE, 1.0, point(1.0)
     else:

@@ -1064,10 +1064,8 @@ class TestDeterminism:
                                                          oracles.mm_loss_prob_deriv_0_1_0))
             m.setattr(transitions, "_root", oracles.root_0_2_0)
             m.setattr(transitions, "_NP_POINTS", ())
-            transitions._scan_race.cache_clear()
             for argv in commands:
                 assert run([*argv, "--out", str(old)]) == 0, argv[0]
-        transitions._scan_race.cache_clear()
         for argv in commands:
             assert run([*argv, "--out", str(new)]) == 0, argv[0]
         for name, digest in changed.items():
@@ -1107,9 +1105,7 @@ class TestDeterminism:
                                                          oracles.mm_loss_prob_deriv_0_5_0))
             m.setattr(transitions, "_root", oracles.root_0_2_0)
             m.setattr(transitions, "_NP_POINTS", ())
-            transitions._scan_race.cache_clear()
             assert run([*argv, "--out", str(old)]) == 0
-        transitions._scan_race.cache_clear()
         assert run([*argv, "--out", str(new)]) == 0
         digest = hashlib.sha256((old / "sweep_H.csv").read_bytes()).hexdigest()
         assert digest == "cdd61198c0229bf1a2fe7551e6116ec0425d4068b645bc5d0388d83e623415df"
@@ -1156,7 +1152,6 @@ class TestDeterminism:
         with monkeypatch.context() as m:
             m.setattr(race, "mm_loss", oracles.mm_loss_of(oracles.mm_loss_prob_0_5_0,
                                                          oracles.mm_loss_prob_deriv_0_5_0))
-            transitions._scan_race.cache_clear()
             for argv in PINNED_COMMANDS:
                 assert run([*argv, "--out", str(tmp_path / "0.5.0")]) == 0, argv[0]
             digests = {name: hashlib.sha256((tmp_path / "0.5.0" / name).read_bytes()).hexdigest()
@@ -1166,7 +1161,6 @@ class TestDeterminism:
             **PINNED_DIGESTS,
             "sweep_gamma.csv": "fe882f04ded698db80a760044dfb7971a3c3de22790c38124752b7e4db8cd577",
         }
-        transitions._scan_race.cache_clear()
         new = [sweep_rows(argv, tmp_path / f"0.6.0-{i}") for i, argv in enumerate(sweeps)]
         for rows_old, rows_new in zip(old, new):
             assert rows_old != rows_new and len(rows_old) == len(rows_new)
@@ -1189,11 +1183,23 @@ class TestDeterminism:
         # 0.6.0's thresholds patched in, every pinned command gives the
         # pinned digests.  (The commands pass thresholds the derive, kernel
         # and race values at p = 1 that they share; 0.6.0's makes its own.)
+        # Each command that classifies must reach the patched thresholds, once
+        # per row: analyze, the gamma sweep, the H sweep's 3 rows and the
+        # monitor's optimal play; the simulate is given its p and spread.
+        calls = []
+
+        def thresholds_0_6_0(params, shared=None):
+            calls.append(params)
+            return oracles.thresholds_0_6_0(params)
+
+        reached = []
         with monkeypatch.context() as m:
-            m.setattr(transitions, "thresholds",
-                      lambda params, shared=None: oracles.thresholds_0_6_0(params))
+            m.setattr(transitions, "thresholds", thresholds_0_6_0)
             for argv in PINNED_COMMANDS:
+                before = len(calls)
                 assert run([*argv, "--out", str(tmp_path)]) == 0, argv[0]
+                reached.append(len(calls) - before)
+        assert reached == [1, 1, 3, 0, 1]
         for name, digest in PINNED_DIGESTS.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
         # Both versions stop where the float kernel changes sign, and the

@@ -14,7 +14,7 @@ from sniplab.utility import (
     bandit_zero_crossing,
     evaluate,
     first_event_prob,
-    indifference,
+    intersection,
     payoff_table_rows,
     second_event_prob,
 )
@@ -272,20 +272,20 @@ class TestEndpoints:
 
 class TestIndifference:
     def test_intersection_at_left_endpoint(self):
-        point = indifference(0.4, -1.0, 0.4, 1.0)
-        assert point.s_star == 0.0
-        assert point.u_star == pytest.approx(0.4)
+        s_star, u_star = intersection(0.4, -1.0, 0.4, 1.0)
+        assert s_star == 0.0
+        assert u_star == pytest.approx(0.4)
 
     def test_symmetric_toy(self):
-        point = indifference(1.0, 0.0, 0.0, 1.0)
-        assert point.s_star == pytest.approx(0.5)
-        assert point.u_star == pytest.approx(0.5)
+        s_star, u_star = intersection(1.0, 0.0, 0.0, 1.0)
+        assert s_star == pytest.approx(0.5)
+        assert u_star == pytest.approx(0.5)
 
     def test_parallel_lines_error(self):
         # parameters without a point of indifference are invalid input: exit 2
         assert issubclass(ParallelLinesError, ValidationError)
         with pytest.raises(ParallelLinesError):
-            indifference(1.0, 1.0, 0.0, 0.0)
+            intersection(1.0, 1.0, 0.0, 0.0)
 
     @given(
         valid_params_st,
@@ -295,8 +295,8 @@ class TestIndifference:
     def test_lines_agree_at_intersection(self, pr, p_snipe):
         a, b, c, dd = lines(p_snipe, pr)
         assert a >= 0.0 >= b
-        point = indifference(a, b, c, dd)
-        assert abs(line_at(a, b, point.s_star) - line_at(c, dd, point.s_star)) < 1e-12
+        s_star, _ = intersection(a, b, c, dd)
+        assert abs(line_at(a, b, s_star) - line_at(c, dd, s_star)) < 1e-12
 
 
 class TestBanditZeroCrossing:
