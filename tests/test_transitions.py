@@ -500,6 +500,21 @@ class TestSlopeKernel:
         raced = [p for p in race_ps if p in SCAN_GRID]
         assert sorted(raced) == SCAN_GRID  # p = 1 by K, every other point once
 
+    @pytest.mark.parametrize("h", [2000, 5000, 10000])
+    def test_large_h_p_star_builds_few_windows(self, h, monkeypatch):
+        # near p* at H in the thousands n p is about 0.85, above
+        # race.CLOSED_FORM_MIN_NP, so the root's iterates take the closed
+        # forms: a cold optimal_sniping makes one race call below the
+        # cutoff, which costs one step per series term, the grid's at p = 0,
+        # where a cutoff at n p = 1 made 23-39.  Counts, not timings, so the
+        # guard does not depend on the host's speed
+        series = []
+        monkeypatch.setattr(race, "mm_loss", below_cutoff(series, race.mm_loss))
+        regime = tr.optimal_sniping(GameParams(H=h, alpha=0.45, mu=0.5, delta=0.5, gamma=4.0))
+        assert regime.kind == tr.PROBABILISTIC
+        assert 0.75 < h * regime.p_star < 1.0
+        assert series == [0.0]
+
     def test_h_sweep_p_star_work(self, monkeypatch):
         # over an H sweep at the Fig. 7 rates and gamma 4, where p* lies
         # near 0.85/H (n p* in (0.75, 1), above race.CLOSED_FORM_MIN_NP), the
