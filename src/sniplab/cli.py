@@ -61,22 +61,25 @@ def _thread_cap(n_jobs: int) -> int:
 
 
 def _resolve_params(args: argparse.Namespace) -> tuple[GameParams, dict]:
-    """The sigma-rescaled parameters, and the manifest's record of them.
+    """The parameters, and the manifest's record of them.
 
-    Outputs are measured in units of sigma.  ``sigma_scale`` is the jump size
-    before rescaling, from the flag or the config file; ``args_from_manifest``
-    passes it back as ``--sigma``.
+    Outputs are measured in units of the jump size sigma, which no formula
+    reads: the manifest records ``sigma`` as 1 and, as ``sigma_scale``, the
+    jump size the run was given by the flag or the config file (default 1);
+    ``args_from_manifest`` passes it back as ``--sigma``.
     """
     values: dict[str, float] = {}
     if args.config:
         values.update(load_config(args.config))
-    for field in fields(GameParams):
-        flag = getattr(args, field.name, None)
+    for key in (*(f.name for f in fields(GameParams)), "sigma"):
+        flag = getattr(args, key, None)
         if flag is not None:
-            values[field.name] = flag
+            values[key] = flag
     params = params_from_config(values)
-    resolved = {**asdict(params), "sigma": 1.0, "sigma_scale": params.sigma}
-    return replace(params, sigma=1.0), resolved
+    sigma = values.get("sigma", 1.0)
+    if not 0 < sigma < math.inf:
+        raise ValidationError(f"sigma must be finite and positive (got {sigma})")
+    return params, {**asdict(params), "sigma": 1.0, "sigma_scale": sigma}
 
 
 def _utc_timestamp() -> str:
@@ -173,14 +176,20 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
 
 
+# Defaults of the play flags that simulate draws with.  monitor has none: it
+# takes them only for an inline simulation, and refuses these flags with
+# --stream, whose run they cannot change.
+PLAY_DEFAULTS = {"hd": 0, "stages": 10000, "seeds": "1"}
+
+
 def _add_play_flags(parser: argparse.ArgumentParser) -> None:
     """The roster and play flags that simulate and monitor share."""
-    parser.add_argument("--hd", type=int, default=0, help="deceptive agents")
+    parser.add_argument("--hd", type=int, help="deceptive agents")
     parser.add_argument("--p", type=float, help="trustworthy sniping probability "
                         "(default: optimal)")
     parser.add_argument("--spread", type=float, help="posted spread (default: optimal)")
-    parser.add_argument("--stages", type=int, default=10000)
-    parser.add_argument("--seeds", default="1", help="comma-separated seeds")
+    parser.add_argument("--stages", type=int)
+    parser.add_argument("--seeds", help="comma-separated seeds")
 
 
 def _parse_seeds(raw: str) -> list[int]:
@@ -520,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_sim)
     p_sim.add_argument("--ht", type=int, required=True, help="trustworthy agents")
     _add_play_flags(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, **PLAY_DEFAULTS)
 
     p_mon = sub.add_parser("monitor", help="SPRT compliance monitoring")
     _add_param_flags(p_mon)
@@ -539,8 +548,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "monitor" and not args.stream and args.ht is None:
-        parser.error("monitor needs --stream or --ht for an inline simulation")
+    if args.command == "monitor":
+        inline = [f"--{key}" for key in ("ht", *PLAY_DEFAULTS) if getattr(args, key) is not None]
+        if args.stream and inline:
+            parser.error(f"--stream monitors a recorded run: {', '.join(inline)} "
+                         "apply only to an inline simulation")
+        if not args.stream:
+            if args.ht is None:
+                parser.error("monitor needs --stream or --ht for an inline simulation")
+            for key, default in PLAY_DEFAULTS.items():
+                if getattr(args, key) is None:
+                    setattr(args, key, default)
     made = None  # the outermost directory this run makes
     try:
         params, resolved = _resolve_params(args)

@@ -1,10 +1,11 @@
 """Primitive game parameters, derived quantities and model assumptions.
 
-All downstream formulas are expressed in units of the jump size sigma, so the
-public API works on sigma-rescaled parameters (sigma = 1): the spreads and
-utilities it produces are measured with sigma as the yardstick.  The original
-sigma is the factor that converts them back; the CLI records it in the run
-manifest as ``sigma_scale``.  The quantities a parameter set must satisfy:
+All formulas are expressed in units of the jump size sigma, so no parameter
+holds it: the spreads and utilities the package produces are measured with
+sigma as the yardstick.  The CLI holds the jump size a run was given (its
+``--sigma`` flag or a config file's ``sigma`` key), the factor that converts
+them back, and records it in the run manifest as ``sigma_scale``.  The
+quantities a parameter set must satisfy:
 
 * finite values in every field,
 * at least three competing high-frequency traders, and fewer than 2**53,
@@ -41,7 +42,6 @@ class GameParams:
     mu: liquidity-trader arrival rate (events per unit time)
     delta: exchange latency, the duration of a race
     gamma: risk-aversion factor inflating negative payoffs (>= 1)
-    sigma: jump size of the asset value on news (default 1 after rescaling)
     """
 
     H: int
@@ -49,7 +49,6 @@ class GameParams:
     mu: float
     delta: float
     gamma: float
-    sigma: float = 1.0
 
     def __post_init__(self) -> None:
         # a chained comparison is false for NaN; its upper bound refuses inf and
@@ -63,8 +62,6 @@ class GameParams:
         if not 0 < self.delta < math.inf:
             raise ValidationError(f"delta must be finite and positive (got {self.delta})")
         check_gamma(self.gamma)
-        if not 0 < self.sigma < math.inf:
-            raise ValidationError(f"sigma must be finite and positive (got {self.sigma})")
         load = (self.alpha + self.mu) * self.delta
         if not load < 1:
             raise ValidationError(
@@ -138,10 +135,11 @@ def derive(params: GameParams) -> DerivedParams:
 def load_config(path: str) -> dict[str, float]:
     """Read a flat key=value parameter file.
 
-    Recognised keys: the fields of GameParams.  Blank lines and '#' comments
-    are ignored; unknown keys are an error.
+    Recognised keys: the fields of GameParams, and sigma, the jump size,
+    which the CLI reads.  Blank lines and '#' comments are ignored; unknown
+    keys are an error.
     """
-    keys = {f.name for f in fields(GameParams)}
+    keys = {f.name for f in fields(GameParams)} | {"sigma"}
     values: dict[str, float] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -178,5 +176,4 @@ def params_from_config(values: dict[str, float]) -> GameParams:
         mu=float(values["mu"]),
         delta=float(values["delta"]),
         gamma=float(values["gamma"]),
-        sigma=float(values.get("sigma", 1.0)),
     )

@@ -10,15 +10,15 @@ Reproducibility, RNG contract 2 (``streams.RNG_CONTRACT``): every stage
 consumes exactly H + 4 doubles from ``Generator.random``, one row of an
 (m, H + 4) matrix, and every column is drawn on every stage, race or not:
 
-* col 0 -- market maker, ``candidates[floor(u * k)]`` among the k agents that
-  post the minimal spread, in id order;
+* col 0 -- market maker, agent ``floor(u * H)``: every agent posts the
+  roster's one spread, so each is the maker with probability 1/H;
 * col 1 -- trigger event, split NG/NB/LA/LB at the cut points beta/2, beta,
   beta + (1-beta)/2;
 * col 2 -- second event, split NG/NB/LA/LB/NO at alpha_bar, 2 alpha_bar,
   2 alpha_bar + mu_bar, 2 (alpha_bar + mu_bar);
-* cols 3 .. H+2 -- on a news trigger agent j enters the race if u <
-  snipe_prob_j (the market maker's own column is drawn and ignored: he always
-  races);
+* cols 3 .. H+2 -- on a news trigger agent j enters the race if u < p for a
+  trustworthy agent, and always for a deceptive one (the market maker's own
+  column is drawn and ignored: he always races);
 * col H+3 -- winner, ``floor(u * n_entrants)``: 0 is the market maker, k the
   k-th entering non-maker in id order.
 
@@ -26,13 +26,13 @@ A Generator fills the matrix row by row from one stream, so the draws do not
 depend on how many stages are drawn at once: the chunk schedule (64 stages
 first, doubling to 1,024) is a speed constant outside the contract, a lazily
 consumed ``stage_stream`` yields a prefix of ``run_repeated``'s utilities, and
-identical (agents, params, n_stages, seed) yield bit-identical utility
+identical (roster, params, n_stages, seed) yield bit-identical utility
 streams.  Contract 1 (a variable number of draws per stage, integer
 draws for the market maker and the winner) gives different streams.
 
 A fresh stream costs little more than its draws.  ``_stage_law`` builds what
-a roster's stages are compared with (cut points, maker candidates, snipe
-probabilities, payoff table: one ``derive`` and one ``utility.payoffs``) once
+a roster's stages are compared with (cut points, snipe probabilities, payoff
+table: one ``derive`` and one ``utility.payoffs``) once
 per (roster, params), read-only, in a small LRU cache.  ``_stage_chunks``
 draws each chunk in a fixed number of numpy calls on flat cell indices of the
 (m, H) chunk, and ``stage_stream`` makes its records with ``tuple.__new__``,
@@ -56,7 +56,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -72,21 +72,23 @@ _FIRST_CHUNK = 64
 _CHUNK_STAGES = 1024
 
 
-@dataclass(frozen=True)
-class AgentConfig:
-    """One simulated trader: sniping probability and posted spread.  An
-    agent's id is its position in the roster."""
+class Roster(NamedTuple):
+    """The simulated traders: agents 0..H_t-1 trustworthy (snipe at p), the
+    rest deceptive (snipe for sure), and every one posts the same spread.
+    An agent's id is its position; build one with ``compliance_roster``."""
 
-    snipe_prob: float
+    pop: Population
+    p: float
     spread: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.snipe_prob <= 1.0:
-            raise ValidationError(
-                f"snipe_prob must lie in [0, 1] (got {self.snipe_prob})"
-            )
-        if not 0.0 <= self.spread <= 1.0:
-            raise ValidationError(f"spread must lie in [0, 1] (got {self.spread})")
+
+def compliance_roster(pop: Population, p: float, spread: float) -> Roster:
+    """The roster of pop playing (p, spread), both checked to lie in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"snipe_prob must lie in [0, 1] (got {p})")
+    if not 0.0 <= spread <= 1.0:
+        raise ValidationError(f"spread must lie in [0, 1] (got {spread})")
+    return Roster(pop, p, spread)
 
 
 class StageOutcome(NamedTuple):
@@ -102,27 +104,22 @@ class SimRun:
 
     utilities: np.ndarray  # (n_stages, n_agents)
     events: np.ndarray     # (n_stages,) index into utility.PAYOFF_TABLE
-    mm_ids: np.ndarray     # (n_stages,)
-    winners: np.ndarray    # (n_stages,), -1 when no race
+    mm_ids: np.ndarray     # (n_stages,) int32
+    winners: np.ndarray    # (n_stages,) int32, -1 when no race
     race_wins: np.ndarray  # (n_agents,)
 
 
 @functools.lru_cache(maxsize=16)
-def _stage_law(
-    agents: tuple[AgentConfig, ...], params: GameParams
-) -> tuple[np.ndarray, ...]:
+def _stage_law(roster: Roster, params: GameParams) -> tuple[np.ndarray, ...]:
     """What a stage's draws are compared with, for one (roster, params):
-    the trigger and second-event cut points, the market-maker candidates,
-    the snipe probabilities and the payoff table, all read-only.
+    the trigger and second-event cut points, each agent's snipe probability
+    and the payoff table at the roster's spread, all read-only.
 
     Rosters and params that compare equal share a law, and get the same bits
     from it: an int where a float was compares the draws alike, and a spread
     of -0.0 pays what 0.0 does, as each payoff is c0 + cs * s + ... with c0
     never -0.0.
     """
-    h = len(agents)
-    if h < 3:
-        raise ValidationError(f"need at least 3 agents (got {h})")
     d = derive(params)
     cut1 = np.array([d.beta / 2, d.beta, d.beta + (1.0 - d.beta) / 2])
     cut2 = np.array([
@@ -131,21 +128,19 @@ def _stage_law(
         2 * d.alpha_bar + d.mu_bar,
         2 * (d.alpha_bar + d.mu_bar),
     ])
-    spreads = np.array([a.spread for a in agents])
-    s = float(spreads.min())  # the market maker's spread
-    candidates = np.flatnonzero(spreads == s).astype(np.int16)
-    snipe_probs = np.array([a.snipe_prob for a in agents])
-    # utility.payoffs: utility of (event, outcome) at spread s; outcome 0: the
-    # maker loses or there is no race, 1: the sniper wins, 2: the maker wins
-    table = np.array(utility.payoffs(s, params.gamma))
-    law = (cut1, cut2, candidates, snipe_probs, table)
+    pop = roster.pop
+    snipe_probs = np.repeat([roster.p, 1.0], [pop.trustworthy, pop.deceptive])
+    # utility.payoffs: utility of (event, outcome) at the spread; outcome 0:
+    # the maker loses or there is no race, 1: the sniper wins, 2: the maker wins
+    table = np.array(utility.payoffs(roster.spread, params.gamma))
+    law = (cut1, cut2, snipe_probs, table)
     for array in law:
         array.setflags(write=False)
     return law
 
 
 def _stage_chunks(
-    agents: Sequence[AgentConfig], params: GameParams, rng: np.random.Generator
+    roster: Roster, params: GameParams, rng: np.random.Generator
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """Endless stages in chunks, drawn under RNG contract 2.
 
@@ -166,13 +161,13 @@ def _stage_chunks(
     wrappers of the same name, whose call overhead is a visible share of a
     64-stage chunk (BENCH_22.json).
     """
-    h = len(agents)
-    cut1, cut2, candidates, snipe_probs, table = _stage_law(tuple(agents), params)
+    h = roster.pop.total
+    cut1, cut2, snipe_probs, table = _stage_law(roster, params)
     payoff = table.ravel()  # the cell of (event, outcome) is 3 * event + outcome
     m = _FIRST_CHUNK
     while True:
         u = rng.random((m, h + 4))
-        mm = candidates[(u[:, 0] * len(candidates)).astype(np.intp)]
+        mm = (u[:, 0] * h).astype(np.intp)
         first = cut1.searchsorted(u[:, 1], "right")
         second = cut2.searchsorted(u[:, 2], "right")
         events = (5 * first + second).astype(np.int8)
@@ -197,31 +192,31 @@ def _stage_chunks(
 
 
 def stage_stream(
-    agents: Sequence[AgentConfig], params: GameParams, rng: np.random.Generator
+    roster: Roster, params: GameParams, rng: np.random.Generator
 ) -> Iterator[StageOutcome]:
     """Endless stream of independent stage games (shared roster and rng).
 
     With ``rng = default_rng(seed)`` its utilities are the rows of
-    ``run_repeated(agents, params, n, seed).utilities``, one at a time.
+    ``run_repeated(roster, params, n, seed).utilities``, one at a time.
     Each chunk's rows become records through ``tuple.__new__``: the same
     StageOutcome objects that ``StageOutcome(row)`` makes, without running
     the NamedTuple's Python-level ``__new__`` once per stage.
     """
-    for _, _, _, utilities, _ in _stage_chunks(agents, params, rng):
+    for _, _, _, utilities, _ in _stage_chunks(roster, params, rng):
         yield from map(tuple.__new__, repeat(StageOutcome), zip(utilities.tolist()))
 
 
 def run_repeated(
-    agents: Sequence[AgentConfig], params: GameParams, n_stages: int, seed: int
+    roster: Roster, params: GameParams, n_stages: int, seed: int
 ) -> SimRun:
     """Repeat the stage game n_stages times from a fresh seeded generator."""
     if n_stages < 1:
         raise ValidationError(f"n_stages must be >= 1 (got {n_stages})")
     events = np.empty(n_stages, dtype=np.int8)
-    mm_ids = np.empty(n_stages, dtype=np.int16)
-    winners = np.empty(n_stages, dtype=np.int16)
-    utilities = np.empty((n_stages, len(agents)))
-    chunks = _stage_chunks(agents, params, np.random.default_rng(seed))
+    mm_ids = np.empty(n_stages, dtype=np.int32)
+    winners = np.empty(n_stages, dtype=np.int32)
+    utilities = np.empty((n_stages, roster.pop.total))
+    chunks = _stage_chunks(roster, params, np.random.default_rng(seed))
     start = 0
     while start < n_stages:
         chunk = next(chunks)
@@ -234,17 +229,8 @@ def run_repeated(
         events=events,
         mm_ids=mm_ids,
         winners=winners,
-        race_wins=np.bincount(winners[winners >= 0], minlength=len(agents)),
+        race_wins=np.bincount(winners[winners >= 0], minlength=roster.pop.total),
     )
-
-
-def compliance_roster(
-    pop: Population, p: float, spread: float
-) -> tuple[AgentConfig, ...]:
-    """Agents 0..H_t-1 trustworthy (snipe at p), the rest deceptive (snipe
-    for sure); everyone advertises the same spread."""
-    trusty, rogue = AgentConfig(p, spread), AgentConfig(1.0, spread)
-    return (trusty,) * pop.trustworthy + (rogue,) * pop.deceptive
 
 
 # Rows keyed per chunk of a write: a bound on its memory, not on its work.

@@ -283,11 +283,6 @@ def slope_kernel(d: DerivedParams, n_agents: int):
     return bind
 
 
-class ParallelLinesError(ValidationError):
-    """The two utility lines are (numerically) parallel: the parameters have
-    no point of indifference."""
-
-
 PARALLEL_TOL = 1e-12
 
 
@@ -304,7 +299,7 @@ def intersection(a: float, b: float, c: float, d: float) -> tuple[float, float]:
     cross: both roles earn u_star at spread s_star."""
     denom = (a - c) + (d - b)
     if abs(denom) < PARALLEL_TOL:
-        raise ParallelLinesError(
+        raise ValidationError(
             f"utility lines are parallel to within {PARALLEL_TOL}"
         )
     return (a - c) / denom, (a * d - b * c) / denom

@@ -168,7 +168,7 @@ class TestAnalyze:
         args = cli.build_parser().parse_args(["analyze", *FIG7, "--gamma", "3.5",
                                               "--sigma", str(sigma)])
         params, resolved = cli._resolve_params(args)
-        assert params == GameParams(H=5, alpha=0.45, mu=0.5, delta=0.5, gamma=3.5, sigma=1.0)
+        assert params == GameParams(H=5, alpha=0.45, mu=0.5, delta=0.5, gamma=3.5)
         assert (resolved["sigma"], resolved["sigma_scale"]) == (1.0, sigma)
 
     def test_missing_key_is_validation_error(self, tmp_path, capsys):
@@ -186,7 +186,7 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "flag, value",
         [("--gamma", "nan"), ("--gamma", "inf"), ("--sigma", "nan"), ("--sigma", "inf"),
-         ("--alpha", "-inf")],
+         ("--sigma", "-inf"), ("--sigma", "0"), ("--sigma", "-2"), ("--alpha", "-inf")],
     )
     def test_non_finite_value_refused(self, tmp_path, capsys, flag, value):
         argv = ["analyze", *FIG7, "--gamma", "3.5", f"{flag}={value}", "--out", str(tmp_path)]
@@ -316,9 +316,9 @@ class TestSweep:
             rows = len(read_rows(tmp_path / grid / "sweep_gamma.csv"))
             counts.append((rows, sorted(type(obj).__name__ for obj in built), len(kernels)))
         assert [rows for rows, _, _ in counts] == [1, 14, 641]
-        # the resolved GameParams and its sigma-rescaled copy, then one derive
+        # the resolved GameParams, then one derive
         assert {(tuple(names), k) for _, names, k in counts} == {
-            (("DerivedParams", "GameParams", "GameParams"), 1)}
+            (("DerivedParams", "GameParams"), 1)}
 
     def test_alpha_sweep_skips_invalid(self, tmp_path, capsys):
         out = tmp_path / "s"
@@ -620,6 +620,29 @@ class TestMonitor:
         with pytest.raises(SystemExit) as exc:
             run(["monitor", *MIX])
         assert exc.value.code == 2
+
+    def test_stream_refuses_inline_flags(self, tmp_path, capsys):
+        # --ht, --hd, --stages and --seeds set an inline simulation: with
+        # --stream they used to be ignored, and the whole stream monitored
+        sim_out, out = tmp_path / "s", tmp_path / "m"
+        assert run(["simulate", *MIX, "--ht", "4", "--stages", "200", "--seeds", "4",
+                    "--out", str(sim_out)]) == 0
+        argv = ["monitor", *MIX, "--stream", str(sim_out / "stream_seed4.csv"),
+                "--out", str(out)]
+        for flags in (["--ht", "4"], ["--hd", "0"], ["--stages", "20"], ["--seeds", "4"]):
+            capsys.readouterr()
+            assert exit_code([*argv, *flags]) == 2
+            err = capsys.readouterr().err
+            assert f"{flags[0]} apply only to an inline simulation" in err
+        assert not out.exists()
+        assert run(argv) == 0
+        assert "stages" not in json.loads((out / "monitor_manifest.json").read_text())["resolved"]
+
+    def test_inline_defaults(self, tmp_path):
+        # an inline simulation without --hd, --stages or --seeds plays simulate's
+        assert run(["monitor", *MIX, "--ht", "4", "--out", str(tmp_path)]) == 0
+        resolved = json.loads((tmp_path / "monitor_manifest.json").read_text())["resolved"]
+        assert (resolved["hd"], resolved["stages"], resolved["seeds"]) == (0, 10000, [1])
 
     def test_inline_takes_one_seed(self, tmp_path, capsys):
         code = run(
@@ -1363,6 +1386,15 @@ PLAY_FLAGS = {
     _flag(("--stages",), "stages", "int", 10000),
     _flag(("--seeds",), "seeds", default="1"),
 }
+# monitor's have no defaults: it gives simulate's to an inline simulation
+# only, and refuses --hd, --stages and --seeds with --stream
+MONITOR_PLAY_FLAGS = {
+    _flag(("--hd",), "hd", "int"),
+    _flag(("--p",), "p", "float"),
+    _flag(("--spread",), "spread", "float"),
+    _flag(("--stages",), "stages", "int"),
+    _flag(("--seeds",), "seeds"),
+}
 
 
 class TestParser:
@@ -1377,7 +1409,7 @@ class TestParser:
         "simulate": PARAM_FLAGS | PLAY_FLAGS | {
             _flag(("--ht",), "ht", "int", required=True),
         },
-        "monitor": PARAM_FLAGS | PLAY_FLAGS | {
+        "monitor": PARAM_FLAGS | MONITOR_PLAY_FLAGS | {
             _flag(("--stream",), "stream"),
             _flag(("--agent",), "agent", "int", 0),
             _flag(("--ht",), "ht", "int"),

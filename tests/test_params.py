@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -59,7 +60,6 @@ def test_latency_condition_rejected():
         (dict(H=3, alpha=0.1, mu=0.0, delta=0.1, gamma=1.0), "mu"),
         (dict(H=3, alpha=0.1, mu=0.1, delta=-1.0, gamma=1.0), "delta"),
         (dict(H=3, alpha=0.1, mu=0.1, delta=0.1, gamma=0.9), "gamma"),
-        (dict(H=3, alpha=0.1, mu=0.1, delta=0.1, gamma=1.0, sigma=0.0), "sigma"),
     ],
 )
 def test_first_violated_invariant_is_named(kwargs, fragment):
@@ -67,10 +67,10 @@ def test_first_violated_invariant_is_named(kwargs, fragment):
         GameParams(**kwargs)
 
 
-@pytest.mark.parametrize("field", ["H", "alpha", "mu", "delta", "gamma", "sigma"])
+@pytest.mark.parametrize("field", ["H", "alpha", "mu", "delta", "gamma"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_field_refused(field, value):
-    kwargs = dict(H=5, alpha=0.45, mu=0.5, delta=0.5, gamma=3.0, sigma=1.0)
+    kwargs = dict(H=5, alpha=0.45, mu=0.5, delta=0.5, gamma=3.0)
     kwargs[field] = value
     expected = "an integer" if field == "H" else "finite"
     with pytest.raises(ValidationError, match=f"{field} must be {expected}"):
@@ -115,22 +115,17 @@ def test_derive_is_deterministic_and_total(p):
     assert derive(p) == derive(p)
 
 
-@given(valid_params_st, st.floats(min_value=0.1, max_value=10))
-def test_rescale_preserves_sigma_free_fields(p, sigma):
-    scaled = GameParams(
-        H=p.H, alpha=p.alpha, mu=p.mu, delta=p.delta, gamma=p.gamma, sigma=sigma
-    )
-    # derive never reads sigma: rescaling to sigma = 1 changes no derived quantity
-    assert derive(scaled) == derive(p)
-
-
 def test_config_roundtrip(tmp_path):
     cfg = tmp_path / "game.cfg"
-    # every field of GameParams, so the recognised keys are all of them
+    # every recognised key: the fields of GameParams, and the jump size sigma,
+    # which the CLI reads and no formula does
+    assert [f.name for f in fields(GameParams)] == ["H", "alpha", "mu", "delta", "gamma"]
     cfg.write_text("# example\nH = 5\nalpha = 0.45\nmu = 0.5\ndelta = 0.5\ngamma = 3.5\n"
                    "sigma = 2\n")
-    params = params_from_config(load_config(str(cfg)))
-    assert params == GameParams(H=5, alpha=0.45, mu=0.5, delta=0.5, gamma=3.5, sigma=2.0)
+    values = load_config(str(cfg))
+    assert values["sigma"] == 2.0
+    params = params_from_config(values)
+    assert params == GameParams(H=5, alpha=0.45, mu=0.5, delta=0.5, gamma=3.5)
 
 
 def test_config_unknown_key(tmp_path):

@@ -10,7 +10,6 @@ from sniplab.params import GameParams, ValidationError, derive
 from sniplab.race import Population
 from sniplab.utility import (
     PAYOFF_TABLE,
-    ParallelLinesError,
     bandit_zero_crossing,
     evaluate,
     first_event_prob,
@@ -283,8 +282,7 @@ class TestIndifference:
 
     def test_parallel_lines_error(self):
         # parameters without a point of indifference are invalid input: exit 2
-        assert issubclass(ParallelLinesError, ValidationError)
-        with pytest.raises(ParallelLinesError):
+        with pytest.raises(ValidationError, match="parallel"):
             intersection(1.0, 1.0, 0.0, 0.0)
 
     @given(
