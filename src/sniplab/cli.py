@@ -553,12 +553,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.stream and inline:
             parser.error(f"--stream monitors a recorded run: {', '.join(inline)} "
                          "apply only to an inline simulation")
-        if not args.stream:
-            if args.ht is None:
-                parser.error("monitor needs --stream or --ht for an inline simulation")
-            for key, default in PLAY_DEFAULTS.items():
-                if getattr(args, key) is None:
-                    setattr(args, key, default)
+        if not args.stream and args.ht is None:
+            parser.error("monitor needs --stream or --ht for an inline simulation")
+        for key, default in PLAY_DEFAULTS.items():
+            if getattr(args, key) is None:
+                setattr(args, key, default)
     made = None  # the outermost directory this run makes
     try:
         params, resolved = _resolve_params(args)
