@@ -40,7 +40,13 @@ from pathlib import Path
 from typing import Iterable
 
 from . import __version__, streams, transitions, utility
-from .params import GameParams, ValidationError, load_config, params_from_config
+from .params import (
+    GameParams,
+    ValidationError,
+    check_sigma,
+    load_config,
+    params_from_config,
+)
 from .race import Population
 
 EXIT_OK = 0
@@ -77,8 +83,7 @@ def _resolve_params(args: argparse.Namespace) -> tuple[GameParams, dict]:
             values[key] = flag
     params = params_from_config(values)
     sigma = values.get("sigma", 1.0)
-    if not 0 < sigma < math.inf:
-        raise ValidationError(f"sigma must be finite and positive (got {sigma})")
+    check_sigma(sigma)
     return params, {**asdict(params), "sigma": 1.0, "sigma_scale": sigma}
 
 

@@ -33,6 +33,13 @@ def check_gamma(gamma: float) -> None:
         raise ValidationError(f"gamma must be finite and >= 1 (got {gamma})")
 
 
+def check_sigma(sigma: float) -> None:
+    """The rule for the jump size sigma, which the CLI holds apart from
+    GameParams since no formula reads it."""
+    if not 0 < sigma < math.inf:
+        raise ValidationError(f"sigma must be finite and positive (got {sigma})")
+
+
 @dataclass(frozen=True)
 class GameParams:
     """Primitive parameters of the stage game.

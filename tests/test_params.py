@@ -8,6 +8,7 @@ from sniplab.params import (
     DerivedParams,
     GameParams,
     ValidationError,
+    check_sigma,
     derive,
     load_config,
     params_from_config,
@@ -67,14 +68,16 @@ def test_first_violated_invariant_is_named(kwargs, fragment):
         GameParams(**kwargs)
 
 
-@pytest.mark.parametrize("field", ["H", "alpha", "mu", "delta", "gamma"])
+@pytest.mark.parametrize("field", ["H", "alpha", "mu", "delta", "gamma", "sigma"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_field_refused(field, value):
     kwargs = dict(H=5, alpha=0.45, mu=0.5, delta=0.5, gamma=3.0)
-    kwargs[field] = value
     expected = "an integer" if field == "H" else "finite"
     with pytest.raises(ValidationError, match=f"{field} must be {expected}"):
-        GameParams(**kwargs)
+        if field == "sigma":  # the jump size has its own check, not a GameParams field
+            check_sigma(value)
+        else:
+            GameParams(**{**kwargs, field: value})
 
 
 def test_huge_integer_H_refused():
